@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from fractions import Fraction
 
@@ -33,8 +31,6 @@ EXIT_VALIDATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_VERIFY_FAIL = 3
 
-CACHE_ENV = "FIBERCERT_CACHE_DIR"
-
 
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
@@ -47,46 +43,6 @@ def _parse_class(text: str) -> tuple[int, ...]:
 def _load(path: str) -> tuple[LiftedGraphMap, str]:
     track = dataio.load_dataset(path)
     return track, dataio.dataset_hash(track)
-
-
-def _cache_for(args) -> dataio.SupportCache | None:
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return None
-    return dataio.SupportCache(cache_dir)
-
-
-def _wire_cache(track: LiftedGraphMap, ds_hash: str, cache, p_max: int, seed: int) -> None:
-    """Preload cached supports and spot-check a seeded sample against a
-    fresh recomputation."""
-    loaded = []
-    for p in range(0, p_max + 1):
-        pts = cache.load(ds_hash, "fwd", p)
-        if pts is not None:
-            with track._lock:  # type: ignore[attr-defined]
-                track._supports.setdefault(  # type: ignore[attr-defined]
-                    p, SupportPolytope.from_points(track.rank, p, pts)
-                )
-            loaded.append(p)
-    if loaded:
-        rng = random.Random(seed)
-        sample = rng.sample(loaded, min(2, len(loaded)))
-        M = build_transition_matrix(track)
-        for p in sample:
-            fresh = frozenset(mat_pow(M, p).support())
-            cached = frozenset(cache.load(ds_hash, "fwd", p))
-            if fresh != cached:
-                raise ValidationError(
-                    f"cache corruption: stored support at power {p} disagrees "
-                    "with a fresh recomputation"
-                )
-
-
-def _flush_cache(track: LiftedGraphMap, ds_hash: str, cache) -> None:
-    with track._lock:  # type: ignore[attr-defined]
-        items = dict(track._supports)  # type: ignore[attr-defined]
-    for p, supp in items.items():
-        cache.store(ds_hash, "fwd", p, supp.points)
 
 
 def cmd_ingest(args) -> int:
@@ -129,13 +85,8 @@ def _print_support(supp: SupportPolytope) -> None:
 
 
 def cmd_omega(args) -> int:
-    track, ds_hash = _load(args.dataset)
-    cache = _cache_for(args)
-    if cache:
-        _wire_cache(track, ds_hash, cache, args.p, args.seed)
+    track, _ = _load(args.dataset)
     supp = support_of_power(track, args.p)
-    if cache:
-        _flush_cache(track, ds_hash, cache)
     _print_support(supp)
     return EXIT_OK
 
@@ -148,14 +99,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    track, ds_hash = _load(args.dataset)
-    cache = _cache_for(args)
-    if cache:
-        _wire_cache(track, ds_hash, cache, args.p_max, args.seed)
+    track, _ = _load(args.dataset)
     dual = estimate_dual_cone(track, args.p_max)
     cone = fibered_cone_from_dual(dual)
-    if cache:
-        _flush_cache(track, ds_hash, cache)
     out = {
         "p_max": dual.p_max,
         "k0": dual.k0,
@@ -185,9 +131,6 @@ def _models(track: LiftedGraphMap, p_max: int, mu, slope_cap):
 
 def cmd_bound(args) -> int:
     track, ds_hash = _load(args.dataset)
-    cache = _cache_for(args)
-    if cache:
-        _wire_cache(track, ds_hash, cache, args.p_max, args.seed)
     dual, cone, P = _models(track, args.p_max, args.mu, args.slope_cap)
     alpha = FiberedClass(_parse_class(args.alpha))
     cert = certify(
@@ -195,8 +138,6 @@ def cmd_bound(args) -> int:
         safety=args.safety, kappa=args.kappa, allow_mirror=args.mirror,
         box_radius=args.box_radius,
     )
-    if cache:
-        _flush_cache(track, ds_hash, cache)
     text = dataio.emit_certificate(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -245,8 +186,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     track, ds_hash = _load(args.dataset)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = dataio.parse_certificate(fh.read())
+    cert = dataio.load_certificate(args.certificate)
     result = verify_certificate(cert, track, ds_hash, oracle_budget=args.budget)
     print(f"verification: {result.status}"
           + (f" ({result.reason})" if result.reason else ""))
@@ -265,20 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_cache=True):
+    def common(p):
         p.add_argument("dataset", help="dataset JSON file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized spot checks")
-        if with_cache:
-            p.add_argument("--cache-dir", default=None,
-                           help=f"support cache directory (default ${CACHE_ENV})")
 
     p = sub.add_parser("ingest", help="validate a dataset and print its hash")
-    common(p, with_cache=False)
+    common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of the p-th power")
-    common(p, with_cache=False)
+    common(p)
     p.add_argument("--p", type=int, default=1)
     p.set_defaults(func=cmd_charpoly)
 
@@ -288,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("oracle", help="support polytope by literal path substitution")
-    common(p, with_cache=False)
+    common(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="step budget for the symbolic path")
@@ -323,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sweep", help="certify a sequence of classes")
-    common(p, with_cache=False)
+    common(p)
     p.add_argument("--base", help="base class, e.g. '1,5'")
     p.add_argument("--direction", help="direction, e.g. '0,2'")
     p.add_argument("--start", type=int, default=0)

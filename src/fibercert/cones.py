@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import geometry
@@ -27,6 +27,13 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     if g == 0:
         raise ValidationError("zero vector cannot be normalized")
     return tuple(int(v) // g for v in vec)
+
+
+def _clear_denominators(vec) -> tuple[tuple[int, ...], int]:
+    """A rational vector times the lcm of its denominators, and that lcm."""
+    fracs = [Fraction(c) for c in vec]
+    den = lcm(*(c.denominator for c in fracs))
+    return tuple(int(c * den) for c in fracs), den
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,7 @@ def _candidate_directions(rank: int, ratio_points: list[tuple]) -> list[tuple[in
             v, w = hull[i], hull[(i + 1) % n]
             d = (w[0] - v[0], w[1] - v[1])
             # Outward normal for a counterclockwise hull, cleared to integers.
-            normal = (d[1], -d[0])
-            den = 1
-            for c in normal:
-                den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-            cleared = tuple(int(c * den) for c in normal)
+            cleared = _clear_denominators((d[1], -d[0]))[0]
             for cand in (cleared, tuple(-c for c in cleared)):
                 prim = _primitive(cand)
                 if prim not in dirs:
@@ -225,13 +228,10 @@ class FiberedConeModel:
         gsum = self.gen_sum
         mu = Fraction(self.mu)
         # Halfspace normals <g_j - mu * g_sum, alpha> >= 0, cleared to integers.
-        normals = []
-        for g in self.generators:
-            h = [Fraction(a) - mu * b for a, b in zip(g, gsum)]
-            den = 1
-            for c in h:
-                den = den * c.denominator // gcd(den, c.denominator)
-            normals.append(tuple(int(c * den) for c in h))
+        normals = [
+            _clear_denominators(Fraction(a) - mu * b for a, b in zip(g, gsum))[0]
+            for g in self.generators
+        ]
         dim = self.rank + 1
         rays: list[tuple[int, ...]] = []
 
@@ -276,23 +276,19 @@ class FiberedConeModel:
         halfspaces: list[tuple[tuple, Fraction]] = []
         for g in self.generators:
             # <g, (s, 1)> >= mu <gsum, (s, 1)>, rewritten as <u, s> <= c.
-            head = [mu * b - Fraction(a) for a, b in zip(g[:-1], gsum[:-1])]
+            # rhs takes the head's scale factor and may stay fractional.
+            head, den = _clear_denominators(
+                mu * b - Fraction(a) for a, b in zip(g[:-1], gsum[:-1])
+            )
             rhs = Fraction(g[-1]) - mu * gsum[-1]
-            den = 1
-            for v in head:
-                den = den * v.denominator // gcd(den, v.denominator)
-            halfspaces.append((tuple(int(v * den) for v in head), rhs * den))
+            halfspaces.append((head, rhs * den))
         for j in range(self.rank):
             e = tuple(1 if i == j else 0 for i in range(self.rank))
             halfspaces.append((e, cap))
             halfspaces.append((tuple(-v for v in e), cap))
         rays: list[tuple[int, ...]] = []
         for v in geometry.halfspace_vertices(halfspaces, self.rank):
-            vec = [Fraction(c) for c in v] + [Fraction(1)]
-            den = 1
-            for c in vec:
-                den = den * c.denominator // gcd(den, c.denominator)
-            prim = _primitive(tuple(int(c * den) for c in vec))
+            prim = _primitive(_clear_denominators(list(v) + [1])[0])
             if prim not in rays:
                 rays.append(prim)
         if not rays:
@@ -302,15 +298,10 @@ class FiberedConeModel:
 
 def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:
     """Dualize: generators are the primitive rays over the base-slice vertices."""
-    gens = []
-    for v in dual.base_polytope():
-        vec = list(v) + [Fraction(1)]
-        den = 1
-        for c in vec:
-            c = Fraction(c)
-            den = den * c.denominator // gcd(den, c.denominator)
-        gens.append(_primitive(tuple(int(Fraction(c) * den) for c in vec)))
-    gens = sorted(set(gens))
+    gens = sorted({
+        _primitive(_clear_denominators(list(v) + [1])[0])
+        for v in dual.base_polytope()
+    })
     model = FiberedConeModel(dual.rank, tuple(gens))
     axis = (0,) * dual.rank + (1,)
     if model.membership(axis).status == "exterior":

@@ -1,16 +1,17 @@
-"""Dataset and certificate serialization, content hashing, and the Omega cache.
+"""Dataset and certificate serialization and content hashing.
 
 Datasets and certificates are UTF-8 JSON.  Serialization is canonical (sorted
 keys, compact separators, rationals as "num/den" strings), so emitting,
 parsing, and re-emitting is byte-stable and content hashes are well defined.
+Unreadable files, invalid JSON and missing or ill-typed fields all raise
+ValidationError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -21,6 +22,35 @@ from .trackmap import Edge, LiftedGraphMap
 FORMAT_VERSION = 1
 
 SWEEP_HEADER = "alpha,n,covol2,systole2,deep_dist2,K,bound_num,bound_den,normalized"
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a missing or ill-typed field of outside input as a ValidationError."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            ZeroDivisionError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"malformed {what}: {detail}") from exc
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file: {exc}") from exc
+    return _parse_json(text, what)
 
 
 # -- rational scalars --------------------------------------------------------
@@ -70,21 +100,18 @@ def _map_to_dict(track: LiftedGraphMap) -> dict:
 
 def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None,
                    metadata: Optional[dict] = None) -> LiftedGraphMap:
-    try:
-        edges = tuple(
-            Edge(e["name"], e["src"], e["dst"], tuple(int(v) for v in e["voltage"]))
-            for e in d["edges"]
-        )
-        vertex_images = {
-            v: (im[0], tuple(int(x) for x in im[1]))
-            for v, im in d["vertex_images"].items()
-        }
-        edge_images = {
-            e: tuple((s[0], tuple(int(x) for x in s[1]), int(s[2])) for s in path)
-            for e, path in d["edge_images"].items()
-        }
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed dataset section: {exc}") from exc
+    edges = tuple(
+        Edge(e["name"], e["src"], e["dst"], tuple(int(v) for v in e["voltage"]))
+        for e in d["edges"]
+    )
+    vertex_images = {
+        v: (im[0], tuple(int(x) for x in im[1]))
+        for v, im in d["vertex_images"].items()
+    }
+    edge_images = {
+        e: tuple((s[0], tuple(int(x) for x in s[1]), int(s[2])) for s in path)
+        for e, path in d["edge_images"].items()
+    }
     euler = d.get("euler_functional")
     if euler is not None:
         euler = tuple(int(v) for v in euler)
@@ -111,18 +138,19 @@ def dataset_to_dict(track: LiftedGraphMap) -> dict:
 
 
 def dataset_from_dict(d: dict) -> LiftedGraphMap:
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported dataset format_version {d.get('format_version')!r}"
-        )
-    rank = int(d["rank"])
-    inverse = None
-    if "inverse" in d:
-        inv = d["inverse"]
-        if int(inv.get("rank", rank)) != rank:
-            raise ValidationError("inverse section must share the dataset rank")
-        inverse = _map_from_dict(inv, rank)
-    return _map_from_dict(d, rank, inverse=inverse, metadata=d.get("metadata", {}))
+    with _malformed("dataset"):
+        if d.get("format_version") != FORMAT_VERSION:
+            raise ValidationError(
+                f"unsupported dataset format_version {d.get('format_version')!r}"
+            )
+        rank = int(d["rank"])
+        inverse = None
+        if "inverse" in d:
+            inv = d["inverse"]
+            if int(inv.get("rank", rank)) != rank:
+                raise ValidationError("inverse section must share the dataset rank")
+            inverse = _map_from_dict(inv, rank)
+        return _map_from_dict(d, rank, inverse=inverse, metadata=d.get("metadata", {}))
 
 
 def canonical_json(d: dict) -> str:
@@ -136,8 +164,7 @@ def dataset_hash(track: LiftedGraphMap) -> str:
 
 
 def load_dataset(path: str) -> LiftedGraphMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return dataset_from_dict(json.load(fh))
+    return dataset_from_dict(_read_json(path, "dataset"))
 
 
 def save_dataset(track: LiftedGraphMap, path: str) -> None:
@@ -183,47 +210,48 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> BoundCertificate:
-    if d.get("kind") != "bound-certificate":
-        raise ValidationError("not a bound certificate file")
-    if d.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported certificate format_version {d.get('format_version')!r}"
-        )
-    return BoundCertificate(
-        alpha=tuple(int(v) for v in d["alpha"]),
-        n=int(d["n"]),
-        rank=int(d["rank"]),
-        mu=Fraction(_num_in(d["mu"])),
-        slope_cap=None if d.get("slope_cap") is None else Fraction(_num_in(d["slope_cap"])),
-        p_max=int(d["p_max"]),
-        safety=int(d["safety"]),
-        epsilon=Fraction(_num_in(d["epsilon"])),
-        box_radius=int(d["box_radius"]),
-        word_radius=int(d["word_radius"]),
-        words=tuple(
-            GammaWord(
-                tuple(int(c) for c in w["coeffs"]),
-                tuple(int(x) for x in w["x"]),
-                int(w["y"]),
-                w["mode"],
+    with _malformed("certificate"):
+        if d.get("kind") != "bound-certificate":
+            raise ValidationError("not a bound certificate file")
+        if d.get("format_version") != FORMAT_VERSION:
+            raise ValidationError(
+                f"unsupported certificate format_version {d.get('format_version')!r}"
             )
-            for w in d["words"]
-        ),
-        obstacle_hulls=tuple(
-            tuple(tuple(_num_in(c) for c in v) for v in hull)
-            for hull in d["obstacle_hulls"]
-        ),
-        deep_point=tuple(int(v) for v in d["deep_point"]),
-        deep_dist2=Fraction(_num_in(d["deep_dist2"])),
-        K=int(d["K"]),
-        bound=Fraction(_num_in(d["bound"])),
-        mode=d["mode"],
-        status=d["status"],
-        dataset_hash=d["dataset_hash"],
-        tool_version=d["tool_version"],
-        diagnostics=tuple(d.get("diagnostics", ())),
-        assumptions=tuple(d.get("assumptions", ())),
-    )
+        return BoundCertificate(
+            alpha=tuple(int(v) for v in d["alpha"]),
+            n=int(d["n"]),
+            rank=int(d["rank"]),
+            mu=Fraction(_num_in(d["mu"])),
+            slope_cap=None if d.get("slope_cap") is None else Fraction(_num_in(d["slope_cap"])),
+            p_max=int(d["p_max"]),
+            safety=int(d["safety"]),
+            epsilon=Fraction(_num_in(d["epsilon"])),
+            box_radius=int(d["box_radius"]),
+            word_radius=int(d["word_radius"]),
+            words=tuple(
+                GammaWord(
+                    tuple(int(c) for c in w["coeffs"]),
+                    tuple(int(x) for x in w["x"]),
+                    int(w["y"]),
+                    w["mode"],
+                )
+                for w in d["words"]
+            ),
+            obstacle_hulls=tuple(
+                tuple(tuple(_num_in(c) for c in v) for v in hull)
+                for hull in d["obstacle_hulls"]
+            ),
+            deep_point=tuple(int(v) for v in d["deep_point"]),
+            deep_dist2=Fraction(_num_in(d["deep_dist2"])),
+            K=int(d["K"]),
+            bound=Fraction(_num_in(d["bound"])),
+            mode=d["mode"],
+            status=d["status"],
+            dataset_hash=d["dataset_hash"],
+            tool_version=d["tool_version"],
+            diagnostics=tuple(d.get("diagnostics", ())),
+            assumptions=tuple(d.get("assumptions", ())),
+        )
 
 
 def emit_certificate(cert: BoundCertificate) -> str:
@@ -231,7 +259,11 @@ def emit_certificate(cert: BoundCertificate) -> str:
 
 
 def parse_certificate(text: str) -> BoundCertificate:
-    return certificate_from_dict(json.loads(text))
+    return certificate_from_dict(_parse_json(text, "certificate"))
+
+
+def load_certificate(path: str) -> BoundCertificate:
+    return certificate_from_dict(_read_json(path, "certificate"))
 
 
 # -- sweep tables ------------------------------------------------------------
@@ -258,37 +290,3 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-# -- Omega cache -------------------------------------------------------------
-
-class SupportCache:
-    """Write-once on-disk cache of support point sets, keyed by dataset hash,
-    map label (forward/inverse), and power."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, ds_hash: str, label: str, p: int) -> str:
-        return os.path.join(self.directory, f"{ds_hash[:24]}_{label}_{p}.json")
-
-    def load(self, ds_hash: str, label: str, p: int) -> Optional[list[tuple[int, ...]]]:
-        path = self._path(ds_hash, label, p)
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return [tuple(pt) for pt in json.load(fh)]
-
-    def store(self, ds_hash: str, label: str, p: int, points) -> None:
-        path = self._path(ds_hash, label, p)
-        if os.path.exists(path):  # write-once per key
-            return
-        payload = json.dumps(sorted([list(pt) for pt in points]))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)

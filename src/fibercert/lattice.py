@@ -100,7 +100,8 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def _int_det(mat: list[list[int]]) -> int:
+def int_det(mat: list[list[int]]) -> int:
+    """Exact determinant of a small square integer matrix (cofactor expansion)."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
@@ -109,7 +110,7 @@ def _int_det(mat: list[list[int]]) -> int:
         if mat[0][j] == 0:
             continue
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _int_det(minor)
+        total += (-1) ** j * mat[0][j] * int_det(minor)
     return total
 
 
@@ -169,12 +170,12 @@ def perp_basis(alpha: FiberedClass) -> PerpLattice:
     zeta = tuple(b[:-1] for b in basis)
     gram_z = [[sum(x * y for x, y in zip(u, v)) for v in zeta] for u in zeta]
     gram_a = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
-    covol2 = _int_det(gram_z)
+    covol2 = int_det(gram_z)
     if covol2 <= 0:
         raise ValidationError(
             "projected kernel basis is degenerate (class has n = 0?)"
         )
-    return PerpLattice(alpha, basis, zeta, covol2, _int_det(gram_a))
+    return PerpLattice(alpha, basis, zeta, covol2, int_det(gram_a))
 
 
 def covolume(L: PerpLattice) -> int:
@@ -182,24 +183,26 @@ def covolume(L: PerpLattice) -> int:
     return L.covol2
 
 
+def _gram_schmidt(rows) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Exact Gram-Schmidt orthogonalization: the b* rows and the mu coefficients."""
+    n = len(rows)
+    bstar = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = [Fraction(x) for x in rows[i]]
+        for j in range(i):
+            denom = sum(x * x for x in bstar[j])
+            mu[i][j] = sum(x * y for x, y in zip(rows[i], bstar[j])) / denom
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+    return bstar, mu
+
+
 def _lll(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) -> list[list[Fraction]]:
     """Exact LLL reduction over the rationals (small ranks only)."""
     b = [list(map(Fraction, row)) for row in basis]
     n = len(b)
-
-    def gs():
-        bstar = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = list(b[i])
-            for j in range(i):
-                denom = sum(x * x for x in bstar[j])
-                mu[i][j] = sum(x * y for x, y in zip(b[i], bstar[j])) / denom
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-        return bstar, mu
-
-    bstar, mu = gs()
+    bstar, mu = _gram_schmidt(b)
     k = 1
     guard = 0
     while k < n:
@@ -210,14 +213,14 @@ def _lll(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) -> list[
             q = round(mu[k][j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        bstar, mu = gs()
+        bstar, mu = _gram_schmidt(b)
         lhs = sum(x * x for x in bstar[k])
         rhs = (delta - mu[k][k - 1] ** 2) * sum(x * x for x in bstar[k - 1])
         if lhs >= rhs:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            bstar, mu = gs()
+            bstar, mu = _gram_schmidt(b)
             k = max(k - 1, 1)
     return b
 
@@ -237,15 +240,7 @@ def systole(L: PerpLattice) -> ShortestVector:
     rows = [tuple(int(x) for x in row) for row in reduced]
     # Gram-Schmidt over the reduced basis for enumeration bounds.
     n = len(rows)
-    bstar = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        v = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            denom = sum(x * x for x in bstar[j])
-            mu[i][j] = Fraction(sum(x * y for x, y in zip(rows[i], bstar[j]))) / denom
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
+    bstar, mu = _gram_schmidt(rows)
     norms = [sum(x * x for x in v) for v in bstar]
     best2 = min(sum(x * x for x in row) for row in rows)
     bestv: Optional[Vec] = None
@@ -256,16 +251,15 @@ def systole(L: PerpLattice) -> ShortestVector:
 
     coeffs = [0] * n
 
-    def search(level: int, remaining: Fraction, center_terms: list[Fraction]):
+    def search(level: int, remaining: Fraction):
         nonlocal best2, bestv
         if level < 0:
             vec = tuple(
                 sum(coeffs[i] * rows[i][k] for i in range(n)) for k in range(len(rows[0]))
             )
             l2 = sum(x * x for x in vec)
-            if 0 < l2 < best2 or (l2 == best2 and any(vec)):
-                if 0 < l2 < best2:
-                    best2, bestv = l2, vec
+            if 0 < l2 < best2:
+                best2, bestv = l2, vec
             return
         center = -sum(mu[i][level] * coeffs[i] for i in range(level + 1, n))
         if norms[level] == 0:
@@ -279,10 +273,10 @@ def systole(L: PerpLattice) -> ShortestVector:
             if contrib > remaining:
                 continue
             coeffs[level] = c
-            search(level - 1, remaining - contrib, center_terms)
+            search(level - 1, remaining - contrib)
         coeffs[level] = 0
 
-    search(n - 1, Fraction(best2), [])
+    search(n - 1, Fraction(best2))
     # Canonical sign: lexicographically positive representative.
     assert bestv is not None
     if bestv < tuple(-x for x in bestv):

@@ -11,9 +11,9 @@ i.e. (-1)^m det(xI - M) for an m x m matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import RankMismatchError, ValidationError
 

@@ -11,20 +11,15 @@ independent re-check can replay from the dataset alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import geometry
-from .cones import (
-    DualConeModel,
-    EpsilonBound,
-    FiberedConeModel,
-    epsilon_of_subcone,
-)
-from .errors import BudgetError, CapabilityError, SubconeError, ValidationError
-from .lattice import DeepPoint, FiberedClass, PerpLattice, deep_point, perp_basis, systole
+from .cones import DualConeModel, FiberedConeModel, epsilon_of_subcone
+from .errors import BudgetError, SubconeError, ValidationError
+from .lattice import FiberedClass, PerpLattice, deep_point, int_det, perp_basis, systole
 from .laurent import mat_pow
 from .trackmap import (
     LiftedGraphMap,
@@ -89,7 +84,7 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     """
     zeta = [list(row) for row in L.zeta_basis]
     r = len(zeta)
-    det = _det_int([[zeta[j][i] for j in range(r)] for i in range(r)])
+    det = int_det([[zeta[j][i] for j in range(r)] for i in range(r)])
     if det == 0:
         raise ValidationError("projected basis is singular")
     adj = _adjugate([[zeta[j][i] for j in range(r)] for i in range(r)])
@@ -123,19 +118,6 @@ def _int_box(bounds: Sequence[int]):
             yield (c,) + rest
 
 
-def _det_int(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det_int(minor)
-    return total
-
-
 def _adjugate(mat):
     n = len(mat)
     if n == 1:
@@ -147,7 +129,7 @@ def _adjugate(mat):
                 [mat[a][b] for b in range(n) if b != j]
                 for a in range(n) if a != i
             ]
-            adj[j][i] = (-1) ** (i + j) * _det_int(minor)
+            adj[j][i] = (-1) ** (i + j) * int_det(minor)
     return adj
 
 

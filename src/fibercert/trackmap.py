@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import geometry
 from .errors import BudgetError, ValidationError
-from .laurent import LaurentMatrix, LaurentPoly, mat_pow
+from .laurent import LaurentMatrix, LaurentPoly
 
 Shift = tuple[int, ...]
 Step = tuple[str, Shift, int]  # (edge, deck shift, orientation +1/-1)
@@ -83,7 +83,6 @@ class LiftedGraphMap:
     def __post_init__(self):
         self._validate()
         object.__setattr__(self, "_lock", threading.Lock())
-        object.__setattr__(self, "_matpows", [LaurentMatrix.identity(len(self.edges), self.rank)])
         object.__setattr__(self, "_supports", {})
         object.__setattr__(self, "_supsets", [])
         object.__setattr__(self, "_k0", self._primitivity_power())
@@ -203,16 +202,6 @@ def build_transition_matrix(track: LiftedGraphMap) -> LaurentMatrix:
                 track.rank, shift
             )
     return LaurentMatrix.from_rows(rows)
-
-
-def _matrix_power_cached(track: LiftedGraphMap, p: int) -> LaurentMatrix:
-    with track._lock:  # type: ignore[attr-defined]
-        pows = track._matpows  # type: ignore[attr-defined]
-        if len(pows) == 1 and p >= 1:
-            pows.append(build_transition_matrix(track))
-        while len(pows) <= p:
-            pows.append(pows[-1] * pows[1])
-        return pows[p]
 
 
 def _support_sets_cached(track: LiftedGraphMap, p: int) -> list[list[frozenset]]:

@@ -1,5 +1,4 @@
 import json
-import os
 from importlib import resources
 
 import pytest
@@ -30,8 +29,50 @@ def test_ingest(capsys, r1_hash):
 def test_ingest_missing_file(capsys):
     with pytest.raises(SystemExit):
         main(["ingest"])  # argparse: missing positional
-    with pytest.raises(FileNotFoundError):
-        main(["ingest", "/nonexistent.json"])
+    code, _, err = run(capsys, "ingest", "/nonexistent.json")
+    assert code == 1
+    assert "cannot read dataset file" in err
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _cert_without_k(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "bound", R1, "--alpha", "1,9", "--p-max", "12",
+                     "--out", str(path))
+    assert code == 0
+    d = json.loads(path.read_text())
+    del d["K"]
+    return ["verify", _write(tmp_path, json.dumps(d)), "--dataset", R1]
+
+
+MALFORMED_INPUTS = {
+    "missing-certificate": (
+        lambda capsys, tmp_path: ["verify", str(tmp_path / "absent.json"), "--dataset", R1],
+        "cannot read certificate file",
+    ),
+    "dataset-not-json": (
+        lambda capsys, tmp_path: ["ingest", _write(tmp_path, "{bad")],
+        "dataset is not valid JSON",
+    ),
+    "dataset-without-rank": (
+        lambda capsys, tmp_path: ["ingest", _write(tmp_path, '{"format_version":1}')],
+        "malformed dataset: missing field 'rank'",
+    ),
+    "certificate-without-K": (_cert_without_k, "malformed certificate: missing field 'K'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_code(capsys, tmp_path, case):
+    make_argv, message = MALFORMED_INPUTS[case]
+    code, _, err = run(capsys, *make_argv(capsys, tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
 
 
 def test_charpoly(capsys):
@@ -118,40 +159,6 @@ def test_bound_r2_requires_mirror(capsys):
                        "--p-max", "10", "--mirror")
     assert code in (0, 2)
     assert json.loads(out)["alpha"] == [1, 9, 82]
-
-
-# -- support cache --------------------------------------------------------------
-
-def test_omega_cache_round_trip(capsys, tmp_path, monkeypatch):
-    cache_dir = str(tmp_path / "cache")
-    code, out1, _ = run(capsys, "omega", R1, "--p", "4", "--cache-dir", cache_dir)
-    assert code == 0
-    files = os.listdir(cache_dir)
-    assert files  # supports were flushed
-    code, out2, _ = run(capsys, "omega", R1, "--p", "4", "--cache-dir", cache_dir)
-    assert code == 0
-    assert out1 == out2
-    # The environment variable is honored too.
-    monkeypatch.setenv("FIBERCERT_CACHE_DIR", cache_dir)
-    code, out3, _ = run(capsys, "omega", R1, "--p", "4")
-    assert code == 0
-    assert out3 == out1
-
-
-def test_omega_cache_corruption_detected(capsys, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    code, _, _ = run(capsys, "omega", R1, "--p", "3", "--cache-dir", cache_dir)
-    assert code == 0
-    # Corrupt every stored support, then rerun: the seeded spot check must
-    # notice the disagreement with a fresh recomputation.
-    for name in os.listdir(cache_dir):
-        path = os.path.join(cache_dir, name)
-        pts = json.load(open(path))
-        pts.append([999])
-        json.dump(pts, open(path, "w"))
-    code, _, err = run(capsys, "omega", R1, "--p", "3", "--cache-dir", cache_dir)
-    assert code == 1
-    assert "cache corruption" in err
 
 
 # -- sweep --------------------------------------------------------------

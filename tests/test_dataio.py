@@ -5,7 +5,6 @@ import pytest
 
 from fibercert.dataio import (
     SWEEP_HEADER,
-    SupportCache,
     _num_in,
     _num_out,
     canonical_json,
@@ -138,19 +137,3 @@ def test_sweep_csv_golden():
         "1 9,9,81,82,9,1,2,9,18.0000000000\n"
         "1 3,3,9,10,1/2,0,0,1,0\n"
     )
-
-
-# -- support cache ----------------------------------------------------------
-
-def test_support_cache_round_trip_and_write_once(tmp_path):
-    cache = SupportCache(str(tmp_path))
-    assert cache.load("ab" * 32, "forward", 3) is None
-    cache.store("ab" * 32, "forward", 3, [(0, 1), (2, 2)])
-    assert cache.load("ab" * 32, "forward", 3) == [(0, 1), (2, 2)]
-    # A second store for the same key is ignored (write-once).
-    cache.store("ab" * 32, "forward", 3, [(9, 9)])
-    assert cache.load("ab" * 32, "forward", 3) == [(0, 1), (2, 2)]
-    # Keys are per label and power.
-    cache.store("ab" * 32, "inverse", 3, [(5,)])
-    assert cache.load("ab" * 32, "inverse", 3) == [(5,)]
-    assert cache.load("ab" * 32, "forward", 4) is None
