@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation error, 2 inconclusive certificate or
-unverifiable-at-budget, 3 verification failure.  Diagnostics go to stderr,
-artifacts to stdout.
+Exit codes: 0 success, 1 validation error, 2 inconclusive certificate or a
+power above verify's power cap, 3 verification failure.  Diagnostics go to
+stderr, artifacts to stdout.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_class(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.replace(",", " ").split())
+    try:
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ValidationError(f"class must be a list of integers, got {text!r}") from exc
 
 
 def _load(path: str) -> tuple[LiftedGraphMap, str]:
@@ -93,7 +96,7 @@ def cmd_omega(args) -> int:
 
 def cmd_oracle(args) -> int:
     track, _ = _load(args.dataset)
-    supp = oracle_iterate(track, args.p, step_budget=args.budget)
+    supp = oracle_iterate(track, args.p)
     _print_support(supp)
     return EXIT_OK
 
@@ -140,8 +143,11 @@ def cmd_bound(args) -> int:
     )
     text = dataio.emit_certificate(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write certificate file: {exc}") from exc
     print(text, end="")
     if cert.status != "ok":
         print("inconclusive: " + "; ".join(cert.diagnostics), file=sys.stderr)
@@ -157,7 +163,12 @@ def cmd_sweep(args) -> int:
     track, ds_hash = _load(args.dataset)
     dual, cone, P = _models(track, args.p_max, args.mu, args.slope_cap)
     if args.classes:
-        classes = [tuple(int(v) for v in c) for c in json.loads(args.classes)]
+        try:
+            classes = [tuple(int(v) for v in c) for c in json.loads(args.classes)]
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(
+                f"--classes must be a JSON list of integer lists: {exc}"
+            ) from exc
     else:
         base = _parse_class(args.base)
         direction = _parse_class(args.direction)
@@ -187,7 +198,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     track, ds_hash = _load(args.dataset)
     cert = dataio.load_certificate(args.certificate)
-    result = verify_certificate(cert, track, ds_hash, oracle_budget=args.budget)
+    result = verify_certificate(cert, track, ds_hash)
     print(f"verification: {result.status}"
           + (f" ({result.reason})" if result.reason else ""))
     if result.status == "pass":
@@ -222,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=cmd_omega)
 
-    p = sub.add_parser("oracle", help="support polytope by literal path substitution")
+    p = sub.add_parser("oracle", help="support polytope by path substitution")
     common(p)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="step budget for the symbolic path")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("cone", help="reconstruct the dual and fibered cones")
@@ -273,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="independently re-check a certificate")
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=cmd_verify)
 
     return parser

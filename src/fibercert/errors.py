@@ -10,7 +10,7 @@ class RankMismatchError(ValidationError):
 
 
 class BudgetError(RuntimeError):
-    """An explicitly budgeted computation (oracle iteration, enumeration) ran out."""
+    """Kernel-word enumeration would exceed its box-size cap."""
 
 
 class CapabilityError(RuntimeError):

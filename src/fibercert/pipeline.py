@@ -20,11 +20,9 @@ from . import geometry
 from .cones import DualConeModel, FiberedConeModel, epsilon_of_subcone
 from .errors import BudgetError, SubconeError, ValidationError
 from .lattice import FiberedClass, PerpLattice, deep_point, int_det, perp_basis, systole
-from .laurent import mat_pow
 from .trackmap import (
     LiftedGraphMap,
     SupportPolytope,
-    build_transition_matrix,
     omega_of_word,
     oracle_iterate,
     support_of_power,
@@ -296,64 +294,17 @@ class VerifyResult:
         return self.status == "pass"
 
 
-class _FreshSupports:
-    """Supports recomputed from scratch (edge-path substitution within budget,
-    otherwise a fresh matrix power), memoized per power but independent of the
-    track's own cache."""
-
-    def __init__(self, track: LiftedGraphMap, oracle_budget: int):
-        self.track = track
-        self.oracle_budget = oracle_budget
-        self._memo: dict[tuple[str, int], SupportPolytope] = {}
-
-    def _compute(self, track: LiftedGraphMap, p: int) -> SupportPolytope:
-        try:
-            return oracle_iterate(track, p, step_budget=self.oracle_budget)
-        except BudgetError:
-            M = build_transition_matrix(track)
-            return SupportPolytope.from_points(track.rank, p, mat_pow(M, p).support())
-
-    def forward(self, p: int) -> SupportPolytope:
-        if ("fwd", p) not in self._memo:
-            self._memo[("fwd", p)] = self._compute(self.track, p)
-        return self._memo[("fwd", p)]
-
-    def inverse(self, p: int) -> SupportPolytope:
-        if self.track.inverse is None:
-            raise ValidationError("certificate used inverse data the dataset lacks")
-        if ("inv", p) not in self._memo:
-            self._memo[("inv", p)] = self._compute(self.track.inverse, p)
-        return self._memo[("inv", p)]
-
-    def word(
-        self, word: GammaWord, p_max: int, dual: Optional[DualConeModel]
-    ) -> SupportPolytope:
-        if abs(word.y) > p_max:
-            if dual is None:
-                raise ValidationError("cone-approx word without a cone model")
-            verts = dual.slice_vertices(abs(word.y))
-            pts = geometry.negate(verts) if word.y < 0 else verts
-            return SupportPolytope.from_points(
-                self.track.rank, word.y, geometry.translate(pts, word.x), "cone-approx"
-            )
-        if word.y >= 0:
-            return self.forward(word.y).translate(word.x, "exact-forward")
-        if word.mode == "inverse-data":
-            return self.inverse(-word.y).translate(word.x, "inverse-data")
-        return self.forward(-word.y).mirror().translate(word.x, "mirror")
-
-
 def verify_certificate(
     cert: BoundCertificate,
     track: LiftedGraphMap,
     dataset_hash: str,
-    oracle_budget: int = 200_000,
     power_cap: int = 2_000,
 ) -> VerifyResult:
     """Independently re-check every predicate of a certificate.
 
-    Supports are recomputed from scratch (edge-path substitution within
-    budget, otherwise a fresh matrix power), all comparisons are exact.
+    Supports are recomputed from scratch by the path oracle, never read from
+    the semiring route that certification used; all comparisons are exact.
+    A certificate whose p_max or K exceeds ``power_cap`` is unverifiable.
     """
     if cert.dataset_hash != dataset_hash:
         return VerifyResult("fail", "dataset-hash")
@@ -382,20 +333,37 @@ def verify_certificate(
 
         dual = estimate_dual_cone(track, cert.p_max)
     r = cert.rank
-    fresh = _FreshSupports(track, oracle_budget)
+    memo: dict[tuple[bool, int], SupportPolytope] = {}
+
+    def fresh(p: int, inverse: bool = False) -> SupportPolytope:
+        if (inverse, p) not in memo:
+            source = track.inverse if inverse else track
+            if source is None:
+                raise ValidationError("certificate used inverse data the dataset lacks")
+            memo[(inverse, p)] = oracle_iterate(source, p)
+        return memo[(inverse, p)]
+
     hulls = []
-    try:
-        for w in cert.words:
-            supp = fresh.word(w, cert.p_max, dual)
-            hulls.append(geometry.dilate(supp.hull, cert.safety, r))
-    except BudgetError:
-        return VerifyResult("unverifiable", "support-budget")
+    for w in cert.words:
+        if abs(w.y) > cert.p_max:
+            verts = dual.slice_vertices(abs(w.y))
+            pts = geometry.negate(verts) if w.y < 0 else verts
+            supp = SupportPolytope.from_points(
+                track.rank, w.y, geometry.translate(pts, w.x), "cone-approx"
+            )
+        elif w.y >= 0:
+            supp = fresh(w.y).translate(w.x, "exact-forward")
+        elif w.mode == "inverse-data":
+            supp = fresh(-w.y, inverse=True).translate(w.x, "inverse-data")
+        else:
+            supp = fresh(-w.y).mirror().translate(w.x, "mirror")
+        hulls.append(geometry.dilate(supp.hull, cert.safety, r))
     for h in hulls:
         if geometry.point_hull_dist2(cert.deep_point, h, r) <= 0:
             return VerifyResult("fail", "deep-point-in-obstacle")
     if not (1 <= cert.K <= cert.p_max):
         return VerifyResult("fail", "k-exceeds-pmax")
-    body = fresh.forward(cert.K)
+    body = fresh(cert.K)
     moved = geometry.dilate(geometry.translate(body.hull, cert.deep_point), cert.safety, r)
     for h in hulls:
         if not geometry.hulls_disjoint(moved, h, r):

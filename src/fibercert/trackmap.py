@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import geometry
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .laurent import LaurentMatrix, LaurentPoly
 
 Shift = tuple[int, ...]
@@ -260,39 +260,26 @@ def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
     return support
 
 
-def oracle_iterate(track: LiftedGraphMap, p: int, step_budget: int = 2_000_000) -> SupportPolytope:
-    """Occupied domains of the p-th power by literal edge-path substitution.
+def oracle_iterate(track: LiftedGraphMap, p: int) -> SupportPolytope:
+    """Occupied domains of the p-th power by edge-path substitution.
 
-    Independent of the matrix-algebra route; serves as its oracle.  Raises
-    BudgetError when the symbolic path outgrows ``step_budget`` steps.
+    Independent of the matrix-algebra route; serves as its oracle.  The lift
+    of every edge based in domain 0 is substituted p times, keeping only the
+    set of (edge, shift) states the path visits: a state's image depends on
+    neither its position in the path nor its orientation, since a reversed
+    step only reverses the order of its image, not which states it contains.
     """
     if p < 0:
         raise ValidationError("power must be nonnegative")
     zero = (0,) * track.rank
-    if p == 0:
-        return SupportPolytope.from_points(track.rank, 0, [zero])
-    images = {e: list(path) for e, path in track.edge_images.items()}
-    points: set[Shift] = set()
-    for e in track.edges:
-        # Path of the p-th image of the lift of e based in domain 0.
-        path: list[Step] = [(e.name, zero, 1)]
-        for _ in range(p):
-            new_path: list[Step] = []
-            for name, shift, orient in path:
-                img = images[name]
-                if orient == 1:
-                    for n2, s2, o2 in img:
-                        new_path.append((n2, tuple(a + b for a, b in zip(shift, s2)), o2))
-                else:
-                    for n2, s2, o2 in reversed(img):
-                        new_path.append((n2, tuple(a + b for a, b in zip(shift, s2)), -o2))
-                if len(new_path) > step_budget:
-                    raise BudgetError(
-                        f"oracle path exceeded {step_budget} steps at power {p}"
-                    )
-            path = new_path
-        points.update(s for _, s, _ in path)
-    return SupportPolytope.from_points(track.rank, p, points)
+    frontier: set[tuple[str, Shift]] = {(e.name, zero) for e in track.edges}
+    for _ in range(p):
+        frontier = {
+            (name, tuple(a + b for a, b in zip(shift, s2)))
+            for edge, shift in frontier
+            for name, s2, _ in track.edge_images[edge]
+        }
+    return SupportPolytope.from_points(track.rank, p, {s for _, s in frontier})
 
 
 def omega_of_word(

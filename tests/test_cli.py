@@ -64,6 +64,19 @@ MALFORMED_INPUTS = {
         "malformed dataset: missing field 'rank'",
     ),
     "certificate-without-K": (_cert_without_k, "malformed certificate: missing field 'K'"),
+    "alpha-not-integer": (
+        lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,x", "--p-max", "8"],
+        "class must be a list of integers",
+    ),
+    "classes-not-json": (
+        lambda capsys, tmp_path: ["sweep", R1, "--classes", "[[1,9", "--p-max", "8"],
+        "--classes must be a JSON list of integer lists",
+    ),
+    "out-unwritable": (
+        lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
+                                  "--out", str(tmp_path / "absent" / "c.json")],
+        "cannot write certificate file",
+    ),
 }
 
 
@@ -94,10 +107,10 @@ def test_omega_matches_oracle(capsys):
     assert a["points"] == [[x] for x in range(0, 6)]
 
 
-def test_oracle_budget_exit_code(capsys):
-    code, _, err = run(capsys, "oracle", R2, "--p", "12", "--budget", "100")
+def test_oracle_negative_power_exit_code(capsys):
+    code, _, err = run(capsys, "oracle", R2, "--p", "-1")
     assert code == 1
-    assert "error:" in err
+    assert err.startswith("error: power must be nonnegative")
 
 
 # -- cone ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibercert import pipeline, trackmap
 from fibercert.errors import BudgetError, SubconeError, ValidationError
 from fibercert.lattice import FiberedClass, perp_basis
 from fibercert.pipeline import (
@@ -147,6 +148,18 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
 def test_verify_passes(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash):
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
+
+
+def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, monkeypatch):
+    """verify takes every exact support from the path oracle, so the oracle
+    and the semiring route stay independent cross-checks."""
+
+    def forbidden(track, p):
+        raise AssertionError("verify read the semiring route")
+
+    monkeypatch.setattr(pipeline, "support_of_power", forbidden)
+    monkeypatch.setattr(trackmap, "support_of_power", forbidden)
+    assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
 
 
 def test_verify_rejects_wrong_dataset(r1, r1_cert):
