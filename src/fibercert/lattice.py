@@ -2,19 +2,19 @@
 
 perp_basis computes a canonical saturated basis of the kernel of a primitive
 class; covolume and systole are exact (Gram determinant, bounded shortest-
-vector enumeration); deep_point is an exact argmax over a box, with a float
-prefilter used only to shortlist candidates for exact rational comparison.
+vector enumeration); deep_point is an exact argmax over the lattice points of
+a box, found by branch and bound over cells with integer bounds and exact
+rational distances.  No floating point is used.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import geometry
 from .errors import CapabilityError, ValidationError
@@ -290,38 +290,55 @@ class DeepPoint:
     dist2: Fraction
 
 
-def _bbox_dist2_lower(y: Vec, bbox) -> Fraction:
-    total = Fraction(0)
-    for v, (lo, hi) in zip(y, bbox):
-        if v < lo:
-            total += (lo - v) ** 2
-        elif v > hi:
-            total += (v - hi) ** 2
-    return total
+Box = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi)
 
 
-def _exact_min_dist2(y: Vec, hulls, bboxes, rank: int, order=None,
-                     floor: Optional[Fraction] = None) -> Optional[Fraction]:
-    """Exact min squared distance from y to the hulls, or None as soon as it
-    provably cannot exceed ``floor`` (the incumbent best)."""
-    best: Optional[Fraction] = None
-    for i in (order if order is not None else range(len(hulls))):
-        if best is not None and _bbox_dist2_lower(y, bboxes[i]) >= best:
-            continue
-        d = geometry.point_hull_dist2(y, hulls[i], rank)
-        if best is None or d < best:
-            best = d
-            if floor is not None and best <= floor:
-                return None
-            if best == 0:
-                break
-    return best
+def _outward(points: Sequence[tuple]) -> Box:
+    """The integer box around rank-2 points, rounded outward."""
+    xs, ys = zip(*points)
+    return (math.floor(min(xs)), math.ceil(max(xs)),
+            math.floor(min(ys)), math.ceil(max(ys)))
+
+
+def _gap2(x0: int, x1: int, y0: int, y1: int, box: Box) -> int:
+    """Squared distance between the cell [x0, x1] x [y0, y1] and a box."""
+    a, b, c, d = box
+    gx = a - x1 if a > x1 else (x0 - b if x0 > b else 0)
+    gy = c - y1 if c > y1 else (y0 - d if y0 > d else 0)
+    return gx * gx + gy * gy
+
+
+def _beats(dist2, point: Vec, best: Optional[DeepPoint]) -> bool:
+    """Whether (dist2, point) displaces the incumbent: farther, or as far and
+    lexicographically smaller."""
+    return (best is None or dist2 > best.dist2
+            or (dist2 == best.dist2 and point < best.point))
 
 
 def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepPoint:
     """Exact argmax over integer points of [-R, R]^rank of the minimum squared
     distance to the union of obstacle hulls; ties break to the
-    lexicographically smallest point."""
+    lexicographically smallest point.
+
+    Best-first branch and bound over cells of lattice points.  Rank 1 is
+    searched as rank 2 with second coordinate 0 throughout, which changes
+    neither distances nor the lexicographic order, so its cells are
+    intervals and rank-2 cells are rectangles.
+    - Bound: f(y) = min_i d(y, H_i)^2 is at most |y - v|^2 for every vertex v
+      of every hull, and that is largest at a corner of the cell, so the
+      least such corner value over the vertices bounds f on the cell.
+    - Pruning: a hull whose bounding box is farther from the cell than the
+      bound is never the nearest one inside it and is dropped, and so is a
+      vertex that far away.  A cell is dropped when its bound, paired with
+      its low corner (its lexicographically smallest point), cannot
+      displace the incumbent (see _beats).
+    - Leaves: cells are halved along their longest side down to single
+      points, which geometry.point_hull_dist2 scores exactly, nearest
+      bounding box first.
+    Bounds use integer boxes rounded outward around every hull and every
+    vertex, so Fraction vertices keep them valid, and all arithmetic is
+    exact: Python ints and Fractions, no floating point.
+    """
     if not obstacles:
         raise ValidationError("obstacle list must be nonempty")
     if R < 1:
@@ -329,71 +346,59 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
     if rank not in (1, 2):
         raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
     hulls = [list(h) for h in obstacles]
-    bboxes = [
-        [geometry.directional_extrema(h, tuple(1 if i == j else 0 for i in range(rank)))
-         for j in range(rank)]
-        for h in hulls
-    ]
+    pad = (0,) * (2 - rank)
+    bboxes = [_outward([tuple(v) + pad for v in h]) for h in hulls]
+    vertices = [_outward([tuple(v) + pad]) for h in hulls for v in h]
 
-    if rank == 1:
-        best: Optional[DeepPoint] = None
-        for v in range(-R, R + 1):
-            d = _exact_min_dist2(
-                (v,), hulls, bboxes, 1,
-                floor=None if best is None else best.dist2,
-            )
-            if d is not None and (best is None or d > best.dist2):
-                best = DeepPoint((v,), d)
-        return best
+    def entry(lo: Vec, hi: Vec, near: list[int], verts: list[Box]) -> tuple:
+        """Heap entry of the cell [lo, hi]: its negated bound, its corners,
+        and the hulls and vertex boxes within the bound of it."""
+        (x0, y0), (x1, y1) = lo, hi
+        sx, sy = x0 + x1, y0 + y1
+        # Per axis the far end of the cell from [a, b] is x0 exactly when the
+        # cell's midpoint lies below the interval's.
+        bound = min(((x0 - b) ** 2 if sx < a + b else (x1 - a) ** 2)
+                    + ((y0 - d) ** 2 if sy < c + d else (y1 - c) ** 2)
+                    for a, b, c, d in verts)
+        return (-bound, lo, hi,
+                [i for i in near if _gap2(x0, x1, y0, y1, bboxes[i]) <= bound],
+                [v for v in verts if _gap2(x0, x1, y0, y1, v) <= bound])
 
-    # Float prefilter over the whole grid, exact confirmation on a shortlist.
-    xs = np.arange(-R, R + 1)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    px = gx.ravel().astype(np.float64)
-    py = gy.ravel().astype(np.float64)
-    dmin = np.full(px.shape, np.inf)
-    for hull in hulls:
-        fh = [(float(a), float(b)) for a, b in hull]
-        if len(fh) == 1:
-            d2 = (px - fh[0][0]) ** 2 + (py - fh[0][1]) ** 2
+    def score(y: Vec, near: list[int], best: Optional[DeepPoint]) -> Optional[Fraction]:
+        """Exact f(y), or None as soon as y provably cannot displace best."""
+        d = None
+        x, z = y
+        for gap, i in sorted((_gap2(x, x, z, z, bboxes[i]), i) for i in near):
+            if d is not None and gap >= d:
+                break
+            di = geometry.point_hull_dist2(y[:rank], hulls[i], rank)
+            if d is None or di < d:
+                d = di
+                if not _beats(d, y, best):
+                    return None
+        return d
+
+    best: Optional[DeepPoint] = None
+    span = R if rank == 2 else 0
+    heap = [entry((-R, -span), (R, span), list(range(len(hulls))), vertices)]
+    while heap:
+        neg_bound, lo, hi, near, verts = heapq.heappop(heap)
+        if not _beats(-neg_bound, lo, best):
+            break  # no cell left is bounded any better
+        if lo == hi:
+            d = score(lo, near, best)
+            if d is not None:
+                best = DeepPoint(lo, d)
+            continue
+        (x0, y0), (x1, y1) = lo, hi
+        if x1 - x0 >= y1 - y0:
+            mid = (x0 + x1) // 2
+            halves = ((lo, (mid, y1)), ((mid + 1, y0), hi))
         else:
-            d2 = np.full(px.shape, np.inf)
-            m = len(fh)
-            inside = np.ones(px.shape, dtype=bool) if m >= 3 else None
-            for i in range(m if m > 2 else 1):
-                ax, ay = fh[i]
-                bx, by = fh[(i + 1) % m]
-                dx, dy = bx - ax, by - ay
-                dd = dx * dx + dy * dy
-                if dd == 0:
-                    seg = (px - ax) ** 2 + (py - ay) ** 2
-                else:
-                    t = np.clip(((px - ax) * dx + (py - ay) * dy) / dd, 0.0, 1.0)
-                    seg = (px - ax - t * dx) ** 2 + (py - ay - t * dy) ** 2
-                d2 = np.minimum(d2, seg)
-                if inside is not None:
-                    cross = dx * (py - ay) - dy * (px - ax)
-                    inside &= cross >= 0
-            if inside is not None:
-                d2[inside] = 0.0
-        dmin = np.minimum(dmin, d2)
-    max_val = float(dmin.max())
-    guard = 1e-9 + 1e-6 * max_val
-    idx = np.nonzero(dmin >= max_val - guard)[0]
-    candidates = sorted((int(gx.ravel()[i]), int(gy.ravel()[i])) for i in idx)
-    # Float bbox corners for ordering hulls nearest-first per candidate; the
-    # order is a heuristic only, all comparisons stay exact.
-    lo_f = np.array([[float(b[0]) for b in bb] for bb in bboxes])
-    hi_f = np.array([[float(b[1]) for b in bb] for bb in bboxes])
-    best = None
-    for y in candidates:
-        fy = np.array([float(v) for v in y])
-        lower = np.maximum(lo_f - fy, 0.0) ** 2 + np.maximum(fy - hi_f, 0.0) ** 2
-        order = np.argsort(lower.sum(axis=1))
-        d = _exact_min_dist2(
-            y, hulls, bboxes, 2, order=order,
-            floor=None if best is None else best.dist2,
-        )
-        if d is not None and (best is None or d > best.dist2):
-            best = DeepPoint(y, d)
-    return best
+            mid = (y0 + y1) // 2
+            halves = ((lo, (x1, mid)), ((x0, mid + 1), hi))
+        for half in halves:
+            child = entry(*half, near, verts)
+            if _beats(-child[0], child[1], best):
+                heapq.heappush(heap, child)
+    return DeepPoint(best.point[:rank], best.dist2)

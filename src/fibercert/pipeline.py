@@ -205,6 +205,17 @@ def _build_obstacles(
     return tagged, hulls
 
 
+def _bbox(hull: Sequence[tuple]) -> tuple[tuple, tuple]:
+    """The (low, high) corners of the bounding box of a vertex list."""
+    return tuple(map(min, zip(*hull))), tuple(map(max, zip(*hull)))
+
+
+def _boxes_meet(a: tuple[tuple, tuple], b: tuple[tuple, tuple]) -> bool:
+    """Whether two closed bounding boxes from _bbox intersect."""
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    return all(p <= s and r <= q for p, q, r, s in zip(a_lo, a_hi, b_lo, b_hi))
+
+
 def certify(
     track: LiftedGraphMap,
     dual: DualConeModel,
@@ -248,11 +259,16 @@ def certify(
 
     K = 0
     if dp.dist2 > 0:
+        # Hulls with disjoint bounding boxes are disjoint, so only obstacles
+        # whose box meets the moved body's box need the exact test.
+        boxes = [_bbox(h) for h in hulls]
         for cand in range(p_max, -1, -1):
             body = support_of_power(track, cand)
             moved = geometry.translate(body.hull, dp.point)
             moved = geometry.dilate(moved, safety, r)
-            if all(geometry.hulls_disjoint(moved, h, r) for h in hulls):
+            box = _bbox(moved)
+            if all(geometry.hulls_disjoint(moved, h, r)
+                   for h, h_box in zip(hulls, boxes) if _boxes_meet(box, h_box)):
                 K = cand
                 break
     status = "ok" if K >= 1 else "inconclusive"
@@ -308,6 +324,9 @@ def verify_certificate(
     """
     if cert.dataset_hash != dataset_hash:
         return VerifyResult("fail", "dataset-hash")
+    r = track.rank
+    if cert.rank != r or len(cert.alpha) != r + 1 or len(cert.deep_point) != r:
+        return VerifyResult("fail", "rank-mismatch")
     if cert.status != "ok":
         return VerifyResult("fail", "certificate-inconclusive")
     if cert.p_max > power_cap or cert.K > power_cap:
@@ -332,7 +351,6 @@ def verify_certificate(
         from .cones import estimate_dual_cone
 
         dual = estimate_dual_cone(track, cert.p_max)
-    r = cert.rank
     memo: dict[tuple[bool, int], SupportPolytope] = {}
 
     def fresh(p: int, inverse: bool = False) -> SupportPolytope:

@@ -169,6 +169,48 @@ def test_hulls_disjoint_vs_minkowski_difference(a, b):
     assert hulls_disjoint(ha, hb, 2) == (not meets)
 
 
+fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+frac_points2 = st.tuples(fractions, fractions)
+steps = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+
+
+def _on_line(a, d, ts):
+    return [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts]
+
+
+# Pairs of point sets: independent ones, and pairs on one common line, whose
+# hulls are points and segments that only the direction axis can separate.
+frac_set_pairs = st.one_of(
+    st.tuples(st.lists(frac_points2, min_size=1, max_size=6),
+              st.lists(frac_points2, min_size=1, max_size=6)),
+    st.builds(lambda a, d, s, t: (_on_line(a, d, s), _on_line(a, d, t)),
+              frac_points2, points2, steps, steps),
+)
+
+
+def _bboxes_disjoint(ha, hb) -> bool:
+    return any(
+        max(p[k] for p in ha) < min(q[k] for q in hb)
+        or max(q[k] for q in hb) < min(p[k] for p in ha)
+        for k in range(len(ha[0]))
+    )
+
+
+@settings(max_examples=300)
+@given(frac_set_pairs)
+def test_disjoint_bounding_boxes_imply_disjoint_hulls(pair):
+    """certify's K-scan skips the exact test for obstacles whose bounding box
+    misses the moved body's; this is the premise that makes that safe, over
+    Fraction vertices and point, segment and polygon hulls."""
+    a, b = pair
+    for rank, pa, pb in ((2, a, b),
+                         (1, [p[:1] for p in a], [p[:1] for p in b])):
+        ha, hb = convex_hull(pa, rank), convex_hull(pb, rank)
+        if _bboxes_disjoint(ha, hb):
+            assert hulls_disjoint(ha, hb, rank)
+            assert hulls_disjoint(hb, ha, rank)
+
+
 def test_hausdorff_dist2_examples():
     assert hausdorff_dist2([(0, 0)], [(3, 4)]) == 25
     assert hausdorff_dist2([(0, 0), (1, 0)], [(0, 0), (1, 0)]) == 0

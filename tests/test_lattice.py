@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import point_hull_dist2
+from fibercert.geometry import convex_hull, point_hull_dist2
 from fibercert.lattice import (
     DeepPoint,
     FiberedClass,
@@ -193,6 +193,58 @@ def test_deep_point_rank2_matches_exhaustive_scan():
                 best = (y, d)
         assert dp.point == best[0]
         assert dp.dist2 == best[1]
+
+
+def _random_obstacle(rng, rank: int, R: int, far: bool) -> list:
+    """The hull of 1 to 4 random points (a point, segment or polygon), on a
+    grid of spacing 1/den, placed well outside the box when far is set."""
+    k = rng.choice((1, 2, 3, 4))
+    den = rng.choice((1, 1, 2, 3, 4))
+    reach = 4 * R if far else R + 2
+    center = [rng.randint(-reach, reach) for _ in range(rank)]
+    if far:
+        center[rng.randrange(rank)] = rng.choice((-1, 1)) * rng.randint(2 * R, 4 * R)
+    pts = [tuple(c + Fraction(rng.randint(-2 * den, 2 * den), den) for c in center)
+           for _ in range(k)]
+    return convex_hull(pts, rank)
+
+
+def _lattice_obstacles(rank: int, R: int, step: int) -> list:
+    """Single points on a square lattice: many points tie for the maximum."""
+    coords = range(-R - step, R + step + 1, step)
+    return [[pt] for pt in product(coords, repeat=rank)]
+
+
+def _brute_deep_point(obstacles, R: int, rank: int) -> DeepPoint:
+    best = None
+    # product() yields points in ascending lexicographic order, so a strict
+    # improvement rule reproduces the lex-smallest tie-break.
+    for y in product(range(-R, R + 1), repeat=rank):
+        d = min(point_hull_dist2(y, h, rank) for h in obstacles)
+        if best is None or d > best.dist2:
+            best = DeepPoint(y, d)
+    return best
+
+
+def test_deep_point_matches_brute_force():
+    rng = random.Random(41)
+    kinds = {"random": 0, "fraction": 0, "far": 0, "ties": 0}
+    for case in range(200):
+        rank = 1 + case % 2
+        R = rng.randint(1, 8)
+        if case % 10 >= 8:
+            obstacles = _lattice_obstacles(rank, R, rng.randint(2, 4))
+            kinds["ties"] += 1
+        else:
+            obstacles = [_random_obstacle(rng, rank, R, far=rng.random() < 0.4)
+                         for _ in range(rng.randint(1, 5))]
+            kinds["random"] += 1
+        kinds["fraction"] += any(isinstance(x, Fraction) and x.denominator > 1
+                                 for h in obstacles for v in h for x in v)
+        kinds["far"] += any(all(max(map(abs, v)) > R + 1 for v in h) for h in obstacles)
+        assert deep_point(obstacles, R, rank) == _brute_deep_point(obstacles, R, rank), \
+            (case, R, rank, obstacles)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_deep_point_validation():

@@ -168,6 +168,18 @@ def test_verify_rejects_wrong_dataset(r1, r1_cert):
     assert not res
 
 
+@pytest.mark.parametrize("edit", [
+    {"rank": 2},
+    {"alpha": (1, 9, 0)},
+    {"deep_point": (-4, 0)},
+], ids=["rank", "alpha", "deep-point"])
+def test_verify_rejects_rank_mismatch(r1, r1_cert, r1_hash, edit):
+    """A certificate whose rank, class or deep point does not have the
+    dataset's dimensions fails by name instead of crashing the geometry."""
+    res = verify_certificate(replace(r1_cert, **edit), r1, r1_hash)
+    assert (res.status, res.reason) == ("fail", "rank-mismatch")
+
+
 def test_verify_rejects_inconclusive(r1, r1_cert, r1_hash):
     res = verify_certificate(replace(r1_cert, status="inconclusive"), r1, r1_hash)
     assert (res.status, res.reason) == ("fail", "certificate-inconclusive")
