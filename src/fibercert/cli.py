@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation error, 2 inconclusive certificate or a
-power above verify's power cap, 3 verification failure.  Diagnostics go to
-stderr, artifacts to stdout.
+Exit codes: 0 success, 1 validation or usage error, 2 inconclusive
+certificate or a power above verify's power cap, 3 verification failure.
+Diagnostics go to stderr, artifacts to stdout.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ def cmd_sweep(args) -> int:
     rows = sweep(
         track, dual, cone, P, classes, args.p_max, ds_hash,
         safety=args.safety, kappa=args.kappa, allow_mirror=args.mirror,
-        threads=args.threads,
     )
     if args.format == "csv":
         print(dataio.sweep_to_csv(rows), end="")
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=None,
                    help="explicit JSON list of classes (overrides base/direction)")
     p.add_argument("--format", choices=["text", "csv"], default="csv")
-    p.add_argument("--threads", type=int, default=1)
     bound_opts(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -289,7 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage-error code, which here means inconclusive
+            raise SystemExit(EXIT_VALIDATION) from None
+        raise
     try:
         return args.func(args)
     except (ValidationError, SubconeError, CapabilityError, BudgetError) as exc:

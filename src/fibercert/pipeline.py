@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import geometry
 from .cones import DualConeModel, FiberedConeModel, epsilon_of_subcone
 from .errors import BudgetError, SubconeError, ValidationError
-from .lattice import FiberedClass, PerpLattice, deep_point, int_det, perp_basis, systole
+from .lattice import FiberedClass, PerpLattice, deep_point, perp_basis, systole
 from .trackmap import (
     LiftedGraphMap,
     SupportPolytope,
@@ -32,17 +32,10 @@ TOOL_VERSION = "0.1.0"
 
 
 def _ceil_root_multiple(kappa: int, n: int, r: int) -> int:
-    """ceil(kappa * n^(1/r)) exactly."""
+    """ceil(kappa * n^(1/r)) exactly, for r in (1, 2); at least 1 when r = 2."""
     if r == 1:
         return kappa * n
-    # smallest m >= 1 with m^r >= kappa^r * n
-    target = kappa ** r * n
-    m = max(1, round(target ** (1.0 / r)))
-    while m ** r < target:
-        m += 1
-    while m > 1 and (m - 1) ** r >= target:
-        m -= 1
-    return m
+    return math.isqrt(max(kappa * kappa * n - 1, 0)) + 1
 
 
 @dataclass(frozen=True)
@@ -77,58 +70,33 @@ def decompose(
 def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[GammaWord]:
     """All kernel words whose projection lands in the centered box of radius R_w.
 
-    The coefficient box is derived from the adjugate of the projected basis,
-    so no qualifying word is missed.
+    perp_basis returns a row Hermite normal form whose projection is
+    nonsingular, so ``zeta_basis`` is upper triangular with a positive
+    diagonal: coordinate i of a word's projection depends only on
+    coefficients 0..i, and given those, coefficient i ranges over one exact
+    interval.  Walking the nested intervals in ascending order yields exactly
+    the qualifying words, in lexicographic coefficient order.  The product of
+    ``2 R_w // d_i + 1`` over the diagonal bounds the number of words; a bound
+    above ``word_cap`` raises BudgetError before any word is built.
     """
-    zeta = [list(row) for row in L.zeta_basis]
-    r = len(zeta)
-    det = int_det([[zeta[j][i] for j in range(r)] for i in range(r)])
-    if det == 0:
-        raise ValidationError("projected basis is singular")
-    adj = _adjugate([[zeta[j][i] for j in range(r)] for i in range(r)])
-    bounds = []
-    for i in range(r):
-        row_norm = sum(abs(v) for v in adj[i])
-        bounds.append(row_norm * R_w // abs(det) + 1)
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
+    zeta = L.zeta_basis
+    diag = [row[i] for i, row in enumerate(zeta)]
+    total = math.prod(max(0, 2 * R_w // d + 1) for d in diag)
     if total > word_cap:
-        raise BudgetError(
-            f"word enumeration box of size {total} exceeds cap {word_cap}"
-        )
+        raise BudgetError(f"word enumeration bound {total} exceeds cap {word_cap}")
+
+    def interval(prefix: tuple[int, ...], i: int) -> range:
+        s = sum(c * zeta[j][i] for j, c in enumerate(prefix))
+        return range(-((R_w + s) // diag[i]), (R_w - s) // diag[i] + 1)
+
+    coeffs: list[tuple[int, ...]] = [()]
+    for i in range(len(diag)):
+        coeffs = [pre + (c,) for pre in coeffs for c in interval(pre, i)]
     words = []
-    for coeffs in _int_box(bounds):
-        vec = L.word_vector(coeffs)
-        x, y = vec[:-1], vec[-1]
-        if all(abs(v) <= R_w for v in x):
-            words.append(GammaWord(tuple(coeffs), x, int(y)))
-    words.sort(key=lambda w: w.coeffs)
+    for cs in coeffs:
+        vec = L.word_vector(cs)
+        words.append(GammaWord(cs, vec[:-1], vec[-1]))
     return words
-
-
-def _int_box(bounds: Sequence[int]):
-    if not bounds:
-        yield ()
-        return
-    for c in range(-bounds[0], bounds[0] + 1):
-        for rest in _int_box(bounds[1:]):
-            yield (c,) + rest
-
-
-def _adjugate(mat):
-    n = len(mat)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[a][b] for b in range(n) if b != j]
-                for a in range(n) if a != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * int_det(minor)
-    return adj
 
 
 @dataclass(frozen=True)
@@ -432,9 +400,8 @@ def sweep(
     safety: int = 1,
     kappa: int = 4,
     allow_mirror: bool = False,
-    threads: int = 1,
 ) -> list[SweepRow]:
-    """Certify a sequence of classes; exterior classes are flagged and skipped."""
+    """Certify a sequence of classes in order; exterior classes are flagged and skipped."""
 
     def run_one(raw) -> SweepRow:
         alpha = FiberedClass(tuple(int(v) for v in raw))
@@ -457,9 +424,4 @@ def sweep(
             cert.K, cert.bound, norm, cert.K >= cert.p_max, status, cert,
         )
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, classes))
     return [run_one(c) for c in classes]

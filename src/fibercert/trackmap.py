@@ -10,7 +10,6 @@ surface-level domains is absorbed downstream by the safety margin.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -69,7 +68,11 @@ class SupportPolytope:
 
 @dataclass(frozen=True)
 class LiftedGraphMap:
-    """A train-track self-map lifted to the Z^rank cover, validated on construction."""
+    """A train-track self-map lifted to the Z^rank cover, validated on construction.
+
+    The semiring support memos it carries are unsynchronised, so a map must
+    not be shared between threads.
+    """
 
     rank: int
     vertices: tuple[str, ...]
@@ -82,7 +85,6 @@ class LiftedGraphMap:
 
     def __post_init__(self):
         self._validate()
-        object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_supports", {})
         object.__setattr__(self, "_supsets", [])
         object.__setattr__(self, "_k0", self._primitivity_power())
@@ -214,39 +216,37 @@ def _support_sets_cached(track: LiftedGraphMap, p: int) -> list[list[frozenset]]
     """
     m = len(track.edges)
     zero = (0,) * track.rank
-    with track._lock:  # type: ignore[attr-defined]
-        sets = track._supsets  # type: ignore[attr-defined]
-        if not sets:
-            sets.append(
-                [[frozenset([zero]) if i == j else frozenset() for j in range(m)]
-                 for i in range(m)]
-            )
-        if len(sets) == 1 and p >= 1:
-            M = build_transition_matrix(track)
-            sets.append([[frozenset(q.terms) for q in row] for row in M.entries])
-        while len(sets) <= p:
-            prev, base = sets[-1], sets[1]
-            nxt = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    acc = set()
-                    for k in range(m):
-                        for s in prev[i][k]:
-                            for t in base[k][j]:
-                                acc.add(tuple(a + b for a, b in zip(s, t)))
-                    row.append(frozenset(acc))
-                nxt.append(row)
-            sets.append(nxt)
-        return sets[p]
+    sets = track._supsets  # type: ignore[attr-defined]
+    if not sets:
+        sets.append(
+            [[frozenset([zero]) if i == j else frozenset() for j in range(m)]
+             for i in range(m)]
+        )
+    if len(sets) == 1 and p >= 1:
+        M = build_transition_matrix(track)
+        sets.append([[frozenset(q.terms) for q in row] for row in M.entries])
+    while len(sets) <= p:
+        prev, base = sets[-1], sets[1]
+        nxt = []
+        for i in range(m):
+            row = []
+            for j in range(m):
+                acc = set()
+                for k in range(m):
+                    for s in prev[i][k]:
+                        for t in base[k][j]:
+                            acc.add(tuple(a + b for a, b in zip(s, t)))
+                row.append(frozenset(acc))
+            nxt.append(row)
+        sets.append(nxt)
+    return sets[p]
 
 
 def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
     """Occupied domains of the p-th power of the transition matrix."""
     if p < 0:
         raise ValidationError("power must be nonnegative")
-    with track._lock:  # type: ignore[attr-defined]
-        cached = track._supports.get(p)  # type: ignore[attr-defined]
+    cached = track._supports.get(p)  # type: ignore[attr-defined]
     if cached is not None:
         return cached
     entry_sets = _support_sets_cached(track, p)
@@ -255,8 +255,7 @@ def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
         for s in row:
             points.update(s)
     support = SupportPolytope.from_points(track.rank, p, points)
-    with track._lock:  # type: ignore[attr-defined]
-        track._supports.setdefault(p, support)  # type: ignore[attr-defined]
+    track._supports[p] = support  # type: ignore[attr-defined]
     return support
 
 

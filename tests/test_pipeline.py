@@ -1,7 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import ceil, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercert import pipeline, trackmap
 from fibercert.errors import BudgetError, SubconeError, ValidationError
@@ -38,6 +42,17 @@ def test_ceil_root_multiple():
     assert _ceil_root_multiple(4, 5, 2) == 9   # ceil(4 sqrt 5)
     assert _ceil_root_multiple(4, 4, 2) == 8   # exact
     assert _ceil_root_multiple(1, 1, 2) == 1
+    for kappa in range(0, 9):
+        for n in range(1, 60):
+            target = kappa * kappa * n
+            m = 1
+            while m * m < target:
+                m += 1
+            assert _ceil_root_multiple(kappa, n, 2) == m, (kappa, n)
+    # Integers far beyond float range: m = ceil(4 sqrt(n)) exactly.
+    n = 10 ** 310 + 1
+    m = _ceil_root_multiple(4, n, 2)
+    assert (m - 1) ** 2 < 16 * n <= m ** 2
 
 
 def test_normalized_bound():
@@ -78,6 +93,55 @@ def test_enumerate_words_is_complete():
                 assert (c0, c1) in got
     with pytest.raises(BudgetError):
         enumerate_words(L2, 5, word_cap=3)
+
+
+def _coeff_box(zeta, R_w: int) -> int:
+    """A coefficient radius that holds every word in the box, by Cramer's rule.
+
+    x = c Z, so c = x Z^-1 and |c_i| <= R_w * sum_j |Z^-1[j][i]|.
+    """
+    if len(zeta) == 1:
+        inv = [[Fraction(1, zeta[0][0])]]
+    else:
+        (a, b), (c, d) = zeta
+        det = a * d - b * c
+        inv = [[Fraction(d, det), Fraction(-b, det)], [Fraction(-c, det), Fraction(a, det)]]
+    return max(ceil(R_w * sum(abs(row[i]) for row in inv)) for i in range(len(zeta))) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=2),
+    st.integers(1, 12),
+    st.integers(0, 10),
+    st.integers(1, 600),
+)
+def test_enumerate_words_matches_brute_force(p, n, R_w, word_cap):
+    g = gcd(*p, n)
+    alpha = FiberedClass(tuple(v // g for v in p) + (n // g,))
+    L = perp_basis(alpha)
+    zeta = L.zeta_basis
+    r = len(zeta)
+    assert all(zeta[j][i] == 0 for i in range(r) for j in range(i + 1, r))
+    assert all(zeta[i][i] > 0 for i in range(r))
+    bound = 1
+    for i in range(r):
+        bound *= 2 * R_w // zeta[i][i] + 1
+    if bound > word_cap:
+        with pytest.raises(BudgetError):
+            enumerate_words(L, R_w, word_cap=word_cap)
+        return
+    words = enumerate_words(L, R_w, word_cap=word_cap)
+    B = _coeff_box(zeta, R_w)
+    expected = [
+        cs for cs in product(range(-B, B + 1), repeat=r)
+        if all(abs(v) <= R_w for v in L.word_vector(cs)[:-1])
+    ]
+    assert [w.coeffs for w in words] == expected
+    assert len(words) <= bound
+    for w in words:
+        vec = L.word_vector(w.coeffs)
+        assert (w.x, w.y) == (vec[:-1], vec[-1])
 
 
 # -- certification ----------------------------------------------------------
@@ -260,11 +324,3 @@ def test_sweep_skips_and_certifies(r1, r1_models, r1_hash):
     assert rows[1].bound == rows[0].bound
     assert rows[2].status == "skipped-exterior"
     assert rows[3].status == "skipped-exterior"  # outside the slope box
-
-
-def test_sweep_threads_agree(r1, r1_models, r1_hash):
-    dual, cone, P = r1_models
-    classes = [(1, 2 * j + 5) for j in range(4)]
-    seq = sweep(r1, dual, cone, P, classes, 10, r1_hash, threads=1)
-    par = sweep(r1, dual, cone, P, classes, 10, r1_hash, threads=4)
-    assert seq == par
