@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 validation or usage error, 2 inconclusive
-certificate or a power above verify's power cap, 3 verification failure.
+certificate, or one verify cannot check within its caps (a power above the
+power cap, or a word list above the word cap), 3 verification failure.
 Diagnostics go to stderr, artifacts to stdout.
 """
 
@@ -96,8 +97,7 @@ def cmd_omega(args) -> int:
 
 def cmd_oracle(args) -> int:
     track, _ = _load(args.dataset)
-    supp = oracle_iterate(track, args.p)
-    _print_support(supp)
+    _print_support(oracle_iterate(track, args.p)[-1])
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import geometry
 from .errors import SubconeError, ValidationError
-from .trackmap import LiftedGraphMap, support_of_power
+from .trackmap import LiftedGraphMap, SupportSource, support_of_power
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
@@ -51,7 +51,6 @@ class DualConeModel:
     p_max: int
     k0: Optional[int]
     facets: tuple[FacetDirection, ...]
-    points: frozenset  # all computed (x_1..x_r, p), p <= p_max
     low_confidence: bool = False
 
     @property
@@ -110,18 +109,19 @@ def _candidate_directions(rank: int, ratio_points: list[tuple]) -> list[tuple[in
     return dirs
 
 
-def estimate_dual_cone(track: LiftedGraphMap, p_max: int) -> DualConeModel:
-    """Reconstruct the dual cone from supports at powers 1..p_max."""
+def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
+                       support: Optional[SupportSource] = None) -> DualConeModel:
+    """Reconstruct the dual cone from supports at powers 1..p_max, read from
+    ``support`` (support_of_power unless given)."""
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
-    supports = [support_of_power(track, p) for p in range(0, p_max + 1)]
-    points = set()
-    ratio_points = []
-    for p in range(0, p_max + 1):
-        for x in supports[p].points:
-            points.add(x + (p,))
-            if p >= 1:
-                ratio_points.append(tuple(Fraction(c, p) for c in x))
+    support = support or support_of_power
+    supports = [support(track, p) for p in range(0, p_max + 1)]
+    ratio_points = [
+        tuple(Fraction(c, p) for c in x)
+        for p in range(1, p_max + 1)
+        for x in supports[p].points
+    ]
     k0 = track.k0
     low_confidence = k0 is None or p_max < k0
     facets = []
@@ -145,7 +145,6 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int) -> DualConeModel:
         p_max=p_max,
         k0=k0,
         facets=tuple(facets),
-        points=frozenset(points),
         low_confidence=low_confidence,
     )
 

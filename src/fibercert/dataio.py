@@ -16,10 +16,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ValidationError
-from .pipeline import BoundCertificate, GammaWord, SweepRow
+from .pipeline import BoundCertificate, SweepRow
 from .trackmap import Edge, LiftedGraphMap
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # datasets; it is part of the content that dataset_hash covers
+CERT_FORMAT_VERSION = 2
 
 SWEEP_HEADER = "alpha,n,covol2,systole2,deep_dist2,K,bound_num,bound_den,normalized"
 
@@ -177,25 +178,18 @@ def save_dataset(track: LiftedGraphMap, path: str) -> None:
 
 def certificate_to_dict(cert: BoundCertificate) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": CERT_FORMAT_VERSION,
         "kind": "bound-certificate",
         "alpha": list(cert.alpha),
         "n": cert.n,
         "rank": cert.rank,
+        "p_max": cert.p_max,
+        "cone_p_max": cert.cone_p_max,
         "mu": _num_out(cert.mu),
         "slope_cap": None if cert.slope_cap is None else _num_out(cert.slope_cap),
-        "p_max": cert.p_max,
         "safety": cert.safety,
-        "epsilon": _num_out(cert.epsilon),
         "box_radius": cert.box_radius,
-        "word_radius": cert.word_radius,
-        "words": [
-            {"coeffs": list(w.coeffs), "x": list(w.x), "y": w.y, "mode": w.mode}
-            for w in cert.words
-        ],
-        "obstacle_hulls": [
-            [[_num_out(c) for c in v] for v in hull] for hull in cert.obstacle_hulls
-        ],
+        "mirror": cert.mirror,
         "deep_point": list(cert.deep_point),
         "deep_dist2": _num_out(cert.deep_dist2),
         "K": cert.K,
@@ -213,34 +207,24 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
     with _malformed("certificate"):
         if d.get("kind") != "bound-certificate":
             raise ValidationError("not a bound certificate file")
-        if d.get("format_version") != FORMAT_VERSION:
+        if d.get("format_version") != CERT_FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported certificate format_version {d.get('format_version')!r}"
+                f" (expected {CERT_FORMAT_VERSION})"
             )
+        if not isinstance(d["mirror"], bool):
+            raise ValidationError("mirror must be true or false")
         return BoundCertificate(
             alpha=tuple(int(v) for v in d["alpha"]),
             n=int(d["n"]),
             rank=int(d["rank"]),
+            p_max=int(d["p_max"]),
+            cone_p_max=int(d["cone_p_max"]),
             mu=Fraction(_num_in(d["mu"])),
             slope_cap=None if d.get("slope_cap") is None else Fraction(_num_in(d["slope_cap"])),
-            p_max=int(d["p_max"]),
             safety=int(d["safety"]),
-            epsilon=Fraction(_num_in(d["epsilon"])),
             box_radius=int(d["box_radius"]),
-            word_radius=int(d["word_radius"]),
-            words=tuple(
-                GammaWord(
-                    tuple(int(c) for c in w["coeffs"]),
-                    tuple(int(x) for x in w["x"]),
-                    int(w["y"]),
-                    w["mode"],
-                )
-                for w in d["words"]
-            ),
-            obstacle_hulls=tuple(
-                tuple(tuple(_num_in(c) for c in v) for v in hull)
-                for hull in d["obstacle_hulls"]
-            ),
+            mirror=d["mirror"],
             deep_point=tuple(int(v) for v in d["deep_point"]),
             deep_dist2=Fraction(_num_in(d["deep_dist2"])),
             K=int(d["K"]),

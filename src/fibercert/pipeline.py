@@ -4,25 +4,34 @@ For a primitive class alpha interior to a proper subcone of the reconstructed
 fibered cone, the pipeline assembles the kernel-word obstacle polytopes,
 finds an exact deep point y among them, determines the largest power K whose
 translated support stays disjoint from every obstacle, and emits the
-translation-length upper bound 2/(nK) as a self-contained certificate that an
-independent re-check can replay from the dataset alone.
+translation-length upper bound 2/(nK) in a short certificate: the class, the
+declared parameters and the two search results, from which verify re-derives
+everything else out of the dataset alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import geometry
-from .cones import DualConeModel, FiberedConeModel, epsilon_of_subcone
+from .cones import (
+    DualConeModel,
+    EpsilonBound,
+    FiberedConeModel,
+    epsilon_of_subcone,
+    estimate_dual_cone,
+    fibered_cone_from_dual,
+)
 from .errors import BudgetError, SubconeError, ValidationError
 from .lattice import FiberedClass, PerpLattice, deep_point, perp_basis, systole
 from .trackmap import (
     LiftedGraphMap,
     SupportPolytope,
+    SupportSource,
     omega_of_word,
     oracle_iterate,
     support_of_power,
@@ -45,7 +54,6 @@ class GammaWord:
     coeffs: tuple[int, ...]
     x: tuple[int, ...]
     y: int
-    mode: str = "exact-forward"
 
 
 def decompose(
@@ -65,6 +73,14 @@ def decompose(
     if alpha.n < 1:
         raise ValidationError("class must have positive last coordinate")
     return alpha.n, perp_basis(alpha)
+
+
+def word_radius(eps: EpsilonBound, box_radius: int, p_max: int, safety: int) -> int:
+    """The word radius R_w: by the comparison in EpsilonBound, the obstacle of
+    a word outside the box of radius R_w, dilated by ``safety``, is out of
+    reach of every power up to p_max moved into the deep-point box."""
+    reach = box_radius + math.ceil(eps.rho * p_max) + eps.c_inf + 2 * safety
+    return math.ceil(Fraction(reach + eps.c_inf + safety + 1) / eps.epsilon)
 
 
 def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[GammaWord]:
@@ -99,26 +115,50 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     return words
 
 
-@dataclass(frozen=True)
-class WordObstacle:
-    word: GammaWord
-    hull: tuple  # dilated obstacle hull vertices
+def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], p_max: int,
+                    safety: int, allow_mirror: bool, dual: DualConeModel,
+                    support: Optional[SupportSource] = None) -> tuple[str, list[tuple]]:
+    """The certificate mode and the dilated obstacle hulls, one per word.
+
+    A word (x, y) with |y| <= p_max takes the exact support of power y by
+    omega_of_word's route, read from ``support`` (certify: semiring, verify:
+    oracle); a farther word takes the C-fattened slice of ``dual`` at height
+    |y| and makes the mode asymptotic.  One dilated base hull per distinct
+    power is translated per word.
+    """
+    r = track.rank
+    zero = (0,) * r
+    bases: dict[int, list] = {}
+    hulls = []
+    for w in words:
+        if w.y not in bases:
+            if abs(w.y) <= p_max:
+                hull = omega_of_word(track, zero, w.y, allow_mirror, support).hull
+            else:
+                verts = dual.slice_vertices(abs(w.y))
+                hull = geometry.convex_hull(geometry.negate(verts) if w.y < 0 else verts, r)
+            bases[w.y] = geometry.dilate(hull, safety, r)
+        hulls.append(tuple(geometry.translate(bases[w.y], w.x)))
+    mode = "asymptotic" if any(abs(y) > p_max for y in bases) else "certified"
+    return mode, hulls
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
+    """A bound claim: the class, the declared parameters, and the results of
+    certify's two searches (the deep point and K).  verify_certificate
+    re-derives everything else from the dataset."""
+
     alpha: tuple[int, ...]
     n: int
     rank: int
+    p_max: int
+    cone_p_max: int  # truncation of the dual-cone reconstruction
     mu: Fraction
     slope_cap: Optional[Fraction]
-    p_max: int
     safety: int
-    epsilon: Fraction
     box_radius: int
-    word_radius: int
-    words: tuple[GammaWord, ...]
-    obstacle_hulls: tuple[tuple, ...]
+    mirror: bool  # mirror mode allowed for negative powers
     deep_point: tuple[int, ...]
     deep_dist2: Fraction
     K: int
@@ -134,45 +174,6 @@ class BoundCertificate:
     )
 
 
-def _build_obstacles(
-    track: LiftedGraphMap,
-    words: Sequence[GammaWord],
-    p_max: int,
-    safety: int,
-    allow_mirror: bool,
-    dual: Optional[DualConeModel],
-) -> tuple[list[GammaWord], list[tuple]]:
-    """Dilated obstacle hulls, one per word.
-
-    The dilated base hull is computed once per distinct power and translated
-    per word (translation commutes with hulls and dilation).
-    """
-    r = track.rank
-    zero = (0,) * r
-    base_cache: dict[int, tuple[str, tuple]] = {}
-    tagged = []
-    hulls = []
-    for w in words:
-        if w.y not in base_cache:
-            if abs(w.y) <= p_max:
-                supp = omega_of_word(track, zero, w.y, allow_mirror=allow_mirror)
-                mode, hull = supp.mode, list(supp.hull)
-            else:
-                if dual is None:
-                    raise ValidationError(
-                        f"word power {w.y} exceeds exact cap {p_max} and no "
-                        "cone model is available for the asymptotic fallback"
-                    )
-                verts = dual.slice_vertices(abs(w.y))
-                pts = geometry.negate(verts) if w.y < 0 else verts
-                mode, hull = "cone-approx", geometry.convex_hull(pts, r)
-            base_cache[w.y] = (mode, tuple(geometry.dilate(hull, safety, r)))
-        mode, base = base_cache[w.y]
-        tagged.append(replace(w, mode=mode))
-        hulls.append(tuple(tuple(q) for q in geometry.translate(base, w.x)))
-    return tagged, hulls
-
-
 def _bbox(hull: Sequence[tuple]) -> tuple[tuple, tuple]:
     """The (low, high) corners of the bounding box of a vertex list."""
     return tuple(map(min, zip(*hull))), tuple(map(max, zip(*hull)))
@@ -182,6 +183,19 @@ def _boxes_meet(a: tuple[tuple, tuple], b: tuple[tuple, tuple]) -> bool:
     """Whether two closed bounding boxes from _bbox intersect."""
     (a_lo, a_hi), (b_lo, b_hi) = a, b
     return all(p <= s and r <= q for p, q, r, s in zip(a_lo, a_hi, b_lo, b_hi))
+
+
+def _misses(body: SupportPolytope, point: Sequence[int], safety: int,
+            hulls: Sequence[tuple], boxes: Sequence[tuple], r: int) -> bool:
+    """Whether ``body`` moved to ``point`` and dilated misses every obstacle.
+
+    Hulls with disjoint bounding boxes are disjoint, so only obstacles whose
+    box meets the moved body's box need the exact test.
+    """
+    moved = geometry.dilate(geometry.translate(body.hull, point), safety, r)
+    box = _bbox(moved)
+    return all(geometry.hulls_disjoint(moved, h, r)
+               for h, h_box in zip(hulls, boxes) if _boxes_meet(box, h_box))
 
 
 def certify(
@@ -214,31 +228,19 @@ def certify(
 
     diagnostics: list[str] = []
     for attempt in range(max_doublings + 1):
-        reach = R + math.ceil(eps.rho * p_max) + eps.c_inf + 2 * safety
-        R_w = math.ceil(Fraction(reach + eps.c_inf + safety + 1) / eps.epsilon)
-        words = enumerate_words(L, R_w)
-        tagged, hulls = _build_obstacles(track, words, p_max, safety, allow_mirror, dual)
+        words = enumerate_words(L, word_radius(eps, R, p_max, safety))
+        mode, hulls = build_obstacles(track, words, p_max, safety, allow_mirror, dual)
         dp = deep_point(hulls, R, r)
         if dp.dist2 > 0:
             break
         diagnostics.append(f"box radius {R} fully covered by obstacles; doubling")
         R *= 2
-    mode = "asymptotic" if any(w.mode == "cone-approx" for w in tagged) else "certified"
 
     K = 0
     if dp.dist2 > 0:
-        # Hulls with disjoint bounding boxes are disjoint, so only obstacles
-        # whose box meets the moved body's box need the exact test.
         boxes = [_bbox(h) for h in hulls]
-        for cand in range(p_max, -1, -1):
-            body = support_of_power(track, cand)
-            moved = geometry.translate(body.hull, dp.point)
-            moved = geometry.dilate(moved, safety, r)
-            box = _bbox(moved)
-            if all(geometry.hulls_disjoint(moved, h, r)
-                   for h, h_box in zip(hulls, boxes) if _boxes_meet(box, h_box)):
-                K = cand
-                break
+        K = next((cand for cand in range(p_max, 0, -1) if _misses(
+            support_of_power(track, cand), dp.point, safety, hulls, boxes, r)), 0)
     status = "ok" if K >= 1 else "inconclusive"
     if K == 0:
         diagnostics.append(
@@ -249,15 +251,13 @@ def certify(
         alpha=alpha.vector,
         n=n,
         rank=r,
+        p_max=p_max,
+        cone_p_max=dual.p_max,
         mu=Fraction(P.mu),
         slope_cap=Fraction(P.slope_cap) if P.slope_cap is not None else None,
-        p_max=p_max,
         safety=safety,
-        epsilon=eps.epsilon,
         box_radius=R,
-        word_radius=R_w,
-        words=tuple(tagged),
-        obstacle_hulls=tuple(tuple(tuple(v) for v in h) for h in hulls),
+        mirror=allow_mirror,
         deep_point=dp.point,
         deep_dist2=dp.dist2,
         K=K,
@@ -284,11 +284,22 @@ def verify_certificate(
     dataset_hash: str,
     power_cap: int = 2_000,
 ) -> VerifyResult:
-    """Independently re-check every predicate of a certificate.
+    """Re-derive a certificate's claim from the dataset and its declared parameters.
 
-    Supports are recomputed from scratch by the path oracle, never read from
-    the semiring route that certification used; all comparisons are exact.
-    A certificate whose p_max or K exceeds ``power_cap`` is unverifiable.
+    Reruns certify's derivation (dual cone at ``cone_p_max``, subcone,
+    epsilon, word radius, words, and obstacles by build_obstacles with the
+    declared ``mirror``) on path-oracle supports, one walk per map, never
+    the semiring route certify used.  The searches are not rerun, their
+    results are checked: the deep point lies in the box, outside every
+    obstacle, at exactly the claimed squared distance, and the K-th power
+    moved there misses every obstacle.  Returns the first failing predicate:
+    fail dataset-hash, rank-mismatch, certificate-inconclusive,
+    alpha-primitive, n-mismatch, k-exceeds-pmax, subcone, alpha-not-interior,
+    deep-point-outside-box, word-mode (a negative power with neither inverse
+    data nor declared mirror), mode-mismatch, deep-point-in-obstacle,
+    deep-dist2, power-collision or bound-value; unverifiable power-cap (a
+    power above ``power_cap``) or word-cap (too many words to enumerate).
+    A negative safety or a cone_p_max below 1 raises ValidationError.
     """
     if cert.dataset_hash != dataset_hash:
         return VerifyResult("fail", "dataset-hash")
@@ -297,63 +308,65 @@ def verify_certificate(
         return VerifyResult("fail", "rank-mismatch")
     if cert.status != "ok":
         return VerifyResult("fail", "certificate-inconclusive")
-    if cert.p_max > power_cap or cert.K > power_cap:
+    if max(cert.p_max, cert.cone_p_max, cert.K) > power_cap:
         return VerifyResult("unverifiable", "power-cap")
+    if cert.safety < 0:
+        raise ValidationError("certificate safety must be nonnegative")
     alpha = FiberedClass(cert.alpha)
     if not alpha.is_primitive():
         return VerifyResult("fail", "alpha-primitive")
     if alpha.n != cert.n:
         return VerifyResult("fail", "n-mismatch")
-    L = perp_basis(alpha)
-    for w in cert.words:
-        vec = w.x + (w.y,)
-        if sum(a * b for a, b in zip(vec, cert.alpha)) != 0:
-            return VerifyResult("fail", "alpha-perp")
-    expected = enumerate_words(L, cert.word_radius)
-    have = {w.coeffs for w in cert.words}
-    for w in expected:
-        if w.coeffs not in have:
-            return VerifyResult("fail", "word-list-incomplete")
-    dual = None
-    if any(abs(w.y) > cert.p_max for w in cert.words):
-        from .cones import estimate_dual_cone
-
-        dual = estimate_dual_cone(track, cert.p_max)
-    memo: dict[tuple[bool, int], SupportPolytope] = {}
-
-    def fresh(p: int, inverse: bool = False) -> SupportPolytope:
-        if (inverse, p) not in memo:
-            source = track.inverse if inverse else track
-            if source is None:
-                raise ValidationError("certificate used inverse data the dataset lacks")
-            memo[(inverse, p)] = oracle_iterate(source, p)
-        return memo[(inverse, p)]
-
-    hulls = []
-    for w in cert.words:
-        if abs(w.y) > cert.p_max:
-            verts = dual.slice_vertices(abs(w.y))
-            pts = geometry.negate(verts) if w.y < 0 else verts
-            supp = SupportPolytope.from_points(
-                track.rank, w.y, geometry.translate(pts, w.x), "cone-approx"
-            )
-        elif w.y >= 0:
-            supp = fresh(w.y).translate(w.x, "exact-forward")
-        elif w.mode == "inverse-data":
-            supp = fresh(-w.y, inverse=True).translate(w.x, "inverse-data")
-        else:
-            supp = fresh(-w.y).mirror().translate(w.x, "mirror")
-        hulls.append(geometry.dilate(supp.hull, cert.safety, r))
-    for h in hulls:
-        if geometry.point_hull_dist2(cert.deep_point, h, r) <= 0:
-            return VerifyResult("fail", "deep-point-in-obstacle")
     if not (1 <= cert.K <= cert.p_max):
         return VerifyResult("fail", "k-exceeds-pmax")
-    body = fresh(cert.K)
-    moved = geometry.dilate(geometry.translate(body.hull, cert.deep_point), cert.safety, r)
-    for h in hulls:
-        if not geometry.hulls_disjoint(moved, h, r):
-            return VerifyResult("fail", "power-collision")
+
+    walks: dict[int, list[SupportPolytope]] = {}
+    reach = max(cert.cone_p_max, cert.K)
+
+    def oracle(source: LiftedGraphMap, p: int) -> SupportPolytope:
+        # One walk per map, to the highest power needed so far.
+        walk = walks.get(id(source), [])
+        if p >= len(walk):
+            walk = walks[id(source)] = oracle_iterate(source, max(p, reach))
+        return walk[p]
+
+    dual = estimate_dual_cone(track, cert.cone_p_max, oracle)
+    P = fibered_cone_from_dual(dual)
+    try:
+        if cert.mu:
+            P = P.subcone(cert.mu)
+        if cert.slope_cap is not None:
+            P = P.subcone_slope(cert.slope_cap)
+        eps = epsilon_of_subcone(P, dual)
+    except SubconeError:
+        return VerifyResult("fail", "subcone")
+    if P.membership(alpha.vector).status != "interior":
+        return VerifyResult("fail", "alpha-not-interior")
+    if max(abs(c) for c in cert.deep_point) > cert.box_radius:
+        return VerifyResult("fail", "deep-point-outside-box")
+    try:
+        words = enumerate_words(
+            perp_basis(alpha), word_radius(eps, cert.box_radius, cert.p_max, cert.safety)
+        )
+    except BudgetError:
+        return VerifyResult("unverifiable", "word-cap")
+    exact = [w.y for w in words if abs(w.y) <= cert.p_max]  # the zero word is one
+    if min(exact) < 0 and track.inverse is None and not cert.mirror:
+        return VerifyResult("fail", "word-mode")
+    reach = max(reach, *map(abs, exact))
+    mode, hulls = build_obstacles(
+        track, words, cert.p_max, cert.safety, cert.mirror, dual, oracle
+    )
+    if mode != cert.mode:
+        return VerifyResult("fail", "mode-mismatch")
+    dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
+    if dist2 <= 0:
+        return VerifyResult("fail", "deep-point-in-obstacle")
+    if dist2 != cert.deep_dist2:
+        return VerifyResult("fail", "deep-dist2")
+    if not _misses(oracle(track, cert.K), cert.deep_point, cert.safety, hulls,
+                   [_bbox(h) for h in hulls], r):
+        return VerifyResult("fail", "power-collision")
     if cert.bound != Fraction(2, cert.n * cert.K):
         return VerifyResult("fail", "bound-value")
     return VerifyResult("pass")

@@ -11,7 +11,7 @@ surface-level domains is absorbed downstream by the safety margin.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import geometry
 from .errors import ValidationError
@@ -40,7 +40,7 @@ class SupportPolytope:
     p: int
     points: frozenset[Shift]
     hull: tuple[Shift, ...]
-    mode: str = "exact-forward"  # or inverse-data / mirror / cone-approx
+    mode: str = "exact-forward"  # or inverse-data / mirror
 
     @staticmethod
     def from_points(rank: int, p: int, points, mode: str = "exact-forward") -> "SupportPolytope":
@@ -191,6 +191,10 @@ class LiftedGraphMap:
         )
 
 
+# Reads the support of a map's p-th power: support_of_power or the path oracle.
+SupportSource = Callable[[LiftedGraphMap, int], SupportPolytope]
+
+
 def build_transition_matrix(track: LiftedGraphMap) -> LaurentMatrix:
     """Incidence matrix over Z[t_1^{±1},...]: entry (e, f) sums t^shift over
     occurrences of edge f (either orientation) in the image of e."""
@@ -259,52 +263,50 @@ def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
     return support
 
 
-def oracle_iterate(track: LiftedGraphMap, p: int) -> SupportPolytope:
-    """Occupied domains of the p-th power by edge-path substitution.
+def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
+    """Occupied domains of every power 0..p by edge-path substitution.
 
     Independent of the matrix-algebra route; serves as its oracle.  The lift
-    of every edge based in domain 0 is substituted p times, keeping only the
-    set of (edge, shift) states the path visits: a state's image depends on
-    neither its position in the path nor its orientation, since a reversed
-    step only reverses the order of its image, not which states it contains.
+    of every edge based in domain 0 is substituted p times in one walk,
+    keeping only the set of (edge, shift) states the path visits: a state's
+    image depends on neither its position in the path nor its orientation,
+    since a reversed step only reverses the order of its image, not which
+    states it contains.  Entry q of the result is the support of power q.
     """
     if p < 0:
         raise ValidationError("power must be nonnegative")
     zero = (0,) * track.rank
     frontier: set[tuple[str, Shift]] = {(e.name, zero) for e in track.edges}
-    for _ in range(p):
+    supports = [SupportPolytope.from_points(track.rank, 0, [zero])]
+    for q in range(1, p + 1):
         frontier = {
             (name, tuple(a + b for a, b in zip(shift, s2)))
             for edge, shift in frontier
             for name, s2, _ in track.edge_images[edge]
         }
-    return SupportPolytope.from_points(track.rank, p, {s for _, s in frontier})
+        supports.append(SupportPolytope.from_points(track.rank, q, {s for _, s in frontier}))
+    return supports
 
 
-def omega_of_word(
-    track: LiftedGraphMap,
-    x: Sequence[int],
-    y: int,
-    allow_mirror: bool = False,
-    p_cap: Optional[int] = None,
-) -> SupportPolytope:
+def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror: bool = False,
+                  support: Optional[SupportSource] = None) -> SupportPolytope:
     """Support of the word h^x psi~^y: the translate x + Omega(psi~^y).
 
     Negative y needs either bundled inverse-map data or explicitly enabled
     mirror mode (the deck-commutation identity at the surface level; the
     track-level discrepancy is absorbed by the safety margin downstream).
+    ``support`` is the support source, support_of_power unless given.
     """
     x = tuple(int(v) for v in x)
     if len(x) != track.rank:
         raise ValidationError("translate vector has wrong length")
-    if p_cap is not None and abs(y) > p_cap:
-        raise ValidationError(f"power {y} beyond exact cap {p_cap}")
+    support = support or support_of_power
     if y >= 0:
-        return support_of_power(track, y).translate(x, "exact-forward")
+        return support(track, y).translate(x, "exact-forward")
     if track.inverse is not None:
-        return support_of_power(track.inverse, -y).translate(x, "inverse-data")
+        return support(track.inverse, -y).translate(x, "inverse-data")
     if allow_mirror:
-        return support_of_power(track, -y).mirror().translate(x, "mirror")
+        return support(track, -y).mirror().translate(x, "mirror")
     raise ValidationError(
         "negative power requires inverse-map data or explicitly enabled mirror mode"
     )

@@ -40,14 +40,19 @@ def _write(tmp_path, text):
     return str(path)
 
 
-def _cert_without_k(capsys, tmp_path):
-    path = tmp_path / "cert.json"
-    code, _, _ = run(capsys, "bound", R1, "--alpha", "1,9", "--p-max", "12",
-                     "--out", str(path))
-    assert code == 0
-    d = json.loads(path.read_text())
-    del d["K"]
-    return ["verify", _write(tmp_path, json.dumps(d)), "--dataset", R1]
+def _edited_cert(edit):
+    """Argv verifying an honest r1 certificate after ``edit`` changes its JSON."""
+
+    def make_argv(capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "bound", R1, "--alpha", "1,9", "--p-max", "12",
+                         "--out", str(path))
+        assert code == 0
+        d = json.loads(path.read_text())
+        edit(d)
+        return ["verify", _write(tmp_path, json.dumps(d)), "--dataset", R1]
+
+    return make_argv
 
 
 MALFORMED_INPUTS = {
@@ -63,7 +68,10 @@ MALFORMED_INPUTS = {
         lambda capsys, tmp_path: ["ingest", _write(tmp_path, '{"format_version":1}')],
         "malformed dataset: missing field 'rank'",
     ),
-    "certificate-without-K": (_cert_without_k, "malformed certificate: missing field 'K'"),
+    "certificate-without-K": (_edited_cert(lambda d: d.pop("K")),
+                              "malformed certificate: missing field 'K'"),
+    "v1-certificate": (_edited_cert(lambda d: d.update(format_version=1)),
+                       "unsupported certificate format_version"),
     "alpha-not-integer": (
         lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,x", "--p-max", "8"],
         "class must be a list of integers",
@@ -228,3 +236,11 @@ def test_sweep_validation(capsys):
                        "--direction", "2", "--p-max", "8")
     assert code == 1
     assert "equal length" in err
+
+
+def test_verify_unverifiable_exit_code(capsys, tmp_path):
+    # A box too large to enumerate its words is unverifiable: exit 2.
+    argv = _edited_cert(lambda d: d.update(box_radius=10 ** 7))(capsys, tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "verification: unverifiable (word-cap)" in out

@@ -47,8 +47,9 @@ def test_dual_cone_slopes_are_certified_upper_estimates(r1, r2):
             for p in range(1, p_max + 1):
                 hi = support_of_power(track, p).extent(f.u)[1]
                 assert Fraction(hi, p) >= f.slope
-        for pt in dual.points:
-            assert dual.contains_fattened(pt)
+        for p in range(0, p_max + 1):
+            for x in support_of_power(track, p).points:
+                assert dual.contains_fattened(x + (p,))
 
 
 def test_dual_cone_is_stable_in_p_max(r1, r2):

@@ -107,6 +107,13 @@ def test_certificate_is_canonical_json(cert):
     text = emit_certificate(cert)
     d = json.loads(text)
     assert d["kind"] == "bound-certificate"
+    assert sorted(d) == [
+        "K", "alpha", "assumptions", "bound", "box_radius", "cone_p_max",
+        "dataset_hash", "deep_dist2", "deep_point", "diagnostics",
+        "format_version", "kind", "mirror", "mode", "mu", "n", "p_max",
+        "rank", "safety", "slope_cap", "status", "tool_version",
+    ]
+    assert d["format_version"] == 2
     assert d["bound"] == f"{cert.bound.numerator}/{cert.bound.denominator}"
     assert text == canonical_json(d) + "\n"
 
@@ -119,6 +126,14 @@ def test_certificate_kind_checked(cert):
     d["kind"] = "bound-certificate"
     d["format_version"] = 0
     with pytest.raises(ValidationError, match="format_version"):
+        parse_certificate(json.dumps(d))
+    # Format 1 carried a word and hull transcript; it is not read any more.
+    d["format_version"] = 1
+    with pytest.raises(ValidationError, match="unsupported certificate format_version 1"):
+        parse_certificate(json.dumps(d))
+    d["format_version"] = 2
+    d["mirror"] = 0
+    with pytest.raises(ValidationError, match="mirror"):
         parse_certificate(json.dumps(d))
 
 

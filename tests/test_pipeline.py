@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercert import pipeline, trackmap
+from fibercert import cones, pipeline, trackmap
 from fibercert.errors import BudgetError, SubconeError, ValidationError
+from fibercert.cones import estimate_dual_cone, fibered_cone_from_dual
+from fibercert.dataio import emit_certificate, parse_certificate
 from fibercert.lattice import FiberedClass, perp_basis
 from fibercert.pipeline import (
     _ceil_root_multiple,
+    build_obstacles,
     certify,
     decompose,
     enumerate_words,
@@ -29,10 +33,30 @@ def r1_cert(r1, r1_models, r1_hash):
 
 
 @pytest.fixture(scope="module")
+def r1_cert_29(r1, r1_models, r1_hash):
+    """The honest r1 certificate for alpha = (1, 29) at p_max 32: K = 11,
+    bound 2/319, box radius 116."""
+    dual, cone, P = r1_models
+    cert = certify(r1, dual, cone, P, FiberedClass((1, 29)), 32, r1_hash)
+    assert (cert.K, cert.bound, cert.box_radius) == (11, Fraction(2, 319), 116)
+    return cert
+
+
+@pytest.fixture(scope="module")
 def r2_cert(r2, r2_models, r2_hash):
     dual, cone, P = r2_models
     return certify(r2, dual, cone, P, FiberedClass((1, 7, 50)), 12, r2_hash,
                    allow_mirror=True)
+
+
+@pytest.fixture(scope="module")
+def asymptotic_cert(r1, r1_hash):
+    """r1 alpha = (1, 9) with p_max and cone_p_max 4: far words are
+    cone-approximated."""
+    dual = estimate_dual_cone(r1, 4)
+    cone = fibered_cone_from_dual(dual)
+    P = cone.subcone_slope(Fraction(1, 2))
+    return certify(r1, dual, cone, P, FiberedClass((1, 9)), 4, r1_hash)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -154,21 +178,39 @@ def test_certify_r1(r1_cert, r1_models):
     assert cert.bound == Fraction(2, cert.n * cert.K)
     assert cert.deep_dist2 > 0
     assert cert.n == 9
-    # Words carry their provenance mode; negative powers used inverse data.
-    modes = {w.mode for w in cert.words}
-    assert "exact-forward" in modes
-    assert "inverse-data" in modes or all(w.y >= 0 for w in cert.words)
-    assert len(cert.obstacle_hulls) == len(cert.words)
+    # The declared parameters verify re-derives everything else from.
+    dual, _, P = r1_models
+    assert (cert.p_max, cert.cone_p_max, cert.mu, cert.slope_cap, cert.mirror) == (
+        12, dual.p_max, 0, P.slope_cap, False)
+    assert max(abs(c) for c in cert.deep_point) <= cert.box_radius
 
 
-def test_certify_r2_mirror(r2_cert):
+def test_certify_r2_mirror(r2, r2_models, r2_cert):
     cert = r2_cert
     assert cert.status == "ok"
     assert cert.K >= 1
     assert cert.rank == 2
-    assert any(w.mode == "mirror" for w in cert.words if w.y < 0) or all(
-        w.y >= 0 for w in cert.words
-    )
+    assert cert.mirror is True
+    # r2 has no inverse data: negative powers need mirror mode allowed.
+    dual = r2_models[0]
+    words = enumerate_words(perp_basis(FiberedClass(cert.alpha)), 60)
+    assert any(w.y < 0 for w in words)
+    with pytest.raises(ValidationError, match="mirror"):
+        build_obstacles(r2, words, cert.p_max, cert.safety, False, dual)
+
+
+def test_certify_asymptotic(asymptotic_cert):
+    assert (asymptotic_cert.mode, asymptotic_cert.status) == ("asymptotic", "ok")
+    assert (asymptotic_cert.p_max, asymptotic_cert.cone_p_max) == (4, 4)
+
+
+def test_certify_doubles_a_covered_box(r1, r1_models, r1_hash):
+    """A box fully covered by obstacles is doubled before the K-scan."""
+    dual, cone, P = r1_models
+    cert = certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash,
+                   box_radius=1)
+    assert cert.box_radius == 2
+    assert cert.diagnostics[0] == "box radius 1 fully covered by obstacles; doubling"
 
 
 def test_certify_is_deterministic(r1, r1_models, r1_hash, r1_cert):
@@ -199,31 +241,40 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
         inverse=None, metadata=r1.metadata,
         euler_functional=r1.euler_functional,
     )
+    words = enumerate_words(perp_basis(FiberedClass((1, 9))), 60)
+    assert any(w.y < 0 for w in words)
+    assert build_obstacles(r1, words, 10, 1, False, dual) == \
+        build_obstacles(stripped, words, 10, 1, True, dual)
     a = certify(r1, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash)
     b = certify(stripped, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash,
                 allow_mirror=True)
-    assert a.obstacle_hulls == b.obstacle_hulls
-    assert a.deep_point == b.deep_point
+    assert (a.deep_point, a.deep_dist2) == (b.deep_point, b.deep_dist2)
     assert a.K == b.K and a.bound == b.bound
 
 
 # -- verification -----------------------------------------------------------
 
-def test_verify_passes(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash):
+def test_verify_passes(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash, asymptotic_cert):
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
+    assert verify_certificate(asymptotic_cert, r1, r1_hash).status == "pass"
 
 
-def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, monkeypatch):
-    """verify takes every exact support from the path oracle, so the oracle
-    and the semiring route stay independent cross-checks."""
+def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, r2, r2_cert,
+                                              r2_hash, asymptotic_cert, monkeypatch):
+    """verify takes every exact support from the path oracle, the cone
+    rebuild included, so the oracle and the semiring route stay independent
+    cross-checks: on an r1 certificate with inverse data, an r2 certificate
+    in mirror mode and an asymptotic one with cone-approximated words."""
 
     def forbidden(track, p):
         raise AssertionError("verify read the semiring route")
 
-    monkeypatch.setattr(pipeline, "support_of_power", forbidden)
-    monkeypatch.setattr(trackmap, "support_of_power", forbidden)
+    for module in (pipeline, trackmap, cones):
+        monkeypatch.setattr(module, "support_of_power", forbidden)
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
+    assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
+    assert verify_certificate(asymptotic_cert, r1, r1_hash).status == "pass"
 
 
 def test_verify_rejects_wrong_dataset(r1, r1_cert):
@@ -266,16 +317,81 @@ def test_verify_rejects_n_mismatch(r1, r1_cert, r1_hash):
 
 
 def test_verify_rejects_foreign_words(r1, r1_cert, r1_hash):
-    """Words orthogonal to the certified class are not orthogonal to a
-    different class of the same n."""
+    """verify derives the words of the class it is given: moved to (4, 9),
+    a class of the same n, the kernel words reach powers past p_max, so the
+    derived mode is asymptotic."""
     res = verify_certificate(replace(r1_cert, alpha=(4, 9)), r1, r1_hash)
-    assert (res.status, res.reason) == ("fail", "alpha-perp")
+    assert (res.status, res.reason) == ("fail", "mode-mismatch")
 
 
-def test_verify_rejects_dropped_word(r1, r1_cert, r1_hash):
-    pruned = tuple(w for w in r1_cert.words if any(w.coeffs))
-    res = verify_certificate(replace(r1_cert, words=pruned), r1, r1_hash)
-    assert (res.status, res.reason) == ("fail", "word-list-incomplete")
+@pytest.mark.parametrize("edit, want", [
+    # (a) once a trivial word list with word radius 0: a far deep point and
+    # K = 32.  Outside the box it fails there; with the box widened to
+    # reach it, the derived words reach past p_max.
+    ({"deep_point": (500,)}, "deep-point-outside-box"),
+    ({"deep_point": (500,), "box_radius": 500}, "mode-mismatch"),
+    # (b) the honest word list kept, the deep point moved outside the box.
+    ({"deep_point": (400,)}, "deep-point-outside-box"),
+], ids=["a", "a-box-widened", "b"])
+def test_verify_rejects_forgeries(r1, r1_cert_29, r1_hash, edit, want):
+    """Certificates claiming 1/464 instead of 2/319 for alpha = (1, 29)."""
+    forged = replace(r1_cert_29, K=32, bound=Fraction(1, 464), **edit)
+    res = verify_certificate(forged, r1, r1_hash)
+    assert (res.status, res.reason) == ("fail", want)
+
+
+@pytest.mark.parametrize("edit, want", [
+    ({"safety": 0}, "deep-dist2"),
+    ({"safety": 2}, "deep-dist2"),
+    ({"slope_cap": Fraction(1, 10)}, "alpha-not-interior"),
+    ({"slope_cap": Fraction(2, 3)}, "mode-mismatch"),
+    ({"slope_cap": None}, "subcone"),
+    ({"mu": Fraction(1, 2)}, "alpha-not-interior"),
+    ({"mu": Fraction(2)}, "subcone"),
+], ids=["safety-0", "safety-2", "slope-cap-narrow", "slope-cap-wide",
+        "slope-cap-none", "mu-half", "mu-above-1"])
+def test_verify_rederives_declared_parameters(r1, r1_cert, r1_hash, edit, want):
+    """verify derives the subcone, epsilon, the words and the obstacles from
+    the declared parameters, so editing one changes what it checks against."""
+    res = verify_certificate(replace(r1_cert, **edit), r1, r1_hash)
+    assert (res.status, res.reason) == ("fail", want)
+
+
+def test_verify_rederives_cone_p_max(r2, r2_cert, r2_hash):
+    """At cone_p_max 2 the r2 slope estimates are too loose for the slope-cap
+    subcone to keep a positive epsilon.  (The r1 cone is exact at every
+    truncation, so there cone_p_max does not change the derivation.)"""
+    res = verify_certificate(replace(r2_cert, cone_p_max=2), r2, r2_hash)
+    assert (res.status, res.reason) == ("fail", "subcone")
+
+
+def test_verify_rejects_undeclared_mirror(r2, r2_cert, r2_hash):
+    """r2 has no inverse data, so its negative powers need declared mirror mode."""
+    res = verify_certificate(replace(r2_cert, mirror=False), r2, r2_hash)
+    assert (res.status, res.reason) == ("fail", "word-mode")
+
+
+def test_verify_rejects_relabelled_mode(r1, r1_cert, asymptotic_cert, r1_hash):
+    for cert, label in ((r1_cert, "asymptotic"), (asymptotic_cert, "certified")):
+        res = verify_certificate(replace(cert, mode=label), r1, r1_hash)
+        assert (res.status, res.reason) == ("fail", "mode-mismatch")
+
+
+def test_verify_rejects_wrong_deep_dist2(r1, r1_cert, r1_hash):
+    res = verify_certificate(
+        replace(r1_cert, deep_dist2=r1_cert.deep_dist2 + 1), r1, r1_hash)
+    assert (res.status, res.reason) == ("fail", "deep-dist2")
+
+
+def test_verify_word_cap(r1, r1_cert, r1_hash):
+    """A box too large to enumerate is unverifiable, not an exception."""
+    res = verify_certificate(replace(r1_cert, box_radius=10 ** 7), r1, r1_hash)
+    assert (res.status, res.reason) == ("unverifiable", "word-cap")
+
+
+def test_verify_rejects_negative_safety(r1, r1_cert, r1_hash):
+    with pytest.raises(ValidationError, match="safety"):
+        verify_certificate(replace(r1_cert, safety=-1), r1, r1_hash)
 
 
 def test_verify_rejects_bad_deep_point(r1, r1_cert, r1_hash):
@@ -324,3 +440,47 @@ def test_sweep_skips_and_certifies(r1, r1_models, r1_hash):
     assert rows[1].bound == rows[0].bound
     assert rows[2].status == "skipped-exterior"
     assert rows[3].status == "skipped-exterior"  # outside the slope box
+
+
+# -- fuzzed declarations ---------------------------------------------------------
+
+VERIFY_REASONS = {
+    "pass": {""},
+    "fail": {
+        "dataset-hash", "rank-mismatch", "certificate-inconclusive",
+        "alpha-primitive", "n-mismatch", "k-exceeds-pmax", "subcone",
+        "alpha-not-interior", "deep-point-outside-box", "word-mode",
+        "mode-mismatch", "deep-point-in-obstacle", "deep-dist2",
+        "power-collision", "bound-value",
+    },
+    "unverifiable": {"power-cap", "word-cap"},
+}
+
+_fractions = st.fractions(min_value=-1, max_value=2, max_denominator=12).map(
+    lambda f: f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["r1", "r2"]))
+def test_verify_fuzzed_declarations(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash,
+                                    data, which):
+    """Edited declared parameters give a named verdict or a ValidationError,
+    never another exception."""
+    track, cert, ds_hash = (r1, r1_cert, r1_hash) if which == "r1" else (r2, r2_cert, r2_hash)
+    d = json.loads(emit_certificate(cert))
+    box_top = 300 if which == "r1" else 60  # r2 words grow with the box squared
+    edits = data.draw(st.fixed_dictionaries({}, optional={
+        "p_max": st.integers(-2, 40),
+        "cone_p_max": st.integers(-1, 20),
+        "mu": _fractions,
+        "slope_cap": st.none() | _fractions,
+        "safety": st.integers(-2, 4),
+        "box_radius": st.integers(-3, box_top),
+        "mirror": st.sampled_from([True, False, 0, "yes"]),
+    }))
+    d.update(edits)
+    try:
+        res = verify_certificate(parse_certificate(json.dumps(d)), track, ds_hash)
+    except ValidationError:
+        return
+    assert res.reason in VERIFY_REASONS[res.status], res

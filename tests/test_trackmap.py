@@ -104,8 +104,10 @@ def test_r1_transition_matrix(r1):
 
 def test_support_of_power_matches_oracle(r1, r2):
     for track in (r1, r1.inverse, r2):
+        walk = oracle_iterate(track, 32)
+        assert [s.p for s in walk] == list(range(0, 33))
         for p in range(0, 33):
-            want, got = support_of_power(track, p), oracle_iterate(track, p)
+            want, got = support_of_power(track, p), walk[p]
             assert (got.points, got.hull) == (want.points, want.hull), p
 
 
@@ -169,8 +171,14 @@ def test_omega_of_word_modes(r1, r2):
     )
     with pytest.raises(ValidationError, match="mirror"):
         omega_of_word(r2, zero2, -1)
-    with pytest.raises(ValidationError, match="cap"):
-        omega_of_word(r1, zero1, 5, p_cap=4)
+    # The route is the same whichever source the supports come from.
+    def oracle(track, p):
+        return oracle_iterate(track, p)[p]
+
+    for track, y in ((r1, 3), (r1, -3), (r2, -3)):
+        want = omega_of_word(track, (2,) * track.rank, y, allow_mirror=True)
+        got = omega_of_word(track, (2,) * track.rank, y, allow_mirror=True, support=oracle)
+        assert (got.points, got.hull, got.mode) == (want.points, want.hull, want.mode)
     with pytest.raises(ValidationError, match="length"):
         omega_of_word(r1, (0, 0), 1)
 
