@@ -20,7 +20,6 @@ from .lattice import (
     DeepPoint,
     FiberedClass,
     PerpLattice,
-    covolume,
     deep_point,
     perp_basis,
     systole,
@@ -33,7 +32,6 @@ from .laurent import (
     char_poly,
     degree_extrema,
     mat_pow,
-    slope_estimate,
 )
 from .pipeline import (
     BoundCertificate,

@@ -252,16 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="obstacle dilation margin")
         p.add_argument("--kappa", type=int, default=4,
                        help="box radius multiple of n^(1/r)")
-        p.add_argument("--box-radius", type=int, default=None)
         p.add_argument("--mirror", action="store_true",
                        help="enable mirror mode for negative powers")
-        p.add_argument("--mode", choices=["certified", "asymptotic"],
-                       default="certified")
 
     p = sub.add_parser("bound", help="produce a bound certificate for one class")
     common(p)
     p.add_argument("--alpha", required=True, help="class, e.g. '1,9'")
     p.add_argument("--out", default=None, help="also write the certificate here")
+    p.add_argument("--box-radius", type=int, default=None)
+    p.add_argument("--mode", choices=["certified", "asymptotic"], default="certified")
     bound_opts(p)
     p.set_defaults(func=cmd_bound)
 

@@ -19,6 +19,9 @@ from . import geometry
 from .errors import SubconeError, ValidationError
 from .trackmap import LiftedGraphMap, SupportSource, support_of_power
 
+# Membership margins below this in absolute value are reported near-boundary.
+BOUNDARY_TOLERANCE = Fraction(1, 100)
+
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     g = 0
@@ -172,7 +175,6 @@ class FiberedConeModel:
     generators: tuple[tuple[int, ...], ...]
     mu: Fraction = Fraction(0)
     slope_cap: Optional[Fraction] = None
-    boundary_tolerance: Fraction = Fraction(1, 100)
 
     @property
     def is_proper(self) -> bool:
@@ -202,23 +204,21 @@ class FiberedConeModel:
                 for a in alpha[:-1]
             )
             margin = min(margin, box_margin)
-        if abs(margin) < self.boundary_tolerance:
+        if abs(margin) < BOUNDARY_TOLERANCE:
             return Membership("near-boundary", margin)
         return Membership("interior" if margin > 0 else "exterior", margin)
 
     def subcone(self, mu: Fraction) -> "FiberedConeModel":
         if not 0 < mu < 1:
             raise SubconeError(f"subcone shrinkage must be in (0, 1), got {mu}")
-        return FiberedConeModel(self.rank, self.generators, Fraction(mu),
-                                self.slope_cap, self.boundary_tolerance)
+        return FiberedConeModel(self.rank, self.generators, Fraction(mu), self.slope_cap)
 
     def subcone_slope(self, cap: Fraction) -> "FiberedConeModel":
         """Intersect with the axis-centered slope box |alpha_i| <= cap * n."""
         cap = Fraction(cap)
         if cap <= 0:
             raise SubconeError(f"slope cap must be positive, got {cap}")
-        return FiberedConeModel(self.rank, self.generators, self.mu, cap,
-                                self.boundary_tolerance)
+        return FiberedConeModel(self.rank, self.generators, self.mu, cap)
 
     def extreme_rays(self) -> list[tuple[int, ...]]:
         """Primitive integer extreme rays of the (sub)cone."""

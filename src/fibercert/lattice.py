@@ -1,10 +1,11 @@
 """Integer linear algebra for kernel lattices and the deep-point search.
 
 perp_basis computes a canonical saturated basis of the kernel of a primitive
-class; covolume and systole are exact (Gram determinant, bounded shortest-
-vector enumeration); deep_point is an exact argmax over the lattice points of
-a box, found by branch and bound over cells with integer bounds and exact
-rational distances.  No floating point is used.
+class and its exact squared covolume (Gram determinant); systole is the exact
+shortest vector of the rank <= 2 projected lattice by Lagrange-Gauss
+reduction; deep_point is an exact argmax over the lattice points of a box,
+found by branch and bound over cells with integer bounds and exact rational
+distances.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from . import geometry
 from .errors import CapabilityError, ValidationError
 
 Vec = tuple[int, ...]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -165,64 +170,17 @@ def perp_basis(alpha: FiberedClass) -> PerpLattice:
     rows = _hnf_rows(kernel_rows)
     basis = tuple(tuple(r) for r in rows)
     for b in basis:
-        if sum(x * y for x, y in zip(b, alpha.vector)) != 0:
+        if _dot(b, alpha.vector) != 0:
             raise ValidationError("internal error: kernel basis not orthogonal")
     zeta = tuple(b[:-1] for b in basis)
-    gram_z = [[sum(x * y for x, y in zip(u, v)) for v in zeta] for u in zeta]
-    gram_a = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+    gram_z = [[_dot(u, v) for v in zeta] for u in zeta]
+    gram_a = [[_dot(u, v) for v in basis] for u in basis]
     covol2 = int_det(gram_z)
     if covol2 <= 0:
         raise ValidationError(
             "projected kernel basis is degenerate (class has n = 0?)"
         )
     return PerpLattice(alpha, basis, zeta, covol2, int_det(gram_a))
-
-
-def covolume(L: PerpLattice) -> int:
-    """Squared covolume (Gram determinant) of the projected lattice."""
-    return L.covol2
-
-
-def _gram_schmidt(rows) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Exact Gram-Schmidt orthogonalization: the b* rows and the mu coefficients."""
-    n = len(rows)
-    bstar = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        v = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            denom = sum(x * x for x in bstar[j])
-            mu[i][j] = sum(x * y for x, y in zip(rows[i], bstar[j])) / denom
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-    return bstar, mu
-
-
-def _lll(basis: list[list[Fraction]], delta: Fraction = Fraction(3, 4)) -> list[list[Fraction]]:
-    """Exact LLL reduction over the rationals (small ranks only)."""
-    b = [list(map(Fraction, row)) for row in basis]
-    n = len(b)
-    bstar, mu = _gram_schmidt(b)
-    k = 1
-    guard = 0
-    while k < n:
-        guard += 1
-        if guard > 10000:
-            raise CapabilityError("LLL failed to terminate (unexpected)")
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        bstar, mu = _gram_schmidt(b)
-        lhs = sum(x * x for x in bstar[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * sum(x * x for x in bstar[k - 1])
-        if lhs >= rhs:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            bstar, mu = _gram_schmidt(b)
-            k = max(k - 1, 1)
-    return b
 
 
 @dataclass(frozen=True)
@@ -232,56 +190,32 @@ class ShortestVector:
 
 
 def systole(L: PerpLattice) -> ShortestVector:
-    """Exact shortest nonzero vector of the projected lattice (rank <= 4)."""
-    r = len(L.zeta_basis)
-    if r > 4:
-        raise CapabilityError(f"shortest-vector enumeration supports rank <= 4, got {r}")
-    reduced = _lll([list(map(Fraction, row)) for row in L.zeta_basis])
-    rows = [tuple(int(x) for x in row) for row in reduced]
-    # Gram-Schmidt over the reduced basis for enumeration bounds.
-    n = len(rows)
-    bstar, mu = _gram_schmidt(rows)
-    norms = [sum(x * x for x in v) for v in bstar]
-    best2 = min(sum(x * x for x in row) for row in rows)
-    bestv: Optional[Vec] = None
-    for row in rows:
-        if sum(x * x for x in row) == best2:
-            bestv = row
-            break
+    """Exact shortest nonzero vector of the projected lattice (rank <= 2).
 
-    coeffs = [0] * n
-
-    def search(level: int, remaining: Fraction):
-        nonlocal best2, bestv
-        if level < 0:
-            vec = tuple(
-                sum(coeffs[i] * rows[i][k] for i in range(n)) for k in range(len(rows[0]))
-            )
-            l2 = sum(x * x for x in vec)
-            if 0 < l2 < best2:
-                best2, bestv = l2, vec
-            return
-        center = -sum(mu[i][level] * coeffs[i] for i in range(level + 1, n))
-        if norms[level] == 0:
-            return
-        bound = remaining / norms[level]
-        half = math.isqrt(int(bound)) + 2
-        lo = math.floor(center) - half
-        hi = math.ceil(center) + half
-        for c in range(lo, hi + 1):
-            contrib = (Fraction(c) - center) ** 2 * norms[level]
-            if contrib > remaining:
-                continue
-            coeffs[level] = c
-            search(level - 1, remaining - contrib)
-        coeffs[level] = 0
-
-    search(n - 1, Fraction(best2))
-    # Canonical sign: lexicographically positive representative.
-    assert bestv is not None
-    if bestv < tuple(-x for x in bestv):
-        bestv = tuple(-x for x in bestv)
-    return ShortestVector(int(best2), bestv)
+    Rank 1 is its single basis row.  Rank 2 is Lagrange-Gauss reduction:
+    keep |u| <= |v| and subtract from v the nearest-integer multiple of u
+    until that multiple is 0.  Then |2<u, v>| <= <u, u> <= <v, v>, so every
+    a*u + b*v with b != 0 is at least as long as u, and u is a shortest
+    vector.  Each swap strictly shortens u, so the loop ends; all arithmetic
+    is on integers.  The sign is the lexicographically positive one.
+    """
+    rows = L.zeta_basis
+    if len(rows) > 2:
+        raise CapabilityError(f"shortest-vector search supports rank <= 2, got {len(rows)}")
+    u = rows[0]
+    if len(rows) == 2:
+        v = rows[1]
+        while True:
+            if _dot(v, v) < _dot(u, u):
+                u, v = v, u
+            uu = _dot(u, u)
+            m = (2 * _dot(u, v) + uu) // (2 * uu)
+            if m == 0:
+                break
+            v = tuple(b - m * a for a, b in zip(u, v))
+    if u < tuple(-x for x in u):
+        u = tuple(-x for x in u)
+    return ShortestVector(_dot(u, u), u)
 
 
 @dataclass(frozen=True)

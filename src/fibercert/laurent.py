@@ -338,41 +338,3 @@ def degree_extrema(F: CharPoly, u: Sequence[int]) -> DegreeData:
         a.append(c.max_degree(u))
         b.append(c.min_degree(u))
     return DegreeData(u, tuple(a), tuple(b))
-
-
-@dataclass(frozen=True)
-class SlopeEstimate:
-    """Char-poly slope estimates in one direction, at truncation p_max.
-
-    A is max over p <= p_max and k of a_k(p)/(k p); B the analogous min of
-    b_k(p)/(k p), where a_k(p), b_k(p) are the degree data of char_poly(M^p).
-    Both are lower/upper estimates that are monotone in p_max.
-    """
-
-    direction: tuple[int, ...]
-    p_max: int
-    A: Fraction
-    B: Fraction
-
-
-def slope_estimate(M: LaurentMatrix, u: Sequence[int], p_max: int) -> SlopeEstimate:
-    if p_max < 1:
-        raise ValidationError("p_max must be >= 1")
-    u = tuple(int(x) for x in u)
-    A: Optional[Fraction] = None
-    B: Optional[Fraction] = None
-    Mp = LaurentMatrix.identity(M.dim, M.rank)
-    for p in range(1, p_max + 1):
-        Mp = Mp * M
-        dd = degree_extrema(char_poly(Mp), u)
-        for k in range(1, M.dim + 1):
-            ak, bk = dd.a[k - 1], dd.b[k - 1]
-            if ak is None:
-                continue
-            ra = Fraction(ak, k * p)
-            rb = Fraction(bk, k * p)
-            A = ra if A is None or ra > A else A
-            B = rb if B is None or rb < B else B
-    if A is None:
-        raise ValidationError("nilpotent matrix: no nonzero char-poly coefficients")
-    return SlopeEstimate(u, p_max, A, B)

@@ -38,6 +38,7 @@ from .trackmap import (
 )
 
 TOOL_VERSION = "0.1.0"
+MAX_DOUBLINGS = 3  # times certify doubles a box radius that obstacles cover
 
 
 def _ceil_root_multiple(kappa: int, n: int, r: int) -> int:
@@ -210,7 +211,6 @@ def certify(
     kappa: int = 4,
     allow_mirror: bool = False,
     box_radius: Optional[int] = None,
-    max_doublings: int = 3,
 ) -> BoundCertificate:
     """Run the full bound pipeline for one class."""
     if not P.is_proper:
@@ -227,14 +227,16 @@ def certify(
     R = box_radius if box_radius is not None else _ceil_root_multiple(kappa, n, r)
 
     diagnostics: list[str] = []
-    for attempt in range(max_doublings + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
+        if attempt:
+            R *= 2
         words = enumerate_words(L, word_radius(eps, R, p_max, safety))
         mode, hulls = build_obstacles(track, words, p_max, safety, allow_mirror, dual)
         dp = deep_point(hulls, R, r)
         if dp.dist2 > 0:
             break
-        diagnostics.append(f"box radius {R} fully covered by obstacles; doubling")
-        R *= 2
+        diagnostics.append(f"box radius {R} fully covered by obstacles"
+                           + ("; doubling" if attempt < MAX_DOUBLINGS else ""))
 
     K = 0
     if dp.dist2 > 0:
@@ -397,7 +399,6 @@ class SweepRow:
     K: int
     bound: Fraction
     normalized: str
-    k_truncated: bool
     status: str
     certificate: Optional[BoundCertificate] = None
 
@@ -423,7 +424,7 @@ def sweep(
         verdict = P.membership(alpha.vector)
         if verdict.status != "interior":
             return SweepRow(alpha.vector, alpha.n, 0, 0, Fraction(0), 0,
-                            Fraction(0), "0", False, f"skipped-{verdict.status}")
+                            Fraction(0), "0", f"skipped-{verdict.status}")
         L = perp_basis(alpha)
         cert = certify(
             track, dual, cone, P, alpha, p_max, dataset_hash,
@@ -434,7 +435,7 @@ def sweep(
         norm = normalized_bound(cert.bound, alpha.n, track.rank) if cert.K else "0"
         return SweepRow(
             alpha.vector, alpha.n, L.covol2, sv.length2, cert.deep_dist2,
-            cert.K, cert.bound, norm, cert.K >= cert.p_max, status, cert,
+            cert.K, cert.bound, norm, status, cert,
         )
 
     return [run_one(c) for c in classes]

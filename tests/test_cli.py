@@ -105,7 +105,9 @@ def test_malformed_input_exit_code(capsys, tmp_path, case):
     ["bound", R1, "--alpha", "-1,11"],  # argparse reads "-1,11" as an option
     ["bound", R1, "--alpha", "1,9", "--mu", "abc"],
     ["sweep", R1, "--threads", "2"],
-], ids=["alpha-read-as-option", "mu-not-a-fraction", "unknown-option"])
+    ["sweep", R1, "--box-radius", "1"],  # a bound-only option
+], ids=["alpha-read-as-option", "mu-not-a-fraction", "unknown-option",
+        "sweep-box-radius"])
 def test_usage_error_exit_code(capsys, argv):
     # Usage errors are validation errors (1), never inconclusive (2).
     with pytest.raises(SystemExit) as exc:

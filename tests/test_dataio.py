@@ -142,9 +142,9 @@ def test_certificate_kind_checked(cert):
 def test_sweep_csv_golden():
     rows = [
         SweepRow((1, 9), 9, 81, 82, Fraction(9), 1, Fraction(2, 9),
-                 "18.0000000000", False, "ok"),
+                 "18.0000000000", "ok"),
         SweepRow((1, 3), 3, 9, 10, Fraction(1, 2), 0, Fraction(0),
-                 "0", False, "inconclusive"),
+                 "0", "inconclusive"),
     ]
     got = sweep_to_csv(rows)
     assert got == (

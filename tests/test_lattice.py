@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import convex_hull, point_hull_dist2
@@ -11,7 +13,6 @@ from fibercert.lattice import (
     DeepPoint,
     FiberedClass,
     PerpLattice,
-    covolume,
     deep_point,
     perp_basis,
     systole,
@@ -78,7 +79,7 @@ def test_projected_covolume_is_n_squared():
     classes with n > 0."""
     for alpha in primitive_classes(1, 25) + primitive_classes(2, 25):
         L = perp_basis(alpha)
-        assert covolume(L) == alpha.n ** 2
+        assert L.covol2 == alpha.n ** 2
 
 
 def test_covolume_is_unimodular_invariant():
@@ -137,7 +138,7 @@ def test_systole_examples():
     assert s.vector >= tuple(-x for x in s.vector)
 
 
-def test_systole_needs_lll():
+def test_systole_skewed_basis():
     """A badly skewed basis whose shortest vector has large coefficients."""
     rows = [(101, 100), (100, 99)]  # det -1; shortest vector is (1, -1)-ish
     s = systole(_fake_lattice(rows))
@@ -153,6 +154,41 @@ def test_systole_randomized_vs_brute_force():
             if det != 0:
                 break
         assert systole(_fake_lattice(rows)).length2 == _brute_shortest2(rows)
+
+
+def _det(rows) -> int:
+    return rows[0][0] if len(rows) == 1 else (
+        rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
+
+
+def _in_lattice(rows, x) -> bool:
+    """Whether x is an integer combination of the nonsingular rows: by
+    Cramer's rule, both coefficients are integers, independent of the basis."""
+    det = _det(rows)
+    if len(rows) == 1:
+        return x[0] % det == 0
+    (a, b), (c, d) = rows
+    return (x[0] * d - x[1] * c) % det == 0 and (a * x[1] - b * x[0]) % det == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-40, 40), min_size=r, max_size=r), min_size=r, max_size=r)))
+def test_systole_has_no_shorter_lattice_point(rows):
+    assume(_det(rows) != 0)
+    s = systole(_fake_lattice(rows))
+    assert _in_lattice(rows, s.vector)
+    assert sum(x * x for x in s.vector) == s.length2 > 0
+    assert s.vector >= tuple(-x for x in s.vector)
+    k = isqrt(s.length2)
+    for x in product(range(-k, k + 1), repeat=len(rows)):
+        if 0 < sum(c * c for c in x) < s.length2:
+            assert not _in_lattice(rows, x), x
+
+
+def test_systole_rejects_rank_3():
+    with pytest.raises(CapabilityError, match="rank <= 2"):
+        systole(_fake_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
 def test_systole_on_real_kernels():

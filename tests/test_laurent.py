@@ -13,7 +13,6 @@ from fibercert.laurent import (
     char_poly,
     degree_extrema,
     mat_pow,
-    slope_estimate,
 )
 
 # -- strategies ---------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_mat_pow_rejects_negative_power():
         mat_pow(M, -1)
 
 
-# -- degree data and slopes --------------------------------------------------
+# -- degree data --------------------------------------------------------------
 
 @given(polys, st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 def test_degree_extrema_brute_force(p, u):
@@ -174,13 +173,7 @@ def test_degree_extrema_brute_force(p, u):
     assert p.min_degree(u) == min(vals)
 
 
-def test_slope_of_pure_shift():
-    M = LaurentMatrix.from_rows([[LaurentPoly.monomial(1, (1,))]])
-    est = slope_estimate(M, (1,), 6)
-    assert est.A == 1 and est.B == 1
-
-
-def test_slope_of_symmetric_matrix():
+def test_char_poly_of_symmetric_matrix():
     t = LaurentPoly.monomial(1, (1,))
     tinv = LaurentPoly.monomial(1, (-1,))
     one = LaurentPoly.const(1, 1)
@@ -189,8 +182,6 @@ def test_slope_of_symmetric_matrix():
     F = char_poly(M)
     assert F.coeffs[1] == -(t + tinv)
     assert F.coeffs[2].is_zero()
-    est = slope_estimate(M, (1,), 5)
-    assert est.A == 1 and est.B == -1
 
 
 def test_degree_extrema_direction_validation():

@@ -213,6 +213,21 @@ def test_certify_doubles_a_covered_box(r1, r1_models, r1_hash):
     assert cert.diagnostics[0] == "box radius 1 fully covered by obstacles; doubling"
 
 
+def test_certify_records_last_searched_box(r1, r1_models, r1_hash):
+    """When every attempt finds the box covered, the certificate records the
+    last radius searched, 1 doubled three times, and no further doubling."""
+    dual, cone, P = r1_models
+    cert = certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash,
+                   safety=40, box_radius=1)
+    assert (cert.status, cert.K, cert.box_radius) == ("inconclusive", 0, 8)
+    assert cert.diagnostics[:4] == (
+        "box radius 1 fully covered by obstacles; doubling",
+        "box radius 2 fully covered by obstacles; doubling",
+        "box radius 4 fully covered by obstacles; doubling",
+        "box radius 8 fully covered by obstacles",
+    )
+
+
 def test_certify_is_deterministic(r1, r1_models, r1_hash, r1_cert):
     dual, cone, P = r1_models
     again = certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash)
