@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import geometry
@@ -67,13 +69,24 @@ class DualConeModel:
                 return f
         raise ValidationError(f"direction {u} is not a model facet direction")
 
+    @cached_property
+    def _integer_facets(self) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+        """(u·den, num, c_window·den) per facet, with slope = num/den."""
+        return tuple(
+            (tuple(a * f.slope.denominator for a in f.u), f.slope.numerator,
+             f.c_window * f.slope.denominator)
+            for f in self.facets
+        )
+
     def contains_fattened(self, point: Sequence[int]) -> bool:
-        """Is (x, p) inside the C-fattened reconstructed dual cone?"""
+        """Is (x, p) inside the C-fattened reconstructed dual cone?  Each
+        facet's test <u, x> <= slope * p + c_window is cleared of the slope's
+        denominator, so it runs on integers."""
         *x, p = point
         if p < 0:
             return False
-        for f in self.facets:
-            if sum(a * b for a, b in zip(f.u, x)) > f.slope * p + f.c_window:
+        for u, num, c in self._integer_facets:
+            if sum(map(mul, u, x)) > num * p + c:
                 return False
         return True
 
@@ -120,10 +133,12 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
         raise ValidationError("p_max must be >= 1")
     support = support or support_of_power
     supports = [support(track, p) for p in range(0, p_max + 1)]
+    # The hull of a union is the hull of the union of the hulls, so the hull
+    # vertices of each power suffice.
     ratio_points = [
         tuple(Fraction(c, p) for c in x)
         for p in range(1, p_max + 1)
-        for x in supports[p].points
+        for x in supports[p].hull
     ]
     k0 = track.k0
     low_confidence = k0 is None or p_max < k0

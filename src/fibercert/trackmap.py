@@ -10,8 +10,10 @@ surface-level domains is absorbed downstream by the safety margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import geometry
 from .errors import ValidationError
@@ -32,15 +34,23 @@ class Edge:
     voltage: Shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportPolytope:
-    """Occupied fundamental-domain indices of one map power (or word translate)."""
+    """Occupied fundamental-domain indices of one map power (or word translate).
+
+    Everything but ``omega``, ``mode_gap_constant`` and the tests needs only
+    ``hull``; ``points`` is computed by ``decode`` on first read.
+    """
 
     rank: int
     p: int
-    points: frozenset[Shift]
     hull: tuple[Shift, ...]
+    decode: Callable[[], Iterable[Shift]] = field(repr=False)
     mode: str = "exact-forward"  # or inverse-data / mirror
+
+    @cached_property
+    def points(self) -> frozenset[Shift]:
+        return frozenset(self.decode())
 
     @staticmethod
     def from_points(rank: int, p: int, points, mode: str = "exact-forward") -> "SupportPolytope":
@@ -48,31 +58,31 @@ class SupportPolytope:
         if not pts:
             raise ValidationError("support polytope must be nonempty")
         hull = tuple(geometry.convex_hull(pts, rank))
-        return SupportPolytope(rank, p, pts, hull, mode)
+        return SupportPolytope(rank, p, hull, lambda: pts, mode)
 
     def extent(self, u: Sequence[int]) -> tuple[int, int]:
-        """(N'_2, N'_1) in direction u: min and max of <u, x> over the points."""
-        lo, hi = geometry.directional_extrema(self.points, u)
-        return lo, hi
+        """(N'_2, N'_1) in direction u: min and max of <u, x> over the hull
+        vertices, where both extremes of a linear function are attained."""
+        return geometry.directional_extrema(self.hull, u)
 
     def translate(self, v: Sequence[int], mode: Optional[str] = None) -> "SupportPolytope":
-        return SupportPolytope.from_points(
-            self.rank, self.p, geometry.translate(self.points, v), mode or self.mode
+        v = tuple(v)
+        return SupportPolytope(
+            self.rank, self.p, tuple(geometry.translate(self.hull, v)),
+            lambda: geometry.translate(self.points, v), mode or self.mode,
         )
 
     def mirror(self) -> "SupportPolytope":
-        return SupportPolytope.from_points(
-            self.rank, -self.p, geometry.negate(self.points), "mirror"
+        # Negation reverses the vertex order; re-hull for the canonical start.
+        hull = geometry.convex_hull(geometry.negate(self.hull), self.rank)
+        return SupportPolytope(
+            self.rank, -self.p, tuple(hull), lambda: geometry.negate(self.points), "mirror"
         )
 
 
 @dataclass(frozen=True)
 class LiftedGraphMap:
-    """A train-track self-map lifted to the Z^rank cover, validated on construction.
-
-    The semiring support memos it carries are unsynchronised, so a map must
-    not be shared between threads.
-    """
+    """A train-track self-map lifted to the Z^rank cover, validated on construction."""
 
     rank: int
     vertices: tuple[str, ...]
@@ -85,8 +95,6 @@ class LiftedGraphMap:
 
     def __post_init__(self):
         self._validate()
-        object.__setattr__(self, "_supports", {})
-        object.__setattr__(self, "_supsets", [])
         object.__setattr__(self, "_k0", self._primitivity_power())
 
     # -- validation ---------------------------------------------------------
@@ -178,6 +186,13 @@ class LiftedGraphMap:
     def k0(self) -> Optional[int]:
         return self._k0
 
+    @cached_property
+    def semiring(self) -> "SemiringSupports":
+        """support_of_power's memo, over the transition matrix's entry supports."""
+        M = build_transition_matrix(self)
+        return SemiringSupports([[frozenset(q.terms) for q in row] for row in M.entries],
+                                self.rank)
+
     def content_key(self) -> tuple:
         """Canonical content identity (feeds the dataset hash in dataio)."""
         return (
@@ -210,57 +225,109 @@ def build_transition_matrix(track: LiftedGraphMap) -> LaurentMatrix:
     return LaurentMatrix.from_rows(rows)
 
 
-def _support_sets_cached(track: LiftedGraphMap, p: int) -> list[list[frozenset]]:
-    """Entrywise supports of the p-th matrix power over the set semiring.
+def bitset_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
+                  B: int) -> Iterator[list[list[int]]]:
+    """Entry supports of the powers 0, 1, 2, ... of a matrix of supports.
 
     Transition-matrix coefficients are nonnegative occurrence counts, so
     products and sums never cancel and the support of a product is exactly
     the union of Minkowski sums of entry supports.  This avoids carrying the
     (exponentially large) integer coefficients when only supports matter.
+
+    Each support is one int: with W = 2B+1, the point (a, b) is bit
+    (a+B)*W + (b+B), and in rank 1 the point a is bit a+B.  A Minkowski step
+    by a monomial is a shift and a union is an OR.  Power p is exact while
+    B >= p * max|coordinate| over the base supports; past that, points wrap.
     """
-    m = len(track.edges)
-    zero = (0,) * track.rank
-    sets = track._supsets  # type: ignore[attr-defined]
-    if not sets:
-        sets.append(
-            [[frozenset([zero]) if i == j else frozenset() for j in range(m)]
-             for i in range(m)]
-        )
-    if len(sets) == 1 and p >= 1:
-        M = build_transition_matrix(track)
-        sets.append([[frozenset(q.terms) for q in row] for row in M.entries])
-    while len(sets) <= p:
-        prev, base = sets[-1], sets[1]
+    W = 2 * B + 1
+    strides = [W ** (rank - 1 - i) for i in range(rank)]
+    steps = [[[sum(c * w for c, w in zip(t, strides)) for t in entry] for entry in row]
+             for row in base]
+    m = len(steps)
+    origin = B * sum(strides)
+    cur = [[1 << origin if i == j else 0 for j in range(m)] for i in range(m)]
+    while True:
+        yield cur
         nxt = []
         for i in range(m):
             row = []
             for j in range(m):
-                acc = set()
+                acc = 0
                 for k in range(m):
-                    for s in prev[i][k]:
-                        for t in base[k][j]:
-                            acc.add(tuple(a + b for a, b in zip(s, t)))
-                row.append(frozenset(acc))
+                    x = cur[i][k]
+                    if x:
+                        for d in steps[k][j]:
+                            acc |= x << d if d >= 0 else x >> -d
+                row.append(acc)
             nxt.append(row)
-        sets.append(nxt)
-    return sets[p]
+        cur = nxt
+
+
+def bitset_points(bits: int, rank: int, B: int, row_extremes: bool = False) -> list[Shift]:
+    """Decode a bitset of bitset_powers (rank 1 or 2) row by row, a row
+    being the points with one first coordinate, or keep only each row's
+    lowest and highest point, whose hull is the hull of all the points."""
+    W = 2 * B + 1
+    s = bin(bits)[:1:-1]  # s[i] is bit i
+    pts: list[Shift] = []
+    start = s.find("1")
+    while start >= 0:
+        row = start // W
+        end = (row + 1) * W
+        lead = (row - B,) if rank == 2 else ()  # rank 1 has the one row 0
+        if row_extremes:
+            cols = {start, s.rfind("1", start, end)}
+        else:
+            cols, col = [], start
+            while col >= 0:
+                cols.append(col)
+                col = s.find("1", col + 1, end)
+        pts.extend((*lead, col - row * W - B) for col in cols)
+        start = s.find("1", end)
+    return pts
+
+
+class SemiringSupports:
+    """Support polytopes of the powers of a matrix of entry supports, built
+    by bitset_powers on demand and memoized.  The bound B starts at 8 and
+    doubles whenever a power outgrows it; the bitset powers are then
+    recomputed at the new bound."""
+
+    def __init__(self, base: Sequence[Sequence[Iterable[Shift]]], rank: int):
+        self.base, self.rank = base, rank
+        self.reach = max((abs(c) for row in base for e in row for t in e for c in t), default=0)
+        self.B = 0
+        self.powers: Optional[Iterator[list[list[int]]]] = None
+        self.supports: list[SupportPolytope] = []
+
+    def power(self, p: int) -> SupportPolytope:
+        if p < len(self.supports):
+            return self.supports[p]
+        if self.powers is None or p * self.reach > self.B:
+            B = max(self.B, 8)
+            while B < p * self.reach:
+                B *= 2
+            self.B, self.powers = B, bitset_powers(self.base, self.rank, B)
+            for _ in self.supports:  # skip the powers already built
+                next(self.powers)
+        while len(self.supports) <= p:
+            bits = 0
+            for row in next(self.powers):
+                for x in row:
+                    bits |= x
+            hull = geometry.convex_hull(bitset_points(bits, self.rank, self.B, True), self.rank)
+            self.supports.append(SupportPolytope(
+                self.rank, len(self.supports), tuple(hull),
+                partial(bitset_points, bits, self.rank, self.B),
+            ))
+        return self.supports[p]
 
 
 def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
     """Occupied domains of the p-th power of the transition matrix."""
     if p < 0:
         raise ValidationError("power must be nonnegative")
-    cached = track._supports.get(p)  # type: ignore[attr-defined]
-    if cached is not None:
-        return cached
-    entry_sets = _support_sets_cached(track, p)
-    points: set[Shift] = set()
-    for row in entry_sets:
-        for s in row:
-            points.update(s)
-    support = SupportPolytope.from_points(track.rank, p, points)
-    track._supports[p] = support  # type: ignore[attr-defined]
-    return support
+    return track.semiring.power(p)
 
 
 def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
@@ -317,8 +384,6 @@ def mode_gap_constant(track: LiftedGraphMap, p_max: int = 6) -> int:
     between inverse-data and mirror-mode supports.  Requires inverse data."""
     if track.inverse is None:
         raise ValidationError("no inverse data to compare against mirror mode")
-    import math
-
     worst = 0
     for p in range(1, p_max + 1):
         inv = support_of_power(track.inverse, p)

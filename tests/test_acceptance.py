@@ -107,6 +107,7 @@ def test_criterion_3_slope_convergence(r1):
 
 
 def test_criterion_4_cone_containment(r1, r2):
+    start = time.monotonic()
     points = 0
     for track in (r1, r2):
         dual = estimate_dual_cone(track, 20)
@@ -118,8 +119,10 @@ def test_criterion_4_cone_containment(r1, r2):
                     f"C-fattened dual cone (C={dual.C})"
                 )
                 points += 1
+    elapsed = time.monotonic() - start
+    assert elapsed < 30, f"criterion 4 took {elapsed:.1f}s (limit 30s)"
     _report(4, f"all {points} computed support points for p <= 200 lie in "
-               "the C-fattened dual cone, zero violations")
+               f"the C-fattened dual cone, zero violations, in {elapsed:.1f}s")
 
 
 def test_criterion_5_covolume_bound(r1_sweep):

@@ -9,6 +9,7 @@ from fibercert.cones import (
     fibered_cone_from_dual,
 )
 from fibercert.errors import SubconeError, ValidationError
+from fibercert.geometry import convex_hull
 from fibercert.trackmap import support_of_power
 
 from test_trackmap import doubling_rose, single_edge_rose
@@ -50,6 +51,19 @@ def test_dual_cone_slopes_are_certified_upper_estimates(r1, r2):
         for p in range(0, p_max + 1):
             for x in support_of_power(track, p).points:
                 assert dual.contains_fattened(x + (p,))
+
+
+def test_ratio_hull_from_hull_vertices(r1, r2):
+    """The hull of the ratio points x/p over every support point equals the
+    hull over each power's hull vertices, which estimate_dual_cone uses."""
+    for track in (r1, r2):
+        supports = [support_of_power(track, p) for p in range(1, 21)]
+
+        def ratio_hull(attr):
+            return convex_hull([tuple(Fraction(c, s.p) for c in x)
+                                for s in supports for x in getattr(s, attr)], track.rank)
+
+        assert ratio_hull("points") == ratio_hull("hull")
 
 
 def test_dual_cone_is_stable_in_p_max(r1, r2):

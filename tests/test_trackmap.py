@@ -1,13 +1,20 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercert.errors import ValidationError
+from fibercert.geometry import convex_hull
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
     Edge,
     LiftedGraphMap,
+    SemiringSupports,
     SupportPolytope,
+    bitset_points,
+    bitset_powers,
     build_transition_matrix,
     mode_gap_constant,
     omega_of_word,
@@ -137,6 +144,59 @@ def test_support_is_subadditive(r2):
             assert sup[p + q].points <= mink
 
 
+def _frozenset_powers(base, rank, p):
+    """Entry supports of base^0..base^p over the set semiring, one Minkowski
+    sum of frozensets at a time: the reference for bitset_powers."""
+    m = len(base)
+    zero = (0,) * rank
+    powers = [[[frozenset([zero]) if i == j else frozenset() for j in range(m)]
+               for i in range(m)]]
+    for _ in range(p):
+        prev = powers[-1]
+        powers.append([[frozenset(tuple(map(add, s, t))
+                                  for k in range(m)
+                                  for s in prev[i][k] for t in base[k][j])
+                        for j in range(m)] for i in range(m)])
+    return powers
+
+
+@st.composite
+def support_matrices(draw):
+    """A random entry-support matrix: size 1-4, rank 1-2, shifts -3..3."""
+    rank = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 4))
+    shift = st.tuples(*[st.integers(-3, 3)] * rank)
+    base = [[draw(st.frozensets(shift, max_size=3)) for _ in range(m)] for _ in range(m)]
+    return rank, base
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_matrices(), st.lists(st.integers(0, 11), min_size=1, max_size=4))
+def test_bitset_semiring_matches_frozenset_semiring(case, powers):
+    """Bitset supports equal the frozenset semiring's, entry by entry and as
+    polytopes whose hull from row extremes is the hull of all points.  Powers
+    up to 11 with shifts up to 3 grow the bound 8 -> 64, in any order."""
+    rank, base = case
+    ref = _frozenset_powers(base, rank, max(powers))
+    reach = max((abs(c) for row in base for e in row for t in e for c in t), default=0)
+    B = max(1, reach * max(powers))
+    for p, entries in zip(range(max(powers) + 1), bitset_powers(base, rank, B)):
+        assert [[set(bitset_points(x, rank, B)) for x in row] for row in entries] == \
+            [[set(e) for e in row] for row in ref[p]], p
+    semiring = SemiringSupports(base, rank)
+    for p in powers:
+        want = frozenset().union(*(e for row in ref[p] for e in row))
+        if not want:
+            with pytest.raises(ValidationError):
+                semiring.power(p)
+            continue
+        got = semiring.power(p)
+        assert got.p == p
+        assert got.points == want, p
+        assert got.hull == tuple(convex_hull(want, rank)), p
+    assert semiring.B >= max(powers) * reach
+
+
 def test_support_polytope_basics():
     s = SupportPolytope.from_points(1, 3, [(0,), (2,), (5,)])
     assert s.hull == ((0,), (5,))
@@ -145,6 +205,11 @@ def test_support_polytope_basics():
     assert s.translate((10,)).points == frozenset({(10,), (12,), (15,)})
     assert s.mirror().points == frozenset({(0,), (-2,), (-5,)})
     assert s.mirror().p == -3
+    assert s.translate((10,)).hull == ((10,), (15,))
+    assert s.mirror().hull == ((-5,), (0,))
+    square = SupportPolytope.from_points(2, 1, [(0, 0), (2, 0), (0, 1), (1, 1)])
+    assert square.hull == ((0, 0), (2, 0), (1, 1), (0, 1))
+    assert square.mirror().hull == ((-2, 0), (-1, -1), (0, -1), (0, 0))  # re-hulled
     with pytest.raises(ValidationError):
         SupportPolytope.from_points(1, 0, [])
 
