@@ -186,6 +186,27 @@ def _boxes_meet(a: tuple[tuple, tuple], b: tuple[tuple, tuple]) -> bool:
     return all(p <= s and r <= q for p, q, r, s in zip(a_lo, a_hi, b_lo, b_hi))
 
 
+def _nearest_dist2(point: Sequence[int], hulls: Sequence[tuple],
+                   boxes: Sequence[tuple], r: int) -> Fraction:
+    """Exact min over the hulls of the squared distance from ``point``.
+
+    A hull is no nearer than its bounding box, so hulls are scored nearest
+    box first until the next box is no nearer than the best hull so far.
+    """
+    def gap2(box):
+        return sum((lo - c) ** 2 if c < lo else (c - hi) ** 2 if c > hi else 0
+                   for c, lo, hi in zip(point, *box))
+
+    best = None
+    for gap, i in sorted((gap2(box), i) for i, box in enumerate(boxes)):
+        if best is not None and gap >= best:
+            break
+        d = geometry.point_hull_dist2(point, hulls[i], r)
+        if best is None or d < best:
+            best = d
+    return best
+
+
 def _misses(body: SupportPolytope, point: Sequence[int], safety: int,
             hulls: Sequence[tuple], boxes: Sequence[tuple], r: int) -> bool:
     """Whether ``body`` moved to ``point`` and dilated misses every obstacle.
@@ -290,10 +311,13 @@ def verify_certificate(
 
     Reruns certify's derivation (dual cone at ``cone_p_max``, subcone,
     epsilon, word radius, words, and obstacles by build_obstacles with the
-    declared ``mirror``) on path-oracle supports, one walk per map, never
-    the semiring route certify used.  The searches are not rerun, their
-    results are checked: the deep point lies in the box, outside every
-    obstacle, at exactly the claimed squared distance, and the K-th power
+    declared ``mirror``) on path-oracle supports, never the semiring route
+    certify used.  A map is walked to max(cone_p_max, K) for the cone, then
+    walked again from power 0 when an exact word needs a higher power, so a
+    certificate whose cone_p_max is below its p_max usually walks each map
+    twice.  The searches are not rerun, their results are checked: the deep
+    point lies in the box, outside every obstacle (scored nearest bounding
+    box first), at exactly the claimed squared distance, and the K-th power
     moved there misses every obstacle.  Returns the first failing predicate:
     fail dataset-hash, rank-mismatch, certificate-inconclusive,
     alpha-primitive, n-mismatch, k-exceeds-pmax, subcone, alpha-not-interior,
@@ -326,7 +350,7 @@ def verify_certificate(
     reach = max(cert.cone_p_max, cert.K)
 
     def oracle(source: LiftedGraphMap, p: int) -> SupportPolytope:
-        # One walk per map, to the highest power needed so far.
+        # Walk a map to the highest power needed so far; a higher one rewalks it.
         walk = walks.get(id(source), [])
         if p >= len(walk):
             walk = walks[id(source)] = oracle_iterate(source, max(p, reach))
@@ -361,13 +385,13 @@ def verify_certificate(
     )
     if mode != cert.mode:
         return VerifyResult("fail", "mode-mismatch")
-    dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
+    boxes = [_bbox(h) for h in hulls]
+    dist2 = _nearest_dist2(cert.deep_point, hulls, boxes, r)
     if dist2 <= 0:
         return VerifyResult("fail", "deep-point-in-obstacle")
     if dist2 != cert.deep_dist2:
         return VerifyResult("fail", "deep-dist2")
-    if not _misses(oracle(track, cert.K), cert.deep_point, cert.safety, hulls,
-                   [_bbox(h) for h in hulls], r):
+    if not _misses(oracle(track, cert.K), cert.deep_point, cert.safety, hulls, boxes, r):
         return VerifyResult("fail", "power-collision")
     if cert.bound != Fraction(2, cert.n * cert.K):
         return VerifyResult("fail", "bound-value")

@@ -11,6 +11,7 @@ surface-level domains is absorbed downstream by the safety margin.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -51,14 +52,6 @@ class SupportPolytope:
     @cached_property
     def points(self) -> frozenset[Shift]:
         return frozenset(self.decode())
-
-    @staticmethod
-    def from_points(rank: int, p: int, points, mode: str = "exact-forward") -> "SupportPolytope":
-        pts = frozenset(tuple(x) for x in points)
-        if not pts:
-            raise ValidationError("support polytope must be nonempty")
-        hull = tuple(geometry.convex_hull(pts, rank))
-        return SupportPolytope(rank, p, hull, lambda: pts, mode)
 
     def extent(self, u: Sequence[int]) -> tuple[int, int]:
         """(N'_2, N'_1) in direction u: min and max of <u, x> over the hull
@@ -334,25 +327,56 @@ def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
     """Occupied domains of every power 0..p by edge-path substitution.
 
     Independent of the matrix-algebra route; serves as its oracle.  The lift
-    of every edge based in domain 0 is substituted p times in one walk,
-    keeping only the set of (edge, shift) states the path visits: a state's
-    image depends on neither its position in the path nor its orientation,
-    since a reversed step only reverses the order of its image, not which
-    states it contains.  Entry q of the result is the support of power q.
+    of every edge based in domain 0 is substituted p times in one walk whose
+    frontier keeps, per edge, only the set of shifts at which the path
+    visits it: a visit's image depends on neither its position in the path
+    nor its orientation, since a reversed step only reverses the order of
+    its image, not which visits it contains.
+
+    A shift s is held as the integer key sum (s_i + B) W^(r-1-i), with
+    W = 2B+1, B = max(p * reach, 1) and reach the largest absolute
+    step-shift coordinate.  After q <= p substitutions every |s_i| <= B, so
+    keys never carry, and an image step is one (target edge, key offset)
+    pair applied to a whole edge's set at once.  Sorted keys group into rows
+    that share every coordinate but the last (k // W); the hull of power q
+    is the hull of each row's lowest and highest key, and its points are
+    decoded on first read.  Entry q of the result is the support of power q.
     """
     if p < 0:
         raise ValidationError("power must be nonnegative")
-    zero = (0,) * track.rank
-    frontier: set[tuple[str, Shift]] = {(e.name, zero) for e in track.edges}
-    supports = [SupportPolytope.from_points(track.rank, 0, [zero])]
-    for q in range(1, p + 1):
-        frontier = {
-            (name, tuple(a + b for a, b in zip(shift, s2)))
-            for edge, shift in frontier
-            for name, s2, _ in track.edge_images[edge]
-        }
-        supports.append(SupportPolytope.from_points(track.rank, q, {s for _, s in frontier}))
+    r = track.rank
+    reach = max((abs(c) for path in track.edge_images.values() for _, s, _ in path for c in s),
+                default=0)
+    B = max(p * reach, 1)
+    W = 2 * B + 1
+    strides = [W ** (r - 1 - i) for i in range(r)]
+    steps = {edge: [(name, sum(c * w for c, w in zip(s, strides))) for name, s, _ in path]
+             for edge, path in track.edge_images.items()}
+    decode = partial(_decode_keys, strides=strides, B=B)
+    frontier = {e.name: {B * sum(strides)} for e in track.edges}
+    supports = []
+    for q in range(p + 1):
+        if q:
+            nxt: dict[str, set[int]] = {}
+            for edge, keys in frontier.items():
+                for name, d in steps[edge]:
+                    nxt.setdefault(name, set()).update([k + d for k in keys])
+            frontier = nxt
+        keys = sorted(set().union(*frontier.values()))
+        ends, i = [], 0
+        while i < len(keys):  # one row: the keys with equal k // W
+            j = bisect_left(keys, (keys[i] // W + 1) * W, i)
+            ends += keys[i], keys[j - 1]
+            i = j
+        hull = geometry.convex_hull(decode(ends), r)
+        supports.append(SupportPolytope(r, q, tuple(hull), partial(decode, keys)))
     return supports
+
+
+def _decode_keys(keys: Iterable[int], strides: Sequence[int], B: int) -> list[Shift]:
+    """The shifts of oracle_iterate's integer keys at bound B."""
+    W = 2 * B + 1
+    return [tuple(k // w % W - B for w in strides) for k in keys]
 
 
 def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror: bool = False,

@@ -165,6 +165,7 @@ def test_criterion_7_certificate_soundness(r1, r1_hash, r2, r2_hash,
                                            r1_sweep, r2_sweep):
     from dataclasses import replace
 
+    start = time.monotonic()
     verified = 0
     for track, ds_hash, rows in ((r1, r1_hash, r1_sweep),
                                  (r2, r2_hash, r2_sweep)):
@@ -193,8 +194,10 @@ def test_criterion_7_certificate_soundness(r1, r1_hash, r2, r2_hash,
         assert (res.status, res.reason) == ("fail", want), (
             f"mutation expected {want!r}, got {res}"
         )
+    elapsed = time.monotonic() - start
+    assert elapsed < 30, f"criterion 7 took {elapsed:.1f}s (limit 30s)"
     _report(7, f"{verified}/{verified} certified certificates verify; "
-               "3 mutations fail with the expected named predicates")
+               f"3 mutations fail with the expected named predicates, in {elapsed:.1f}s")
 
 
 def test_criterion_8_bound_scaling(r1_sweep):

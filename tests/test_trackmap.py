@@ -45,6 +45,29 @@ def doubling_rose() -> LiftedGraphMap:
     )
 
 
+def tilted_loop() -> LiftedGraphMap:
+    """A rank-2 loop whose one image step has shift (-1, 1): power p is the
+    single point (-p, p), on the edge of oracle_iterate's key bound."""
+    return LiftedGraphMap(
+        rank=2,
+        vertices=("v",),
+        edges=(Edge("a", "v", "v", (1, 0)),),
+        vertex_images={"v": ("v", (-1, 1))},
+        edge_images={"a": (("a", (-1, 1), 1),)},
+    )
+
+
+def unshifted_theta() -> LiftedGraphMap:
+    """Two loops swapped and doubled with every step shift zero (reach 0)."""
+    return LiftedGraphMap(
+        rank=1,
+        vertices=("v",),
+        edges=(Edge("a", "v", "v", (0,)), Edge("b", "v", "v", (0,))),
+        vertex_images={"v": ("v", (0,))},
+        edge_images={"a": (("b", (0,), 1),), "b": (("a", (0,), 1), ("b", (0,), -1))},
+    )
+
+
 # -- validation ------------------------------------------------------------
 
 def test_validation_rejects_broken_paths():
@@ -116,6 +139,56 @@ def test_support_of_power_matches_oracle(r1, r2):
         for p in range(0, 33):
             want, got = support_of_power(track, p), walk[p]
             assert (got.points, got.hull) == (want.points, want.hull), p
+
+
+def _tuple_state_walk(track, p):
+    """Supports of powers 0..p by a walk over (edge, shift-tuple) states,
+    one substitution at a time: the reference for oracle_iterate."""
+    zero = (0,) * track.rank
+    frontier = {(e.name, zero) for e in track.edges}
+    supports = [frozenset([zero])]
+    for _ in range(p):
+        frontier = {(name, tuple(map(add, shift, s2)))
+                    for edge, shift in frontier
+                    for name, s2, _ in track.edge_images[edge]}
+        supports.append(frozenset(s for _, s in frontier))
+    return supports
+
+
+def _assert_oracle_matches_walk(track, p_top):
+    """oracle_iterate(track, p), whose key bound grows with p, equals the
+    reference walk at every power of every p <= p_top."""
+    ref = _tuple_state_walk(track, p_top)
+    for p in range(p_top + 1):
+        walk = oracle_iterate(track, p)
+        assert [s.p for s in walk] == list(range(p + 1))
+        for q, got in enumerate(walk):
+            assert got.mode == "exact-forward"
+            assert got.points == ref[q], (p, q)
+            assert got.hull == tuple(convex_hull(ref[q], track.rank)), (p, q)
+
+
+def test_oracle_matches_tuple_state_walk(r1, r2):
+    for track in (r1, r1.inverse, r2):
+        _assert_oracle_matches_walk(track, 40)
+
+
+def test_oracle_at_the_key_bound():
+    """Loops whose shifts reach the bound B = p * reach exactly, and a map
+    with no shift at all (reach 0, B = 1)."""
+    for p in range(13):
+        assert oracle_iterate(single_edge_rose(), p)[p].points == {(p,)}
+        assert oracle_iterate(tilted_loop(), p)[p].points == {(-p, p)}
+        assert oracle_iterate(unshifted_theta(), p)[p].points == {(0,)}
+    for track in (single_edge_rose(), doubling_rose(), tilted_loop(), unshifted_theta()):
+        _assert_oracle_matches_walk(track, 12)
+
+
+def test_oracle_power_zero(r1, r2):
+    for track in (r1, r2, tilted_loop(), unshifted_theta()):
+        zero = (0,) * track.rank
+        (only,) = oracle_iterate(track, 0)
+        assert (only.p, only.hull, only.points) == (0, (zero,), {zero})
 
 
 def test_support_semiring_matches_laurent_power(r1, r2):
@@ -197,8 +270,12 @@ def test_bitset_semiring_matches_frozenset_semiring(case, powers):
     assert semiring.B >= max(powers) * reach
 
 
+def _polytope(rank, p, points):
+    return SupportPolytope(rank, p, tuple(convex_hull(points, rank)), lambda: points)
+
+
 def test_support_polytope_basics():
-    s = SupportPolytope.from_points(1, 3, [(0,), (2,), (5,)])
+    s = _polytope(1, 3, [(0,), (2,), (5,)])
     assert s.hull == ((0,), (5,))
     assert s.extent((1,)) == (0, 5)
     assert s.extent((-1,)) == (-5, 0)
@@ -207,11 +284,9 @@ def test_support_polytope_basics():
     assert s.mirror().p == -3
     assert s.translate((10,)).hull == ((10,), (15,))
     assert s.mirror().hull == ((-5,), (0,))
-    square = SupportPolytope.from_points(2, 1, [(0, 0), (2, 0), (0, 1), (1, 1)])
+    square = _polytope(2, 1, [(0, 0), (2, 0), (0, 1), (1, 1)])
     assert square.hull == ((0, 0), (2, 0), (1, 1), (0, 1))
     assert square.mirror().hull == ((-2, 0), (-1, -1), (0, -1), (0, 0))  # re-hulled
-    with pytest.raises(ValidationError):
-        SupportPolytope.from_points(1, 0, [])
 
 
 def test_oracle_negative_power(r2):
