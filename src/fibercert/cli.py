@@ -34,7 +34,10 @@ EXIT_VERIFY_FAIL = 3
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:  # argparse reports only ValueError and TypeError
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def _parse_class(text: str) -> tuple[int, ...]:
@@ -160,6 +163,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    missing = [opt for opt, value in (("--base", args.base), ("--direction", args.direction))
+               if value is None]
+    if not args.classes and missing:
+        raise ValidationError("sweep needs --classes, or --base and --direction; "
+                              f"missing {' and '.join(missing)}")
     track, ds_hash = _load(args.dataset)
     dual, cone, P = _models(track, args.p_max, args.mu, args.slope_cap)
     if args.classes:

@@ -236,7 +236,11 @@ class FiberedConeModel:
         return FiberedConeModel(self.rank, self.generators, self.mu, cap)
 
     def extreme_rays(self) -> list[tuple[int, ...]]:
-        """Primitive integer extreme rays of the (sub)cone."""
+        """Primitive integer extreme rays of the (sub)cone, computed once per model."""
+        return list(self._extreme_rays)
+
+    @cached_property
+    def _extreme_rays(self) -> tuple[tuple[int, ...], ...]:
         if self.slope_cap is not None:
             return self._slice_rays()
         gsum = self.gen_sum
@@ -279,9 +283,9 @@ class FiberedConeModel:
             raise SubconeError(f"ray enumeration implemented for rank <= 2, got rank {self.rank}")
         if not rays:
             raise SubconeError("subcone is empty: shrinkage mu is too large")
-        return sorted(rays)
+        return tuple(sorted(rays))
 
-    def _slice_rays(self) -> list[tuple[int, ...]]:
+    def _slice_rays(self) -> tuple[tuple[int, ...], ...]:
         """Extreme rays via vertex enumeration of the bounded height-1 slice
         (available once a slope cap makes the slice bounded)."""
         cap = Fraction(self.slope_cap)
@@ -307,7 +311,7 @@ class FiberedConeModel:
                 rays.append(prim)
         if not rays:
             raise SubconeError("subcone is empty: slope cap is too small")
-        return sorted(rays)
+        return tuple(sorted(rays))
 
 
 def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:

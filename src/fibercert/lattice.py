@@ -242,6 +242,67 @@ def _gap2(x0: int, x1: int, y0: int, y1: int, box: Box) -> int:
     return gx * gx + gy * gy
 
 
+class _HullBoxes:
+    """Rank-2 hulls with the integer boxes that bound cells against them:
+    one box per hull, and one per vertex, built the first time a cell bound
+    needs that hull's vertices.  Boxes are rounded outward, so Fraction
+    vertices keep every bound valid."""
+
+    def __init__(self, hulls: list[list[tuple]]):
+        self.hulls = hulls
+        self.boxes = [_outward(h) for h in hulls]
+        self.doubled = [tuple(2 * e for e in box) for box in self.boxes]
+        self.vertex_boxes: list[Optional[list[Box]]] = [None] * len(hulls)
+
+    def cell_bound(self, lo: Vec, hi: Vec, near: Sequence[int]) -> tuple[int, list[int]]:
+        """The least far-corner value of the cell [lo, hi] over the vertices
+        of the hulls in ``near``, and those hulls whose box lies within that
+        bound of the cell.
+
+        A vertex's far-corner value is the largest squared distance from a
+        point of the cell to a point of the vertex's box.  Each vertex box
+        lies in its hull's box, so no vertex of a hull has a value below
+        LB/4, the least far-corner value of a point of the hull's box.  In
+        doubled coordinates LB = (gx + wx)^2 + (gy + wy)^2, where wx is the
+        cell's width and gx twice the distance from the cell's midpoint to
+        the hull's box along x, and likewise for y.  Hulls are walked in
+        increasing LB and their vertices scored only while LB is below 4
+        times the least value so far, so the result is exact.
+        """
+        (x0, y0), (x1, y1) = lo, hi
+        sx, sy, wx, wy = x0 + x1, y0 + y1, x1 - x0, y1 - y0
+        doubled = self.doubled
+        ranked = []
+        for i in near:
+            a, b, c, d = doubled[i]
+            gx = a - sx if sx < a else (sx - b if sx > b else 0)
+            gy = c - sy if sy < c else (sy - d if sy > d else 0)
+            # Twice the gap between the cell and the box along x is gx - wx.
+            ex = gx - wx if gx > wx else 0
+            ey = gy - wy if gy > wy else 0
+            gx += wx
+            gy += wy
+            ranked.append((gx * gx + gy * gy, i, ex * ex + ey * ey))
+        ranked.sort()
+        vertex_boxes = self.vertex_boxes
+        best = None
+        for lb, i, _ in ranked:
+            if best is not None and lb >= 4 * best:
+                break
+            boxes = vertex_boxes[i]
+            if boxes is None:
+                boxes = vertex_boxes[i] = [_outward([v]) for v in self.hulls[i]]
+            for a, b, c, d in boxes:
+                # Per axis the far end of the cell from [a, b] is x0 exactly
+                # when the cell's midpoint lies below the interval's.
+                value = (((x0 - b) ** 2 if sx < a + b else (x1 - a) ** 2)
+                         + ((y0 - d) ** 2 if sy < c + d else (y1 - c) ** 2))
+                if best is None or value < best:
+                    best = value
+        limit = 4 * best
+        return best, [i for _, i, gap in ranked if gap <= limit]
+
+
 def _beats(dist2, point: Vec, best: Optional[DeepPoint]) -> bool:
     """Whether (dist2, point) displaces the incumbent: farther, or as far and
     lexicographically smaller."""
@@ -260,12 +321,18 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
     intervals and rank-2 cells are rectangles.
     - Bound: f(y) = min_i d(y, H_i)^2 is at most |y - v|^2 for every vertex v
       of every hull, and that is largest at a corner of the cell, so the
-      least such corner value over the vertices bounds f on the cell.
+      least such far-corner value over the vertices bounds f on the cell.
+      _HullBoxes.cell_bound computes that least value exactly while scoring
+      only the vertices of hulls whose bounding box could still hold a
+      smaller one: a hull's box gives a lower bound on all of its vertices'
+      values, and hulls are visited in increasing order of it.
     - Pruning: a hull whose bounding box is farther from the cell than the
-      bound is never the nearest one inside it and is dropped, and so is a
-      vertex that far away.  A cell is dropped when its bound, paired with
-      its low corner (its lexicographically smallest point), cannot
-      displace the incumbent (see _beats).
+      bound is never the nearest one inside it, so a cell carries only the
+      hulls within its bound, and its halves search no others: every vertex
+      value that could set their bounds belongs to one of those hulls.  A
+      cell is dropped when its bound, paired with its low corner (its
+      lexicographically smallest point), cannot displace the incumbent (see
+      _beats).
     - Leaves: cells are halved along their longest side down to single
       points, which geometry.point_hull_dist2 scores exactly, nearest
       bounding box first.
@@ -281,22 +348,8 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
         raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
     hulls = [list(h) for h in obstacles]
     pad = (0,) * (2 - rank)
-    bboxes = [_outward([tuple(v) + pad for v in h]) for h in hulls]
-    vertices = [_outward([tuple(v) + pad]) for h in hulls for v in h]
-
-    def entry(lo: Vec, hi: Vec, near: list[int], verts: list[Box]) -> tuple:
-        """Heap entry of the cell [lo, hi]: its negated bound, its corners,
-        and the hulls and vertex boxes within the bound of it."""
-        (x0, y0), (x1, y1) = lo, hi
-        sx, sy = x0 + x1, y0 + y1
-        # Per axis the far end of the cell from [a, b] is x0 exactly when the
-        # cell's midpoint lies below the interval's.
-        bound = min(((x0 - b) ** 2 if sx < a + b else (x1 - a) ** 2)
-                    + ((y0 - d) ** 2 if sy < c + d else (y1 - c) ** 2)
-                    for a, b, c, d in verts)
-        return (-bound, lo, hi,
-                [i for i in near if _gap2(x0, x1, y0, y1, bboxes[i]) <= bound],
-                [v for v in verts if _gap2(x0, x1, y0, y1, v) <= bound])
+    hull_boxes = _HullBoxes([[tuple(v) + pad for v in h] for h in hulls])
+    bboxes = hull_boxes.boxes
 
     def score(y: Vec, near: list[int], best: Optional[DeepPoint]) -> Optional[Fraction]:
         """Exact f(y), or None as soon as y provably cannot displace best."""
@@ -314,9 +367,13 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
 
     best: Optional[DeepPoint] = None
     span = R if rank == 2 else 0
-    heap = [entry((-R, -span), (R, span), list(range(len(hulls))), vertices)]
+    lo, hi = (-R, -span), (R, span)
+    bound, near = hull_boxes.cell_bound(lo, hi, range(len(hulls)))
+    # A heap entry is a cell's negated bound, its corners, and the hulls
+    # within the bound of it.
+    heap = [(-bound, lo, hi, near)]
     while heap:
-        neg_bound, lo, hi, near, verts = heapq.heappop(heap)
+        neg_bound, lo, hi, near = heapq.heappop(heap)
         if not _beats(-neg_bound, lo, best):
             break  # no cell left is bounded any better
         if lo == hi:
@@ -331,8 +388,8 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
         else:
             mid = (y0 + y1) // 2
             halves = ((lo, (x1, mid)), ((x0, mid + 1), hi))
-        for half in halves:
-            child = entry(*half, near, verts)
-            if _beats(-child[0], child[1], best):
-                heapq.heappush(heap, child)
+        for lo, hi in halves:
+            bound, kept = hull_boxes.cell_bound(lo, hi, near)
+            if _beats(bound, lo, best):
+                heapq.heappush(heap, (-bound, lo, hi, kept))
     return DeepPoint(best.point[:rank], best.dist2)

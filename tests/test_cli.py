@@ -85,6 +85,14 @@ MALFORMED_INPUTS = {
                                   "--mirror", "--p-max", "4"],
         "word enumeration",
     ),
+    "sweep-without-classes": (
+        lambda capsys, tmp_path: ["sweep", R1, "--p-max", "8"],
+        "missing --base and --direction",
+    ),
+    "sweep-base-without-direction": (
+        lambda capsys, tmp_path: ["sweep", R1, "--base", "1,9", "--p-max", "8"],
+        "missing --direction",
+    ),
     "out-unwritable": (
         lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
                                   "--out", str(tmp_path / "absent" / "c.json")],
@@ -106,14 +114,17 @@ def test_malformed_input_exit_code(capsys, tmp_path, case):
     ["bound", R1, "--alpha", "1,9", "--mu", "abc"],
     ["sweep", R1, "--threads", "2"],
     ["sweep", R1, "--box-radius", "1"],  # a bound-only option
+    ["bound", R1, "--alpha", "1,9", "--slope-cap", "1/0"],
+    ["bound", R1, "--alpha", "1,9", "--mu", "1/0"],
 ], ids=["alpha-read-as-option", "mu-not-a-fraction", "unknown-option",
-        "sweep-box-radius"])
+        "sweep-box-radius", "slope-cap-zero-denominator", "mu-zero-denominator"])
 def test_usage_error_exit_code(capsys, argv):
     # Usage errors are validation errors (1), never inconclusive (2).
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_help_exit_code(capsys):

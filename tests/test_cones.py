@@ -165,6 +165,21 @@ def test_r2_epsilon(r2_models):
     assert all(ray[-1] > 0 for ray in eps.rays)
 
 
+def test_extreme_rays_are_computed_once_per_model(r2_models, monkeypatch):
+    dual, cone, _ = r2_models
+    P = cone.subcone_slope(Fraction(1, 2))
+    calls = []
+    slice_rays = FiberedConeModel._slice_rays
+    monkeypatch.setattr(FiberedConeModel, "_slice_rays",
+                        lambda self: calls.append(self) or slice_rays(self))
+    first, second = epsilon_of_subcone(P, dual), epsilon_of_subcone(P, dual)
+    assert first == second and len(calls) == 1
+    P.extreme_rays().clear()  # callers get a copy, never the memo itself
+    assert P.extreme_rays() == list(first.rays)
+    epsilon_of_subcone(cone.subcone_slope(Fraction(1, 3)), dual)
+    assert len(calls) == 2  # a new subcone is a new model
+
+
 def test_degenerate_epsilon_is_flagged():
     """A subcone that collapses onto the monodromy axis gets the trivial
     comparability constant with an explicit degenerate flag."""

@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import convex_hull, point_hull_dist2
+from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
 from fibercert.lattice import (
     DeepPoint,
     FiberedClass,
     PerpLattice,
+    _gap2,
+    _HullBoxes,
+    _outward,
     deep_point,
     perp_basis,
     systole,
@@ -251,6 +254,45 @@ def _lattice_obstacles(rank: int, R: int, step: int) -> list:
     return [[pt] for pt in product(coords, repeat=rank)]
 
 
+def _translated_obstacles(rng, rank: int, R: int) -> list:
+    """Translates of one dilated base hull along a lattice, as certify builds
+    them from kernel words: the set is periodic, so many points tie."""
+    den = rng.choice((1, 1, 2, 3))
+    pts = [tuple(Fraction(rng.randint(-den, den), den) for _ in range(rank))
+           for _ in range(rng.randint(1, 4))]
+    base = dilate(convex_hull(pts, rank), rng.randint(0, 1), rank)
+    if rank == 1:
+        basis = [(rng.randint(3, 6),)]
+    else:
+        while True:
+            basis = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2)]
+            (a, b), (c, d) = basis
+            if abs(a * d - b * c) >= 10:
+                break
+    reach = min(R, 5) + 2
+    obstacles = []
+    for coeffs in product(range(-2 * reach, 2 * reach + 1), repeat=rank):
+        shift = tuple(sum(k * b[i] for k, b in zip(coeffs, basis)) for i in range(rank))
+        if max(map(abs, shift)) <= reach:
+            obstacles.append(translate(base, shift))
+    return obstacles
+
+
+def _diagonal_obstacles(rng, R: int) -> list:
+    """Long diagonal segments, whose bounding boxes cover much of the box
+    while their end points lie far from it, among a few small hulls."""
+    obstacles = []
+    for _ in range(rng.randint(1, 3)):
+        den = rng.choice((1, 2, 3))
+        cx, cy = (Fraction(rng.randint(-R * den, R * den), den) for _ in range(2))
+        dx, dy = rng.choice((1, 2)), rng.choice((-2, -1, 1, 2))
+        half = rng.randint(3 * R, 6 * R)
+        obstacles.append(convex_hull([(cx - half * dx, cy - half * dy),
+                                      (cx + half * dx, cy + half * dy)], 2))
+    obstacles += [_random_obstacle(rng, 2, R, far=False) for _ in range(rng.randint(0, 2))]
+    return obstacles
+
+
 def _brute_deep_point(obstacles, R: int, rank: int) -> DeepPoint:
     best = None
     # product() yields points in ascending lexicographic order, so a strict
@@ -264,11 +306,19 @@ def _brute_deep_point(obstacles, R: int, rank: int) -> DeepPoint:
 
 def test_deep_point_matches_brute_force():
     rng = random.Random(41)
-    kinds = {"random": 0, "fraction": 0, "far": 0, "ties": 0}
-    for case in range(200):
+    kinds = {"random": 0, "fraction": 0, "far": 0, "ties": 0, "translates": 0,
+             "diagonal": 0}
+    for case in range(240):
         rank = 1 + case % 2
         R = rng.randint(1, 8)
-        if case % 10 >= 8:
+        if case >= 200 and case % 4 < 2:
+            obstacles = _translated_obstacles(rng, rank, R)
+            kinds["translates"] += 1
+        elif case >= 200:
+            rank = 2
+            obstacles = _diagonal_obstacles(rng, R)
+            kinds["diagonal"] += 1
+        elif case % 10 >= 8:
             obstacles = _lattice_obstacles(rank, R, rng.randint(2, 4))
             kinds["ties"] += 1
         else:
@@ -281,6 +331,40 @@ def test_deep_point_matches_brute_force():
         assert deep_point(obstacles, R, rank) == _brute_deep_point(obstacles, R, rank), \
             (case, R, rank, obstacles)
     assert min(kinds.values()) >= 20, kinds
+
+
+def _far_corner(lo, hi, box) -> int:
+    """The largest squared distance from a corner of the cell [lo, hi] to a
+    corner of the box, taken corner by corner."""
+    (x0, y0), (x1, y1) = lo, hi
+    a, b, c, d = box
+    return (max((x - t) ** 2 for x in (x0, x1) for t in (a, b))
+            + max((y - t) ** 2 for y in (y0, y1) for t in (c, d)))
+
+
+def test_cell_bound_matches_every_vertex():
+    rng = random.Random(5)
+    for case in range(200):
+        R = rng.randint(1, 8)
+        hulls = [[tuple(v) + (0,) * (2 - len(v)) for v in h]
+                 for h in [_random_obstacle(rng, 2, R, far=rng.random() < 0.3)
+                           for _ in range(rng.randint(1, 12))]]
+        if case % 3 == 0:
+            hulls += _diagonal_obstacles(rng, R)
+        x0, y0 = rng.randint(-R, R), rng.randint(-R, R)
+        lo, hi = (x0, y0), (x0 + rng.randint(0, R), y0 + rng.randint(0, R))
+        if case % 4 == 0:
+            lo, hi = (x0, 0), (hi[0], 0)  # flat, like every rank-1 cell
+        near = sorted(rng.sample(range(len(hulls)), rng.randint(1, len(hulls))))
+        bound, kept = _HullBoxes(hulls).cell_bound(lo, hi, near)
+        assert bound == min(_far_corner(lo, hi, _outward([v]))
+                            for i in near for v in hulls[i]), (case, lo, hi, hulls)
+        box = (lo[0], hi[0], lo[1], hi[1])
+        assert sorted(kept) == [i for i in near
+                                if _gap2(*box, _outward(hulls[i])) <= bound]
+        # The bound holds f on the cell's lattice points.
+        for y in product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
+            assert min(point_hull_dist2(y, hulls[i], 2) for i in near) <= bound
 
 
 def test_deep_point_validation():
