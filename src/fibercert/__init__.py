@@ -49,7 +49,6 @@ from .trackmap import (
     LiftedGraphMap,
     SupportPolytope,
     build_transition_matrix,
-    mode_gap_constant,
     omega_of_word,
     oracle_iterate,
     support_of_power,

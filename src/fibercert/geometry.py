@@ -176,23 +176,6 @@ def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) 
     return False
 
 
-def hausdorff_dist2(pts_a: Iterable[Point], pts_b: Iterable[Point]) -> Fraction:
-    """Exact squared Hausdorff distance between two finite point sets."""
-    pa, pb = list(pts_a), list(pts_b)
-    if not pa or not pb:
-        raise ValidationError("Hausdorff distance needs nonempty sets")
-
-    def one_sided(src, dst):
-        worst = Fraction(0)
-        for p in src:
-            d = min(Fraction(sum((a - b) ** 2 for a, b in zip(p, q))) for q in dst)
-            if d > worst:
-                worst = d
-        return worst
-
-    return max(one_sided(pa, pb), one_sided(pb, pa))
-
-
 def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: int) -> list[Point]:
     """Vertices of a bounded polytope {x : <u, x> <= c} in rank 1 or 2.
 

@@ -346,9 +346,8 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
         raise ValidationError("box radius must be >= 1")
     if rank not in (1, 2):
         raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
-    hulls = [list(h) for h in obstacles]
     pad = (0,) * (2 - rank)
-    hull_boxes = _HullBoxes([[tuple(v) + pad for v in h] for h in hulls])
+    hull_boxes = _HullBoxes([[tuple(v) + pad for v in h] for h in obstacles])
     bboxes = hull_boxes.boxes
 
     def score(y: Vec, near: list[int], best: Optional[DeepPoint]) -> Optional[Fraction]:
@@ -358,7 +357,7 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
         for gap, i in sorted((_gap2(x, x, z, z, bboxes[i]), i) for i in near):
             if d is not None and gap >= d:
                 break
-            di = geometry.point_hull_dist2(y[:rank], hulls[i], rank)
+            di = geometry.point_hull_dist2(y[:rank], obstacles[i], rank)
             if d is None or di < d:
                 d = di
                 if not _beats(d, y, best):
@@ -368,7 +367,7 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
     best: Optional[DeepPoint] = None
     span = R if rank == 2 else 0
     lo, hi = (-R, -span), (R, span)
-    bound, near = hull_boxes.cell_bound(lo, hi, range(len(hulls)))
+    bound, near = hull_boxes.cell_bound(lo, hi, range(len(obstacles)))
     # A heap entry is a cell's negated bound, its corners, and the hulls
     # within the bound of it.
     heap = [(-bound, lo, hi, near)]

@@ -10,11 +10,10 @@ surface-level domains is absorbed downstream by the safety margin.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import add
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from . import geometry
 from .errors import ValidationError
@@ -39,8 +38,8 @@ class Edge:
 class SupportPolytope:
     """Occupied fundamental-domain indices of one map power (or word translate).
 
-    Everything but ``omega``, ``mode_gap_constant`` and the tests needs only
-    ``hull``; ``points`` is computed by ``decode`` on first read.
+    Everything but ``omega``, ``oracle`` and the tests needs only ``hull``;
+    ``points`` is computed by ``decode`` on first read.
     """
 
     rank: int
@@ -184,7 +183,12 @@ class LiftedGraphMap:
         """support_of_power's memo, over the transition matrix's entry supports."""
         M = build_transition_matrix(self)
         return SemiringSupports([[frozenset(q.terms) for q in row] for row in M.entries],
-                                self.rank)
+                                self.rank, self.shift_walk)
+
+    @cached_property
+    def shift_walk(self) -> "ShiftWalk":
+        """The memoized point walk that serves every support's ``points``."""
+        return ShiftWalk(self)
 
     def content_key(self) -> tuple:
         """Canonical content identity (feeds the dataset hash in dataio)."""
@@ -218,165 +222,107 @@ def build_transition_matrix(track: LiftedGraphMap) -> LaurentMatrix:
     return LaurentMatrix.from_rows(rows)
 
 
-def bitset_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
-                  B: int) -> Iterator[list[list[int]]]:
-    """Entry supports of the powers 0, 1, 2, ... of a matrix of supports.
-
-    Transition-matrix coefficients are nonnegative occurrence counts, so
-    products and sums never cancel and the support of a product is exactly
-    the union of Minkowski sums of entry supports.  This avoids carrying the
-    (exponentially large) integer coefficients when only supports matter.
-
-    Each support is one int: with W = 2B+1, the point (a, b) is bit
-    (a+B)*W + (b+B), and in rank 1 the point a is bit a+B.  A Minkowski step
-    by a monomial is a shift and a union is an OR.  Power p is exact while
-    B >= p * max|coordinate| over the base supports; past that, points wrap.
-    """
-    W = 2 * B + 1
-    strides = [W ** (rank - 1 - i) for i in range(rank)]
-    steps = [[[sum(c * w for c, w in zip(t, strides)) for t in entry] for entry in row]
-             for row in base]
-    m = len(steps)
-    origin = B * sum(strides)
-    cur = [[1 << origin if i == j else 0 for j in range(m)] for i in range(m)]
-    while True:
-        yield cur
-        nxt = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = 0
-                for k in range(m):
-                    x = cur[i][k]
-                    if x:
-                        for d in steps[k][j]:
-                            acc |= x << d if d >= 0 else x >> -d
-                row.append(acc)
-            nxt.append(row)
-        cur = nxt
-
-
-def bitset_points(bits: int, rank: int, B: int, row_extremes: bool = False) -> list[Shift]:
-    """Decode a bitset of bitset_powers (rank 1 or 2) row by row, a row
-    being the points with one first coordinate, or keep only each row's
-    lowest and highest point, whose hull is the hull of all the points."""
-    W = 2 * B + 1
-    s = bin(bits)[:1:-1]  # s[i] is bit i
-    pts: list[Shift] = []
-    start = s.find("1")
-    while start >= 0:
-        row = start // W
-        end = (row + 1) * W
-        lead = (row - B,) if rank == 2 else ()  # rank 1 has the one row 0
-        if row_extremes:
-            cols = {start, s.rfind("1", start, end)}
-        else:
-            cols, col = [], start
-            while col >= 0:
-                cols.append(col)
-                col = s.find("1", col + 1, end)
-        pts.extend((*lead, col - row * W - B) for col in cols)
-        start = s.find("1", end)
-    return pts
-
-
 class SemiringSupports:
     """Support polytopes of the powers of a matrix of entry supports, built
-    by bitset_powers on demand and memoized.  The bound B starts at 8 and
-    doubles whenever a power outgrows it; the bitset powers are then
-    recomputed at the new bound."""
+    on demand and memoized; ``walk(q)`` serves the points of power q.
 
-    def __init__(self, base: Sequence[Sequence[Iterable[Shift]]], rank: int):
-        self.base, self.rank = base, rank
-        self.reach = max((abs(c) for row in base for e in row for t in e for c in t), default=0)
-        self.B = 0
-        self.powers: Optional[Iterator[list[list[int]]]] = None
+    Transition-matrix coefficients are nonnegative, so products never cancel
+    and entry (i, j) of power q+1 is the union of the translates
+    supp M^q_{ik} + t over k and the monomials t of M_{kj}.  As
+    hull(∪ (t + A)) = hull(∪ (t + hull A)), ``entries`` holds only the entry
+    hulls of the highest power built ([] where empty), and power q's hull is
+    the hull of its entry hulls.
+    """
+
+    def __init__(self, base: Sequence[Sequence[Iterable[Shift]]], rank: int,
+                 walk: Callable[[int], Iterable[Shift]]):
+        self.base, self.rank, self.walk = base, rank, walk
+        m = len(base)
+        self.entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
         self.supports: list[SupportPolytope] = []
 
     def power(self, p: int) -> SupportPolytope:
-        if p < len(self.supports):
-            return self.supports[p]
-        if self.powers is None or p * self.reach > self.B:
-            B = max(self.B, 8)
-            while B < p * self.reach:
-                B *= 2
-            self.B, self.powers = B, bitset_powers(self.base, self.rank, B)
-            for _ in self.supports:  # skip the powers already built
-                next(self.powers)
+        m, base = len(self.base), self.base
         while len(self.supports) <= p:
-            bits = 0
-            for row in next(self.powers):
-                for x in row:
-                    bits |= x
-            hull = geometry.convex_hull(bitset_points(bits, self.rank, self.B, True), self.rank)
-            self.supports.append(SupportPolytope(
-                self.rank, len(self.supports), tuple(hull),
-                partial(bitset_points, bits, self.rank, self.B),
-            ))
+            q, entries = len(self.supports), self.entries
+            if q:
+                entries = []
+                for row in self.entries:
+                    entries.append([])
+                    for j in range(m):
+                        pts = [tuple(map(add, v, t))
+                               for k in range(m) for t in base[k][j] for v in row[k]]
+                        entries[-1].append(geometry.convex_hull(pts, self.rank) if pts else [])
+            # An empty power raises ValidationError here, before anything is kept.
+            hull = geometry.convex_hull([v for row in entries for h in row for v in h], self.rank)
+            self.entries = entries
+            self.supports.append(SupportPolytope(self.rank, q, tuple(hull), partial(self.walk, q)))
         return self.supports[p]
 
 
 def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
-    """Occupied domains of the p-th power of the transition matrix."""
+    """Support polytope of the p-th power of the transition matrix, from the
+    hulls of its entries (see SemiringSupports for why that is exact)."""
     if p < 0:
         raise ValidationError("power must be nonnegative")
     return track.semiring.power(p)
 
 
+def _edge_walk(track: LiftedGraphMap,
+               keep: Callable[[set[Shift]], Collection[Shift]]) -> Iterator[Collection[Shift]]:
+    """keep(occupied shifts) of the powers 0, 1, ... by edge-path substitution.
+
+    Per edge f the walk holds keep(S(f)), S(f) being the shifts at which the
+    lifts of all edges based in domain 0 visit f.  One substitution makes
+    S(f) the union of d + S(e) over the steps (f, d) in the image of each
+    edge e, as a visit's image depends on neither its place in the path nor
+    its orientation.  Keeping the set or the hull is exact, since
+    hull(∪ (d + A)) = hull(∪ (d + hull A)).
+    """
+    groups: dict[str, dict[str, set[Shift]]] = {e.name: {} for e in track.edges}
+    for edge, path in track.edge_images.items():
+        for name, shift, _ in path:
+            groups[edge].setdefault(name, set()).add(tuple(shift))
+    frontier = {e.name: [(0,) * track.rank] for e in track.edges}
+    while True:
+        yield keep(set().union(*frontier.values()))
+        nxt: dict[str, set[Shift]] = {}
+        for edge, shifts in frontier.items():
+            for name, ds in groups[edge].items():
+                into = nxt.setdefault(name, set())
+                for d in ds:  # a zero shift, the common case, adds the shifts as they are
+                    into.update([tuple(map(add, v, d)) for v in shifts] if any(d) else shifts)
+        frontier = {name: keep(shifts) for name, shifts in nxt.items()}
+
+
 def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
-    """Occupied domains of every power 0..p by edge-path substitution.
+    """Support polytopes of every power 0..p by edge-path substitution.
 
-    Independent of the matrix-algebra route; serves as its oracle.  The lift
-    of every edge based in domain 0 is substituted p times in one walk whose
-    frontier keeps, per edge, only the set of shifts at which the path
-    visits it: a visit's image depends on neither its position in the path
-    nor its orientation, since a reversed step only reverses the order of
-    its image, not which visits it contains.
-
-    A shift s is held as the integer key sum (s_i + B) W^(r-1-i), with
-    W = 2B+1, B = max(p * reach, 1) and reach the largest absolute
-    step-shift coordinate.  After q <= p substitutions every |s_i| <= B, so
-    keys never carry, and an image step is one (target edge, key offset)
-    pair applied to a whole edge's set at once.  Sorted keys group into rows
-    that share every coordinate but the last (k // W); the hull of power q
-    is the hull of each row's lowest and highest key, and its points are
-    decoded on first read.  Entry q of the result is the support of power q.
+    Independent of the matrix-algebra route; serves as its oracle.  It reads
+    edge_images alone and carries one hull per edge, exact because the hull
+    of a union of translates is the hull of the translated hulls (see
+    _edge_walk).  Entry q is the support of power q; its points come from
+    the map's ShiftWalk.
     """
     if p < 0:
         raise ValidationError("power must be nonnegative")
     r = track.rank
-    reach = max((abs(c) for path in track.edge_images.values() for _, s, _ in path for c in s),
-                default=0)
-    B = max(p * reach, 1)
-    W = 2 * B + 1
-    strides = [W ** (r - 1 - i) for i in range(r)]
-    steps = {edge: [(name, sum(c * w for c, w in zip(s, strides))) for name, s, _ in path]
-             for edge, path in track.edge_images.items()}
-    decode = partial(_decode_keys, strides=strides, B=B)
-    frontier = {e.name: {B * sum(strides)} for e in track.edges}
-    supports = []
-    for q in range(p + 1):
-        if q:
-            nxt: dict[str, set[int]] = {}
-            for edge, keys in frontier.items():
-                for name, d in steps[edge]:
-                    nxt.setdefault(name, set()).update([k + d for k in keys])
-            frontier = nxt
-        keys = sorted(set().union(*frontier.values()))
-        ends, i = [], 0
-        while i < len(keys):  # one row: the keys with equal k // W
-            j = bisect_left(keys, (keys[i] // W + 1) * W, i)
-            ends += keys[i], keys[j - 1]
-            i = j
-        hull = geometry.convex_hull(decode(ends), r)
-        supports.append(SupportPolytope(r, q, tuple(hull), partial(decode, keys)))
-    return supports
+    walk = _edge_walk(track, lambda shifts: geometry.convex_hull(shifts, r))
+    return [SupportPolytope(r, q, tuple(next(walk)), partial(track.shift_walk, q))
+            for q in range(p + 1)]
 
 
-def _decode_keys(keys: Iterable[int], strides: Sequence[int], B: int) -> list[Shift]:
-    """The shifts of oracle_iterate's integer keys at bound B."""
-    W = 2 * B + 1
-    return [tuple(k // w % W - B for w in strides) for k in keys]
+class ShiftWalk:
+    """The occupied shifts of every power of a map, walked on demand and
+    memoized: the ``points`` of both support routes."""
+
+    def __init__(self, track: LiftedGraphMap):
+        self.walk, self.powers = _edge_walk(track, frozenset), []
+
+    def __call__(self, p: int) -> frozenset[Shift]:
+        while len(self.powers) <= p:
+            self.powers.append(next(self.walk))
+        return self.powers[p]
 
 
 def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror: bool = False,
@@ -402,19 +348,3 @@ def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror:
         "negative power requires inverse-map data or explicitly enabled mirror mode"
     )
 
-
-def mode_gap_constant(track: LiftedGraphMap, p_max: int = 6) -> int:
-    """Measured C0: max over p <= p_max of the Hausdorff distance (rounded up)
-    between inverse-data and mirror-mode supports.  Requires inverse data."""
-    if track.inverse is None:
-        raise ValidationError("no inverse data to compare against mirror mode")
-    worst = 0
-    for p in range(1, p_max + 1):
-        inv = support_of_power(track.inverse, p)
-        mir = support_of_power(track, p).mirror()
-        d2 = geometry.hausdorff_dist2(inv.points, mir.points)
-        c = math.isqrt(math.ceil(d2))
-        while c * c < d2:
-            c += 1
-        worst = max(worst, c)
-    return worst

@@ -51,6 +51,8 @@ def test_criterion_1_oracle_equivalence(r1, r2):
         for p in range(0, 9):
             assert support_of_power(track, p).points == \
                 walk[p].points, f"support mismatch at p={p}"
+            assert support_of_power(track, p).hull == \
+                walk[p].hull, f"hull mismatch at p={p}"
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s (limit 60s)"

@@ -12,7 +12,6 @@ from fibercert.geometry import (
     dilate,
     directional_extrema,
     halfspace_vertices,
-    hausdorff_dist2,
     hulls_disjoint,
     minkowski_sum,
     negate,
@@ -209,15 +208,6 @@ def test_disjoint_bounding_boxes_imply_disjoint_hulls(pair):
         if _bboxes_disjoint(ha, hb):
             assert hulls_disjoint(ha, hb, rank)
             assert hulls_disjoint(hb, ha, rank)
-
-
-def test_hausdorff_dist2_examples():
-    assert hausdorff_dist2([(0, 0)], [(3, 4)]) == 25
-    assert hausdorff_dist2([(0, 0), (1, 0)], [(0, 0), (1, 0)]) == 0
-    # asymmetric coverage: the far point dominates.
-    assert hausdorff_dist2([(0, 0)], [(0, 0), (0, 5)]) == 25
-    with pytest.raises(ValidationError):
-        hausdorff_dist2([], [(0, 0)])
 
 
 # -- halfspace vertex enumeration -------------------------------------------

@@ -13,10 +13,7 @@ from fibercert.trackmap import (
     LiftedGraphMap,
     SemiringSupports,
     SupportPolytope,
-    bitset_points,
-    bitset_powers,
     build_transition_matrix,
-    mode_gap_constant,
     omega_of_word,
     oracle_iterate,
     support_of_power,
@@ -47,7 +44,7 @@ def doubling_rose() -> LiftedGraphMap:
 
 def tilted_loop() -> LiftedGraphMap:
     """A rank-2 loop whose one image step has shift (-1, 1): power p is the
-    single point (-p, p), on the edge of oracle_iterate's key bound."""
+    single point (-p, p)."""
     return LiftedGraphMap(
         rank=2,
         vertices=("v",),
@@ -133,12 +130,14 @@ def test_r1_transition_matrix(r1):
 
 
 def test_support_of_power_matches_oracle(r1, r2):
-    for track in (r1, r1.inverse, r2):
-        walk = oracle_iterate(track, 32)
-        assert [s.p for s in walk] == list(range(0, 33))
-        for p in range(0, 33):
+    """The two hull routes agree at every power up to 200."""
+    for track in (r1, r1.inverse, r2, single_edge_rose(), doubling_rose(), tilted_loop(),
+                  unshifted_theta()):
+        walk = oracle_iterate(track, 200)
+        assert [s.p for s in walk] == list(range(0, 201))
+        for p in range(0, 201):
             want, got = support_of_power(track, p), walk[p]
-            assert (got.points, got.hull) == (want.points, want.hull), p
+            assert (got.mode, got.hull) == (want.mode, want.hull), p
 
 
 def _tuple_state_walk(track, p):
@@ -156,8 +155,8 @@ def _tuple_state_walk(track, p):
 
 
 def _assert_oracle_matches_walk(track, p_top):
-    """oracle_iterate(track, p), whose key bound grows with p, equals the
-    reference walk at every power of every p <= p_top."""
+    """oracle_iterate(track, p) equals the reference walk, in points and
+    hull, at every power of every p <= p_top."""
     ref = _tuple_state_walk(track, p_top)
     for p in range(p_top + 1):
         walk = oracle_iterate(track, p)
@@ -173,9 +172,9 @@ def test_oracle_matches_tuple_state_walk(r1, r2):
         _assert_oracle_matches_walk(track, 40)
 
 
-def test_oracle_at_the_key_bound():
-    """Loops whose shifts reach the bound B = p * reach exactly, and a map
-    with no shift at all (reach 0, B = 1)."""
+def test_oracle_on_small_maps():
+    """Loops whose powers are single points, one of them tilted, a map with
+    no shift at all, and a doubling rose."""
     for p in range(13):
         assert oracle_iterate(single_edge_rose(), p)[p].points == {(p,)}
         assert oracle_iterate(tilted_loop(), p)[p].points == {(-p, p)}
@@ -192,7 +191,8 @@ def test_oracle_power_zero(r1, r2):
 
 
 def test_support_semiring_matches_laurent_power(r1, r2):
-    """Set-semiring supports equal the supports of the literal matrix power."""
+    """Semiring supports equal the supports of the literal matrix power, in
+    points and hull."""
     for track in (r1, r2):
         M = build_transition_matrix(track)
         for p in range(0, 9):
@@ -201,7 +201,9 @@ def test_support_semiring_matches_laurent_power(r1, r2):
             for row in Mp.entries:
                 for q in row:
                     want.update(q.terms)
-            assert support_of_power(track, p).points == frozenset(want)
+            got = support_of_power(track, p)
+            assert got.points == frozenset(want)
+            assert got.hull == tuple(convex_hull(want, track.rank))
 
 
 def test_support_is_subadditive(r2):
@@ -219,7 +221,7 @@ def test_support_is_subadditive(r2):
 
 def _frozenset_powers(base, rank, p):
     """Entry supports of base^0..base^p over the set semiring, one Minkowski
-    sum of frozensets at a time: the reference for bitset_powers."""
+    sum of frozensets at a time: the reference for SemiringSupports."""
     m = len(base)
     zero = (0,) * rank
     powers = [[[frozenset([zero]) if i == j else frozenset() for j in range(m)]
@@ -245,29 +247,29 @@ def support_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(support_matrices(), st.lists(st.integers(0, 11), min_size=1, max_size=4))
-def test_bitset_semiring_matches_frozenset_semiring(case, powers):
-    """Bitset supports equal the frozenset semiring's, entry by entry and as
-    polytopes whose hull from row extremes is the hull of all points.  Powers
-    up to 11 with shifts up to 3 grow the bound 8 -> 64, in any order."""
+def test_hull_semiring_matches_frozenset_semiring(case, powers):
+    """Hull-semiring polytopes are the hulls of the frozenset semiring's
+    supports, for powers asked in any order, and their entry hulls are the
+    hulls of its entries; an empty power raises ValidationError."""
     rank, base = case
     ref = _frozenset_powers(base, rank, max(powers))
-    reach = max((abs(c) for row in base for e in row for t in e for c in t), default=0)
-    B = max(1, reach * max(powers))
-    for p, entries in zip(range(max(powers) + 1), bitset_powers(base, rank, B)):
-        assert [[set(bitset_points(x, rank, B)) for x in row] for row in entries] == \
-            [[set(e) for e in row] for row in ref[p]], p
-    semiring = SemiringSupports(base, rank)
+
+    def union(p):
+        return frozenset().union(*(e for row in ref[p] for e in row))
+
+    semiring = SemiringSupports(base, rank, union)
     for p in powers:
-        want = frozenset().union(*(e for row in ref[p] for e in row))
+        want = union(p)
         if not want:
             with pytest.raises(ValidationError):
                 semiring.power(p)
             continue
         got = semiring.power(p)
         assert got.p == p
-        assert got.points == want, p
         assert got.hull == tuple(convex_hull(want, rank)), p
-    assert semiring.B >= max(powers) * reach
+        assert got.points == want
+    top = ref[len(semiring.supports) - 1]
+    assert semiring.entries == [[convex_hull(e, rank) if e else [] for e in row] for row in top]
 
 
 def _polytope(rank, p, points):
@@ -321,12 +323,6 @@ def test_omega_of_word_modes(r1, r2):
         assert (got.points, got.hull, got.mode) == (want.points, want.hull, want.mode)
     with pytest.raises(ValidationError, match="length"):
         omega_of_word(r1, (0, 0), 1)
-
-
-def test_mode_gap_vanishes_for_bundled_inverse(r1, r2):
-    assert mode_gap_constant(r1, 6) == 0
-    with pytest.raises(ValidationError):
-        mode_gap_constant(r2)
 
 
 def test_content_key_ignores_metadata(r1):
