@@ -33,7 +33,6 @@ from .trackmap import (
     SupportPolytope,
     SupportSource,
     omega_of_word,
-    oracle_iterate,
     support_of_power,
 )
 
@@ -301,6 +300,10 @@ class VerifyResult:
         return self.status == "pass"
 
 
+def _oracle(track: LiftedGraphMap, p: int) -> SupportPolytope:
+    return track.oracle(p)
+
+
 def verify_certificate(
     cert: BoundCertificate,
     track: LiftedGraphMap,
@@ -312,10 +315,9 @@ def verify_certificate(
     Reruns certify's derivation (dual cone at ``cone_p_max``, subcone,
     epsilon, word radius, words, and obstacles by build_obstacles with the
     declared ``mirror``) on path-oracle supports, never the semiring route
-    certify used.  A map is walked to max(cone_p_max, K) for the cone, then
-    walked again from power 0 when an exact word needs a higher power, so a
-    certificate whose cone_p_max is below its p_max usually walks each map
-    twice.  The searches are not rerun, their results are checked: the deep
+    certify used.  Each map's oracle memo walks it once per process, up to
+    the highest power any certificate needs; the memo depends on the map
+    alone.  The searches are not rerun, their results are checked: the deep
     point lies in the box, outside every obstacle (scored nearest bounding
     box first), at exactly the claimed squared distance, and the K-th power
     moved there misses every obstacle.  Returns the first failing predicate:
@@ -346,17 +348,7 @@ def verify_certificate(
     if not (1 <= cert.K <= cert.p_max):
         return VerifyResult("fail", "k-exceeds-pmax")
 
-    walks: dict[int, list[SupportPolytope]] = {}
-    reach = max(cert.cone_p_max, cert.K)
-
-    def oracle(source: LiftedGraphMap, p: int) -> SupportPolytope:
-        # Walk a map to the highest power needed so far; a higher one rewalks it.
-        walk = walks.get(id(source), [])
-        if p >= len(walk):
-            walk = walks[id(source)] = oracle_iterate(source, max(p, reach))
-        return walk[p]
-
-    dual = estimate_dual_cone(track, cert.cone_p_max, oracle)
+    dual = estimate_dual_cone(track, cert.cone_p_max, _oracle)
     P = fibered_cone_from_dual(dual)
     try:
         if cert.mu:
@@ -379,9 +371,8 @@ def verify_certificate(
     exact = [w.y for w in words if abs(w.y) <= cert.p_max]  # the zero word is one
     if min(exact) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
-    reach = max(reach, *map(abs, exact))
     mode, hulls = build_obstacles(
-        track, words, cert.p_max, cert.safety, cert.mirror, dual, oracle
+        track, words, cert.p_max, cert.safety, cert.mirror, dual, _oracle
     )
     if mode != cert.mode:
         return VerifyResult("fail", "mode-mismatch")
@@ -391,7 +382,7 @@ def verify_certificate(
         return VerifyResult("fail", "deep-point-in-obstacle")
     if dist2 != cert.deep_dist2:
         return VerifyResult("fail", "deep-dist2")
-    if not _misses(oracle(track, cert.K), cert.deep_point, cert.safety, hulls, boxes, r):
+    if not _misses(track.oracle(cert.K), cert.deep_point, cert.safety, hulls, boxes, r):
         return VerifyResult("fail", "power-collision")
     if cert.bound != Fraction(2, cert.n * cert.K):
         return VerifyResult("fail", "bound-value")

@@ -4,14 +4,16 @@ A map is given combinatorially: a finite graph with a Z^r voltage on every
 edge (the edge copy (e, s) runs from (src(e), s) to (dst(e), s + w(e))),
 a vertex image with a deck shift per vertex, and for every edge the image
 edge-path as (edge, shift, orientation) steps.  The occupied fundamental
-domain of a step is its shift; the unit discrepancy between track-level and
-surface-level domains is absorbed downstream by the safety margin.
+domain of a step is its shift.  Track-level and surface-level domains may
+differ by a unit; mirror mode assumes, unchecked, that this discrepancy
+does not change a negative power's support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import count, islice
 from operator import add
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -85,30 +87,13 @@ class LiftedGraphMap:
     metadata: dict = field(default_factory=dict)
     euler_functional: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self):
-        self._validate()
-        object.__setattr__(self, "_k0", self._primitivity_power())
-
     # -- validation ---------------------------------------------------------
 
-    def _edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise ValidationError(f"unknown edge {name!r}")
-
-    def _step_endpoints(self, step: Step) -> tuple[tuple[str, Shift], tuple[str, Shift]]:
-        name, shift, orient = step
-        e = self._edge(name)
-        start = (e.src, tuple(shift))
-        end = (e.dst, tuple(a + b for a, b in zip(shift, e.voltage)))
-        return (start, end) if orient == 1 else (end, start)
-
-    def _validate(self):
+    def __post_init__(self):
         if self.rank < 1:
             raise ValidationError("rank must be >= 1")
-        names = [e.name for e in self.edges]
-        if len(set(names)) != len(names):
+        edges = {e.name: e for e in self.edges}
+        if len(edges) != len(self.edges):
             raise ValidationError("duplicate edge names")
         for e in self.edges:
             if e.src not in self.vertices or e.dst not in self.vertices:
@@ -121,18 +106,15 @@ class LiftedGraphMap:
             w, shift = self.vertex_images[v]
             if w not in self.vertices or len(shift) != self.rank:
                 raise ValidationError(f"vertex image of {v!r} is malformed")
-        zero = (0,) * self.rank
         for e in self.edges:
             path = self.edge_images.get(e.name)
             if not path:
                 raise ValidationError(f"edge {e.name!r} has no image path")
             iv, iv_shift = self.vertex_images[e.src]
-            expected_start = (iv, tuple(iv_shift))
             wv, wv_shift = self.vertex_images[e.dst]
-            expected_end = (wv, tuple(a + b + c for a, b, c in zip(wv_shift, e.voltage, zero)))
-            cursor = expected_start
-            for idx, step in enumerate(path):
-                name, shift, orient = step
+            expected_end = (wv, tuple(map(add, wv_shift, e.voltage)))
+            cursor = (iv, tuple(iv_shift))
+            for idx, (name, shift, orient) in enumerate(path):
                 if orient not in (1, -1):
                     raise ValidationError(
                         f"edge {e.name!r} image step {idx}: orientation must be +1/-1"
@@ -141,7 +123,12 @@ class LiftedGraphMap:
                     raise ValidationError(
                         f"edge {e.name!r} image step {idx}: shift has wrong length"
                     )
-                start, end = self._step_endpoints((name, tuple(shift), orient))
+                if name not in edges:
+                    raise ValidationError(f"unknown edge {name!r}")
+                f = edges[name]
+                start, end = (f.src, tuple(shift)), (f.dst, tuple(map(add, shift, f.voltage)))
+                if orient == -1:
+                    start, end = end, start
                 if start != cursor:
                     raise ValidationError(
                         f"edge {e.name!r} image step {idx} ({name!r}): path breaks at {cursor}"
@@ -152,7 +139,10 @@ class LiftedGraphMap:
                     f"edge {e.name!r} image path ends at {cursor}, expected {expected_end}"
                 )
 
-    def _primitivity_power(self) -> Optional[int]:
+    # -- derived data, each computed on first read -----------------------------
+
+    @cached_property
+    def k0(self) -> Optional[int]:
         """First power making the integer incidence matrix strictly positive.
 
         None if no power up to the Wielandt cap works; that disables the
@@ -172,35 +162,26 @@ class LiftedGraphMap:
             P = [[sum(P[i][l] * M[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
         return None
 
-    # -- derived data --------------------------------------------------------
-
-    @property
-    def k0(self) -> Optional[int]:
-        return self._k0
-
     @cached_property
-    def semiring(self) -> "SemiringSupports":
-        """support_of_power's memo, over the transition matrix's entry supports."""
+    def semiring(self) -> "PowerMemo":
+        """Certify's route: support_of_power's memo, over the transition
+        matrix's entry supports (see _semiring_powers)."""
         M = build_transition_matrix(self)
-        return SemiringSupports([[frozenset(q.terms) for q in row] for row in M.entries],
-                                self.rank, self.shift_walk)
+        return PowerMemo(_semiring_powers([[q.terms for q in row] for row in M.entries],
+                                          self.rank, self.shift_walk))
 
     @cached_property
-    def shift_walk(self) -> "ShiftWalk":
-        """The memoized point walk that serves every support's ``points``."""
-        return ShiftWalk(self)
+    def oracle(self) -> "PowerMemo":
+        """Verify's route: the path oracle's memo, one hull per edge over
+        edge_images alone (see _edge_walk)."""
+        hulls = _edge_walk(self, partial(geometry.convex_hull, rank=self.rank))
+        return PowerMemo(SupportPolytope(self.rank, q, tuple(h), partial(self.shift_walk, q))
+                         for q, h in enumerate(hulls))
 
-    def content_key(self) -> tuple:
-        """Canonical content identity (feeds the dataset hash in dataio)."""
-        return (
-            self.rank,
-            self.vertices,
-            tuple((e.name, e.src, e.dst, e.voltage) for e in self.edges),
-            tuple(sorted((v, im) for v, im in self.vertex_images.items())),
-            tuple(sorted((e, tuple(path)) for e, path in self.edge_images.items())),
-            self.inverse.content_key() if self.inverse else None,
-            self.euler_functional,
-        )
+    @cached_property
+    def shift_walk(self) -> "PowerMemo":
+        """The occupied shifts of every power: the ``points`` of both routes."""
+        return PowerMemo(_edge_walk(self, frozenset))
 
 
 # Reads the support of a map's p-th power: support_of_power or the path oracle.
@@ -222,50 +203,59 @@ def build_transition_matrix(track: LiftedGraphMap) -> LaurentMatrix:
     return LaurentMatrix.from_rows(rows)
 
 
-class SemiringSupports:
-    """Support polytopes of the powers of a matrix of entry supports, built
-    on demand and memoized; ``walk(q)`` serves the points of power q.
+class PowerMemo:
+    """The values of powers 0, 1, ..., taken from the iterator ``powers`` on
+    demand and kept.  An error raised by ``powers`` ends it: that power and
+    every later one raise the error again.  A negative power raises
+    ValidationError."""
+
+    def __init__(self, powers: Iterator):
+        self.powers, self.kept = powers, []
+        self.end: Exception = ValidationError("no further powers")
+
+    def __call__(self, p: int):
+        if p < 0:
+            raise ValidationError("power must be nonnegative")
+        try:
+            self.kept.extend(islice(self.powers, max(0, p + 1 - len(self.kept))))
+        except Exception as exc:
+            self.end = exc
+            raise
+        if p >= len(self.kept):
+            raise self.end.with_traceback(None)
+        return self.kept[p]
+
+
+def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
+                     walk: Callable[[int], Iterable[Shift]]) -> Iterator[SupportPolytope]:
+    """Support polytopes of the powers of a matrix of entry supports; ``walk(q)``
+    serves the points of power q.  An empty power, after which every power
+    is empty, raises ValidationError.
 
     Transition-matrix coefficients are nonnegative, so products never cancel
     and entry (i, j) of power q+1 is the union of the translates
     supp M^q_{ik} + t over k and the monomials t of M_{kj}.  As
-    hull(∪ (t + A)) = hull(∪ (t + hull A)), ``entries`` holds only the entry
-    hulls of the highest power built ([] where empty), and power q's hull is
-    the hull of its entry hulls.
+    hull(∪ (t + A)) = hull(∪ (t + hull A)), only the entry hulls of the
+    current power are kept ([] where empty), and power q's hull is the hull
+    of its entry hulls.
     """
-
-    def __init__(self, base: Sequence[Sequence[Iterable[Shift]]], rank: int,
-                 walk: Callable[[int], Iterable[Shift]]):
-        self.base, self.rank, self.walk = base, rank, walk
-        m = len(base)
-        self.entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
-        self.supports: list[SupportPolytope] = []
-
-    def power(self, p: int) -> SupportPolytope:
-        m, base = len(self.base), self.base
-        while len(self.supports) <= p:
-            q, entries = len(self.supports), self.entries
-            if q:
-                entries = []
-                for row in self.entries:
-                    entries.append([])
-                    for j in range(m):
-                        pts = [tuple(map(add, v, t))
-                               for k in range(m) for t in base[k][j] for v in row[k]]
-                        entries[-1].append(geometry.convex_hull(pts, self.rank) if pts else [])
-            # An empty power raises ValidationError here, before anything is kept.
-            hull = geometry.convex_hull([v for row in entries for h in row for v in h], self.rank)
-            self.entries = entries
-            self.supports.append(SupportPolytope(self.rank, q, tuple(hull), partial(self.walk, q)))
-        return self.supports[p]
+    m = len(base)
+    entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
+    for q in count():
+        hull = geometry.convex_hull([v for row in entries for h in row for v in h], rank)
+        yield SupportPolytope(rank, q, tuple(hull), partial(walk, q))
+        prev, entries = entries, []
+        for row in prev:
+            entries.append([])
+            for j in range(m):
+                pts = [tuple(map(add, v, t)) for k in range(m) for t in base[k][j] for v in row[k]]
+                entries[-1].append(geometry.convex_hull(pts, rank) if pts else [])
 
 
 def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
     """Support polytope of the p-th power of the transition matrix, from the
-    hulls of its entries (see SemiringSupports for why that is exact)."""
-    if p < 0:
-        raise ValidationError("power must be nonnegative")
-    return track.semiring.power(p)
+    hulls of its entries (see _semiring_powers for why that is exact)."""
+    return track.semiring(p)
 
 
 def _edge_walk(track: LiftedGraphMap,
@@ -298,31 +288,12 @@ def _edge_walk(track: LiftedGraphMap,
 def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
     """Support polytopes of every power 0..p by edge-path substitution.
 
-    Independent of the matrix-algebra route; serves as its oracle.  It reads
-    edge_images alone and carries one hull per edge, exact because the hull
-    of a union of translates is the hull of the translated hulls (see
-    _edge_walk).  Entry q is the support of power q; its points come from
-    the map's ShiftWalk.
+    Independent of the matrix-algebra route; serves as its oracle.  Entry q
+    is ``track.oracle(q)``, the path oracle's memo, which walks to p first
+    (and rejects a negative p).
     """
-    if p < 0:
-        raise ValidationError("power must be nonnegative")
-    r = track.rank
-    walk = _edge_walk(track, lambda shifts: geometry.convex_hull(shifts, r))
-    return [SupportPolytope(r, q, tuple(next(walk)), partial(track.shift_walk, q))
-            for q in range(p + 1)]
-
-
-class ShiftWalk:
-    """The occupied shifts of every power of a map, walked on demand and
-    memoized: the ``points`` of both support routes."""
-
-    def __init__(self, track: LiftedGraphMap):
-        self.walk, self.powers = _edge_walk(track, frozenset), []
-
-    def __call__(self, p: int) -> frozenset[Shift]:
-        while len(self.powers) <= p:
-            self.powers.append(next(self.walk))
-        return self.powers[p]
+    last = track.oracle(p)
+    return [track.oracle(q) for q in range(p)] + [last]
 
 
 def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror: bool = False,
@@ -330,8 +301,9 @@ def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror:
     """Support of the word h^x psi~^y: the translate x + Omega(psi~^y).
 
     Negative y needs either bundled inverse-map data or explicitly enabled
-    mirror mode (the deck-commutation identity at the surface level; the
-    track-level discrepancy is absorbed by the safety margin downstream).
+    mirror mode, which applies the surface-level deck-commutation identity
+    to track-level supports; that the track/surface discrepancy leaves the
+    mirrored support valid is an unchecked assumption of mirror mode.
     ``support`` is the support source, support_of_power unless given.
     """
     x = tuple(int(v) for v in x)

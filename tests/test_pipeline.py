@@ -1,6 +1,8 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 from math import ceil, gcd
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from fibercert import cones, pipeline, trackmap
 from fibercert.errors import BudgetError, SubconeError, ValidationError
 from fibercert.cones import estimate_dual_cone, fibered_cone_from_dual
-from fibercert.dataio import emit_certificate, parse_certificate
+from fibercert.dataio import emit_certificate, load_dataset, parse_certificate
 from fibercert.lattice import FiberedClass, perp_basis
 from fibercert.pipeline import (
     _ceil_root_multiple,
@@ -290,6 +292,61 @@ def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, r2, r2_cert,
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
     assert verify_certificate(asymptotic_cert, r1, r1_hash).status == "pass"
+
+
+def _fresh_map(name):
+    """A map loaded anew, with none of its memos built."""
+    return load_dataset(str(resources.files("fibercert") / "data" / name))
+
+
+def test_each_route_builds_only_its_own_memo(r1_cert, r1_hash, r2_cert, r2_hash,
+                                             asymptotic_cert, r1_models, r2_models):
+    """verify builds a map's oracle memo and never its semiring memo; certify
+    builds the semiring memo and never the oracle memo.  Fresh maps, since
+    the session maps have been through both."""
+    r1, r2 = _fresh_map("rose_r1.json"), _fresh_map("rose_r2.json")
+    for cert, track, ds_hash in ((r1_cert, r1, r1_hash), (r2_cert, r2, r2_hash),
+                                 (asymptotic_cert, r1, r1_hash)):
+        assert verify_certificate(cert, track, ds_hash).status == "pass"
+    assert "oracle" in vars(r1) and "oracle" in vars(r1.inverse) and "oracle" in vars(r2)
+    for m in (r1, r1.inverse, r2):
+        assert "semiring" not in vars(m)
+    r1, r2 = _fresh_map("rose_r1.json"), _fresh_map("rose_r2.json")
+    dual, cone, P = r1_models
+    assert certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash) == r1_cert
+    dual, cone, P = r2_models
+    assert certify(r2, dual, cone, P, FiberedClass((1, 7, 50)), 12, r2_hash,
+                   allow_mirror=True) == r2_cert
+    assert "semiring" in vars(r1) and "semiring" in vars(r1.inverse) and "semiring" in vars(r2)
+    for m in (r1, r1.inverse, r2):
+        assert "oracle" not in vars(m)
+
+
+def test_verify_walks_each_map_once(r1_cert, r1_cert_29, r1_hash, monkeypatch):
+    """Certificates of one map share its oracle memo: verifying two of them
+    (one twice) starts each map's hull walk once and draws each power once,
+    up to the highest power either certificate needs on its own."""
+    starts, drawn = Counter(), Counter()
+    edge_walk = trackmap._edge_walk
+
+    def counted_walk(track, keep):
+        starts[id(track)] += 1
+        for kept in edge_walk(track, keep):
+            drawn[id(track)] += 1
+            yield kept
+
+    monkeypatch.setattr(trackmap, "_edge_walk", counted_walk)
+    maps, alone = [], []  # maps stay referenced, so no two share an id
+    for cert in (r1_cert, r1_cert_29):
+        maps.append(_fresh_map("rose_r1.json"))
+        assert verify_certificate(cert, maps[-1], r1_hash).status == "pass"
+        alone.append((drawn[id(maps[-1])], drawn[id(maps[-1].inverse)]))
+    shared = _fresh_map("rose_r1.json")
+    for cert in (r1_cert, r1_cert_29, r1_cert):
+        assert verify_certificate(cert, shared, r1_hash).status == "pass"
+    assert (starts[id(shared)], starts[id(shared.inverse)]) == (1, 1)
+    assert (drawn[id(shared)], drawn[id(shared.inverse)]) == tuple(map(max, *alone))
+    assert alone[0] != alone[1]
 
 
 def test_verify_rejects_wrong_dataset(r1, r1_cert):

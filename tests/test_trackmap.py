@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercert.errors import ValidationError
+from fibercert.dataio import dataset_hash
+from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import convex_hull
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
     Edge,
     LiftedGraphMap,
-    SemiringSupports,
+    PowerMemo,
     SupportPolytope,
+    _semiring_powers,
     build_transition_matrix,
     omega_of_word,
     oracle_iterate,
@@ -99,6 +101,15 @@ def test_validation_rejects_broken_paths():
         LiftedGraphMap(
             1, ("v",), (Edge("a", "v", "v", (1,)),),
             {"v": ("v", (0,))}, {"a": (("a", (0,), 2),)},
+        )
+
+
+def test_validation_rejects_unknown_edge():
+    """An image step naming an edge the map does not have."""
+    with pytest.raises(ValidationError, match="unknown edge 'b'"):
+        LiftedGraphMap(
+            1, ("v",), (Edge("a", "v", "v", (1,)),),
+            {"v": ("v", (0,))}, {"a": (("b", (0,), 1),)},
         )
 
 
@@ -221,7 +232,7 @@ def test_support_is_subadditive(r2):
 
 def _frozenset_powers(base, rank, p):
     """Entry supports of base^0..base^p over the set semiring, one Minkowski
-    sum of frozensets at a time: the reference for SemiringSupports."""
+    sum of frozensets at a time: the reference for _semiring_powers."""
     m = len(base)
     zero = (0,) * rank
     powers = [[[frozenset([zero]) if i == j else frozenset() for j in range(m)]
@@ -248,28 +259,26 @@ def support_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(support_matrices(), st.lists(st.integers(0, 11), min_size=1, max_size=4))
 def test_hull_semiring_matches_frozenset_semiring(case, powers):
-    """Hull-semiring polytopes are the hulls of the frozenset semiring's
-    supports, for powers asked in any order, and their entry hulls are the
-    hulls of its entries; an empty power raises ValidationError."""
+    """Hull-semiring polytopes, read through a PowerMemo, are the hulls of the
+    frozenset semiring's supports, for powers asked in any order and each
+    asked twice; an empty power raises ValidationError on every request."""
     rank, base = case
     ref = _frozenset_powers(base, rank, max(powers))
 
     def union(p):
         return frozenset().union(*(e for row in ref[p] for e in row))
 
-    semiring = SemiringSupports(base, rank, union)
-    for p in powers:
+    semiring = PowerMemo(_semiring_powers(base, rank, union))
+    for p in powers + powers:
         want = union(p)
         if not want:
             with pytest.raises(ValidationError):
-                semiring.power(p)
+                semiring(p)
             continue
-        got = semiring.power(p)
+        got = semiring(p)
         assert got.p == p
         assert got.hull == tuple(convex_hull(want, rank)), p
         assert got.points == want
-    top = ref[len(semiring.supports) - 1]
-    assert semiring.entries == [[convex_hull(e, rank) if e else [] for e in row] for row in top]
 
 
 def _polytope(rank, p, points):
@@ -296,6 +305,20 @@ def test_oracle_negative_power(r2):
         oracle_iterate(r2, -1)
     with pytest.raises(ValidationError):
         support_of_power(r2, -1)
+
+
+def test_rank_3_supports_raise_on_every_request():
+    """Exact hulls stop at rank 2: both routes' memos raise CapabilityError
+    on every request, not only the first."""
+    m = LiftedGraphMap(
+        3, ("v",), (Edge("a", "v", "v", (1, 0, 0)),),
+        {"v": ("v", (0, 0, 0))}, {"a": (("a", (0, 0, 0), 1),)},
+    )
+    for _ in range(2):
+        with pytest.raises(CapabilityError):
+            support_of_power(m, 1)
+        with pytest.raises(CapabilityError):
+            oracle_iterate(m, 0)
 
 
 # -- word supports ------------------------------------------------------------
@@ -325,7 +348,7 @@ def test_omega_of_word_modes(r1, r2):
         omega_of_word(r1, (0, 0), 1)
 
 
-def test_content_key_ignores_metadata(r1):
+def test_dataset_hash_ignores_map_metadata(r1):
     other = LiftedGraphMap(
         rank=r1.rank,
         vertices=r1.vertices,
@@ -336,4 +359,4 @@ def test_content_key_ignores_metadata(r1):
         metadata={"name": "something-else"},
         euler_functional=r1.euler_functional,
     )
-    assert other.content_key() == r1.content_key()
+    assert dataset_hash(other) == dataset_hash(r1)
