@@ -17,6 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
+    BaseHull,
     DeepPoint,
     FiberedClass,
     PerpLattice,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import geometry
 from .errors import CapabilityError, ValidationError
@@ -234,6 +234,11 @@ def _outward(points: Sequence[tuple]) -> Box:
             math.floor(min(ys)), math.ceil(max(ys)))
 
 
+def _pad(v: Sequence) -> tuple:
+    """A rank-1 or rank-2 point as a rank-2 point, second coordinate 0."""
+    return tuple(v) + (0,) * (2 - len(v))
+
+
 def _gap2(x0: int, x1: int, y0: int, y1: int, box: Box) -> int:
     """Squared distance between the cell [x0, x1] x [y0, y1] and a box."""
     a, b, c, d = box
@@ -242,32 +247,66 @@ def _gap2(x0: int, x1: int, y0: int, y1: int, box: Box) -> int:
     return gx * gx + gy * gy
 
 
-class _HullBoxes:
-    """Rank-2 hulls with the integer boxes that bound cells against them:
-    one box per hull, and one per vertex, built the first time a cell bound
-    needs that hull's vertices.  Boxes are rounded outward, so Fraction
-    vertices keep every bound valid."""
+class BaseHull(NamedTuple):
+    """A hull shared by every obstacle placed from it, with the integer
+    boxes around it and around each of its vertices, rounded outward (in
+    rank 1 their y range is [0, 0]).
 
-    def __init__(self, hulls: list[list[tuple]]):
-        self.hulls = hulls
-        self.boxes = [_outward(h) for h in hulls]
-        self.doubled = [tuple(2 * e for e in box) for box in self.boxes]
-        self.vertex_boxes: list[Optional[list[Box]]] = [None] * len(hulls)
+    An obstacle is a pair (base, x): the hull base.hull + x for an integer
+    shift x.  Its boxes are the base's boxes plus x exactly, because
+    integer shifts commute with floor and ceil, so Fraction vertices stay
+    inside them."""
+
+    hull: tuple
+    box: Box
+    vertex_boxes: tuple[Box, ...]
+
+    @classmethod
+    def of(cls, hull: Sequence[tuple]) -> "BaseHull":
+        hull = tuple(tuple(v) for v in hull)
+        padded = [_pad(v) for v in hull]
+        return cls(hull, _outward(padded), tuple(_outward([v]) for v in padded))
+
+
+Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
+
+
+def placed_box(base: BaseHull, x: Sequence[int]) -> Box:
+    """The box of the obstacle (base, x): base.box shifted by x."""
+    a, b, c, d = base.box
+    sx, sy = _pad(x)
+    return a + sx, b + sx, c + sy, d + sy
+
+
+class _HullBoxes:
+    """Rank-2 bounds of cells against placed obstacles, from each
+    obstacle's box (its base's box plus its shift) and its base's vertex
+    boxes, which are compared with the cell shifted back by the obstacle's
+    shift, never copied per obstacle.  Boxes are rounded outward, so
+    Fraction vertices keep every bound valid."""
+
+    def __init__(self, obstacles: Sequence[Obstacle]):
+        self.obstacles = obstacles
+        self.shifts = [_pad(x) for _, x in obstacles]
+        # Obstacle boxes with coordinates doubled.
+        self.doubled = [tuple(2 * e for e in placed_box(*o)) for o in obstacles]
 
     def cell_bound(self, lo: Vec, hi: Vec, near: Sequence[int]) -> tuple[int, list[int]]:
         """The least far-corner value of the cell [lo, hi] over the vertices
-        of the hulls in ``near``, and those hulls whose box lies within that
-        bound of the cell.
+        of the obstacles in ``near``, and those obstacles whose box lies
+        within that bound of the cell.
 
         A vertex's far-corner value is the largest squared distance from a
         point of the cell to a point of the vertex's box.  Each vertex box
-        lies in its hull's box, so no vertex of a hull has a value below
-        LB/4, the least far-corner value of a point of the hull's box.  In
-        doubled coordinates LB = (gx + wx)^2 + (gy + wy)^2, where wx is the
-        cell's width and gx twice the distance from the cell's midpoint to
-        the hull's box along x, and likewise for y.  Hulls are walked in
-        increasing LB and their vertices scored only while LB is below 4
-        times the least value so far, so the result is exact.
+        lies in its obstacle's box, so no vertex of an obstacle has a value
+        below LB/4, the least far-corner value of a point of the obstacle's
+        box.  In doubled coordinates LB = (gx + wx)^2 + (gy + wy)^2, where
+        wx is the cell's width and gx twice the distance from the cell's
+        midpoint to the obstacle's box along x, and likewise for y.
+        Obstacles are walked in increasing LB and their vertices scored only
+        while LB is below 4 times the least value so far, so the result is
+        exact.  An obstacle's vertex boxes are its base's shifted by x, so
+        the base's are scored against the cell shifted by -x instead.
         """
         (x0, y0), (x1, y1) = lo, hi
         sx, sy, wx, wy = x0 + x1, y0 + y1, x1 - x0, y1 - y0
@@ -284,19 +323,19 @@ class _HullBoxes:
             gy += wy
             ranked.append((gx * gx + gy * gy, i, ex * ex + ey * ey))
         ranked.sort()
-        vertex_boxes = self.vertex_boxes
+        obstacles, shifts = self.obstacles, self.shifts
         best = None
         for lb, i, _ in ranked:
             if best is not None and lb >= 4 * best:
                 break
-            boxes = vertex_boxes[i]
-            if boxes is None:
-                boxes = vertex_boxes[i] = [_outward([v]) for v in self.hulls[i]]
-            for a, b, c, d in boxes:
-                # Per axis the far end of the cell from [a, b] is x0 exactly
+            tx, ty = shifts[i]
+            u0, u1, v0, v1 = x0 - tx, x1 - tx, y0 - ty, y1 - ty
+            su, sv = sx - 2 * tx, sy - 2 * ty
+            for a, b, c, d in obstacles[i][0].vertex_boxes:
+                # Per axis the far end of the cell from [a, b] is u0 exactly
                 # when the cell's midpoint lies below the interval's.
-                value = (((x0 - b) ** 2 if sx < a + b else (x1 - a) ** 2)
-                         + ((y0 - d) ** 2 if sy < c + d else (y1 - c) ** 2))
+                value = (((u0 - b) ** 2 if su < a + b else (u1 - a) ** 2)
+                         + ((v0 - d) ** 2 if sv < c + d else (v1 - c) ** 2))
                 if best is None or value < best:
                     best = value
         limit = 4 * best
@@ -310,15 +349,18 @@ def _beats(dist2, point: Vec, best: Optional[DeepPoint]) -> bool:
             or (dist2 == best.dist2 and point < best.point))
 
 
-def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepPoint:
+def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
     """Exact argmax over integer points of [-R, R]^rank of the minimum squared
     distance to the union of obstacle hulls; ties break to the
     lexicographically smallest point.
 
-    Best-first branch and bound over cells of lattice points.  Rank 1 is
-    searched as rank 2 with second coordinate 0 throughout, which changes
-    neither distances nor the lexicographic order, so its cells are
-    intervals and rank-2 cells are rectangles.
+    Each obstacle is a placed translate (base, x), the hull base.hull + x
+    (see BaseHull); obstacles placed from one base share its vertex boxes,
+    and no translate is ever materialized.  Best-first branch and bound
+    over cells of lattice points.  Rank 1 is searched as rank 2 with second
+    coordinate 0 throughout, which changes neither distances nor the
+    lexicographic order, so its cells are intervals and rank-2 cells are
+    rectangles.
     - Bound: f(y) = min_i d(y, H_i)^2 is at most |y - v|^2 for every vertex v
       of every hull, and that is largest at a corner of the cell, so the
       least such far-corner value over the vertices bounds f on the cell.
@@ -334,8 +376,8 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
       lexicographically smallest point), cannot displace the incumbent (see
       _beats).
     - Leaves: cells are halved along their longest side down to single
-      points, which geometry.point_hull_dist2 scores exactly, nearest
-      bounding box first.
+      points y, which geometry.point_hull_dist2(y - x, base.hull) scores
+      exactly, nearest bounding box first.
     Bounds use integer boxes rounded outward around every hull and every
     vertex, so Fraction vertices keep them valid, and all arithmetic is
     exact: Python ints and Fractions, no floating point.
@@ -346,18 +388,20 @@ def deep_point(obstacles: Sequence[Sequence[tuple]], R: int, rank: int) -> DeepP
         raise ValidationError("box radius must be >= 1")
     if rank not in (1, 2):
         raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
-    pad = (0,) * (2 - rank)
-    hull_boxes = _HullBoxes([[tuple(v) + pad for v in h] for h in obstacles])
-    bboxes = hull_boxes.boxes
+    hull_boxes = _HullBoxes(obstacles)
+    doubled = hull_boxes.doubled
 
     def score(y: Vec, near: list[int], best: Optional[DeepPoint]) -> Optional[Fraction]:
         """Exact f(y), or None as soon as y provably cannot displace best."""
         d = None
-        x, z = y
-        for gap, i in sorted((_gap2(x, x, z, z, bboxes[i]), i) for i in near):
-            if d is not None and gap >= d:
+        x, z = 2 * y[0], 2 * y[1]
+        # Gaps to the doubled boxes are 4 times the squared distances.
+        for gap, i in sorted((_gap2(x, x, z, z, doubled[i]), i) for i in near):
+            if d is not None and gap >= 4 * d:
                 break
-            di = geometry.point_hull_dist2(y[:rank], obstacles[i], rank)
+            base, shift = obstacles[i]
+            di = geometry.point_hull_dist2(
+                tuple(a - t for a, t in zip(y, shift)), base.hull, rank)
             if d is None or di < d:
                 d = di
                 if not _beats(d, y, best):

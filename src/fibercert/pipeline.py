@@ -12,6 +12,7 @@ everything else out of the dataset alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -27,7 +28,16 @@ from .cones import (
     fibered_cone_from_dual,
 )
 from .errors import BudgetError, SubconeError, ValidationError
-from .lattice import FiberedClass, PerpLattice, deep_point, perp_basis, systole
+from .lattice import (
+    BaseHull,
+    FiberedClass,
+    Obstacle,
+    PerpLattice,
+    deep_point,
+    perp_basis,
+    placed_box,
+    systole,
+)
 from .trackmap import (
     LiftedGraphMap,
     SupportPolytope,
@@ -38,6 +48,13 @@ from .trackmap import (
 
 TOOL_VERSION = "0.1.0"
 MAX_DOUBLINGS = 3  # times certify doubles a box radius that obstacles cover
+
+def _check_margins(safety: int, kappa: int) -> None:
+    """Reject a negative obstacle dilation or a box multiple below 1."""
+    if safety < 0:
+        raise ValidationError("safety must be nonnegative")
+    if kappa < 1:
+        raise ValidationError(f"kappa must be >= 1, got {kappa}")
 
 
 def _ceil_root_multiple(kappa: int, n: int, r: int) -> int:
@@ -117,30 +134,34 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
 
 def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], p_max: int,
                     safety: int, allow_mirror: bool, dual: DualConeModel,
-                    support: Optional[SupportSource] = None) -> tuple[str, list[tuple]]:
-    """The certificate mode and the dilated obstacle hulls, one per word.
+                    support: Optional[SupportSource] = None) -> tuple[str, list[Obstacle]]:
+    """The certificate mode and the obstacles, one per word, each a placed
+    translate (base, x): the word's shift x and the dilated hull of its
+    power y, with its outward integer box, built once per distinct power
+    and shared by every word with that power.
 
     A word (x, y) with |y| <= p_max takes the exact support of power y by
     omega_of_word's route, read from ``support`` (certify: semiring, verify:
     oracle); a farther word takes the C-fattened slice of ``dual`` at height
-    |y| and makes the mode asymptotic.  One dilated base hull per distinct
-    power is translated per word.
+    |y| and makes the mode asymptotic.  No per-word hull is copied: the
+    obstacle is base.hull + x, and its box base.box + x.
     """
     r = track.rank
     zero = (0,) * r
-    bases: dict[int, list] = {}
-    hulls = []
+    bases: dict[int, BaseHull] = {}
+    obstacles = []
     for w in words:
-        if w.y not in bases:
+        base = bases.get(w.y)
+        if base is None:
             if abs(w.y) <= p_max:
                 hull = omega_of_word(track, zero, w.y, allow_mirror, support).hull
             else:
                 verts = dual.slice_vertices(abs(w.y))
                 hull = geometry.convex_hull(geometry.negate(verts) if w.y < 0 else verts, r)
-            bases[w.y] = geometry.dilate(hull, safety, r)
-        hulls.append(tuple(geometry.translate(bases[w.y], w.x)))
+            base = bases[w.y] = BaseHull.of(geometry.dilate(hull, safety, r))
+        obstacles.append((base, w.x))
     mode = "asymptotic" if any(abs(y) > p_max for y in bases) else "certified"
-    return mode, hulls
+    return mode, obstacles
 
 
 @dataclass(frozen=True)
@@ -174,49 +195,61 @@ class BoundCertificate:
     )
 
 
-def _bbox(hull: Sequence[tuple]) -> tuple[tuple, tuple]:
-    """The (low, high) corners of the bounding box of a vertex list."""
-    return tuple(map(min, zip(*hull))), tuple(map(max, zip(*hull)))
+class _Nearby:
+    """The obstacles in increasing L-inf gap between their box and a point,
+    sorted once for every question asked at that point.
 
-
-def _boxes_meet(a: tuple[tuple, tuple], b: tuple[tuple, tuple]) -> bool:
-    """Whether two closed bounding boxes from _bbox intersect."""
-    (a_lo, a_hi), (b_lo, b_hi) = a, b
-    return all(p <= s and r <= q for p, q, r, s in zip(a_lo, a_hi, b_lo, b_hi))
-
-
-def _nearest_dist2(point: Sequence[int], hulls: Sequence[tuple],
-                   boxes: Sequence[tuple], r: int) -> Fraction:
-    """Exact min over the hulls of the squared distance from ``point``.
-
-    A hull is no nearer than its bounding box, so hulls are scored nearest
-    box first until the next box is no nearer than the best hull so far.
+    A hull is no nearer to the point than its box, and a body whose box
+    lies within L-inf distance ``reach`` of the point meets no obstacle box
+    with a larger gap.  So each search below reads only a prefix of this
+    order; boxes are rounded outward, which can only lower a gap, so the
+    answers stay exact.
     """
-    def gap2(box):
-        return sum((lo - c) ** 2 if c < lo else (c - hi) ** 2 if c > hi else 0
-                   for c, lo, hi in zip(point, *box))
 
-    best = None
-    for gap, i in sorted((gap2(box), i) for i, box in enumerate(boxes)):
-        if best is not None and gap >= best:
-            break
-        d = geometry.point_hull_dist2(point, hulls[i], r)
-        if best is None or d < best:
-            best = d
-    return best
+    def __init__(self, point: Sequence[int], obstacles: Sequence[Obstacle], r: int):
+        self.point, self.obstacles, self.r = tuple(point), obstacles, r
+        self.padded = px, py = self.point + (0,) * (2 - r)
+        ranked = sorted(
+            (max(a - px, px - b, c - py, py - d, 0), i)
+            for i, (a, b, c, d) in enumerate(placed_box(*o) for o in obstacles))
+        self.gaps = [gap for gap, _ in ranked]
+        self.order = [i for _, i in ranked]
 
+    def dist2(self) -> Fraction:
+        """Exact min over the obstacles of the squared distance from the
+        point, scored until the next gap squared is no less than the best."""
+        best = None
+        for gap, i in zip(self.gaps, self.order):
+            if best is not None and gap * gap >= best:
+                break
+            base, x = self.obstacles[i]
+            d = geometry.point_hull_dist2(
+                tuple(p - t for p, t in zip(self.point, x)), base.hull, self.r)
+            if best is None or d < best:
+                best = d
+        return best
 
-def _misses(body: SupportPolytope, point: Sequence[int], safety: int,
-            hulls: Sequence[tuple], boxes: Sequence[tuple], r: int) -> bool:
-    """Whether ``body`` moved to ``point`` and dilated misses every obstacle.
+    def misses(self, body: Sequence[tuple], safety: int) -> bool:
+        """Whether ``body`` moved to the point and dilated misses every obstacle.
 
-    Hulls with disjoint bounding boxes are disjoint, so only obstacles whose
-    box meets the moved body's box need the exact test.
-    """
-    moved = geometry.dilate(geometry.translate(body.hull, point), safety, r)
-    box = _bbox(moved)
-    return all(geometry.hulls_disjoint(moved, h, r)
-               for h, h_box in zip(hulls, boxes) if _boxes_meet(box, h_box))
+        Only obstacles within the moved body's box reach are box-tested,
+        nearest first, and those whose box meets the moved body's box are
+        tested exactly, as hulls_disjoint(moved - x, base).
+        """
+        fat = geometry.dilate(body, safety, self.r)
+        a, b, c, d = BaseHull.of(fat).box
+        reach = max(-a, b, -c, d)
+        px, py = self.padded
+        a, b, c, d = a + px, b + px, c + py, d + py  # the moved body's box
+        for i in self.order[:bisect_right(self.gaps, reach)]:
+            base, x = self.obstacles[i]
+            e, f, g, h = placed_box(base, x)
+            if e > b or a > f or g > d or c > h:
+                continue  # disjoint boxes, so disjoint hulls
+            moved = geometry.translate(fat, tuple(p - t for p, t in zip(self.point, x)))
+            if not geometry.hulls_disjoint(moved, base.hull, self.r):
+                return False
+        return True
 
 
 def certify(
@@ -233,6 +266,7 @@ def certify(
     box_radius: Optional[int] = None,
 ) -> BoundCertificate:
     """Run the full bound pipeline for one class."""
+    _check_margins(safety, kappa)
     if not P.is_proper:
         raise SubconeError(
             "certification needs a proper subcone (mu > 0 or a slope cap)"
@@ -251,8 +285,8 @@ def certify(
         if attempt:
             R *= 2
         words = enumerate_words(L, word_radius(eps, R, p_max, safety))
-        mode, hulls = build_obstacles(track, words, p_max, safety, allow_mirror, dual)
-        dp = deep_point(hulls, R, r)
+        mode, obstacles = build_obstacles(track, words, p_max, safety, allow_mirror, dual)
+        dp = deep_point(obstacles, R, r)
         if dp.dist2 > 0:
             break
         diagnostics.append(f"box radius {R} fully covered by obstacles"
@@ -260,9 +294,9 @@ def certify(
 
     K = 0
     if dp.dist2 > 0:
-        boxes = [_bbox(h) for h in hulls]
-        K = next((cand for cand in range(p_max, 0, -1) if _misses(
-            support_of_power(track, cand), dp.point, safety, hulls, boxes, r)), 0)
+        near = _Nearby(dp.point, obstacles, r)
+        K = next((cand for cand in range(p_max, 0, -1)
+                  if near.misses(support_of_power(track, cand).hull, safety)), 0)
     status = "ok" if K >= 1 else "inconclusive"
     if K == 0:
         diagnostics.append(
@@ -314,13 +348,14 @@ def verify_certificate(
 
     Reruns certify's derivation (dual cone at ``cone_p_max``, subcone,
     epsilon, word radius, words, and obstacles by build_obstacles with the
-    declared ``mirror``) on path-oracle supports, never the semiring route
-    certify used.  Each map's oracle memo walks it once per process, up to
-    the highest power any certificate needs; the memo depends on the map
-    alone.  The searches are not rerun, their results are checked: the deep
-    point lies in the box, outside every obstacle (scored nearest bounding
-    box first), at exactly the claimed squared distance, and the K-th power
-    moved there misses every obstacle.  Returns the first failing predicate:
+    declared ``mirror``: per-power hulls placed by word shift) on
+    path-oracle supports, never the semiring route certify used.  Each
+    map's oracle memo walks it once per process, up to the highest power any
+    certificate needs; the memo depends on the map alone.  The searches are
+    not rerun, their results are checked: the deep point lies in the box,
+    outside every obstacle (scored nearest outward box first), at exactly
+    the claimed squared distance, and the K-th power moved there misses
+    every obstacle within its box reach.  Returns the first failing predicate:
     fail dataset-hash, rank-mismatch, certificate-inconclusive,
     alpha-primitive, n-mismatch, k-exceeds-pmax, subcone, alpha-not-interior,
     deep-point-outside-box, word-mode (a negative power with neither inverse
@@ -371,18 +406,18 @@ def verify_certificate(
     exact = [w.y for w in words if abs(w.y) <= cert.p_max]  # the zero word is one
     if min(exact) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
-    mode, hulls = build_obstacles(
+    mode, obstacles = build_obstacles(
         track, words, cert.p_max, cert.safety, cert.mirror, dual, _oracle
     )
     if mode != cert.mode:
         return VerifyResult("fail", "mode-mismatch")
-    boxes = [_bbox(h) for h in hulls]
-    dist2 = _nearest_dist2(cert.deep_point, hulls, boxes, r)
+    near = _Nearby(cert.deep_point, obstacles, r)
+    dist2 = near.dist2()
     if dist2 <= 0:
         return VerifyResult("fail", "deep-point-in-obstacle")
     if dist2 != cert.deep_dist2:
         return VerifyResult("fail", "deep-dist2")
-    if not _misses(track.oracle(cert.K), cert.deep_point, cert.safety, hulls, boxes, r):
+    if not near.misses(track.oracle(cert.K).hull, cert.safety):
         return VerifyResult("fail", "power-collision")
     if cert.bound != Fraction(2, cert.n * cert.K):
         return VerifyResult("fail", "bound-value")
@@ -431,6 +466,7 @@ def sweep(
     allow_mirror: bool = False,
 ) -> list[SweepRow]:
     """Certify a sequence of classes in order; exterior classes are flagged and skipped."""
+    _check_margins(safety, kappa)
 
     def run_one(raw) -> SweepRow:
         alpha = FiberedClass(tuple(int(v) for v in raw))

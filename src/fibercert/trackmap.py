@@ -61,6 +61,9 @@ class SupportPolytope:
 
     def translate(self, v: Sequence[int], mode: Optional[str] = None) -> "SupportPolytope":
         v = tuple(v)
+        if not any(v):  # the zero shift shares the hull and points, copying nothing
+            return SupportPolytope(self.rank, self.p, self.hull, lambda: self.points,
+                                   mode or self.mode)
         return SupportPolytope(
             self.rank, self.p, tuple(geometry.translate(self.hull, v)),
             lambda: geometry.translate(self.points, v), mode or self.mode,

@@ -93,6 +93,26 @@ MALFORMED_INPUTS = {
         lambda capsys, tmp_path: ["sweep", R1, "--base", "1,9", "--p-max", "8"],
         "missing --direction",
     ),
+    "kappa-negative": (
+        lambda capsys, tmp_path: ["bound", R2, "--alpha=1,20,401", "--mirror",
+                                  "--p-max", "16", "--kappa=-4"],
+        "kappa must be >= 1",
+    ),
+    "kappa-zero": (
+        lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
+                                  "--kappa", "0"],
+        "kappa must be >= 1",
+    ),
+    "sweep-kappa-zero": (
+        lambda capsys, tmp_path: ["sweep", R1, "--classes", "[[1,9]]", "--p-max", "8",
+                                  "--kappa", "0"],
+        "kappa must be >= 1",
+    ),
+    "safety-negative": (
+        lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
+                                  "--safety", "-1"],
+        "safety must be nonnegative",
+    ),
     "out-unwritable": (
         lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
                                   "--out", str(tmp_path / "absent" / "c.json")],

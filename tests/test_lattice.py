@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
 from fibercert.lattice import (
+    BaseHull,
     DeepPoint,
     FiberedClass,
     PerpLattice,
@@ -206,9 +207,14 @@ def test_systole_on_real_kernels():
 
 # -- deep point ------------------------------------------------------------
 
+def _placed(hulls) -> list:
+    """Hulls as obstacles placed from their own bases with zero shifts."""
+    return [(BaseHull.of(h), (0,) * len(h[0])) for h in hulls]
+
+
 def test_deep_point_rank1_example():
     obstacles = [[(0,)], [(-5,)], [(5,)]]
-    dp = deep_point(obstacles, 5, 1)
+    dp = deep_point(_placed(obstacles), 5, 1)
     assert dp == DeepPoint((-3,), Fraction(4))  # lex-smallest of the tie
 
 
@@ -222,7 +228,7 @@ def test_deep_point_rank2_matches_exhaustive_scan():
             from fibercert.geometry import convex_hull
             obstacles.append(convex_hull(pts, 2))
         R = 6
-        dp = deep_point(obstacles, R, 2)
+        dp = deep_point(_placed(obstacles), R, 2)
         best = None
         # product() yields points in ascending lexicographic order, so a
         # strict improvement rule reproduces the lex-smallest tie-break.
@@ -328,9 +334,48 @@ def test_deep_point_matches_brute_force():
         kinds["fraction"] += any(isinstance(x, Fraction) and x.denominator > 1
                                  for h in obstacles for v in h for x in v)
         kinds["far"] += any(all(max(map(abs, v)) > R + 1 for v in h) for h in obstacles)
-        assert deep_point(obstacles, R, rank) == _brute_deep_point(obstacles, R, rank), \
-            (case, R, rank, obstacles)
+        assert deep_point(_placed(obstacles), R, rank) == \
+            _brute_deep_point(obstacles, R, rank), (case, R, rank, obstacles)
     assert min(kinds.values()) >= 20, kinds
+
+
+@st.composite
+def _placed_translates(draw, duals):
+    """Obstacles placed from one to three shared bases with integer shifts,
+    as build_obstacles places kernel words, with the translates they stand
+    for.  A base is the hull of random integer or Fraction points, or a
+    C-fattened dual-cone slice (Fraction vertices, as for far words),
+    dilated by 0 or 1."""
+    rank = draw(st.sampled_from((1, 2)))
+    R = draw(st.integers(1, 5))
+    placed, translates = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("int", "fraction", "slice")))
+        if kind == "slice":
+            verts = duals[rank].slice_vertices(draw(st.integers(1, 4)))
+            if draw(st.booleans()):
+                verts = [tuple(-c for c in v) for v in verts]
+        else:
+            den = 1 if kind == "int" else draw(st.integers(2, 4))
+            coord = st.integers(-3 * den, 3 * den).map(lambda k, den=den: Fraction(k, den))
+            verts = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=4))
+        base = BaseHull.of(dilate(convex_hull(verts, rank), draw(st.integers(0, 1)), rank))
+        shift = st.tuples(*[st.integers(-R - 6, R + 6)] * rank)
+        for x in draw(st.lists(shift, min_size=1, max_size=6)):
+            placed.append((base, x))
+            translates.append(translate(base.hull, x))
+    assume(any(any(x) for _, x in placed))
+    return placed, translates, R, rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_deep_point_over_placed_translates(data, r1_models, r2_models):
+    """deep_point over shared bases placed by nonzero shifts finds exactly
+    the brute-force deep point of the materialized translates."""
+    placed, translates, R, rank = data.draw(
+        _placed_translates({1: r1_models[0], 2: r2_models[0]}))
+    assert deep_point(placed, R, rank) == _brute_deep_point(translates, R, rank)
 
 
 def _far_corner(lo, hi, box) -> int:
@@ -356,7 +401,7 @@ def test_cell_bound_matches_every_vertex():
         if case % 4 == 0:
             lo, hi = (x0, 0), (hi[0], 0)  # flat, like every rank-1 cell
         near = sorted(rng.sample(range(len(hulls)), rng.randint(1, len(hulls))))
-        bound, kept = _HullBoxes(hulls).cell_bound(lo, hi, near)
+        bound, kept = _HullBoxes(_placed(hulls)).cell_bound(lo, hi, near)
         assert bound == min(_far_corner(lo, hi, _outward([v]))
                             for i in near for v in hulls[i]), (case, lo, hi, hulls)
         box = (lo[0], hi[0], lo[1], hi[1])

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercert import cones, pipeline, trackmap
+from fibercert import cones, geometry, pipeline, trackmap
 from fibercert.errors import BudgetError, SubconeError, ValidationError
-from fibercert.cones import estimate_dual_cone, fibered_cone_from_dual
+from fibercert.cones import epsilon_of_subcone, estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import emit_certificate, load_dataset, parse_certificate
-from fibercert.lattice import FiberedClass, perp_basis
+from fibercert.lattice import BaseHull, FiberedClass, perp_basis
 from fibercert.pipeline import (
     _ceil_root_multiple,
     build_obstacles,
@@ -24,8 +24,9 @@ from fibercert.pipeline import (
     normalized_bound,
     sweep,
     verify_certificate,
+    word_radius,
 )
-from fibercert.trackmap import LiftedGraphMap
+from fibercert.trackmap import LiftedGraphMap, omega_of_word, support_of_power
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +268,92 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
                 allow_mirror=True)
     assert (a.deep_point, a.deep_dist2) == (b.deep_point, b.deep_dist2)
     assert a.K == b.K and a.bound == b.bound
+
+
+def _reference_scan(track, dual, P, cert):
+    """The deep point's squared distance and K with no placements, boxes or
+    reach: every word's obstacle materialized as its own dilated hull, and
+    each candidate power tested exactly against all of them."""
+    r = track.rank
+    eps = epsilon_of_subcone(P, dual)
+    words = enumerate_words(perp_basis(FiberedClass(cert.alpha)),
+                            word_radius(eps, cert.box_radius, cert.p_max, cert.safety))
+    hulls = []
+    for w in words:
+        if abs(w.y) <= cert.p_max:
+            hull = omega_of_word(track, w.x, w.y, cert.mirror).hull
+        else:
+            verts = geometry.translate(dual.slice_vertices(abs(w.y)), w.x)
+            hull = geometry.convex_hull(geometry.negate(verts) if w.y < 0 else verts, r)
+        hulls.append(geometry.dilate(hull, cert.safety, r))
+    dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
+    for K in range(cert.p_max, 0, -1):
+        moved = geometry.dilate(geometry.translate(
+            support_of_power(track, K).hull, cert.deep_point), cert.safety, r)
+        if all(geometry.hulls_disjoint(moved, h, r) for h in hulls):
+            return dist2, K
+    return dist2, 0
+
+
+def test_kscan_matches_exhaustive_reference(r1, r1_models, r1_cert, r2, r2_models,
+                                            r2_cert, asymptotic_cert):
+    """certify's reach-filtered K-scan over placed obstacles finds the K
+    that testing every materialized obstacle finds: r1 with inverse data,
+    r2 in mirror mode, and r1 with cone-approximated far words."""
+    dual4 = estimate_dual_cone(r1, 4)
+    P4 = fibered_cone_from_dual(dual4).subcone_slope(Fraction(1, 2))
+    cases = [(r1, r1_models, r1_cert), (r2, r2_models, r2_cert),
+             (r1, (dual4, None, P4), asymptotic_cert)]
+    for track, (dual, _, P), cert in cases:
+        assert cert.K >= 1
+        assert _reference_scan(track, dual, P, cert) == (cert.deep_dist2, cert.K), cert.alpha
+
+
+def test_kscan_tests_obstacles_at_full_reach():
+    """An obstacle whose box gap from the point equals the moved body's
+    reach still gets its exact test, and the test places it by its shift."""
+    dot = BaseHull.of([(0,)])
+    body = [(0,), (2,)]  # reach 2 from the point 0
+    assert not pipeline._Nearby((0,), [(dot, (2,))], 1).misses(body, 0)
+    assert pipeline._Nearby((0,), [(dot, (3,))], 1).misses(body, 0)
+    assert not pipeline._Nearby((0,), [(dot, (3,))], 1).misses(body, 1)
+    dot = BaseHull.of([(0, 0)])
+    diagonal = [(0, 0), (2, 2)]  # its box meets both dots, the segment only one
+    assert pipeline._Nearby((5, 5), [(dot, (7, 5))], 2).misses(diagonal, 0)
+    assert not pipeline._Nearby((5, 5), [(dot, (6, 6))], 2).misses(diagonal, 0)
+
+
+def test_certify_copies_hulls_per_power_not_per_word(r2, r2_models, r2_hash, monkeypatch):
+    """One certify dilates one hull per distinct power and one per candidate
+    power scanned, and translates one per exact test: no hull is copied per
+    word."""
+    calls = Counter()
+    words, powers = [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("translate", "dilate", "hulls_disjoint"):
+        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    enumerate_words_ = pipeline.enumerate_words
+
+    def recorded(*args):
+        found = enumerate_words_(*args)
+        words.extend(found)
+        powers.append(len({w.y for w in found}))
+        return found
+
+    monkeypatch.setattr(pipeline, "enumerate_words", recorded)
+    dual, cone, P = r2_models
+    cert = certify(r2, dual, cone, P, FiberedClass((1, 7, 50)), 12, r2_hash,
+                   allow_mirror=True)
+    scanned = cert.p_max - cert.K + 1
+    assert calls["dilate"] <= sum(powers) + scanned, (calls, powers, scanned)
+    assert calls["translate"] <= calls["hulls_disjoint"], calls
+    assert 10 * (calls["translate"] + calls["dilate"]) < len(words), (calls, len(words))
 
 
 # -- verification -----------------------------------------------------------
