@@ -20,6 +20,7 @@ from .lattice import (
     BaseHull,
     DeepPoint,
     FiberedClass,
+    Obstacles,
     PerpLattice,
     deep_point,
     perp_basis,

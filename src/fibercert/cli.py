@@ -172,7 +172,7 @@ def cmd_sweep(args) -> int:
     dual, cone, P = _models(track, args.p_max, args.mu, args.slope_cap)
     if args.classes:
         try:
-            classes = [tuple(int(v) for v in c) for c in json.loads(args.classes)]
+            classes = [dataio.json_ints(c, "--classes entry") for c in json.loads(args.classes)]
         except (ValueError, TypeError) as exc:
             raise ValidationError(
                 f"--classes must be a JSON list of integer lists: {exc}"

@@ -67,8 +67,20 @@ def _num_out(v):
     return f"{f.numerator}/{f.denominator}"
 
 
+def json_int(v, what: str) -> int:
+    """An integer of outside input, which must be a JSON integer: a float,
+    a boolean or a numeric string is refused, never truncated or cast."""
+    if type(v) is not int:
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def json_ints(vs, what: str) -> tuple[int, ...]:
+    return tuple(json_int(v, what) for v in vs)
+
+
 def _num_in(v):
-    if isinstance(v, int):
+    if type(v) is int:
         return v
     if isinstance(v, str) and "/" in v:
         num, den = v.split("/")
@@ -102,20 +114,21 @@ def _map_to_dict(track: LiftedGraphMap) -> dict:
 def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None,
                    metadata: Optional[dict] = None) -> LiftedGraphMap:
     edges = tuple(
-        Edge(e["name"], e["src"], e["dst"], tuple(int(v) for v in e["voltage"]))
+        Edge(e["name"], e["src"], e["dst"], json_ints(e["voltage"], "voltage"))
         for e in d["edges"]
     )
     vertex_images = {
-        v: (im[0], tuple(int(x) for x in im[1]))
+        v: (im[0], json_ints(im[1], "vertex-image shift"))
         for v, im in d["vertex_images"].items()
     }
     edge_images = {
-        e: tuple((s[0], tuple(int(x) for x in s[1]), int(s[2])) for s in path)
+        e: tuple((s[0], json_ints(s[1], "step shift"), json_int(s[2], "orientation"))
+                 for s in path)
         for e, path in d["edge_images"].items()
     }
     euler = d.get("euler_functional")
     if euler is not None:
-        euler = tuple(int(v) for v in euler)
+        euler = json_ints(euler, "euler_functional")
         if len(euler) != rank + 1:
             raise ValidationError("euler_functional must have length rank + 1")
     return LiftedGraphMap(
@@ -144,11 +157,11 @@ def dataset_from_dict(d: dict) -> LiftedGraphMap:
             raise ValidationError(
                 f"unsupported dataset format_version {d.get('format_version')!r}"
             )
-        rank = int(d["rank"])
+        rank = json_int(d["rank"], "rank")
         inverse = None
         if "inverse" in d:
             inv = d["inverse"]
-            if int(inv.get("rank", rank)) != rank:
+            if json_int(inv.get("rank", rank), "rank") != rank:
                 raise ValidationError("inverse section must share the dataset rank")
             inverse = _map_from_dict(inv, rank)
         return _map_from_dict(d, rank, inverse=inverse, metadata=d.get("metadata", {}))
@@ -215,19 +228,19 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
         if not isinstance(d["mirror"], bool):
             raise ValidationError("mirror must be true or false")
         return BoundCertificate(
-            alpha=tuple(int(v) for v in d["alpha"]),
-            n=int(d["n"]),
-            rank=int(d["rank"]),
-            p_max=int(d["p_max"]),
-            cone_p_max=int(d["cone_p_max"]),
+            alpha=json_ints(d["alpha"], "alpha"),
+            n=json_int(d["n"], "n"),
+            rank=json_int(d["rank"], "rank"),
+            p_max=json_int(d["p_max"], "p_max"),
+            cone_p_max=json_int(d["cone_p_max"], "cone_p_max"),
             mu=Fraction(_num_in(d["mu"])),
             slope_cap=None if d.get("slope_cap") is None else Fraction(_num_in(d["slope_cap"])),
-            safety=int(d["safety"]),
-            box_radius=int(d["box_radius"]),
+            safety=json_int(d["safety"], "safety"),
+            box_radius=json_int(d["box_radius"], "box_radius"),
             mirror=d["mirror"],
-            deep_point=tuple(int(v) for v in d["deep_point"]),
+            deep_point=json_ints(d["deep_point"], "deep_point"),
             deep_dist2=Fraction(_num_in(d["deep_dist2"])),
-            K=int(d["K"]),
+            K=json_int(d["K"], "K"),
             bound=Fraction(_num_in(d["bound"])),
             mode=d["mode"],
             status=d["status"],

@@ -3,9 +3,10 @@
 perp_basis computes a canonical saturated basis of the kernel of a primitive
 class and its exact squared covolume (Gram determinant); systole is the exact
 shortest vector of the rank <= 2 projected lattice by Lagrange-Gauss
-reduction; deep_point is an exact argmax over the lattice points of a box,
-found by branch and bound over cells with integer bounds and exact rational
-distances.  No floating point is used.
+reduction; Obstacles indexes the obstacle hulls by their boxes; deep_point
+is an exact argmax over the lattice points of a box among them, found by
+branch and bound with integer bounds and exact rational distances.  No
+floating point is used.
 """
 
 from __future__ import annotations
@@ -239,14 +240,6 @@ def _pad(v: Sequence) -> tuple:
     return tuple(v) + (0,) * (2 - len(v))
 
 
-def _gap2(x0: int, x1: int, y0: int, y1: int, box: Box) -> int:
-    """Squared distance between the cell [x0, x1] x [y0, y1] and a box."""
-    a, b, c, d = box
-    gx = a - x1 if a > x1 else (x0 - b if x0 > b else 0)
-    gy = c - y1 if c > y1 else (y0 - d if y0 > d else 0)
-    return gx * gx + gy * gy
-
-
 class BaseHull(NamedTuple):
     """A hull shared by every obstacle placed from it, with the integer
     boxes around it and around each of its vertices, rounded outward (in
@@ -271,25 +264,20 @@ class BaseHull(NamedTuple):
 Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
 
 
-def placed_box(base: BaseHull, x: Sequence[int]) -> Box:
-    """The box of the obstacle (base, x): base.box shifted by x."""
-    a, b, c, d = base.box
-    sx, sy = _pad(x)
-    return a + sx, b + sx, c + sy, d + sy
+class Obstacles:
+    """An index of placed obstacles, each box computed once with coordinates
+    doubled, for deep_point's cell bounds and for every question asked at
+    one point.  Boxes are rounded outward, so Fraction vertices keep every
+    bound valid."""
 
+    def __init__(self, placed: Sequence[Obstacle]):
+        self.placed = list(placed)
+        self.shifts = [_pad(x) for _, x in self.placed]
+        self.doubled = [tuple(2 * (e + t) for e, t in zip(base.box, (sx, sx, sy, sy)))
+                        for (base, _), (sx, sy) in zip(self.placed, self.shifts)]
 
-class _HullBoxes:
-    """Rank-2 bounds of cells against placed obstacles, from each
-    obstacle's box (its base's box plus its shift) and its base's vertex
-    boxes, which are compared with the cell shifted back by the obstacle's
-    shift, never copied per obstacle.  Boxes are rounded outward, so
-    Fraction vertices keep every bound valid."""
-
-    def __init__(self, obstacles: Sequence[Obstacle]):
-        self.obstacles = obstacles
-        self.shifts = [_pad(x) for _, x in obstacles]
-        # Obstacle boxes with coordinates doubled.
-        self.doubled = [tuple(2 * e for e in placed_box(*o)) for o in obstacles]
+    def __len__(self) -> int:
+        return len(self.placed)
 
     def cell_bound(self, lo: Vec, hi: Vec, near: Sequence[int]) -> tuple[int, list[int]]:
         """The least far-corner value of the cell [lo, hi] over the vertices
@@ -323,7 +311,7 @@ class _HullBoxes:
             gy += wy
             ranked.append((gx * gx + gy * gy, i, ex * ex + ey * ey))
         ranked.sort()
-        obstacles, shifts = self.obstacles, self.shifts
+        placed, shifts = self.placed, self.shifts
         best = None
         for lb, i, _ in ranked:
             if best is not None and lb >= 4 * best:
@@ -331,7 +319,7 @@ class _HullBoxes:
             tx, ty = shifts[i]
             u0, u1, v0, v1 = x0 - tx, x1 - tx, y0 - ty, y1 - ty
             su, sv = sx - 2 * tx, sy - 2 * ty
-            for a, b, c, d in obstacles[i][0].vertex_boxes:
+            for a, b, c, d in placed[i][0].vertex_boxes:
                 # Per axis the far end of the cell from [a, b] is u0 exactly
                 # when the cell's midpoint lies below the interval's.
                 value = (((u0 - b) ** 2 if su < a + b else (u1 - a) ** 2)
@@ -341,6 +329,67 @@ class _HullBoxes:
         limit = 4 * best
         return best, [i for _, i, gap in ranked if gap <= limit]
 
+    def seen_from(self, point: Vec, among: Optional[Sequence[int]] = None) -> "_Seen":
+        """The obstacles in ``among`` (all by default) ranked nearest box
+        first from an integer point of length rank."""
+        return _Seen(self, point, range(len(self.placed)) if among is None else among)
+
+
+class _Seen:
+    """Obstacles ranked by the squared gap between their doubled box and the
+    doubled point, once for every question asked there.  A hull is no nearer
+    than its box, and rounding outward only lowers a gap, so each answer
+    reads a prefix of the ranking and stays exact."""
+
+    def __init__(self, index: Obstacles, point: Sequence[int], among: Sequence[int]):
+        self.index, self.point = index, tuple(point)
+        px, py = (2 * p for p in _pad(point))
+        ranked = []
+        for i in among:
+            a, b, c, d = index.doubled[i]
+            ranked.append((max(a - px, px - b, 0) ** 2 + max(c - py, py - d, 0) ** 2, i))
+        self.ranked = sorted(ranked)
+
+    def dist2(self) -> Fraction:
+        """Exact min over the obstacles of the squared distance from the
+        point, scored until a gap reaches 4 times the least so far."""
+        placed, rank = self.index.placed, len(self.point)
+        best = None
+        for gap, i in self.ranked:
+            if best is not None and gap >= 4 * best:
+                break
+            base, x = placed[i]
+            d = geometry.point_hull_dist2(
+                tuple(p - t for p, t in zip(self.point, x)), base.hull, rank)
+            if best is None or d < best:
+                best = d
+        return best
+
+    def misses(self, body: Sequence[tuple], safety: int) -> bool:
+        """Whether ``body`` moved to the point and dilated misses every
+        obstacle.  The moved body's box lies within L-inf distance ``reach``
+        of the point, so a box meeting it has a gap of at most 8 reach^2; the
+        obstacles whose box meets it are tested exactly, nearest first."""
+        rank = len(self.point)
+        fat = geometry.dilate(body, safety, rank)
+        a, b, c, d = _outward([_pad(v) for v in fat])
+        reach = max(-a, b, -c, d)
+        px, py = _pad(self.point)
+        # The moved body's box, doubled.
+        a, b, c, d = 2 * (a + px), 2 * (b + px), 2 * (c + py), 2 * (d + py)
+        placed, doubled = self.index.placed, self.index.doubled
+        for gap, i in self.ranked:
+            if gap > 8 * reach * reach:
+                break
+            e, f, g, h = doubled[i]
+            if e > b or a > f or g > d or c > h:
+                continue  # disjoint boxes, so disjoint hulls
+            base, x = placed[i]
+            moved = geometry.translate(fat, tuple(p - t for p, t in zip(self.point, x)))
+            if not geometry.hulls_disjoint(moved, base.hull, rank):
+                return False
+        return True
+
 
 def _beats(dist2, point: Vec, best: Optional[DeepPoint]) -> bool:
     """Whether (dist2, point) displaces the incumbent: farther, or as far and
@@ -349,7 +398,7 @@ def _beats(dist2, point: Vec, best: Optional[DeepPoint]) -> bool:
             or (dist2 == best.dist2 and point < best.point))
 
 
-def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
+def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
     """Exact argmax over integer points of [-R, R]^rank of the minimum squared
     distance to the union of obstacle hulls; ties break to the
     lexicographically smallest point.
@@ -364,7 +413,7 @@ def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
     - Bound: f(y) = min_i d(y, H_i)^2 is at most |y - v|^2 for every vertex v
       of every hull, and that is largest at a corner of the cell, so the
       least such far-corner value over the vertices bounds f on the cell.
-      _HullBoxes.cell_bound computes that least value exactly while scoring
+      Obstacles.cell_bound computes that least value exactly while scoring
       only the vertices of hulls whose bounding box could still hold a
       smaller one: a hull's box gives a lower bound on all of its vertices'
       values, and hulls are visited in increasing order of it.
@@ -376,8 +425,8 @@ def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
       lexicographically smallest point), cannot displace the incumbent (see
       _beats).
     - Leaves: cells are halved along their longest side down to single
-      points y, which geometry.point_hull_dist2(y - x, base.hull) scores
-      exactly, nearest bounding box first.
+      points y, which Obstacles.seen_from(y, near).dist2() scores exactly,
+      nearest bounding box first.
     Bounds use integer boxes rounded outward around every hull and every
     vertex, so Fraction vertices keep them valid, and all arithmetic is
     exact: Python ints and Fractions, no floating point.
@@ -388,30 +437,10 @@ def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
         raise ValidationError("box radius must be >= 1")
     if rank not in (1, 2):
         raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
-    hull_boxes = _HullBoxes(obstacles)
-    doubled = hull_boxes.doubled
-
-    def score(y: Vec, near: list[int], best: Optional[DeepPoint]) -> Optional[Fraction]:
-        """Exact f(y), or None as soon as y provably cannot displace best."""
-        d = None
-        x, z = 2 * y[0], 2 * y[1]
-        # Gaps to the doubled boxes are 4 times the squared distances.
-        for gap, i in sorted((_gap2(x, x, z, z, doubled[i]), i) for i in near):
-            if d is not None and gap >= 4 * d:
-                break
-            base, shift = obstacles[i]
-            di = geometry.point_hull_dist2(
-                tuple(a - t for a, t in zip(y, shift)), base.hull, rank)
-            if d is None or di < d:
-                d = di
-                if not _beats(d, y, best):
-                    return None
-        return d
-
     best: Optional[DeepPoint] = None
     span = R if rank == 2 else 0
     lo, hi = (-R, -span), (R, span)
-    bound, near = hull_boxes.cell_bound(lo, hi, range(len(obstacles)))
+    bound, near = obstacles.cell_bound(lo, hi, range(len(obstacles)))
     # A heap entry is a cell's negated bound, its corners, and the hulls
     # within the bound of it.
     heap = [(-bound, lo, hi, near)]
@@ -420,8 +449,8 @@ def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
         if not _beats(-neg_bound, lo, best):
             break  # no cell left is bounded any better
         if lo == hi:
-            d = score(lo, near, best)
-            if d is not None:
+            d = obstacles.seen_from(lo[:rank], near).dist2()
+            if _beats(d, lo, best):
                 best = DeepPoint(lo, d)
             continue
         (x0, y0), (x1, y1) = lo, hi
@@ -432,7 +461,7 @@ def deep_point(obstacles: Sequence[Obstacle], R: int, rank: int) -> DeepPoint:
             mid = (y0 + y1) // 2
             halves = ((lo, (x1, mid)), ((x0, mid + 1), hi))
         for lo, hi in halves:
-            bound, kept = hull_boxes.cell_bound(lo, hi, near)
+            bound, kept = obstacles.cell_bound(lo, hi, near)
             if _beats(bound, lo, best):
                 heapq.heappush(heap, (-bound, lo, hi, kept))
     return DeepPoint(best.point[:rank], best.dist2)

@@ -103,9 +103,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> set[Exponent]:
-        return set(self.terms)
-
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Evaluate at nonzero rational coordinates."""
         if len(point) != self.rank:
@@ -207,14 +204,6 @@ class LaurentMatrix:
             rows.append(tuple(row))
         return LaurentMatrix(self.dim, self.rank, tuple(rows))
 
-    def support(self) -> set[Exponent]:
-        """Union of the supports of all entries."""
-        pts: set[Exponent] = set()
-        for row in self.entries:
-            for p in row:
-                pts.update(p.terms)
-        return pts
-
     def evaluate(self, point: Sequence[Fraction | int]) -> list[list[Fraction]]:
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
@@ -248,12 +237,6 @@ class CharPoly:
         c0 = self.coeffs[0]
         if list(c0.terms.items()) != [((0,) * self.rank, (-1) ** self.dim)]:
             raise ValidationError("leading coefficient must be the constant (-1)^dim")
-
-    def evaluate(self, x: Fraction | int, point: Sequence[Fraction | int]) -> Fraction:
-        total = Fraction(0)
-        for k, c in enumerate(self.coeffs):
-            total += c.evaluate(point) * Fraction(x) ** (self.dim - k)
-        return total
 
 
 def char_poly(M: LaurentMatrix) -> CharPoly:

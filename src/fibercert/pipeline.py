@@ -12,7 +12,6 @@ everything else out of the dataset alone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,11 +30,10 @@ from .errors import BudgetError, SubconeError, ValidationError
 from .lattice import (
     BaseHull,
     FiberedClass,
-    Obstacle,
+    Obstacles,
     PerpLattice,
     deep_point,
     perp_basis,
-    placed_box,
     systole,
 )
 from .trackmap import (
@@ -73,9 +71,7 @@ class GammaWord:
     y: int
 
 
-def decompose(
-    alpha: FiberedClass, track: LiftedGraphMap, cone: FiberedConeModel
-) -> tuple[int, PerpLattice]:
+def decompose(alpha: FiberedClass, cone: FiberedConeModel) -> tuple[int, PerpLattice]:
     """Split a class into its return-power n and kernel lattice."""
     if not alpha.is_primitive():
         raise ValidationError(
@@ -112,39 +108,34 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     ``2 R_w // d_i + 1`` over the diagonal bounds the number of words; a bound
     above ``word_cap`` raises BudgetError before any word is built.
     """
-    zeta = L.zeta_basis
-    diag = [row[i] for i, row in enumerate(zeta)]
+    diag = [row[i] for i, row in enumerate(L.zeta_basis)]
     total = math.prod(max(0, 2 * R_w // d + 1) for d in diag)
     if total > word_cap:
         raise BudgetError(f"word enumeration bound {total} exceeds cap {word_cap}")
 
-    def interval(prefix: tuple[int, ...], i: int) -> range:
-        s = sum(c * zeta[j][i] for j, c in enumerate(prefix))
-        return range(-((R_w + s) // diag[i]), (R_w - s) // diag[i] + 1)
-
-    coeffs: list[tuple[int, ...]] = [()]
-    for i in range(len(diag)):
-        coeffs = [pre + (c,) for pre in coeffs for c in interval(pre, i)]
-    words = []
-    for cs in coeffs:
-        vec = L.word_vector(cs)
-        words.append(GammaWord(cs, vec[:-1], vec[-1]))
-    return words
+    # A prefix carries its partial word vector, whose coordinate i is the
+    # partial sum that shifts coefficient i's interval.
+    walk = [((), (0,) * len(L.alpha.vector))]
+    for i, (d, row) in enumerate(zip(diag, L.basis)):
+        walk = [(cs + (c,), tuple(v + c * b for v, b in zip(vec, row)))
+                for cs, vec in walk
+                for c in range(-((R_w + vec[i]) // d), (R_w - vec[i]) // d + 1)]
+    return [GammaWord(cs, vec[:-1], vec[-1]) for cs, vec in walk]
 
 
 def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], p_max: int,
                     safety: int, allow_mirror: bool, dual: DualConeModel,
-                    support: Optional[SupportSource] = None) -> tuple[str, list[Obstacle]]:
-    """The certificate mode and the obstacles, one per word, each a placed
-    translate (base, x): the word's shift x and the dilated hull of its
-    power y, with its outward integer box, built once per distinct power
-    and shared by every word with that power.
+                    support: Optional[SupportSource] = None) -> tuple[str, Obstacles]:
+    """The certificate mode and the index of the obstacles, one per word,
+    each a placed translate (base, x): the word's shift x and the dilated
+    hull of its power y, with its outward integer box, built once per
+    distinct power and shared by every word with that power.
 
     A word (x, y) with |y| <= p_max takes the exact support of power y by
     omega_of_word's route, read from ``support`` (certify: semiring, verify:
     oracle); a farther word takes the C-fattened slice of ``dual`` at height
     |y| and makes the mode asymptotic.  No per-word hull is copied: the
-    obstacle is base.hull + x, and its box base.box + x.
+    obstacle is base.hull + x.
     """
     r = track.rank
     zero = (0,) * r
@@ -161,7 +152,7 @@ def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], p_max: in
             base = bases[w.y] = BaseHull.of(geometry.dilate(hull, safety, r))
         obstacles.append((base, w.x))
     mode = "asymptotic" if any(abs(y) > p_max for y in bases) else "certified"
-    return mode, obstacles
+    return mode, Obstacles(obstacles)
 
 
 @dataclass(frozen=True)
@@ -195,63 +186,6 @@ class BoundCertificate:
     )
 
 
-class _Nearby:
-    """The obstacles in increasing L-inf gap between their box and a point,
-    sorted once for every question asked at that point.
-
-    A hull is no nearer to the point than its box, and a body whose box
-    lies within L-inf distance ``reach`` of the point meets no obstacle box
-    with a larger gap.  So each search below reads only a prefix of this
-    order; boxes are rounded outward, which can only lower a gap, so the
-    answers stay exact.
-    """
-
-    def __init__(self, point: Sequence[int], obstacles: Sequence[Obstacle], r: int):
-        self.point, self.obstacles, self.r = tuple(point), obstacles, r
-        self.padded = px, py = self.point + (0,) * (2 - r)
-        ranked = sorted(
-            (max(a - px, px - b, c - py, py - d, 0), i)
-            for i, (a, b, c, d) in enumerate(placed_box(*o) for o in obstacles))
-        self.gaps = [gap for gap, _ in ranked]
-        self.order = [i for _, i in ranked]
-
-    def dist2(self) -> Fraction:
-        """Exact min over the obstacles of the squared distance from the
-        point, scored until the next gap squared is no less than the best."""
-        best = None
-        for gap, i in zip(self.gaps, self.order):
-            if best is not None and gap * gap >= best:
-                break
-            base, x = self.obstacles[i]
-            d = geometry.point_hull_dist2(
-                tuple(p - t for p, t in zip(self.point, x)), base.hull, self.r)
-            if best is None or d < best:
-                best = d
-        return best
-
-    def misses(self, body: Sequence[tuple], safety: int) -> bool:
-        """Whether ``body`` moved to the point and dilated misses every obstacle.
-
-        Only obstacles within the moved body's box reach are box-tested,
-        nearest first, and those whose box meets the moved body's box are
-        tested exactly, as hulls_disjoint(moved - x, base).
-        """
-        fat = geometry.dilate(body, safety, self.r)
-        a, b, c, d = BaseHull.of(fat).box
-        reach = max(-a, b, -c, d)
-        px, py = self.padded
-        a, b, c, d = a + px, b + px, c + py, d + py  # the moved body's box
-        for i in self.order[:bisect_right(self.gaps, reach)]:
-            base, x = self.obstacles[i]
-            e, f, g, h = placed_box(base, x)
-            if e > b or a > f or g > d or c > h:
-                continue  # disjoint boxes, so disjoint hulls
-            moved = geometry.translate(fat, tuple(p - t for p, t in zip(self.point, x)))
-            if not geometry.hulls_disjoint(moved, base.hull, self.r):
-                return False
-        return True
-
-
 def certify(
     track: LiftedGraphMap,
     dual: DualConeModel,
@@ -275,7 +209,7 @@ def certify(
         raise ValidationError(
             f"class {alpha.vector} is not interior to the chosen subcone"
         )
-    n, L = decompose(alpha, track, cone)
+    n, L = decompose(alpha, cone)
     eps = epsilon_of_subcone(P, dual)
     r = track.rank
     R = box_radius if box_radius is not None else _ceil_root_multiple(kappa, n, r)
@@ -294,9 +228,9 @@ def certify(
 
     K = 0
     if dp.dist2 > 0:
-        near = _Nearby(dp.point, obstacles, r)
+        seen = obstacles.seen_from(dp.point)
         K = next((cand for cand in range(p_max, 0, -1)
-                  if near.misses(support_of_power(track, cand).hull, safety)), 0)
+                  if seen.misses(support_of_power(track, cand).hull, safety)), 0)
     status = "ok" if K >= 1 else "inconclusive"
     if K == 0:
         diagnostics.append(
@@ -411,13 +345,13 @@ def verify_certificate(
     )
     if mode != cert.mode:
         return VerifyResult("fail", "mode-mismatch")
-    near = _Nearby(cert.deep_point, obstacles, r)
-    dist2 = near.dist2()
+    seen = obstacles.seen_from(cert.deep_point)
+    dist2 = seen.dist2()
     if dist2 <= 0:
         return VerifyResult("fail", "deep-point-in-obstacle")
     if dist2 != cert.deep_dist2:
         return VerifyResult("fail", "deep-dist2")
-    if not near.misses(track.oracle(cert.K).hull, cert.safety):
+    if not seen.misses(track.oracle(cert.K).hull, cert.safety):
         return VerifyResult("fail", "power-collision")
     if cert.bound != Fraction(2, cert.n * cert.K):
         return VerifyResult("fail", "bound-value")

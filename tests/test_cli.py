@@ -55,6 +55,18 @@ def _edited_cert(edit):
     return make_argv
 
 
+def _edited_dataset(edit):
+    """Argv ingesting the bundled r1 dataset after ``edit`` changes its JSON."""
+
+    def make_argv(capsys, tmp_path):
+        with open(R1, encoding="utf-8") as fh:
+            d = json.load(fh)
+        edit(d)
+        return ["ingest", _write(tmp_path, json.dumps(d))]
+
+    return make_argv
+
+
 MALFORMED_INPUTS = {
     "missing-certificate": (
         lambda capsys, tmp_path: ["verify", str(tmp_path / "absent.json"), "--dataset", R1],
@@ -80,6 +92,24 @@ MALFORMED_INPUTS = {
         lambda capsys, tmp_path: ["sweep", R1, "--classes", "[[1,9", "--p-max", "8"],
         "--classes must be a JSON list of integer lists",
     ),
+    "classes-float": (
+        lambda capsys, tmp_path: ["sweep", R1, "--classes", "[[1.9, 9.7], [1, 11]]",
+                                  "--p-max", "8"],
+        "--classes entry must be an integer, got 1.9",
+    ),
+    "classes-boolean": (
+        lambda capsys, tmp_path: ["sweep", R1, "--classes", "[[1, 9], [true, 11]]",
+                                  "--p-max", "8"],
+        "--classes entry must be an integer, got True",
+    ),
+    "dataset-voltage-float": (
+        _edited_dataset(lambda d: d["edges"][0].update(voltage=[1.7])),
+        "voltage must be an integer, got 1.7",
+    ),
+    "dataset-rank-float": (_edited_dataset(lambda d: d.update(rank=1.9)),
+                           "rank must be an integer, got 1.9"),
+    "certificate-p-max-float": (_edited_cert(lambda d: d.update(p_max=3.5)),
+                                "p_max must be an integer, got 3.5"),
     "word-bound-over-cap": (
         lambda capsys, tmp_path: ["bound", R2, "--alpha", f"1,1,{10 ** 310 + 1}",
                                   "--mirror", "--p-max", "4"],

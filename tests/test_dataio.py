@@ -1,5 +1,8 @@
+import importlib.util
 import json
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +91,44 @@ def test_euler_functional_length_checked(r1):
         dataset_from_dict(d)
 
 
+def test_bundled_datasets_regenerate_byte_for_byte():
+    """tools/make_datasets.py rebuilds both bundled files exactly.  Its
+    main() is never called, so nothing is written."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_datasets.py"
+    spec = importlib.util.spec_from_file_location("make_datasets", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name, build in (("rose_r1.json", tool.rose_r1), ("rose_r2.json", tool.rose_r2)):
+        bundled = (resources.files("fibercert") / "data" / name).read_text(encoding="utf-8")
+        assert canonical_json(dataset_to_dict(build())) + "\n" == bundled, name
+
+
+# Where each integer of a dataset sits, as a path of keys and indices.
+DATASET_INTEGERS = [
+    ("rank",), ("edges", 0, "voltage", 0), ("vertex_images", "v", 1, 0),
+    ("edge_images", "a", 0, 1, 0), ("edge_images", "a", 0, 2),
+    ("euler_functional", 0), ("inverse", "rank"), ("inverse", "edges", 1, "voltage", 0),
+]
+NOT_INTEGERS = [1.7, 1.0, True, "1"]
+
+
+def _set(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+def test_dataset_integers_must_be_json_integers(r1):
+    """A float, a boolean or a numeric string where the dataset holds an
+    integer is refused, never truncated or cast."""
+    for path in DATASET_INTEGERS:
+        for value in NOT_INTEGERS:
+            d = dataset_to_dict(r1)
+            _set(d, path, value)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                dataset_from_dict(d)
+
+
 # -- certificates -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -134,6 +175,22 @@ def test_certificate_kind_checked(cert):
     d["format_version"] = 2
     d["mirror"] = 0
     with pytest.raises(ValidationError, match="mirror"):
+        parse_certificate(json.dumps(d))
+
+
+def test_certificate_integers_must_be_json_integers(cert):
+    d = json.loads(emit_certificate(cert))
+    paths = [("alpha", 0), ("deep_point", 0)] + [(key,) for key in (
+        "n", "rank", "p_max", "cone_p_max", "safety", "box_radius", "K")]
+    for path in paths:
+        for value in NOT_INTEGERS:
+            edited = json.loads(json.dumps(d))
+            _set(edited, path, value)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                parse_certificate(json.dumps(edited))
+    # A rational field reads a JSON integer or a "num/den" string, not a boolean.
+    d["mu"] = True
+    with pytest.raises(ValidationError, match="malformed number True"):
         parse_certificate(json.dumps(d))
 
 

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
+from fibercert.geometry import hulls_disjoint
 from fibercert.lattice import (
     BaseHull,
     DeepPoint,
     FiberedClass,
+    Obstacles,
     PerpLattice,
-    _gap2,
-    _HullBoxes,
     _outward,
     deep_point,
     perp_basis,
@@ -207,9 +207,9 @@ def test_systole_on_real_kernels():
 
 # -- deep point ------------------------------------------------------------
 
-def _placed(hulls) -> list:
+def _placed(hulls) -> Obstacles:
     """Hulls as obstacles placed from their own bases with zero shifts."""
-    return [(BaseHull.of(h), (0,) * len(h[0])) for h in hulls]
+    return Obstacles([(BaseHull.of(h), (0,) * len(h[0])) for h in hulls])
 
 
 def test_deep_point_rank1_example():
@@ -375,7 +375,28 @@ def test_deep_point_over_placed_translates(data, r1_models, r2_models):
     the brute-force deep point of the materialized translates."""
     placed, translates, R, rank = data.draw(
         _placed_translates({1: r1_models[0], 2: r2_models[0]}))
-    assert deep_point(placed, R, rank) == _brute_deep_point(translates, R, rank)
+    assert deep_point(Obstacles(placed), R, rank) == _brute_deep_point(translates, R, rank)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_obstacles_seen_from_matches_translates(data, r1_models, r2_models):
+    """The index answers both per-point questions exactly as the
+    materialized translates do: the distance from every point of the box,
+    and whether a body moved there and dilated misses them all."""
+    placed, translates, R, rank = data.draw(
+        _placed_translates({1: r1_models[0], 2: r2_models[0]}))
+    index = Obstacles(placed)
+    coord = st.integers(-4, 4)
+    body = convex_hull(data.draw(st.lists(st.tuples(*[coord] * rank), min_size=1,
+                                          max_size=4)), rank)
+    s = data.draw(st.integers(0, 1))
+    for y in product(range(-R, R + 1), repeat=rank):
+        seen = index.seen_from(y)
+        assert seen.dist2() == min(point_hull_dist2(y, t, rank) for t in translates), y
+        moved = translate(dilate(body, s, rank), y)
+        assert seen.misses(body, s) == all(hulls_disjoint(moved, t, rank)
+                                           for t in translates), (y, body, s)
 
 
 def _far_corner(lo, hi, box) -> int:
@@ -385,6 +406,14 @@ def _far_corner(lo, hi, box) -> int:
     a, b, c, d = box
     return (max((x - t) ** 2 for x in (x0, x1) for t in (a, b))
             + max((y - t) ** 2 for y in (y0, y1) for t in (c, d)))
+
+
+def _gap2(x0: int, x1: int, y0: int, y1: int, box) -> int:
+    """Squared distance between the cell [x0, x1] x [y0, y1] and a box."""
+    a, b, c, d = box
+    gx = max(a - x1, x0 - b, 0)
+    gy = max(c - y1, y0 - d, 0)
+    return gx * gx + gy * gy
 
 
 def test_cell_bound_matches_every_vertex():
@@ -401,7 +430,7 @@ def test_cell_bound_matches_every_vertex():
         if case % 4 == 0:
             lo, hi = (x0, 0), (hi[0], 0)  # flat, like every rank-1 cell
         near = sorted(rng.sample(range(len(hulls)), rng.randint(1, len(hulls))))
-        bound, kept = _HullBoxes(_placed(hulls)).cell_bound(lo, hi, near)
+        bound, kept = _placed(hulls).cell_bound(lo, hi, near)
         assert bound == min(_far_corner(lo, hi, _outward([v]))
                             for i in near for v in hulls[i]), (case, lo, hi, hulls)
         box = (lo[0], hi[0], lo[1], hi[1])
@@ -414,8 +443,8 @@ def test_cell_bound_matches_every_vertex():
 
 def test_deep_point_validation():
     with pytest.raises(ValidationError):
-        deep_point([], 3, 1)
+        deep_point(Obstacles([]), 3, 1)
     with pytest.raises(ValidationError):
-        deep_point([[(0,)]], 0, 1)
+        deep_point(_placed([[(0,)]]), 0, 1)
     with pytest.raises(CapabilityError):
-        deep_point([[(0, 0, 0)]], 3, 3)
+        deep_point(_placed([[(0, 0)]]), 3, 3)

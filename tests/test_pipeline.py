@@ -14,7 +14,7 @@ from fibercert import cones, geometry, pipeline, trackmap
 from fibercert.errors import BudgetError, SubconeError, ValidationError
 from fibercert.cones import epsilon_of_subcone, estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import emit_certificate, load_dataset, parse_certificate
-from fibercert.lattice import BaseHull, FiberedClass, perp_basis
+from fibercert.lattice import BaseHull, FiberedClass, Obstacles, perp_basis
 from fibercert.pipeline import (
     _ceil_root_multiple,
     build_obstacles,
@@ -90,15 +90,15 @@ def test_normalized_bound():
 
 # -- decomposition -----------------------------------------------------------
 
-def test_decompose(r1, r1_models):
+def test_decompose(r1_models):
     _, cone, _ = r1_models
-    n, L = decompose(FiberedClass((1, 3)), r1, cone)
+    n, L = decompose(FiberedClass((1, 3)), cone)
     assert n == 3
     assert L.basis == ((3, -1),)
     with pytest.raises(ValidationError, match="primitive"):
-        decompose(FiberedClass((2, 6)), r1, cone)
+        decompose(FiberedClass((2, 6)), cone)
     with pytest.raises(ValidationError, match="exterior"):
-        decompose(FiberedClass((-5, 1)), r1, cone)
+        decompose(FiberedClass((-5, 1)), cone)
 
 
 def test_enumerate_words_is_complete():
@@ -261,8 +261,9 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
     )
     words = enumerate_words(perp_basis(FiberedClass((1, 9))), 60)
     assert any(w.y < 0 for w in words)
-    assert build_obstacles(r1, words, 10, 1, False, dual) == \
-        build_obstacles(stripped, words, 10, 1, True, dual)
+    (mode_a, a), (mode_b, b) = (build_obstacles(r1, words, 10, 1, False, dual),
+                                build_obstacles(stripped, words, 10, 1, True, dual))
+    assert (mode_a, a.placed) == (mode_b, b.placed)
     a = certify(r1, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash)
     b = certify(stripped, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash,
                 allow_mirror=True)
@@ -312,15 +313,20 @@ def test_kscan_matches_exhaustive_reference(r1, r1_models, r1_cert, r2, r2_model
 def test_kscan_tests_obstacles_at_full_reach():
     """An obstacle whose box gap from the point equals the moved body's
     reach still gets its exact test, and the test places it by its shift."""
+    def seen(point, dot, x):
+        return Obstacles([(dot, x)]).seen_from(point)
+
     dot = BaseHull.of([(0,)])
     body = [(0,), (2,)]  # reach 2 from the point 0
-    assert not pipeline._Nearby((0,), [(dot, (2,))], 1).misses(body, 0)
-    assert pipeline._Nearby((0,), [(dot, (3,))], 1).misses(body, 0)
-    assert not pipeline._Nearby((0,), [(dot, (3,))], 1).misses(body, 1)
+    assert not seen((0,), dot, (2,)).misses(body, 0)
+    assert seen((0,), dot, (3,)).misses(body, 0)
+    assert not seen((0,), dot, (3,)).misses(body, 1)
     dot = BaseHull.of([(0, 0)])
     diagonal = [(0, 0), (2, 2)]  # its box meets both dots, the segment only one
-    assert pipeline._Nearby((5, 5), [(dot, (7, 5))], 2).misses(diagonal, 0)
-    assert not pipeline._Nearby((5, 5), [(dot, (6, 6))], 2).misses(diagonal, 0)
+    assert seen((5, 5), dot, (7, 5)).misses(diagonal, 0)
+    assert not seen((5, 5), dot, (6, 6)).misses(diagonal, 0)
+    # Full reach along both axes: the dot's box sits at gap 2 on each.
+    assert not seen((5, 5), dot, (7, 7)).misses(diagonal, 0)
 
 
 def test_certify_copies_hulls_per_power_not_per_word(r2, r2_models, r2_hash, monkeypatch):
