@@ -8,6 +8,7 @@ from .cones import (
     epsilon_of_subcone,
     estimate_dual_cone,
     fibered_cone_from_dual,
+    subcone_models,
 )
 from .errors import (
     BudgetError,

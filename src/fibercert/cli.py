@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import dataio
-from .cones import estimate_dual_cone, fibered_cone_from_dual
+from .cones import subcone_models
 from .errors import BudgetError, CapabilityError, SubconeError, ValidationError
 from .lattice import FiberedClass
 from .laurent import char_poly, mat_pow
@@ -106,8 +106,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cone(args) -> int:
     track, _ = _load(args.dataset)
-    dual = estimate_dual_cone(track, args.p_max)
-    cone = fibered_cone_from_dual(dual)
+    dual, cone, _ = subcone_models(track, args.p_max, None, None)
     out = {
         "p_max": dual.p_max,
         "k0": dual.k0,
@@ -124,20 +123,9 @@ def cmd_cone(args) -> int:
     return EXIT_OK
 
 
-def _models(track: LiftedGraphMap, p_max: int, mu, slope_cap):
-    dual = estimate_dual_cone(track, p_max)
-    cone = fibered_cone_from_dual(dual)
-    P = cone
-    if mu is not None:
-        P = P.subcone(mu)
-    if slope_cap is not None:
-        P = P.subcone_slope(slope_cap)
-    return dual, cone, P
-
-
 def cmd_bound(args) -> int:
     track, ds_hash = _load(args.dataset)
-    dual, cone, P = _models(track, args.p_max, args.mu, args.slope_cap)
+    dual, cone, P = subcone_models(track, args.p_max, args.mu, args.slope_cap)
     alpha = FiberedClass(_parse_class(args.alpha))
     cert = certify(
         track, dual, cone, P, alpha, args.p_max, ds_hash,
@@ -169,7 +157,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --classes, or --base and --direction; "
                               f"missing {' and '.join(missing)}")
     track, ds_hash = _load(args.dataset)
-    dual, cone, P = _models(track, args.p_max, args.mu, args.slope_cap)
+    dual, cone, P = subcone_models(track, args.p_max, args.mu, args.slope_cap)
     if args.classes:
         try:
             classes = [dataio.json_ints(c, "--classes entry") for c in json.loads(args.classes)]

@@ -34,6 +34,11 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(v) // g for v in vec)
 
 
+def _signed_axes(rank: int) -> list[tuple[int, ...]]:
+    """e_0, -e_0, e_1, -e_1, ... in Z^rank."""
+    return [tuple(sign * (i == j) for i in range(rank)) for j in range(rank) for sign in (1, -1)]
+
+
 def _clear_denominators(vec) -> tuple[tuple[int, ...], int]:
     """A rational vector times the lcm of its denominators, and that lcm."""
     fracs = [Fraction(c) for c in vec]
@@ -105,11 +110,7 @@ class DualConeModel:
 
 
 def _candidate_directions(rank: int, ratio_points: list[tuple]) -> list[tuple[int, ...]]:
-    dirs: list[tuple[int, ...]] = []
-    for j in range(rank):
-        e = tuple(1 if i == j else 0 for i in range(rank))
-        dirs.append(e)
-        dirs.append(tuple(-v for v in e))
+    dirs = _signed_axes(rank)
     if rank == 2 and len(set(ratio_points)) >= 2:
         hull = geometry.convex_hull(ratio_points, 2)
         n = len(hull)
@@ -183,7 +184,9 @@ class FiberedConeModel:
     keeps classes whose normalized slack stays >= mu, and ``slope_cap``
     restricts to the angular neighborhood |alpha_i| <= slope_cap * n of the
     monodromy axis (the latter is what keeps the comparability constant
-    epsilon positive for wide cones).
+    epsilon positive for wide cones).  Both are halfspaces of the height-1
+    slice {alpha : n = 1}; the extreme rays are the rays through its
+    vertices, so the declared subcone must cut a bounded nonempty slice.
     """
 
     rank: int
@@ -236,59 +239,14 @@ class FiberedConeModel:
         return FiberedConeModel(self.rank, self.generators, self.mu, cap)
 
     def extreme_rays(self) -> list[tuple[int, ...]]:
-        """Primitive integer extreme rays of the (sub)cone, computed once per model."""
+        """Primitive integer extreme rays of the (sub)cone, sorted, in a fresh
+        list; computed once per model.  They are the rays through the vertices
+        of the height-1 slice (each has a positive last coordinate), and a
+        slice that is empty or unbounded raises SubconeError."""
         return list(self._extreme_rays)
 
     @cached_property
     def _extreme_rays(self) -> tuple[tuple[int, ...], ...]:
-        if self.slope_cap is not None:
-            return self._slice_rays()
-        gsum = self.gen_sum
-        mu = Fraction(self.mu)
-        # Halfspace normals <g_j - mu * g_sum, alpha> >= 0, cleared to integers.
-        normals = [
-            _clear_denominators(Fraction(a) - mu * b for a, b in zip(g, gsum))[0]
-            for g in self.generators
-        ]
-        dim = self.rank + 1
-        rays: list[tuple[int, ...]] = []
-
-        def satisfies(v):
-            return all(sum(a * b for a, b in zip(h, v)) >= 0 for h in normals)
-
-        if dim == 2:
-            for h in normals:
-                for cand in ((-h[1], h[0]), (h[1], -h[0])):
-                    if any(cand) and satisfies(cand):
-                        prim = _primitive(cand)
-                        if prim not in rays:
-                            rays.append(prim)
-        elif dim == 3:
-            for i in range(len(normals)):
-                for j in range(i + 1, len(normals)):
-                    a, b = normals[i], normals[j]
-                    c = (
-                        a[1] * b[2] - a[2] * b[1],
-                        a[2] * b[0] - a[0] * b[2],
-                        a[0] * b[1] - a[1] * b[0],
-                    )
-                    if not any(c):
-                        continue
-                    for cand in (c, tuple(-v for v in c)):
-                        if satisfies(cand):
-                            prim = _primitive(cand)
-                            if prim not in rays:
-                                rays.append(prim)
-        else:
-            raise SubconeError(f"ray enumeration implemented for rank <= 2, got rank {self.rank}")
-        if not rays:
-            raise SubconeError("subcone is empty: shrinkage mu is too large")
-        return tuple(sorted(rays))
-
-    def _slice_rays(self) -> tuple[tuple[int, ...], ...]:
-        """Extreme rays via vertex enumeration of the bounded height-1 slice
-        (available once a slope cap makes the slice bounded)."""
-        cap = Fraction(self.slope_cap)
         mu = Fraction(self.mu)
         gsum = self.gen_sum
         halfspaces: list[tuple[tuple, Fraction]] = []
@@ -300,18 +258,15 @@ class FiberedConeModel:
             )
             rhs = Fraction(g[-1]) - mu * gsum[-1]
             halfspaces.append((head, rhs * den))
-        for j in range(self.rank):
-            e = tuple(1 if i == j else 0 for i in range(self.rank))
-            halfspaces.append((e, cap))
-            halfspaces.append((tuple(-v for v in e), cap))
-        rays: list[tuple[int, ...]] = []
-        for v in geometry.halfspace_vertices(halfspaces, self.rank):
-            prim = _primitive(_clear_denominators(list(v) + [1])[0])
-            if prim not in rays:
-                rays.append(prim)
-        if not rays:
-            raise SubconeError("subcone is empty: slope cap is too small")
-        return tuple(sorted(rays))
+        if self.slope_cap is not None:
+            halfspaces += [(e, self.slope_cap) for e in _signed_axes(self.rank)]
+        try:
+            vertices = geometry.halfspace_vertices(halfspaces, self.rank)
+        except ValidationError as exc:
+            raise SubconeError(f"subcone has no bounded height-1 slice: {exc}") from exc
+        return tuple(sorted({
+            _primitive(_clear_denominators(list(v) + [1])[0]) for v in vertices
+        }))
 
 
 def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:
@@ -325,6 +280,21 @@ def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:
     if model.membership(axis).status == "exterior":
         raise ValidationError("reconstructed cone does not contain the monodromy axis")
     return model
+
+
+def subcone_models(track: LiftedGraphMap, cone_p_max: int, mu: Optional[Fraction],
+                   slope_cap: Optional[Fraction], support: Optional[SupportSource] = None,
+                   ) -> tuple[DualConeModel, FiberedConeModel, FiberedConeModel]:
+    """(dual, cone, P): the dual cone at ``cone_p_max`` from ``support``, the
+    fibered cone, and its subcone P shrunk by ``mu`` and capped by
+    ``slope_cap`` (each skipped when None), as bound, sweep and verify build it."""
+    dual = estimate_dual_cone(track, cone_p_max, support)
+    cone = P = fibered_cone_from_dual(dual)
+    if mu is not None:
+        P = P.subcone(mu)
+    if slope_cap is not None:
+        P = P.subcone_slope(slope_cap)
+    return dual, cone, P
 
 
 @dataclass(frozen=True)
@@ -352,22 +322,14 @@ def epsilon_of_subcone(P: FiberedConeModel, dual: DualConeModel) -> EpsilonBound
         raise SubconeError("epsilon needs a proper subcone (mu > 0 or a slope cap)")
     rho = Fraction(0)
     c_inf = 0
-    for j in range(dual.rank):
-        e = tuple(1 if i == j else 0 for i in range(dual.rank))
-        for u in (e, tuple(-v for v in e)):
-            f = dual.facet(u)
-            rho = max(rho, f.slope)
-            c_inf = max(c_inf, f.c_window)
+    for u in _signed_axes(dual.rank):
+        f = dual.facet(u)
+        rho = max(rho, f.slope)
+        c_inf = max(c_inf, f.c_window)
     rho = max(rho, Fraction(0))
     rays = P.extreme_rays()
     c_ratio = Fraction(0)
-    for ray in rays:
-        *x, n = ray
-        if n <= 0:
-            raise SubconeError(
-                f"subcone ray {ray} does not have positive last coordinate; "
-                "shrink the subcone (raise mu)"
-            )
+    for *x, n in rays:  # n > 0: every ray passes through the height-1 slice
         c_ratio = max(c_ratio, Fraction(sum(abs(v) for v in x), n))
     if c_ratio == 0:
         return EpsilonBound(Fraction(1), rho, c_inf, c_ratio, tuple(rays), degenerate=True)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import ValidationError
@@ -23,6 +25,8 @@ FORMAT_VERSION = 1  # datasets; it is part of the content that dataset_hash cove
 CERT_FORMAT_VERSION = 2
 
 SWEEP_HEADER = "alpha,n,covol2,systole2,deep_dist2,K,bound_num,bound_den,normalized"
+
+_FRACTION = re.compile(r"-?[1-9][0-9]*/[1-9][0-9]*")
 
 
 @contextmanager
@@ -80,12 +84,24 @@ def json_ints(vs, what: str) -> tuple[int, ...]:
 
 
 def _num_in(v):
+    """A rational of outside input, in the one form _num_out writes: a JSON
+    integer, or a "num/den" string in lowest terms with den >= 2."""
     if type(v) is int:
         return v
-    if isinstance(v, str) and "/" in v:
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
-    raise ValidationError(f"malformed number {v!r}")
+    if not (isinstance(v, str) and _FRACTION.fullmatch(v)):
+        raise ValidationError(f"malformed number {v!r}: expected an integer or a num/den string")
+    num, den = map(int, v.split("/"))
+    if den == 1:
+        raise ValidationError(f"malformed number {v!r}: an integer takes no denominator")
+    if gcd(num, den) != 1:
+        raise ValidationError(f"malformed number {v!r}: not in lowest terms")
+    return Fraction(num, den)
+
+
+def _strings(vs, what: str) -> tuple[str, ...]:
+    if type(vs) is not list or not all(type(v) is str for v in vs):
+        raise ValidationError(f"{what} must be a list of strings, got {vs!r}")
+    return tuple(vs)
 
 
 # -- datasets ----------------------------------------------------------------
@@ -246,8 +262,8 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
             status=d["status"],
             dataset_hash=d["dataset_hash"],
             tool_version=d["tool_version"],
-            diagnostics=tuple(d.get("diagnostics", ())),
-            assumptions=tuple(d.get("assumptions", ())),
+            diagnostics=_strings(d.get("diagnostics", []), "diagnostics"),
+            assumptions=_strings(d.get("assumptions", []), "assumptions"),
         )
 
 

@@ -9,6 +9,7 @@ chains in rank 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ValidationError
@@ -179,17 +180,25 @@ def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) 
 def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: int) -> list[Point]:
     """Vertices of a bounded polytope {x : <u, x> <= c} in rank 1 or 2.
 
-    Each halfspace is (u, c) with integer u and rational c.  Raises if the
-    region is empty.
+    Each halfspace is (u, c) with integer u and rational c; a zero u with a
+    negative c empties the region.  Raises ValidationError if the normals
+    leave a direction d free (<u, d> <= 0 for every u, so the region is
+    unbounded if nonempty), or if the region is empty.
     """
+    if rank not in (1, 2):
+        raise CapabilityError(f"vertex enumeration implemented for rank <= 2, got {rank}")
+    normals = [u for u, _ in halfspaces if any(u)]
+    # Some free direction is a boundary direction of the recession cone, so
+    # it is perpendicular to a normal (or there are no normals at all).
+    free = [(1,), (-1,)] if rank == 1 else [d for a, b in normals for d in ((-b, a), (b, -a))]
+    if not normals or any(all(sum(map(mul, u, d)) <= 0 for u in normals) for d in free):
+        raise ValidationError("unbounded halfspace intersection")
     if rank == 1:
         hi = min(Fraction(c, u[0]) for u, c in halfspaces if u[0] > 0)
         lo = max(Fraction(c, u[0]) for u, c in halfspaces if u[0] < 0)
-        if lo > hi:
+        if lo > hi or any(c < 0 for u, c in halfspaces if u[0] == 0):
             raise ValidationError("empty halfspace intersection")
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    if rank != 2:
-        raise CapabilityError(f"vertex enumeration implemented for rank <= 2, got {rank}")
     verts = []
     m = len(halfspaces)
     for i in range(m):

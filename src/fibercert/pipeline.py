@@ -23,8 +23,7 @@ from .cones import (
     EpsilonBound,
     FiberedConeModel,
     epsilon_of_subcone,
-    estimate_dual_cone,
-    fibered_cone_from_dual,
+    subcone_models,
 )
 from .errors import BudgetError, SubconeError, ValidationError
 from .lattice import (
@@ -317,13 +316,9 @@ def verify_certificate(
     if not (1 <= cert.K <= cert.p_max):
         return VerifyResult("fail", "k-exceeds-pmax")
 
-    dual = estimate_dual_cone(track, cert.cone_p_max, _oracle)
-    P = fibered_cone_from_dual(dual)
     try:
-        if cert.mu:
-            P = P.subcone(cert.mu)
-        if cert.slope_cap is not None:
-            P = P.subcone_slope(cert.slope_cap)
+        dual, _, P = subcone_models(track, cert.cone_p_max, cert.mu or None,
+                                    cert.slope_cap, _oracle)
         eps = epsilon_of_subcone(P, dual)
     except SubconeError:
         return VerifyResult("fail", "subcone")

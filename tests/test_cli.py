@@ -143,6 +143,29 @@ MALFORMED_INPUTS = {
                                   "--safety", "-1"],
         "safety must be nonnegative",
     ),
+    "certificate-mu-underscore": (_edited_cert(lambda d: d.update(mu="1_0/3")),
+                                  "malformed number '1_0/3'"),
+    "certificate-mu-space": (_edited_cert(lambda d: d.update(mu=" 2/4")),
+                             "malformed number ' 2/4'"),
+    "certificate-mu-plus": (_edited_cert(lambda d: d.update(mu="+1/2")),
+                            "malformed number '+1/2'"),
+    "certificate-mu-not-lowest": (_edited_cert(lambda d: d.update(mu="2/4")),
+                                  "malformed number '2/4': not in lowest terms"),
+    "certificate-mu-denominator-1": (
+        _edited_cert(lambda d: d.update(mu="3/1")),
+        "malformed number '3/1': an integer takes no denominator",
+    ),
+    # The honest bound 2/9, written 4/18, no longer passes.
+    "certificate-bound-not-lowest": (_edited_cert(lambda d: d.update(bound="4/18")),
+                                     "malformed number '4/18': not in lowest terms"),
+    "certificate-diagnostics-string": (
+        _edited_cert(lambda d: d.update(diagnostics="abc")),
+        "diagnostics must be a list of strings",
+    ),
+    "certificate-assumptions-not-strings": (
+        _edited_cert(lambda d: d.update(assumptions=[1])),
+        "assumptions must be a list of strings",
+    ),
     "out-unwritable": (
         lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
                                   "--out", str(tmp_path / "absent" / "c.json")],
@@ -223,6 +246,12 @@ def test_cone(capsys):
     assert d["fibered_cone_generators"] == [[0, 1], [1, 1]]
 
 
+def test_cone_below_k0_is_low_confidence(capsys):
+    code, out, _ = run(capsys, "cone", R2, "--p-max", "1")
+    assert code == 0
+    assert '"low_confidence": true' in out
+
+
 # -- bound / verify ------------------------------------------------------------
 
 def test_bound_and_verify_round_trip(capsys, tmp_path):
@@ -251,6 +280,19 @@ def test_bound_inconclusive_exit_code(capsys):
     assert code == 2
     assert json.loads(out)["status"] == "inconclusive"
     assert "inconclusive" in err
+
+
+def test_bound_asymptotic_exit_codes(capsys):
+    """A certificate whose far words are cone-approximated is inconclusive
+    when certified mode is asked for, and a success in asymptotic mode."""
+    argv = ["bound", R2, "--alpha=1,7,50", "--mirror", "--p-max", "12"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "certificate degraded to asymptotic mode" in err
+    assert json.loads(out)["mode"] == "asymptotic"
+    code_asym, out_asym, err_asym = run(capsys, *argv, "--mode", "asymptotic")
+    assert code_asym == 0 and err_asym == ""
+    assert out_asym == out
 
 
 def test_bound_exterior_class_exit_code(capsys):

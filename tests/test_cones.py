@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercert.cones import (
     FiberedConeModel,
@@ -8,8 +10,9 @@ from fibercert.cones import (
     estimate_dual_cone,
     fibered_cone_from_dual,
 )
+from fibercert import geometry
 from fibercert.errors import SubconeError, ValidationError
-from fibercert.geometry import convex_hull
+from fibercert.geometry import contains_point, convex_hull
 from fibercert.trackmap import support_of_power
 
 from test_trackmap import doubling_rose, single_edge_rose
@@ -25,6 +28,19 @@ def test_dual_cone_of_pure_shift_is_a_ray():
     assert dual.C == 0
     assert dual.base_polytope() == [(1,)]
     assert not dual.low_confidence
+
+
+def test_low_confidence_dual_cone_below_k0(r2):
+    """Below k0 there is no strict-positivity window: each facet's c_window
+    falls back to the widest observed deviation, and the fattened cone still
+    contains the data."""
+    assert r2.k0 == 2
+    dual = estimate_dual_cone(r2, 1)
+    assert dual.low_confidence
+    assert tuple(f.c_window for f in dual.facets) == (0, 1, 0, 1, 0, 1)
+    for p in (0, 1):
+        for x in support_of_power(r2, p).points:
+            assert dual.contains_fattened(tuple(x) + (p,))
 
 
 def test_dual_cone_of_doubling_rose_is_0_to_p():
@@ -169,9 +185,9 @@ def test_extreme_rays_are_computed_once_per_model(r2_models, monkeypatch):
     dual, cone, _ = r2_models
     P = cone.subcone_slope(Fraction(1, 2))
     calls = []
-    slice_rays = FiberedConeModel._slice_rays
-    monkeypatch.setattr(FiberedConeModel, "_slice_rays",
-                        lambda self: calls.append(self) or slice_rays(self))
+    vertices = geometry.halfspace_vertices
+    monkeypatch.setattr(geometry, "halfspace_vertices",
+                        lambda *args: calls.append(args) or vertices(*args))
     first, second = epsilon_of_subcone(P, dual), epsilon_of_subcone(P, dual)
     assert first == second and len(calls) == 1
     P.extreme_rays().clear()  # callers get a copy, never the memo itself
@@ -198,6 +214,70 @@ def test_empty_subcone_raises():
     cone = FiberedConeModel(1, ((1, -2),))
     with pytest.raises((SubconeError, ValidationError)):
         cone.subcone_slope(Fraction(1, 2)).extreme_rays()
+
+
+def test_subcone_emptied_by_a_generator_without_slope_raises():
+    """The (0, 1) generator demands n >= (3/10) * 5n, which no class meets:
+    its height-1 halfspace has a zero normal and a negative bound."""
+    cone = FiberedConeModel(1, ((-1, 2), (0, 1), (1, 2)))
+    P = cone.subcone(Fraction(3, 10)).subcone_slope(Fraction(1, 2))
+    with pytest.raises(SubconeError, match="empty"):
+        P.extreme_rays()
+    assert P.membership((0, 1)).status == "exterior"
+
+
+def test_unbounded_subcone_raises():
+    # One generator leaves the height-1 slice a half-line.
+    with pytest.raises(SubconeError, match="unbounded"):
+        FiberedConeModel(1, ((1, 1),)).subcone(Fraction(1, 10)).extreme_rays()
+
+
+def test_r1_mu_subcone_rays(r1_models):
+    _, cone, _ = r1_models
+    assert cone.subcone(Fraction(2, 5)).extreme_rays() == [(-1, 3), (1, 2)]
+
+
+def _in_slice(P, s):
+    """Does (s, 1) satisfy every halfspace of the subcone P, by definition?"""
+    alpha = tuple(s) + (1,)
+    total = sum(a * b for a, b in zip(P.gen_sum, alpha))
+    return (all(sum(a * b for a, b in zip(g, alpha)) >= P.mu * total for g in P.generators)
+            and (P.slope_cap is None or all(abs(v) <= P.slope_cap for v in s)))
+
+
+_coords = st.integers(-4, 4)
+_ratios = st.fractions(0, 1, max_denominator=10).filter(lambda f: 0 < f < 1)
+_caps = st.fractions(0, 3, max_denominator=10).filter(lambda f: f > 0)
+_slice_points = st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extreme_rays_span_the_height_one_slice(data):
+    """The rays' height-1 points are the vertices of the slice that the
+    halfspaces cut: a rational slice point satisfies them all iff it lies in
+    the rays' hull."""
+    rank = data.draw(st.integers(1, 2))
+    gens = data.draw(st.lists(st.tuples(*[_coords] * (rank + 1)).filter(any),
+                              min_size=1, max_size=5))
+    mu, cap = data.draw(st.none() | _ratios), data.draw(st.none() | _caps)
+    P = FiberedConeModel(rank, tuple(gens))
+    if mu is not None:
+        P = P.subcone(mu)
+    if cap is not None:
+        P = P.subcone_slope(cap)
+    try:
+        rays = P.extreme_rays()
+    except SubconeError:
+        return
+    points = [tuple(Fraction(v, ray[-1]) for v in ray[:-1]) for ray in rays]
+    hull = convex_hull(points, rank)
+    assert len(hull) == len(rays)  # every ray is extreme
+    centroid = tuple(sum(c) / len(points) for c in zip(*points))
+    for s in points + [centroid]:
+        assert _in_slice(P, s)
+    s = data.draw(st.tuples(*[_slice_points] * rank))
+    assert _in_slice(P, s) == contains_point(hull, s, rank)
 
 
 def test_reconstructed_cones_contain_the_axis(r1_models, r2_models):

@@ -236,3 +236,25 @@ def test_halfspace_vertices_rank1_and_errors():
              ((0, 1), Fraction(1)), ((0, -1), Fraction(1))], 2)
     with pytest.raises(CapabilityError):
         halfspace_vertices([((1, 0, 0), Fraction(1))], 3)
+
+
+def test_halfspace_vertices_zero_normal_with_negative_bound_is_empty():
+    # 0 <= -1 holds nowhere, whatever the other halfspaces allow.
+    with pytest.raises(ValidationError, match="empty"):
+        halfspace_vertices([((0,), -1), ((1,), 1), ((-1,), 1)], 1)
+    assert halfspace_vertices([((0,), 1), ((1,), 1), ((-1,), 1)], 1) == [(-1,), (1,)]
+
+
+def test_halfspace_vertices_unbounded_rank1():
+    with pytest.raises(ValidationError, match="unbounded"):
+        halfspace_vertices([((1,), 1)], 1)
+    with pytest.raises(ValidationError, match="unbounded"):
+        halfspace_vertices([((0,), 1)], 1)
+
+
+def test_halfspace_vertices_unbounded_rank2():
+    # A strip has no vertex; a wedge has one, but it is not the whole region.
+    with pytest.raises(ValidationError, match="unbounded"):
+        halfspace_vertices([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)], 2)
+    with pytest.raises(ValidationError, match="unbounded"):
+        halfspace_vertices([((1, 1), 0), ((1, -1), 0)], 2)

@@ -513,13 +513,22 @@ def test_verify_rejects_forgeries(r1, r1_cert_29, r1_hash, edit, want):
     ({"slope_cap": None}, "subcone"),
     ({"mu": Fraction(1, 2)}, "alpha-not-interior"),
     ({"mu": Fraction(2)}, "subcone"),
+    # Without a cap, mu = 1/2 shrinks the r1 cone to one ray, which has no interior.
+    ({"slope_cap": None, "mu": Fraction(1, 2)}, "alpha-not-interior"),
 ], ids=["safety-0", "safety-2", "slope-cap-narrow", "slope-cap-wide",
-        "slope-cap-none", "mu-half", "mu-above-1"])
+        "slope-cap-none", "mu-half", "mu-above-1", "slope-cap-none-mu-half"])
 def test_verify_rederives_declared_parameters(r1, r1_cert, r1_hash, edit, want):
     """verify derives the subcone, epsilon, the words and the obstacles from
     the declared parameters, so editing one changes what it checks against."""
     res = verify_certificate(replace(r1_cert, **edit), r1, r1_hash)
     assert (res.status, res.reason) == ("fail", want)
+
+
+def test_verify_fails_a_declared_subcone_with_an_empty_slice(r2, r2_cert, r2_hash):
+    """mu = 1/10 and the slope cap 1/2 leave no class of the r2 cone: the
+    subcone predicate fails by name, with no ValidationError."""
+    res = verify_certificate(replace(r2_cert, mu=Fraction(1, 10)), r2, r2_hash)
+    assert (res.status, res.reason) == ("fail", "subcone")
 
 
 def test_verify_rederives_cone_p_max(r2, r2_cert, r2_hash):
