@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 validation or usage error, 2 inconclusive
-certificate, or one verify cannot check within its caps (a power above the
-power cap, or a word list above the word cap), 3 verification failure.
+certificate, a sweep with a row that is not ok, or one verify cannot check
+within its caps (a power above the power cap, or a word list above the word
+cap), 3 verification failure.
 Diagnostics go to stderr, artifacts to stdout.
 """
 
@@ -106,7 +107,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cone(args) -> int:
     track, _ = _load(args.dataset)
-    dual, cone, _ = subcone_models(track, args.p_max, None, None)
+    dual, cone, _ = subcone_models(track, args.p_max, None)
     out = {
         "p_max": dual.p_max,
         "k0": dual.k0,
@@ -125,7 +126,7 @@ def cmd_cone(args) -> int:
 
 def cmd_bound(args) -> int:
     track, ds_hash = _load(args.dataset)
-    dual, cone, P = subcone_models(track, args.p_max, args.mu, args.slope_cap)
+    dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     alpha = FiberedClass(_parse_class(args.alpha))
     cert = certify(
         track, dual, cone, P, alpha, args.p_max, ds_hash,
@@ -157,7 +158,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --classes, or --base and --direction; "
                               f"missing {' and '.join(missing)}")
     track, ds_hash = _load(args.dataset)
-    dual, cone, P = subcone_models(track, args.p_max, args.mu, args.slope_cap)
+    dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     if args.classes:
         try:
             classes = [dataio.json_ints(c, "--classes entry") for c in json.loads(args.classes)]
@@ -187,7 +188,10 @@ def cmd_sweep(args) -> int:
                 f"systole2={row.systole2} K={row.K} "
                 f"bound={row.bound} normalized={row.normalized} status={row.status}"
             )
-    return EXIT_OK
+    not_ok = [row for row in rows if row.status != "ok"]
+    for row in not_ok:
+        print(f"class {' '.join(map(str, row.alpha))}: {row.status}", file=sys.stderr)
+    return EXIT_INCONCLUSIVE if not_ok else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -240,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def bound_opts(p):
         p.add_argument("--p-max", type=int, default=32)
-        p.add_argument("--mu", type=_parse_fraction, default=None,
-                       help="optional normalized-slack subcone shrinkage in (0,1)")
         p.add_argument("--slope-cap", type=_parse_fraction, default=Fraction(1, 2),
                        help="axis-centered subcone slope bound (default 1/2)")
         p.add_argument("--safety", type=int, default=1,

@@ -178,29 +178,36 @@ class Membership:
 class FiberedConeModel:
     """The reconstructed fibered cone in H^1 coordinates.
 
-    ``generators`` are the primitive integer extreme rays of the dual cone;
-    a class is in the cone iff it pairs positively with all of them.  Two
-    proper-subcone shrinkages are available and can be combined: ``mu`` > 0
-    keeps classes whose normalized slack stays >= mu, and ``slope_cap``
-    restricts to the angular neighborhood |alpha_i| <= slope_cap * n of the
-    monodromy axis (the latter is what keeps the comparability constant
-    epsilon positive for wide cones).  Both are halfspaces of the height-1
-    slice {alpha : n = 1}; the extreme rays are the rays through its
-    vertices, so the declared subcone must cut a bounded nonempty slice.
+    ``generators`` are the primitive integer extreme rays of the dual cone,
+    each with a positive last coordinate; a class is in the cone iff it
+    pairs nonnegatively with all of them.  ``slope_cap`` restricts to the
+    axis-centered slope box |alpha_i| <= slope_cap * n, the proper subcone
+    P that keeps the comparability constant epsilon positive.  Membership
+    and the extreme rays read one list of halfspaces of the height-1 slice
+    {alpha : n = 1}, so the subcone is defined in one place.
     """
 
     rank: int
     generators: tuple[tuple[int, ...], ...]
-    mu: Fraction = Fraction(0)
     slope_cap: Optional[Fraction] = None
 
-    @property
-    def is_proper(self) -> bool:
-        return self.mu > 0 or self.slope_cap is not None
+    def __post_init__(self):
+        for g in self.generators:
+            if g[-1] <= 0:
+                raise ValidationError(f"generator {g} must have a positive last coordinate")
 
-    @property
-    def gen_sum(self) -> tuple[int, ...]:
-        return tuple(sum(g[i] for g in self.generators) for i in range(self.rank + 1))
+    @cached_property
+    def _slice(self) -> tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]:
+        """(u, c, scale) per halfspace <u, s> <= c of the height-1 slice:
+        (-g', g_n, g_n) per generator g = (g', g_n) and, when capped,
+        (+-e_i, cap, 1 + cap).  A class (x, n) with n > 0 has slack
+        c n - <u, x> on a halfspace, and ``scale`` n is its unit, so a
+        margin does not grow or shrink with the generators' size."""
+        rows = [(tuple(-a for a in g[:-1]), Fraction(g[-1]), Fraction(g[-1]))
+                for g in self.generators]
+        if self.slope_cap is not None:
+            rows += [(e, self.slope_cap, 1 + self.slope_cap) for e in _signed_axes(self.rank)]
+        return tuple(rows)
 
     def membership(self, alpha: Sequence[int]) -> Membership:
         alpha = tuple(int(v) for v in alpha)
@@ -208,60 +215,34 @@ class FiberedConeModel:
             raise ValidationError(
                 f"class has length {len(alpha)}, expected {self.rank + 1}"
             )
-        values = [sum(a * b for a, b in zip(g, alpha)) for g in self.generators]
-        total = sum(a * b for a, b in zip(self.gen_sum, alpha))
-        if total <= 0 or min(values) < 0:
+        *x, n = alpha
+        if n <= 0:
             return Membership("exterior", Fraction(-1))
-        margin = min(Fraction(v, total) for v in values) - self.mu
-        if self.slope_cap is not None:
-            n = alpha[-1]
-            if n <= 0:
-                return Membership("exterior", Fraction(-1))
-            box_margin = min(
-                (self.slope_cap - Fraction(abs(a), n)) / (1 + self.slope_cap)
-                for a in alpha[:-1]
-            )
-            margin = min(margin, box_margin)
+        margin = min((c * n - sum(map(mul, u, x))) / (scale * n)
+                     for u, c, scale in self._slice)
         if abs(margin) < BOUNDARY_TOLERANCE:
             return Membership("near-boundary", margin)
         return Membership("interior" if margin > 0 else "exterior", margin)
-
-    def subcone(self, mu: Fraction) -> "FiberedConeModel":
-        if not 0 < mu < 1:
-            raise SubconeError(f"subcone shrinkage must be in (0, 1), got {mu}")
-        return FiberedConeModel(self.rank, self.generators, Fraction(mu), self.slope_cap)
 
     def subcone_slope(self, cap: Fraction) -> "FiberedConeModel":
         """Intersect with the axis-centered slope box |alpha_i| <= cap * n."""
         cap = Fraction(cap)
         if cap <= 0:
             raise SubconeError(f"slope cap must be positive, got {cap}")
-        return FiberedConeModel(self.rank, self.generators, self.mu, cap)
+        return FiberedConeModel(self.rank, self.generators, cap)
 
     def extreme_rays(self) -> list[tuple[int, ...]]:
         """Primitive integer extreme rays of the (sub)cone, sorted, in a fresh
         list; computed once per model.  They are the rays through the vertices
         of the height-1 slice (each has a positive last coordinate), and a
-        slice that is empty or unbounded raises SubconeError."""
+        slice that is unbounded raises SubconeError."""
         return list(self._extreme_rays)
 
     @cached_property
     def _extreme_rays(self) -> tuple[tuple[int, ...], ...]:
-        mu = Fraction(self.mu)
-        gsum = self.gen_sum
-        halfspaces: list[tuple[tuple, Fraction]] = []
-        for g in self.generators:
-            # <g, (s, 1)> >= mu <gsum, (s, 1)>, rewritten as <u, s> <= c.
-            # rhs takes the head's scale factor and may stay fractional.
-            head, den = _clear_denominators(
-                mu * b - Fraction(a) for a, b in zip(g[:-1], gsum[:-1])
-            )
-            rhs = Fraction(g[-1]) - mu * gsum[-1]
-            halfspaces.append((head, rhs * den))
-        if self.slope_cap is not None:
-            halfspaces += [(e, self.slope_cap) for e in _signed_axes(self.rank)]
         try:
-            vertices = geometry.halfspace_vertices(halfspaces, self.rank)
+            vertices = geometry.halfspace_vertices(
+                [(u, c) for u, c, _ in self._slice], self.rank)
         except ValidationError as exc:
             raise SubconeError(f"subcone has no bounded height-1 slice: {exc}") from exc
         return tuple(sorted({
@@ -275,25 +256,18 @@ def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:
         _primitive(_clear_denominators(list(v) + [1])[0])
         for v in dual.base_polytope()
     })
-    model = FiberedConeModel(dual.rank, tuple(gens))
-    axis = (0,) * dual.rank + (1,)
-    if model.membership(axis).status == "exterior":
-        raise ValidationError("reconstructed cone does not contain the monodromy axis")
-    return model
+    return FiberedConeModel(dual.rank, tuple(gens))
 
 
-def subcone_models(track: LiftedGraphMap, cone_p_max: int, mu: Optional[Fraction],
-                   slope_cap: Optional[Fraction], support: Optional[SupportSource] = None,
+def subcone_models(track: LiftedGraphMap, cone_p_max: int, slope_cap: Optional[Fraction],
+                   support: Optional[SupportSource] = None,
                    ) -> tuple[DualConeModel, FiberedConeModel, FiberedConeModel]:
     """(dual, cone, P): the dual cone at ``cone_p_max`` from ``support``, the
-    fibered cone, and its subcone P shrunk by ``mu`` and capped by
-    ``slope_cap`` (each skipped when None), as bound, sweep and verify build it."""
+    fibered cone, and its subcone P capped by ``slope_cap`` (P is the cone
+    when None), as bound, sweep and verify build it."""
     dual = estimate_dual_cone(track, cone_p_max, support)
-    cone = P = fibered_cone_from_dual(dual)
-    if mu is not None:
-        P = P.subcone(mu)
-    if slope_cap is not None:
-        P = P.subcone_slope(slope_cap)
+    cone = fibered_cone_from_dual(dual)
+    P = cone if slope_cap is None else cone.subcone_slope(slope_cap)
     return dual, cone, P
 
 
@@ -314,12 +288,11 @@ class EpsilonBound:
     c_inf: int
     c_ratio: Fraction
     rays: tuple[tuple[int, ...], ...]
-    degenerate: bool = False
 
 
 def epsilon_of_subcone(P: FiberedConeModel, dual: DualConeModel) -> EpsilonBound:
-    if not P.is_proper:
-        raise SubconeError("epsilon needs a proper subcone (mu > 0 or a slope cap)")
+    if P.slope_cap is None:
+        raise SubconeError("epsilon needs a proper subcone: give a slope cap")
     rho = Fraction(0)
     c_inf = 0
     for u in _signed_axes(dual.rank):
@@ -331,12 +304,12 @@ def epsilon_of_subcone(P: FiberedConeModel, dual: DualConeModel) -> EpsilonBound
     c_ratio = Fraction(0)
     for *x, n in rays:  # n > 0: every ray passes through the height-1 slice
         c_ratio = max(c_ratio, Fraction(sum(abs(v) for v in x), n))
-    if c_ratio == 0:
-        return EpsilonBound(Fraction(1), rho, c_inf, c_ratio, tuple(rays), degenerate=True)
+    # c_ratio > 0: the slice holds a neighborhood of the axis point s = 0,
+    # which has slack g_n > 0 on every generator and cap > 0 on the box.
     eps = 1 - rho * c_ratio
     if eps <= 0:
         raise SubconeError(
             f"subcone too wide: growth rate {rho} * kernel ratio {c_ratio} >= 1; "
-            "raise mu"
+            "lower the slope cap"
         )
     return EpsilonBound(min(eps, Fraction(1)), rho, c_inf, c_ratio, tuple(rays))

@@ -22,7 +22,7 @@ from .pipeline import BoundCertificate, SweepRow
 from .trackmap import Edge, LiftedGraphMap
 
 FORMAT_VERSION = 1  # datasets; it is part of the content that dataset_hash covers
-CERT_FORMAT_VERSION = 2
+CERT_FORMAT_VERSION = 3
 
 SWEEP_HEADER = "alpha,n,covol2,systole2,deep_dist2,K,bound_num,bound_den,normalized"
 
@@ -96,6 +96,12 @@ def _num_in(v):
     if gcd(num, den) != 1:
         raise ValidationError(f"malformed number {v!r}: not in lowest terms")
     return Fraction(num, den)
+
+
+def _string(v, what: str) -> str:
+    if type(v) is not str:
+        raise ValidationError(f"{what} must be a string, got {v!r}")
+    return v
 
 
 def _strings(vs, what: str) -> tuple[str, ...]:
@@ -214,8 +220,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         "rank": cert.rank,
         "p_max": cert.p_max,
         "cone_p_max": cert.cone_p_max,
-        "mu": _num_out(cert.mu),
-        "slope_cap": None if cert.slope_cap is None else _num_out(cert.slope_cap),
+        "slope_cap": _num_out(cert.slope_cap),
         "safety": cert.safety,
         "box_radius": cert.box_radius,
         "mirror": cert.mirror,
@@ -249,8 +254,7 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
             rank=json_int(d["rank"], "rank"),
             p_max=json_int(d["p_max"], "p_max"),
             cone_p_max=json_int(d["cone_p_max"], "cone_p_max"),
-            mu=Fraction(_num_in(d["mu"])),
-            slope_cap=None if d.get("slope_cap") is None else Fraction(_num_in(d["slope_cap"])),
+            slope_cap=Fraction(_num_in(d["slope_cap"])),
             safety=json_int(d["safety"], "safety"),
             box_radius=json_int(d["box_radius"], "box_radius"),
             mirror=d["mirror"],
@@ -258,10 +262,10 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
             deep_dist2=Fraction(_num_in(d["deep_dist2"])),
             K=json_int(d["K"], "K"),
             bound=Fraction(_num_in(d["bound"])),
-            mode=d["mode"],
-            status=d["status"],
-            dataset_hash=d["dataset_hash"],
-            tool_version=d["tool_version"],
+            mode=_string(d["mode"], "mode"),
+            status=_string(d["status"], "status"),
+            dataset_hash=_string(d["dataset_hash"], "dataset_hash"),
+            tool_version=_string(d["tool_version"], "tool_version"),
             diagnostics=_strings(d.get("diagnostics", []), "diagnostics"),
             assumptions=_strings(d.get("assumptions", []), "assumptions"),
         )

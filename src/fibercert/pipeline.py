@@ -82,8 +82,6 @@ def decompose(alpha: FiberedClass, cone: FiberedConeModel) -> tuple[int, PerpLat
             f"class {alpha.vector} is {verdict.status} (margin {verdict.margin}); "
             "the pipeline needs an interior class"
         )
-    if alpha.n < 1:
-        raise ValidationError("class must have positive last coordinate")
     return alpha.n, perp_basis(alpha)
 
 
@@ -165,8 +163,7 @@ class BoundCertificate:
     rank: int
     p_max: int
     cone_p_max: int  # truncation of the dual-cone reconstruction
-    mu: Fraction
-    slope_cap: Optional[Fraction]
+    slope_cap: Fraction  # the subcone P: the slope box |alpha_i| <= slope_cap * n
     safety: int
     box_radius: int
     mirror: bool  # mirror mode allowed for negative powers
@@ -200,10 +197,6 @@ def certify(
 ) -> BoundCertificate:
     """Run the full bound pipeline for one class."""
     _check_margins(safety, kappa)
-    if not P.is_proper:
-        raise SubconeError(
-            "certification needs a proper subcone (mu > 0 or a slope cap)"
-        )
     if P.membership(alpha.vector).status != "interior":
         raise ValidationError(
             f"class {alpha.vector} is not interior to the chosen subcone"
@@ -242,8 +235,7 @@ def certify(
         rank=r,
         p_max=p_max,
         cone_p_max=dual.p_max,
-        mu=Fraction(P.mu),
-        slope_cap=Fraction(P.slope_cap) if P.slope_cap is not None else None,
+        slope_cap=P.slope_cap,
         safety=safety,
         box_radius=R,
         mirror=allow_mirror,
@@ -317,8 +309,7 @@ def verify_certificate(
         return VerifyResult("fail", "k-exceeds-pmax")
 
     try:
-        dual, _, P = subcone_models(track, cert.cone_p_max, cert.mu or None,
-                                    cert.slope_cap, _oracle)
+        dual, _, P = subcone_models(track, cert.cone_p_max, cert.slope_cap, _oracle)
         eps = epsilon_of_subcone(P, dual)
     except SubconeError:
         return VerifyResult("fail", "subcone")

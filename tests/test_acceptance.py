@@ -12,6 +12,7 @@ import pytest
 
 from fibercert.cones import estimate_dual_cone
 from fibercert.dataio import emit_certificate, sweep_to_csv
+from fibercert.geometry import convex_hull
 from fibercert.laurent import char_poly, degree_extrema, mat_pow
 from fibercert.pipeline import sweep, verify_certificate
 from fibercert.trackmap import (
@@ -44,20 +45,23 @@ def r2_sweep(r2, r2_models, r2_hash):
 
 
 def test_criterion_1_oracle_equivalence(r1, r2):
+    """Both routes read their points from the one shift walk, so comparing
+    their points would compare the walk with itself.  Each route carries
+    its own hull; both must equal the hull of the walked points."""
     start = time.monotonic()
     checked = 0
     for track in (r1, r2):
         walk = oracle_iterate(track, 8)
         for p in range(0, 9):
-            assert support_of_power(track, p).points == \
-                walk[p].points, f"support mismatch at p={p}"
-            assert support_of_power(track, p).hull == \
-                walk[p].hull, f"hull mismatch at p={p}"
+            semiring = support_of_power(track, p)
+            hull = tuple(convex_hull(sorted(semiring.points), track.rank))
+            assert semiring.hull == hull, f"semiring hull mismatch at p={p}"
+            assert walk[p].hull == hull, f"oracle hull mismatch at p={p}"
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s (limit 60s)"
-    _report(1, f"{checked} powers match the path-substitution oracle "
-               f"exactly in {elapsed:.1f}s")
+    _report(1, f"{checked} powers: the semiring and path-substitution hulls "
+               f"both equal the hull of the walked points, in {elapsed:.1f}s")
 
 
 def test_criterion_2_degree_inequality(r1, r1_models, r2, r2_models):

@@ -143,18 +143,34 @@ MALFORMED_INPUTS = {
                                   "--safety", "-1"],
         "safety must be nonnegative",
     ),
-    "certificate-mu-underscore": (_edited_cert(lambda d: d.update(mu="1_0/3")),
-                                  "malformed number '1_0/3'"),
-    "certificate-mu-space": (_edited_cert(lambda d: d.update(mu=" 2/4")),
-                             "malformed number ' 2/4'"),
-    "certificate-mu-plus": (_edited_cert(lambda d: d.update(mu="+1/2")),
-                            "malformed number '+1/2'"),
-    "certificate-mu-not-lowest": (_edited_cert(lambda d: d.update(mu="2/4")),
-                                  "malformed number '2/4': not in lowest terms"),
-    "certificate-mu-denominator-1": (
-        _edited_cert(lambda d: d.update(mu="3/1")),
+    "v2-certificate": (_edited_cert(lambda d: d.update(format_version=2)),
+                       "unsupported certificate format_version 2"),
+    "certificate-slope-cap-underscore": (
+        _edited_cert(lambda d: d.update(slope_cap="1_0/3")), "malformed number '1_0/3'"),
+    "certificate-slope-cap-space": (_edited_cert(lambda d: d.update(slope_cap=" 2/4")),
+                                    "malformed number ' 2/4'"),
+    "certificate-slope-cap-plus": (_edited_cert(lambda d: d.update(slope_cap="+1/2")),
+                                   "malformed number '+1/2'"),
+    "certificate-slope-cap-not-lowest": (
+        _edited_cert(lambda d: d.update(slope_cap="2/4")),
+        "malformed number '2/4': not in lowest terms",
+    ),
+    "certificate-slope-cap-denominator-1": (
+        _edited_cert(lambda d: d.update(slope_cap="3/1")),
         "malformed number '3/1': an integer takes no denominator",
     ),
+    "certificate-slope-cap-null": (_edited_cert(lambda d: d.update(slope_cap=None)),
+                                   "malformed number None"),
+    # The string fields are strings, never re-emitted or compared as
+    # anything else.
+    "certificate-mode-list": (_edited_cert(lambda d: d.update(mode=["certified"])),
+                              "mode must be a string, got ['certified']"),
+    "certificate-status-list": (_edited_cert(lambda d: d.update(status=["ok"])),
+                                "status must be a string, got ['ok']"),
+    "certificate-dataset-hash-integer": (_edited_cert(lambda d: d.update(dataset_hash=5)),
+                                         "dataset_hash must be a string, got 5"),
+    "certificate-tool-version-integer": (_edited_cert(lambda d: d.update(tool_version=5)),
+                                         "tool_version must be a string, got 5"),
     # The honest bound 2/9, written 4/18, no longer passes.
     "certificate-bound-not-lowest": (_edited_cert(lambda d: d.update(bound="4/18")),
                                      "malformed number '4/18': not in lowest terms"),
@@ -189,10 +205,13 @@ def test_malformed_input_exit_code(capsys, tmp_path, case):
     ["sweep", R1, "--box-radius", "1"],  # a bound-only option
     ["bound", R1, "--alpha", "1,9", "--slope-cap", "1/0"],
     ["bound", R1, "--alpha", "1,9", "--mu", "1/0"],
+    ["sweep", R1, "--classes", "[[1, 9]]", "--mu", "1/2"],
 ], ids=["alpha-read-as-option", "mu-not-a-fraction", "unknown-option",
-        "sweep-box-radius", "slope-cap-zero-denominator", "mu-zero-denominator"])
+        "sweep-box-radius", "slope-cap-zero-denominator", "mu-zero-denominator",
+        "mu-removed"])
 def test_usage_error_exit_code(capsys, argv):
-    # Usage errors are validation errors (1), never inconclusive (2).
+    # Usage errors are validation errors (1), never inconclusive (2).  The
+    # slope box is the only subcone, so --mu is an unknown option.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -295,6 +314,19 @@ def test_bound_asymptotic_exit_codes(capsys):
     assert out_asym == out
 
 
+def test_bound_r2_at_the_default_p_max_verifies(capsys, tmp_path):
+    """The class (1, 20, 401) certifies at the default p_max 32 (cone
+    truncation included) and verify passes: subcone membership does not
+    depend on how large the reconstructed generators grow."""
+    path = str(tmp_path / "cert.json")
+    code, out, _ = run(capsys, "bound", R2, "--alpha=1,20,401", "--mirror", "--out", path)
+    assert code == 0
+    d = json.loads(out)
+    assert (d["p_max"], d["cone_p_max"], d["K"], d["bound"]) == (32, 32, 14, "1/2807")
+    code, out, _ = run(capsys, "verify", path, "--dataset", R2)
+    assert (code, out) == (0, "verification: pass\n")
+
+
 def test_bound_exterior_class_exit_code(capsys):
     code, _, err = run(capsys, "bound", R1, "--alpha=-5,1", "--p-max", "8")
     assert code == 1
@@ -328,12 +360,15 @@ def test_sweep_csv_and_determinism(capsys):
 
 
 def test_sweep_explicit_classes_text(capsys):
-    code, out, _ = run(capsys, "sweep", R1, "--classes", "[[1, 9], [-5, 1]]",
-                       "--p-max", "10", "--format", "text")
-    assert code == 0
+    """A skipped class is named on stderr and makes the exit code 2; stdout
+    still has its row."""
+    code, out, err = run(capsys, "sweep", R1, "--classes", "[[1, 9], [-5, 1]]",
+                         "--p-max", "10", "--format", "text")
+    assert code == 2
     lines = out.strip().splitlines()
     assert "status=ok" in lines[0]
     assert "status=skipped-exterior" in lines[1]
+    assert err == "class -5 1: skipped-exterior\n"
 
 
 def test_sweep_validation(capsys):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from fibercert.cones import (
     FiberedConeModel,
+    Membership,
     epsilon_of_subcone,
     estimate_dual_cone,
     fibered_cone_from_dual,
+    subcone_models,
 )
 from fibercert import geometry
 from fibercert.errors import SubconeError, ValidationError
@@ -115,7 +117,10 @@ def test_fibered_cone_of_pure_shift():
     cone = fibered_cone_from_dual(dual)
     assert cone.generators == ((1, 1),)
     assert cone.membership((2, 3)).status == "interior"
-    assert cone.membership((-1, 1)).status == "exterior"
+    # Zero slack on the generator (1, 1) is the boundary itself.
+    assert cone.membership((-1, 1)) == Membership("near-boundary", Fraction(0))
+    assert cone.membership((-2, 1)).status == "exterior"
+    assert cone.membership((1, 0)).status == "exterior"  # n <= 0
 
 
 def test_r1_cone_membership(r1_models):
@@ -148,15 +153,11 @@ def test_membership_margin_orders_depth(r2_models):
 
 def test_subcone_parameters_validated(r1_models):
     _, cone, _ = r1_models
-    with pytest.raises(SubconeError):
-        cone.subcone(Fraction(0))
-    with pytest.raises(SubconeError):
-        cone.subcone(Fraction(3, 2))
-    with pytest.raises(SubconeError):
-        cone.subcone_slope(Fraction(0))
-    assert not cone.is_proper
-    assert cone.subcone(Fraction(1, 10)).is_proper
-    assert cone.subcone_slope(Fraction(1, 2)).is_proper
+    for cap in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(SubconeError):
+            cone.subcone_slope(cap)
+    assert cone.slope_cap is None
+    assert cone.subcone_slope(Fraction(1, 2)).slope_cap == Fraction(1, 2)
 
 
 def test_subcone_rays_and_monotone_epsilon(r1_models):
@@ -169,7 +170,7 @@ def test_subcone_rays_and_monotone_epsilon(r1_models):
     # Shrinking the subcone cannot decrease epsilon.
     eps_quarter = epsilon_of_subcone(cone.subcone_slope(Fraction(1, 4)), dual)
     assert eps_quarter.epsilon >= eps_half.epsilon
-    with pytest.raises(SubconeError):
+    with pytest.raises(SubconeError, match="slope cap"):
         epsilon_of_subcone(cone, dual)  # full cone is not a proper subcone
 
 
@@ -196,57 +197,33 @@ def test_extreme_rays_are_computed_once_per_model(r2_models, monkeypatch):
     assert len(calls) == 2  # a new subcone is a new model
 
 
-def test_degenerate_epsilon_is_flagged():
-    """A subcone that collapses onto the monodromy axis gets the trivial
-    comparability constant with an explicit degenerate flag."""
-    dual = estimate_dual_cone(single_edge_rose(), 4)
-    # Generators a >= 0 and -a >= 0 pin the slice to the axis itself.
-    axis_only = FiberedConeModel(1, ((1, 0), (-1, 0))).subcone_slope(Fraction(1, 2))
-    eps = epsilon_of_subcone(axis_only, dual)
-    assert eps.degenerate
-    assert eps.epsilon == 1
-    assert eps.rays == ((0, 1),)
-    assert eps.c_ratio == 0
-
-
 def test_empty_subcone_raises():
-    # The generator forces a >= 2n, outside any slope box with cap < 2.
-    cone = FiberedConeModel(1, ((1, -2),))
-    with pytest.raises((SubconeError, ValidationError)):
-        cone.subcone_slope(Fraction(1, 2)).extreme_rays()
+    """A generator without a positive last coordinate, such as (1, -2),
+    which forces a >= 2n outside any slope box with cap < 2, is refused when
+    the model is built: with every g_n > 0 the axis point s = 0 has slack g_n
+    on every generator, so no capped slice is empty."""
+    for gens in (((1, -2),), ((1, 1), (1, 0))):
+        with pytest.raises(ValidationError, match="positive last coordinate"):
+            FiberedConeModel(1, gens)
 
 
-def test_subcone_emptied_by_a_generator_without_slope_raises():
-    """The (0, 1) generator demands n >= (3/10) * 5n, which no class meets:
-    its height-1 halfspace has a zero normal and a negative bound."""
-    cone = FiberedConeModel(1, ((-1, 2), (0, 1), (1, 2)))
-    P = cone.subcone(Fraction(3, 10)).subcone_slope(Fraction(1, 2))
-    with pytest.raises(SubconeError, match="empty"):
-        P.extreme_rays()
-    assert P.membership((0, 1)).status == "exterior"
-
-
-def test_unbounded_subcone_raises():
-    # One generator leaves the height-1 slice a half-line.
-    with pytest.raises(SubconeError, match="unbounded"):
-        FiberedConeModel(1, ((1, 1),)).subcone(Fraction(1, 10)).extreme_rays()
-
-
-def test_r1_mu_subcone_rays(r1_models):
+def test_unbounded_subcone_raises(r1_models):
+    """One generator leaves the height-1 slice a half-line; so does the r1
+    cone {n >= 0, a + n >= 0}, whose slice is a >= -1."""
     _, cone, _ = r1_models
-    assert cone.subcone(Fraction(2, 5)).extreme_rays() == [(-1, 3), (1, 2)]
+    for model in (FiberedConeModel(1, ((1, 1),)), cone):
+        with pytest.raises(SubconeError, match="unbounded"):
+            model.extreme_rays()
 
 
 def _in_slice(P, s):
     """Does (s, 1) satisfy every halfspace of the subcone P, by definition?"""
     alpha = tuple(s) + (1,)
-    total = sum(a * b for a, b in zip(P.gen_sum, alpha))
-    return (all(sum(a * b for a, b in zip(g, alpha)) >= P.mu * total for g in P.generators)
+    return (all(sum(a * b for a, b in zip(g, alpha)) >= 0 for g in P.generators)
             and (P.slope_cap is None or all(abs(v) <= P.slope_cap for v in s)))
 
 
 _coords = st.integers(-4, 4)
-_ratios = st.fractions(0, 1, max_denominator=10).filter(lambda f: 0 < f < 1)
 _caps = st.fractions(0, 3, max_denominator=10).filter(lambda f: f > 0)
 _slice_points = st.fractions(-4, 4, max_denominator=6)
 
@@ -256,19 +233,20 @@ _slice_points = st.fractions(-4, 4, max_denominator=6)
 def test_extreme_rays_span_the_height_one_slice(data):
     """The rays' height-1 points are the vertices of the slice that the
     halfspaces cut: a rational slice point satisfies them all iff it lies in
-    the rays' hull."""
+    the rays' hull.  Every generator has g_n >= 1, so each capped slice
+    holds the axis point s = 0 and is bounded: only an uncapped one may be
+    unbounded."""
     rank = data.draw(st.integers(1, 2))
-    gens = data.draw(st.lists(st.tuples(*[_coords] * (rank + 1)).filter(any),
+    gens = data.draw(st.lists(st.tuples(*[_coords] * rank, st.integers(1, 4)),
                               min_size=1, max_size=5))
-    mu, cap = data.draw(st.none() | _ratios), data.draw(st.none() | _caps)
+    cap = data.draw(st.none() | _caps)
     P = FiberedConeModel(rank, tuple(gens))
-    if mu is not None:
-        P = P.subcone(mu)
     if cap is not None:
         P = P.subcone_slope(cap)
     try:
         rays = P.extreme_rays()
     except SubconeError:
+        assert cap is None
         return
     points = [tuple(Fraction(v, ray[-1]) for v in ray[:-1]) for ray in rays]
     hull = convex_hull(points, rank)
@@ -276,6 +254,8 @@ def test_extreme_rays_span_the_height_one_slice(data):
     centroid = tuple(sum(c) / len(points) for c in zip(*points))
     for s in points + [centroid]:
         assert _in_slice(P, s)
+    if cap is not None:
+        assert _in_slice(P, (0,) * rank) and contains_point(hull, (0,) * rank, rank)
     s = data.draw(st.tuples(*[_slice_points] * rank))
     assert _in_slice(P, s) == contains_point(hull, s, rank)
 
@@ -285,6 +265,18 @@ def test_reconstructed_cones_contain_the_axis(r1_models, r2_models):
     axis always pairs positively with every generator."""
     for _, cone, _ in (r1_models, r2_models):
         axis = (0,) * cone.rank + (1,)
-        assert cone.membership(axis).status == "interior"
+        assert cone.membership(axis) == Membership("interior", Fraction(1))
         for g in cone.generators:
             assert g[-1] > 0
+
+
+@pytest.mark.parametrize("cone_p_max", [12, 16, 24, 32, 48])
+def test_membership_does_not_depend_on_the_truncation(r2, cone_p_max):
+    """Each slack is measured in units of its own halfspace (g_n n for a
+    generator, (1 + cap) n for the box), so the generators' growth with the
+    truncation moves no class toward a facet: (1, 20, 401) stays interior,
+    and the axis margin is the box's cap / (1 + cap)."""
+    _, cone, P = subcone_models(r2, cone_p_max, Fraction(1, 2))
+    assert P.membership((1, 20, 401)).status == "interior"
+    assert P.membership((0, 0, 1)) == Membership("interior", Fraction(1, 3))
+    assert max(g[-1] for g in cone.generators) >= cone_p_max - 1

@@ -151,10 +151,11 @@ def test_certificate_is_canonical_json(cert):
     assert sorted(d) == [
         "K", "alpha", "assumptions", "bound", "box_radius", "cone_p_max",
         "dataset_hash", "deep_dist2", "deep_point", "diagnostics",
-        "format_version", "kind", "mirror", "mode", "mu", "n", "p_max",
+        "format_version", "kind", "mirror", "mode", "n", "p_max",
         "rank", "safety", "slope_cap", "status", "tool_version",
     ]
-    assert d["format_version"] == 2
+    assert d["format_version"] == 3
+    assert d["slope_cap"] == "1/2"
     assert d["bound"] == f"{cert.bound.numerator}/{cert.bound.denominator}"
     assert text == canonical_json(d) + "\n"
 
@@ -172,7 +173,11 @@ def test_certificate_kind_checked(cert):
     d["format_version"] = 1
     with pytest.raises(ValidationError, match="unsupported certificate format_version 1"):
         parse_certificate(json.dumps(d))
+    # Format 2 declared a mu shrinkage, which no subcone has any more.
     d["format_version"] = 2
+    with pytest.raises(ValidationError, match="unsupported certificate format_version 2"):
+        parse_certificate(json.dumps(d))
+    d["format_version"] = 3
     d["mirror"] = 0
     with pytest.raises(ValidationError, match="mirror"):
         parse_certificate(json.dumps(d))
@@ -189,7 +194,7 @@ def test_certificate_integers_must_be_json_integers(cert):
             with pytest.raises(ValidationError, match="must be an integer"):
                 parse_certificate(json.dumps(edited))
     # A rational field reads a JSON integer or a "num/den" string, not a boolean.
-    d["mu"] = True
+    d["slope_cap"] = True
     with pytest.raises(ValidationError, match="malformed number True"):
         parse_certificate(json.dumps(d))
 

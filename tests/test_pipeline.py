@@ -99,6 +99,9 @@ def test_decompose(r1_models):
         decompose(FiberedClass((2, 6)), cone)
     with pytest.raises(ValidationError, match="exterior"):
         decompose(FiberedClass((-5, 1)), cone)
+    for alpha in ((1, 0), (1, -3)):  # n <= 0 is exterior to every cone
+        with pytest.raises(ValidationError, match="exterior"):
+            decompose(FiberedClass(alpha), cone)
 
 
 def test_enumerate_words_is_complete():
@@ -183,8 +186,8 @@ def test_certify_r1(r1_cert, r1_models):
     assert cert.n == 9
     # The declared parameters verify re-derives everything else from.
     dual, _, P = r1_models
-    assert (cert.p_max, cert.cone_p_max, cert.mu, cert.slope_cap, cert.mirror) == (
-        12, dual.p_max, 0, P.slope_cap, False)
+    assert (cert.p_max, cert.cone_p_max, cert.slope_cap, cert.mirror) == (
+        12, dual.p_max, P.slope_cap, False)
     assert max(abs(c) for c in cert.deep_point) <= cert.box_radius
 
 
@@ -238,8 +241,9 @@ def test_certify_is_deterministic(r1, r1_models, r1_hash, r1_cert):
 
 
 def test_certify_requires_proper_subcone(r1, r1_models, r1_hash):
+    """epsilon is the one place that asks for the slope cap."""
     dual, cone, _ = r1_models
-    with pytest.raises(SubconeError, match="proper"):
+    with pytest.raises(SubconeError, match="proper subcone: give a slope cap"):
         certify(r1, dual, cone, cone, FiberedClass((1, 9)), 12, r1_hash)
 
 
@@ -511,12 +515,8 @@ def test_verify_rejects_forgeries(r1, r1_cert_29, r1_hash, edit, want):
     ({"slope_cap": Fraction(1, 10)}, "alpha-not-interior"),
     ({"slope_cap": Fraction(2, 3)}, "mode-mismatch"),
     ({"slope_cap": None}, "subcone"),
-    ({"mu": Fraction(1, 2)}, "alpha-not-interior"),
-    ({"mu": Fraction(2)}, "subcone"),
-    # Without a cap, mu = 1/2 shrinks the r1 cone to one ray, which has no interior.
-    ({"slope_cap": None, "mu": Fraction(1, 2)}, "alpha-not-interior"),
 ], ids=["safety-0", "safety-2", "slope-cap-narrow", "slope-cap-wide",
-        "slope-cap-none", "mu-half", "mu-above-1", "slope-cap-none-mu-half"])
+        "slope-cap-none"])
 def test_verify_rederives_declared_parameters(r1, r1_cert, r1_hash, edit, want):
     """verify derives the subcone, epsilon, the words and the obstacles from
     the declared parameters, so editing one changes what it checks against."""
@@ -525,10 +525,11 @@ def test_verify_rederives_declared_parameters(r1, r1_cert, r1_hash, edit, want):
 
 
 def test_verify_fails_a_declared_subcone_with_an_empty_slice(r2, r2_cert, r2_hash):
-    """mu = 1/10 and the slope cap 1/2 leave no class of the r2 cone: the
-    subcone predicate fails by name, with no ValidationError."""
-    res = verify_certificate(replace(r2_cert, mu=Fraction(1, 10)), r2, r2_hash)
-    assert (res.status, res.reason) == ("fail", "subcone")
+    """A slope cap of 0 or below declares an empty slope box: the subcone
+    predicate fails by name, with no ValidationError."""
+    for cap in (Fraction(0), Fraction(-1, 10)):
+        res = verify_certificate(replace(r2_cert, slope_cap=cap), r2, r2_hash)
+        assert (res.status, res.reason) == ("fail", "subcone")
 
 
 def test_verify_rederives_cone_p_max(r2, r2_cert, r2_hash):
@@ -646,7 +647,6 @@ def test_verify_fuzzed_declarations(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash,
     edits = data.draw(st.fixed_dictionaries({}, optional={
         "p_max": st.integers(-2, 40),
         "cone_p_max": st.integers(-1, 20),
-        "mu": _fractions,
         "slope_cap": st.none() | _fractions,
         "safety": st.integers(-2, 4),
         "box_radius": st.integers(-3, box_top),
