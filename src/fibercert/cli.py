@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation or usage error, 2 inconclusive
 certificate, a sweep with a row that is not ok, or one verify cannot check
-within its caps (a power above the power cap, or a word list above the word
-cap), 3 verification failure.
+within its caps (a declared or word power above the power cap, or a word
+list above the word cap), 3 verification failure.
 Diagnostics go to stderr, artifacts to stdout.
 """
 
@@ -144,10 +144,6 @@ def cmd_bound(args) -> int:
     if cert.status != "ok":
         print("inconclusive: " + "; ".join(cert.diagnostics), file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    if args.mode == "certified" and cert.mode != "certified":
-        print("certificate degraded to asymptotic mode "
-              "(cone-approximated far words)", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -258,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="class, e.g. '1,9'")
     p.add_argument("--out", default=None, help="also write the certificate here")
     p.add_argument("--box-radius", type=int, default=None)
-    p.add_argument("--mode", choices=["certified", "asymptotic"], default="certified")
     bound_opts(p)
     p.set_defaults(func=cmd_bound)
 

@@ -5,7 +5,8 @@ their heights.  Facet slopes are estimated from the data: for a direction u,
 the directional extent N'_1(u, p) is subadditive in p, so N'_1(u, p)/p
 decreases to the true slope and min over computed p is a certified upper
 estimate.  Every model records the truncation p_max and the convergence
-window constant C, so downstream certificates carry their evidence level.
+window constant C.  The models set the subcone and the word radius of a
+certificate; its obstacles are exact supports, never cone slices.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def _clear_denominators(vec) -> tuple[tuple[int, ...], int]:
     fracs = [Fraction(c) for c in vec]
     den = lcm(*(c.denominator for c in fracs))
     return tuple(int(c * den) for c in fracs), den
+
+
+def _rays_over_slice(vertices) -> tuple[tuple[int, ...], ...]:
+    """The primitive integer rays through the height-1 points s, as (s, 1), sorted."""
+    return tuple(sorted({_primitive(_clear_denominators(list(v) + [1])[0])
+                         for v in vertices}))
 
 
 @dataclass(frozen=True)
@@ -94,13 +101,6 @@ class DualConeModel:
             if sum(map(mul, u, x)) > num * p + c:
                 return False
         return True
-
-    def slice_vertices(self, height: int) -> list[tuple]:
-        """Vertices of the C-fattened cone slice at a (positive) height."""
-        halfspaces = [
-            (f.u, f.slope * height + f.c_window) for f in self.facets
-        ]
-        return geometry.halfspace_vertices(halfspaces, self.rank)
 
     def base_polytope(self) -> list[tuple]:
         """Vertices of the height-1 slice of the (unfattened) model cone."""
@@ -245,18 +245,12 @@ class FiberedConeModel:
                 [(u, c) for u, c, _ in self._slice], self.rank)
         except ValidationError as exc:
             raise SubconeError(f"subcone has no bounded height-1 slice: {exc}") from exc
-        return tuple(sorted({
-            _primitive(_clear_denominators(list(v) + [1])[0]) for v in vertices
-        }))
+        return _rays_over_slice(vertices)
 
 
 def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:
     """Dualize: generators are the primitive rays over the base-slice vertices."""
-    gens = sorted({
-        _primitive(_clear_denominators(list(v) + [1])[0])
-        for v in dual.base_polytope()
-    })
-    return FiberedConeModel(dual.rank, tuple(gens))
+    return FiberedConeModel(dual.rank, _rays_over_slice(dual.base_polytope()))
 
 
 def subcone_models(track: LiftedGraphMap, cone_p_max: int, slope_cap: Optional[Fraction],

@@ -248,7 +248,7 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
             )
         if not isinstance(d["mirror"], bool):
             raise ValidationError("mirror must be true or false")
-        return BoundCertificate(
+        cert = BoundCertificate(
             alpha=json_ints(d["alpha"], "alpha"),
             n=json_int(d["n"], "n"),
             rank=json_int(d["rank"], "rank"),
@@ -269,6 +269,11 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
             diagnostics=_strings(d.get("diagnostics", []), "diagnostics"),
             assumptions=_strings(d.get("assumptions", []), "assumptions"),
         )
+        unknown = sorted(d.keys() - certificate_to_dict(cert).keys())
+        if unknown:
+            raise ValidationError("unknown certificate fields: "
+                                  + ", ".join(map(repr, unknown)))
+        return cert
 
 
 def emit_certificate(cert: BoundCertificate) -> str:

@@ -1,12 +1,13 @@
 """The bound-certificate engine.
 
 For a primitive class alpha interior to a proper subcone of the reconstructed
-fibered cone, the pipeline assembles the kernel-word obstacle polytopes,
-finds an exact deep point y among them, determines the largest power K whose
-translated support stays disjoint from every obstacle, and emits the
-translation-length upper bound 2/(nK) in a short certificate: the class, the
-declared parameters and the two search results, from which verify re-derives
-everything else out of the dataset alone.
+fibered cone, the pipeline assembles the kernel-word obstacle polytopes (each
+the exact support of its word's power; the cone sets only the subcone and the
+word radius), finds an exact deep point y among them, determines the largest
+power K whose translated support stays disjoint from every obstacle, and
+emits the translation-length upper bound 2/(nK) in a short certificate: the
+class, the declared parameters and the two search results, from which verify
+re-derives everything else out of the dataset alone.
 """
 
 from __future__ import annotations
@@ -120,19 +121,14 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     return [GammaWord(cs, vec[:-1], vec[-1]) for cs, vec in walk]
 
 
-def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], p_max: int,
-                    safety: int, allow_mirror: bool, dual: DualConeModel,
-                    support: Optional[SupportSource] = None) -> tuple[str, Obstacles]:
-    """The certificate mode and the index of the obstacles, one per word,
-    each a placed translate (base, x): the word's shift x and the dilated
-    hull of its power y, with its outward integer box, built once per
-    distinct power and shared by every word with that power.
-
-    A word (x, y) with |y| <= p_max takes the exact support of power y by
-    omega_of_word's route, read from ``support`` (certify: semiring, verify:
-    oracle); a farther word takes the C-fattened slice of ``dual`` at height
-    |y| and makes the mode asymptotic.  No per-word hull is copied: the
-    obstacle is base.hull + x.
+def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: int,
+                    allow_mirror: bool, support: Optional[SupportSource] = None) -> Obstacles:
+    """The index of the obstacles, one per word, each a placed translate
+    (base, x): the word's shift x and the dilated hull of the exact support
+    of its power y by omega_of_word's route, read from ``support`` (certify:
+    semiring, verify: oracle), with its outward integer box.  A base is built
+    once per distinct power and shared by every word with that power, so no
+    per-word hull is copied: the obstacle is base.hull + x.
     """
     r = track.rank
     zero = (0,) * r
@@ -141,15 +137,10 @@ def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], p_max: in
     for w in words:
         base = bases.get(w.y)
         if base is None:
-            if abs(w.y) <= p_max:
-                hull = omega_of_word(track, zero, w.y, allow_mirror, support).hull
-            else:
-                verts = dual.slice_vertices(abs(w.y))
-                hull = geometry.convex_hull(geometry.negate(verts) if w.y < 0 else verts, r)
+            hull = omega_of_word(track, zero, w.y, allow_mirror, support).hull
             base = bases[w.y] = BaseHull.of(geometry.dilate(hull, safety, r))
         obstacles.append((base, w.x))
-    mode = "asymptotic" if any(abs(y) > p_max for y in bases) else "certified"
-    return mode, Obstacles(obstacles)
+    return Obstacles(obstacles)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ class BoundCertificate:
     deep_dist2: Fraction
     K: int
     bound: Fraction
-    mode: str  # certified | asymptotic
+    mode: str  # always certified: every obstacle is an exact support
     status: str  # ok | inconclusive
     dataset_hash: str
     tool_version: str = TOOL_VERSION
@@ -211,7 +202,7 @@ def certify(
         if attempt:
             R *= 2
         words = enumerate_words(L, word_radius(eps, R, p_max, safety))
-        mode, obstacles = build_obstacles(track, words, p_max, safety, allow_mirror, dual)
+        obstacles = build_obstacles(track, words, safety, allow_mirror)
         dp = deep_point(obstacles, R, r)
         if dp.dist2 > 0:
             break
@@ -243,7 +234,7 @@ def certify(
         deep_dist2=dp.dist2,
         K=K,
         bound=bound,
-        mode=mode,
+        mode="certified",
         status=status,
         dataset_hash=dataset_hash,
         diagnostics=tuple(diagnostics),
@@ -281,13 +272,15 @@ def verify_certificate(
     outside every obstacle (scored nearest outward box first), at exactly
     the claimed squared distance, and the K-th power moved there misses
     every obstacle within its box reach.  Returns the first failing predicate:
-    fail dataset-hash, rank-mismatch, certificate-inconclusive,
-    alpha-primitive, n-mismatch, k-exceeds-pmax, subcone, alpha-not-interior,
-    deep-point-outside-box, word-mode (a negative power with neither inverse
-    data nor declared mirror), mode-mismatch, deep-point-in-obstacle,
-    deep-dist2, power-collision or bound-value; unverifiable power-cap (a
-    power above ``power_cap``) or word-cap (too many words to enumerate).
-    A negative safety or a cone_p_max below 1 raises ValidationError.
+    fail dataset-hash, rank-mismatch, certificate-inconclusive, mode-mismatch
+    (a mode other than certified), alpha-primitive, n-mismatch,
+    k-exceeds-pmax, subcone, alpha-not-interior, deep-point-outside-box,
+    word-mode (a negative power with neither inverse data nor declared
+    mirror), deep-point-in-obstacle, deep-dist2, power-collision or
+    bound-value; unverifiable power-cap (a declared power, or a word's
+    power, above ``power_cap``, caught before the oracle walks it) or
+    word-cap (too many words to enumerate).  A negative safety or a
+    cone_p_max below 1 raises ValidationError.
     """
     if cert.dataset_hash != dataset_hash:
         return VerifyResult("fail", "dataset-hash")
@@ -296,6 +289,8 @@ def verify_certificate(
         return VerifyResult("fail", "rank-mismatch")
     if cert.status != "ok":
         return VerifyResult("fail", "certificate-inconclusive")
+    if cert.mode != "certified":
+        return VerifyResult("fail", "mode-mismatch")
     if max(cert.p_max, cert.cone_p_max, cert.K) > power_cap:
         return VerifyResult("unverifiable", "power-cap")
     if cert.safety < 0:
@@ -323,14 +318,12 @@ def verify_certificate(
         )
     except BudgetError:
         return VerifyResult("unverifiable", "word-cap")
-    exact = [w.y for w in words if abs(w.y) <= cert.p_max]  # the zero word is one
-    if min(exact) < 0 and track.inverse is None and not cert.mirror:
+    powers = [w.y for w in words]  # the zero word is one
+    if max(map(abs, powers)) > power_cap:
+        return VerifyResult("unverifiable", "power-cap")
+    if min(powers) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
-    mode, obstacles = build_obstacles(
-        track, words, cert.p_max, cert.safety, cert.mirror, dual, _oracle
-    )
-    if mode != cert.mode:
-        return VerifyResult("fail", "mode-mismatch")
+    obstacles = build_obstacles(track, words, cert.safety, cert.mirror, _oracle)
     seen = obstacles.seen_from(cert.deep_point)
     dist2 = seen.dist2()
     if dist2 <= 0:
@@ -402,11 +395,10 @@ def sweep(
             safety=safety, kappa=kappa, allow_mirror=allow_mirror,
         )
         sv = systole(L)
-        status = "ok" if cert.status == "ok" else "inconclusive"
         norm = normalized_bound(cert.bound, alpha.n, track.rank) if cert.K else "0"
         return SweepRow(
             alpha.vector, alpha.n, L.covol2, sv.length2, cert.deep_dist2,
-            cert.K, cert.bound, norm, status, cert,
+            cert.K, cert.bound, norm, cert.status, cert,
         )
 
     return [run_one(c) for c in classes]

@@ -2,13 +2,18 @@
 
 The benchmark under ``bench/`` runs each workload in a worker process and
 compares its digests with ``bench/expected.json``.  These tests load the same
-worker and workload modules in-process (reading ``bench/``, never editing
-it), so a change that breaks what the benchmark binds fails here too.
+worker and workload modules in-process, and run the worker as its own
+process with the tracer on (reading ``bench/``, never editing it), so a
+change that breaks what the benchmark binds fails here too.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -50,3 +55,22 @@ def test_traced_functions_exist(monkeypatch):
     for module, function in tracer.TRACED:
         assert callable(getattr(sys.modules[f"fibercert.{module}"], function, None)), \
             f"{module}.{function}"
+
+
+@pytest.mark.parametrize("workload", ["sweep-r2", "verify-r1", "cone-r2"])
+def test_traced_worker_reproduces_the_committed_digests(bench, workload):
+    """A worker process with the tracer installed, as ``run.py --trace 1``
+    starts it (spans are not written), on the workload's seed-0 classes."""
+    workloads, _ = bench
+    env = dict(os.environ, PYTHONPATH=str(Path(fibercert.__file__).parent.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    spec = {"workload": workload, "classes": workloads.classes(workload, 0), "trace": 1,
+            "spans_path": None, "spawned": perf_counter()}
+    proc = subprocess.run([sys.executable, str(BENCH / "worker.py")], input=json.dumps(spec),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["failed"] == 0, out["problems"]
+    expected = workloads.load_expected()[workload]
+    assert {key: out[key] for key in expected} == expected
+    assert out["layers"]

@@ -110,6 +110,11 @@ MALFORMED_INPUTS = {
                            "rank must be an integer, got 1.9"),
     "certificate-p-max-float": (_edited_cert(lambda d: d.update(p_max=3.5)),
                                 "p_max must be an integer, got 3.5"),
+    # Every field is one verify reads; a format-2 declaration is refused.
+    "certificate-unknown-mu": (_edited_cert(lambda d: d.update(mu="1/2")),
+                               "unknown certificate fields: 'mu'"),
+    "certificate-unknown-extra": (_edited_cert(lambda d: d.update(extra=[1])),
+                                  "unknown certificate fields: 'extra'"),
     "word-bound-over-cap": (
         lambda capsys, tmp_path: ["bound", R2, "--alpha", f"1,1,{10 ** 310 + 1}",
                                   "--mirror", "--p-max", "4"],
@@ -206,12 +211,14 @@ def test_malformed_input_exit_code(capsys, tmp_path, case):
     ["bound", R1, "--alpha", "1,9", "--slope-cap", "1/0"],
     ["bound", R1, "--alpha", "1,9", "--mu", "1/0"],
     ["sweep", R1, "--classes", "[[1, 9]]", "--mu", "1/2"],
+    ["bound", R1, "--alpha", "1,9", "--mode", "certified"],
 ], ids=["alpha-read-as-option", "mu-not-a-fraction", "unknown-option",
         "sweep-box-radius", "slope-cap-zero-denominator", "mu-zero-denominator",
-        "mu-removed"])
+        "mu-removed", "mode-removed"])
 def test_usage_error_exit_code(capsys, argv):
     # Usage errors are validation errors (1), never inconclusive (2).  The
-    # slope box is the only subcone, so --mu is an unknown option.
+    # slope box is the only subcone, so --mu is an unknown option, and every
+    # certificate is certified, so --mode is one too.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -301,17 +308,22 @@ def test_bound_inconclusive_exit_code(capsys):
     assert "inconclusive" in err
 
 
-def test_bound_asymptotic_exit_codes(capsys):
-    """A certificate whose far words are cone-approximated is inconclusive
-    when certified mode is asked for, and a success in asymptotic mode."""
-    argv = ["bound", R2, "--alpha=1,7,50", "--mirror", "--p-max", "12"]
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert "certificate degraded to asymptotic mode" in err
-    assert json.loads(out)["mode"] == "asymptotic"
-    code_asym, out_asym, err_asym = run(capsys, *argv, "--mode", "asymptotic")
-    assert code_asym == 0 and err_asym == ""
-    assert out_asym == out
+@pytest.mark.parametrize("dataset, argv, want", [
+    (R1, ["--alpha", "1,9", "--p-max", "4"], (1, "2/9", [-4], 9)),
+    (R2, ["--alpha=1,7,50", "--mirror", "--p-max", "12"], (2, "1/50", [-25, 0], 8)),
+], ids=["r1", "r2-mirror"])
+def test_bound_words_past_p_max_exit_codes(capsys, tmp_path, dataset, argv, want):
+    """Kernel words whose power exceeds p_max take exact supports like every
+    other word: the certificate is certified, bound exits 0 and verify
+    passes."""
+    path = str(tmp_path / "cert.json")
+    code, out, err = run(capsys, "bound", dataset, *argv, "--out", path)
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert (d["mode"], d["status"]) == ("certified", "ok")
+    assert (d["K"], d["bound"], d["deep_point"], d["deep_dist2"]) == want
+    code, out, _ = run(capsys, "verify", path, "--dataset", dataset)
+    assert (code, out) == (0, "verification: pass\n")
 
 
 def test_bound_r2_at_the_default_p_max_verifies(capsys, tmp_path):
@@ -384,3 +396,16 @@ def test_verify_unverifiable_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert "verification: unverifiable (word-cap)" in out
+
+
+def test_verify_word_power_cap_exit_code(capsys, tmp_path):
+    """A box forged wide enough to reach words of power above the cap is
+    unverifiable: exit 2."""
+    path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "bound", R1, "--alpha", "250,1001", "--p-max", "64",
+                     "--out", str(path))
+    assert code == 0
+    d = json.loads(path.read_text())
+    d["box_radius"] = 10 ** 5
+    code, out, _ = run(capsys, "verify", _write(tmp_path, json.dumps(d)), "--dataset", R1)
+    assert (code, out) == (2, "verification: unverifiable (power-cap)\n")

@@ -105,11 +105,6 @@ def test_dual_cone_validation():
         dual.facet((7, 7))
 
 
-def test_slice_vertices_scale_with_height():
-    dual = estimate_dual_cone(doubling_rose(), 5)
-    assert dual.slice_vertices(10) == [(-1,), (11,)]  # [0,10] fattened by C=1
-
-
 # -- fibered cone and membership -----------------------------------------
 
 def test_fibered_cone_of_pure_shift():

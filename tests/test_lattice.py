@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
 from fibercert.geometry import hulls_disjoint
+from fibercert.trackmap import support_of_power
 from fibercert.lattice import (
     BaseHull,
     DeepPoint,
@@ -340,19 +341,19 @@ def test_deep_point_matches_brute_force():
 
 
 @st.composite
-def _placed_translates(draw, duals):
+def _placed_translates(draw, tracks):
     """Obstacles placed from one to three shared bases with integer shifts,
     as build_obstacles places kernel words, with the translates they stand
-    for.  A base is the hull of random integer or Fraction points, or a
-    C-fattened dual-cone slice (Fraction vertices, as for far words),
-    dilated by 0 or 1."""
+    for.  A base is the hull of random integer or Fraction points, or the
+    support hull of a power of a bundled map, mirrored at random as for a
+    negative power, dilated by 0 or 1."""
     rank = draw(st.sampled_from((1, 2)))
     R = draw(st.integers(1, 5))
     placed, translates = [], []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("int", "fraction", "slice")))
-        if kind == "slice":
-            verts = duals[rank].slice_vertices(draw(st.integers(1, 4)))
+        kind = draw(st.sampled_from(("int", "fraction", "support")))
+        if kind == "support":
+            verts = support_of_power(tracks[rank], draw(st.integers(1, 4))).hull
             if draw(st.booleans()):
                 verts = [tuple(-c for c in v) for v in verts]
         else:
@@ -370,22 +371,22 @@ def _placed_translates(draw, duals):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_deep_point_over_placed_translates(data, r1_models, r2_models):
+def test_deep_point_over_placed_translates(data, r1, r2):
     """deep_point over shared bases placed by nonzero shifts finds exactly
     the brute-force deep point of the materialized translates."""
     placed, translates, R, rank = data.draw(
-        _placed_translates({1: r1_models[0], 2: r2_models[0]}))
+        _placed_translates({1: r1, 2: r2}))
     assert deep_point(Obstacles(placed), R, rank) == _brute_deep_point(translates, R, rank)
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_obstacles_seen_from_matches_translates(data, r1_models, r2_models):
+def test_obstacles_seen_from_matches_translates(data, r1, r2):
     """The index answers both per-point questions exactly as the
     materialized translates do: the distance from every point of the box,
     and whether a body moved there and dilated misses them all."""
     placed, translates, R, rank = data.draw(
-        _placed_translates({1: r1_models[0], 2: r2_models[0]}))
+        _placed_translates({1: r1, 2: r2}))
     index = Obstacles(placed)
     coord = st.integers(-4, 4)
     body = convex_hull(data.draw(st.lists(st.tuples(*[coord] * rank), min_size=1,

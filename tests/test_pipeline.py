@@ -53,9 +53,9 @@ def r2_cert(r2, r2_models, r2_hash):
 
 
 @pytest.fixture(scope="module")
-def asymptotic_cert(r1, r1_hash):
-    """r1 alpha = (1, 9) with p_max and cone_p_max 4: far words are
-    cone-approximated."""
+def far_words_cert(r1, r1_hash):
+    """r1 alpha = (1, 9) with p_max and cone_p_max 4: some kernel words have
+    powers past p_max, and their obstacles are exact supports too."""
     dual = estimate_dual_cone(r1, 4)
     cone = fibered_cone_from_dual(dual)
     P = cone.subcone_slope(Fraction(1, 2))
@@ -191,23 +191,26 @@ def test_certify_r1(r1_cert, r1_models):
     assert max(abs(c) for c in cert.deep_point) <= cert.box_radius
 
 
-def test_certify_r2_mirror(r2, r2_models, r2_cert):
+def test_certify_r2_mirror(r2, r2_cert):
     cert = r2_cert
     assert cert.status == "ok"
     assert cert.K >= 1
     assert cert.rank == 2
     assert cert.mirror is True
     # r2 has no inverse data: negative powers need mirror mode allowed.
-    dual = r2_models[0]
     words = enumerate_words(perp_basis(FiberedClass(cert.alpha)), 60)
     assert any(w.y < 0 for w in words)
     with pytest.raises(ValidationError, match="mirror"):
-        build_obstacles(r2, words, cert.p_max, cert.safety, False, dual)
+        build_obstacles(r2, words, cert.safety, False)
 
 
-def test_certify_asymptotic(asymptotic_cert):
-    assert (asymptotic_cert.mode, asymptotic_cert.status) == ("asymptotic", "ok")
-    assert (asymptotic_cert.p_max, asymptotic_cert.cone_p_max) == (4, 4)
+def test_certify_words_past_p_max(far_words_cert):
+    """Words whose power exceeds p_max take exact supports like every other
+    word, so the certificate is certified: K = 1, bound 2/9."""
+    cert = far_words_cert
+    assert (cert.mode, cert.status) == ("certified", "ok")
+    assert (cert.p_max, cert.cone_p_max) == (4, 4)
+    assert (cert.K, cert.bound) == (1, Fraction(2, 9))
 
 
 def test_certify_doubles_a_covered_box(r1, r1_models, r1_hash):
@@ -265,9 +268,8 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
     )
     words = enumerate_words(perp_basis(FiberedClass((1, 9))), 60)
     assert any(w.y < 0 for w in words)
-    (mode_a, a), (mode_b, b) = (build_obstacles(r1, words, 10, 1, False, dual),
-                                build_obstacles(stripped, words, 10, 1, True, dual))
-    assert (mode_a, a.placed) == (mode_b, b.placed)
+    a, b = build_obstacles(r1, words, 1, False), build_obstacles(stripped, words, 1, True)
+    assert a.placed == b.placed
     a = certify(r1, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash)
     b = certify(stripped, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash,
                 allow_mirror=True)
@@ -283,14 +285,8 @@ def _reference_scan(track, dual, P, cert):
     eps = epsilon_of_subcone(P, dual)
     words = enumerate_words(perp_basis(FiberedClass(cert.alpha)),
                             word_radius(eps, cert.box_radius, cert.p_max, cert.safety))
-    hulls = []
-    for w in words:
-        if abs(w.y) <= cert.p_max:
-            hull = omega_of_word(track, w.x, w.y, cert.mirror).hull
-        else:
-            verts = geometry.translate(dual.slice_vertices(abs(w.y)), w.x)
-            hull = geometry.convex_hull(geometry.negate(verts) if w.y < 0 else verts, r)
-        hulls.append(geometry.dilate(hull, cert.safety, r))
+    hulls = [geometry.dilate(omega_of_word(track, w.x, w.y, cert.mirror).hull, cert.safety, r)
+             for w in words]
     dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
     for K in range(cert.p_max, 0, -1):
         moved = geometry.dilate(geometry.translate(
@@ -301,14 +297,14 @@ def _reference_scan(track, dual, P, cert):
 
 
 def test_kscan_matches_exhaustive_reference(r1, r1_models, r1_cert, r2, r2_models,
-                                            r2_cert, asymptotic_cert):
+                                            r2_cert, far_words_cert):
     """certify's reach-filtered K-scan over placed obstacles finds the K
     that testing every materialized obstacle finds: r1 with inverse data,
-    r2 in mirror mode, and r1 with cone-approximated far words."""
+    r2 in mirror mode, and r1 with words past p_max."""
     dual4 = estimate_dual_cone(r1, 4)
     P4 = fibered_cone_from_dual(dual4).subcone_slope(Fraction(1, 2))
     cases = [(r1, r1_models, r1_cert), (r2, r2_models, r2_cert),
-             (r1, (dual4, None, P4), asymptotic_cert)]
+             (r1, (dual4, None, P4), far_words_cert)]
     for track, (dual, _, P), cert in cases:
         assert cert.K >= 1
         assert _reference_scan(track, dual, P, cert) == (cert.deep_dist2, cert.K), cert.alpha
@@ -368,18 +364,18 @@ def test_certify_copies_hulls_per_power_not_per_word(r2, r2_models, r2_hash, mon
 
 # -- verification -----------------------------------------------------------
 
-def test_verify_passes(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash, asymptotic_cert):
+def test_verify_passes(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash, far_words_cert):
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
-    assert verify_certificate(asymptotic_cert, r1, r1_hash).status == "pass"
+    assert verify_certificate(far_words_cert, r1, r1_hash).status == "pass"
 
 
 def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, r2, r2_cert,
-                                              r2_hash, asymptotic_cert, monkeypatch):
+                                              r2_hash, far_words_cert, monkeypatch):
     """verify takes every exact support from the path oracle, the cone
     rebuild included, so the oracle and the semiring route stay independent
     cross-checks: on an r1 certificate with inverse data, an r2 certificate
-    in mirror mode and an asymptotic one with cone-approximated words."""
+    in mirror mode and an r1 one with words past p_max."""
 
     def forbidden(track, p):
         raise AssertionError("verify read the semiring route")
@@ -388,7 +384,7 @@ def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, r2, r2_cert,
         monkeypatch.setattr(module, "support_of_power", forbidden)
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
-    assert verify_certificate(asymptotic_cert, r1, r1_hash).status == "pass"
+    assert verify_certificate(far_words_cert, r1, r1_hash).status == "pass"
 
 
 def _fresh_map(name):
@@ -397,13 +393,13 @@ def _fresh_map(name):
 
 
 def test_each_route_builds_only_its_own_memo(r1_cert, r1_hash, r2_cert, r2_hash,
-                                             asymptotic_cert, r1_models, r2_models):
+                                             far_words_cert, r1_models, r2_models):
     """verify builds a map's oracle memo and never its semiring memo; certify
     builds the semiring memo and never the oracle memo.  Fresh maps, since
     the session maps have been through both."""
     r1, r2 = _fresh_map("rose_r1.json"), _fresh_map("rose_r2.json")
     for cert, track, ds_hash in ((r1_cert, r1, r1_hash), (r2_cert, r2, r2_hash),
-                                 (asymptotic_cert, r1, r1_hash)):
+                                 (far_words_cert, r1, r1_hash)):
         assert verify_certificate(cert, track, ds_hash).status == "pass"
     assert "oracle" in vars(r1) and "oracle" in vars(r1.inverse) and "oracle" in vars(r2)
     for m in (r1, r1.inverse, r2):
@@ -474,6 +470,21 @@ def test_verify_power_cap(r1, r1_cert, r1_hash):
     assert (res.status, res.reason) == ("unverifiable", "power-cap")
 
 
+def test_verify_caps_word_powers_before_walking(r1, r1_hash):
+    """A certificate whose box reaches words of power above the cap is
+    unverifiable before the oracle walks them: r1 alpha = (250, 1001) at
+    p_max 64 with its box radius forged up to 10^5 has words of power up to
+    49,750, and the fresh map's oracle memos keep at most 2,001 powers."""
+    dual, cone, P = cones.subcone_models(r1, 64, Fraction(1, 2))
+    honest = certify(r1, dual, cone, P, FiberedClass((250, 1001)), 64, r1_hash)
+    assert honest.status == "ok"
+    fresh = _fresh_map("rose_r1.json")
+    res = verify_certificate(replace(honest, box_radius=10 ** 5), fresh, r1_hash)
+    assert (res.status, res.reason) == ("unverifiable", "power-cap")
+    for m in (fresh, fresh.inverse):
+        assert len(m.oracle.kept) <= 2_001
+
+
 def test_verify_rejects_imprimitive_alpha(r1, r1_cert, r1_hash):
     doubled = tuple(2 * v for v in r1_cert.alpha)
     res = verify_certificate(replace(r1_cert, alpha=doubled), r1, r1_hash)
@@ -487,18 +498,18 @@ def test_verify_rejects_n_mismatch(r1, r1_cert, r1_hash):
 
 def test_verify_rejects_foreign_words(r1, r1_cert, r1_hash):
     """verify derives the words of the class it is given: moved to (4, 9),
-    a class of the same n, the kernel words reach powers past p_max, so the
-    derived mode is asymptotic."""
+    a class of the same n, the kernel words and their obstacles change, and
+    one of them covers the claimed deep point."""
     res = verify_certificate(replace(r1_cert, alpha=(4, 9)), r1, r1_hash)
-    assert (res.status, res.reason) == ("fail", "mode-mismatch")
+    assert (res.status, res.reason) == ("fail", "deep-point-in-obstacle")
 
 
 @pytest.mark.parametrize("edit, want", [
     # (a) once a trivial word list with word radius 0: a far deep point and
     # K = 32.  Outside the box it fails there; with the box widened to
-    # reach it, the derived words reach past p_max.
+    # reach it, the derived words put an obstacle nearer than claimed.
     ({"deep_point": (500,)}, "deep-point-outside-box"),
-    ({"deep_point": (500,), "box_radius": 500}, "mode-mismatch"),
+    ({"deep_point": (500,), "box_radius": 500}, "deep-dist2"),
     # (b) the honest word list kept, the deep point moved outside the box.
     ({"deep_point": (400,)}, "deep-point-outside-box"),
 ], ids=["a", "a-box-widened", "b"])
@@ -510,18 +521,20 @@ def test_verify_rejects_forgeries(r1, r1_cert_29, r1_hash, edit, want):
 
 
 @pytest.mark.parametrize("edit, want", [
-    ({"safety": 0}, "deep-dist2"),
-    ({"safety": 2}, "deep-dist2"),
-    ({"slope_cap": Fraction(1, 10)}, "alpha-not-interior"),
-    ({"slope_cap": Fraction(2, 3)}, "mode-mismatch"),
-    ({"slope_cap": None}, "subcone"),
+    ({"safety": 0}, ("fail", "deep-dist2")),
+    ({"safety": 2}, ("fail", "deep-dist2")),
+    ({"slope_cap": Fraction(1, 10)}, ("fail", "alpha-not-interior")),
+    # A wider cap lowers epsilon, so the word radius grows; the extra words
+    # are exact supports far from the deep point, and the claim holds.
+    ({"slope_cap": Fraction(2, 3)}, ("pass", "")),
+    ({"slope_cap": None}, ("fail", "subcone")),
 ], ids=["safety-0", "safety-2", "slope-cap-narrow", "slope-cap-wide",
         "slope-cap-none"])
 def test_verify_rederives_declared_parameters(r1, r1_cert, r1_hash, edit, want):
     """verify derives the subcone, epsilon, the words and the obstacles from
     the declared parameters, so editing one changes what it checks against."""
     res = verify_certificate(replace(r1_cert, **edit), r1, r1_hash)
-    assert (res.status, res.reason) == ("fail", want)
+    assert (res.status, res.reason) == want
 
 
 def test_verify_fails_a_declared_subcone_with_an_empty_slice(r2, r2_cert, r2_hash):
@@ -546,10 +559,10 @@ def test_verify_rejects_undeclared_mirror(r2, r2_cert, r2_hash):
     assert (res.status, res.reason) == ("fail", "word-mode")
 
 
-def test_verify_rejects_relabelled_mode(r1, r1_cert, asymptotic_cert, r1_hash):
-    for cert, label in ((r1_cert, "asymptotic"), (asymptotic_cert, "certified")):
-        res = verify_certificate(replace(cert, mode=label), r1, r1_hash)
-        assert (res.status, res.reason) == ("fail", "mode-mismatch")
+def test_verify_rejects_relabelled_mode(r1, r1_cert, r1_hash):
+    """Every certificate is certified; any other mode fails by name."""
+    res = verify_certificate(replace(r1_cert, mode="asymptotic"), r1, r1_hash)
+    assert (res.status, res.reason) == ("fail", "mode-mismatch")
 
 
 def test_verify_rejects_wrong_deep_dist2(r1, r1_cert, r1_hash):
