@@ -13,6 +13,7 @@ from .cones import (
 from .errors import (
     BudgetError,
     CapabilityError,
+    PowerCapError,
     RankMismatchError,
     SubconeError,
     ValidationError,

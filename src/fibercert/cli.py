@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation or usage error, 2 inconclusive
-certificate, a sweep with a row that is not ok, or one verify cannot check
-within its caps (a declared or word power above the power cap, or a word
-list above the word cap), 3 verification failure.
+Exit codes: 0 success, 1 validation or usage error (a bound or sweep power
+above the power cap included), 2 inconclusive certificate, a sweep with a
+row that is not ok, or one verify cannot check within its caps (a declared
+or word power above the power cap, or a word list above the word cap), 3
+verification failure.
 Diagnostics go to stderr, artifacts to stdout.
 """
 
@@ -85,7 +86,6 @@ def cmd_charpoly(args) -> int:
 def _print_support(supp: SupportPolytope) -> None:
     out = {
         "p": supp.p,
-        "mode": supp.mode,
         "points": sorted([list(pt) for pt in supp.points]),
         "hull": [list(v) for v in supp.hull],
     }

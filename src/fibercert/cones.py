@@ -27,12 +27,10 @@ BOUNDARY_TOLERANCE = Fraction(1, 100)
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(int(v)))
+    g = gcd(*vec)
     if g == 0:
         raise ValidationError("zero vector cannot be normalized")
-    return tuple(int(v) // g for v in vec)
+    return tuple(v // g for v in vec)
 
 
 def _signed_axes(rank: int) -> list[tuple[int, ...]]:

@@ -293,8 +293,6 @@ def load_certificate(path: str) -> BoundCertificate:
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     lines = [SWEEP_HEADER]
     for row in rows:
-        dd = Fraction(row.deep_dist2)
-        dd_str = str(dd.numerator) if dd.denominator == 1 else f"{dd.numerator}/{dd.denominator}"
         lines.append(
             ",".join(
                 [
@@ -302,7 +300,7 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
                     str(row.n),
                     str(row.covol2),
                     str(row.systole2),
-                    dd_str,
+                    str(Fraction(row.deep_dist2)),
                     str(row.K),
                     str(row.bound.numerator),
                     str(row.bound.denominator),

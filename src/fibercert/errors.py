@@ -13,6 +13,10 @@ class BudgetError(RuntimeError):
     """Kernel-word enumeration would exceed its box-size cap."""
 
 
+class PowerCapError(BudgetError):
+    """A map power to walk is above the power cap."""
+
+
 class CapabilityError(RuntimeError):
     """The requested exact computation is outside the supported dimension range."""
 

@@ -5,14 +5,13 @@ class and its exact squared covolume (Gram determinant); systole is the exact
 shortest vector of the rank <= 2 projected lattice by Lagrange-Gauss
 reduction; Obstacles indexes the obstacle hulls by their boxes; deep_point
 is an exact argmax over the lattice points of a box among them, found by
-branch and bound with integer bounds and exact rational distances.  No
+branch and bound over exact boxes, with exact rational distances.  No
 floating point is used.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -53,15 +52,10 @@ class FiberedClass:
         return self.vector[:-1]
 
     def is_primitive(self) -> bool:
-        g = 0
-        for v in self.vector:
-            g = gcd(g, abs(v))
-        return g == 1
+        return gcd(*self.vector) == 1
 
     def primitive_reduction(self) -> "FiberedClass":
-        g = 0
-        for v in self.vector:
-            g = gcd(g, abs(v))
+        g = gcd(*self.vector)
         return FiberedClass(tuple(v // g for v in self.vector))
 
 
@@ -126,14 +120,13 @@ class PerpLattice:
 
     ``basis`` rows span the saturated kernel of alpha in Z^{r+1};
     ``zeta_basis`` drops the last coordinate.  covol2 is the Gram determinant
-    of the projection; ambient_covol2 that of the unprojected basis.
+    of the projection.
     """
 
     alpha: FiberedClass
     basis: tuple[Vec, ...]
     zeta_basis: tuple[Vec, ...]
     covol2: int
-    ambient_covol2: int
 
     def word_vector(self, coeffs: Sequence[int]) -> Vec:
         if len(coeffs) != len(self.basis):
@@ -174,14 +167,12 @@ def perp_basis(alpha: FiberedClass) -> PerpLattice:
         if _dot(b, alpha.vector) != 0:
             raise ValidationError("internal error: kernel basis not orthogonal")
     zeta = tuple(b[:-1] for b in basis)
-    gram_z = [[_dot(u, v) for v in zeta] for u in zeta]
-    gram_a = [[_dot(u, v) for v in basis] for u in basis]
-    covol2 = int_det(gram_z)
+    covol2 = int_det([[_dot(u, v) for v in zeta] for u in zeta])
     if covol2 <= 0:
         raise ValidationError(
             "projected kernel basis is degenerate (class has n = 0?)"
         )
-    return PerpLattice(alpha, basis, zeta, covol2, int_det(gram_a))
+    return PerpLattice(alpha, basis, zeta, covol2)
 
 
 @dataclass(frozen=True)
@@ -225,14 +216,13 @@ class DeepPoint:
     dist2: Fraction
 
 
-Box = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi)
+Box = tuple  # (x_lo, x_hi, y_lo, y_hi)
 
 
-def _outward(points: Sequence[tuple]) -> Box:
-    """The integer box around rank-2 points, rounded outward."""
+def _box(points: Sequence[tuple]) -> Box:
+    """The exact box around rank-2 points."""
     xs, ys = zip(*points)
-    return (math.floor(min(xs)), math.ceil(max(xs)),
-            math.floor(min(ys)), math.ceil(max(ys)))
+    return (min(xs), max(xs), min(ys), max(ys))
 
 
 def _pad(v: Sequence) -> tuple:
@@ -241,34 +231,30 @@ def _pad(v: Sequence) -> tuple:
 
 
 class BaseHull(NamedTuple):
-    """A hull shared by every obstacle placed from it, with the integer
-    boxes around it and around each of its vertices, rounded outward (in
-    rank 1 their y range is [0, 0]).
+    """A hull shared by every obstacle placed from it, with its exact box
+    and its vertices as rank-2 points (in rank 1 their y coordinate is 0).
 
     An obstacle is a pair (base, x): the hull base.hull + x for an integer
-    shift x.  Its boxes are the base's boxes plus x exactly, because
-    integer shifts commute with floor and ceil, so Fraction vertices stay
-    inside them."""
+    shift x.  Its box and vertices are the base's plus x."""
 
     hull: tuple
     box: Box
-    vertex_boxes: tuple[Box, ...]
+    vertices: tuple[tuple, ...]
 
     @classmethod
     def of(cls, hull: Sequence[tuple]) -> "BaseHull":
         hull = tuple(tuple(v) for v in hull)
-        padded = [_pad(v) for v in hull]
-        return cls(hull, _outward(padded), tuple(_outward([v]) for v in padded))
+        padded = tuple(_pad(v) for v in hull)
+        return cls(hull, _box(padded), padded)
 
 
 Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
 
 
 class Obstacles:
-    """An index of placed obstacles, each box computed once with coordinates
-    doubled, for deep_point's cell bounds and for every question asked at
-    one point.  Boxes are rounded outward, so Fraction vertices keep every
-    bound valid."""
+    """An index of placed obstacles, each exact box computed once with
+    coordinates doubled, for deep_point's cell bounds and for every question
+    asked at one point."""
 
     def __init__(self, placed: Sequence[Obstacle]):
         self.placed = list(placed)
@@ -285,16 +271,16 @@ class Obstacles:
         within that bound of the cell.
 
         A vertex's far-corner value is the largest squared distance from a
-        point of the cell to a point of the vertex's box.  Each vertex box
-        lies in its obstacle's box, so no vertex of an obstacle has a value
-        below LB/4, the least far-corner value of a point of the obstacle's
-        box.  In doubled coordinates LB = (gx + wx)^2 + (gy + wy)^2, where
-        wx is the cell's width and gx twice the distance from the cell's
-        midpoint to the obstacle's box along x, and likewise for y.
+        point of the cell to the vertex.  Each vertex lies in its obstacle's
+        box, so no vertex of an obstacle has a value below LB/4, the least
+        far-corner value of a point of the obstacle's box.  In doubled
+        coordinates LB = (gx + wx)^2 + (gy + wy)^2, where wx is the cell's
+        width and gx twice the distance from the cell's midpoint to the
+        obstacle's box along x, and likewise for y.
         Obstacles are walked in increasing LB and their vertices scored only
         while LB is below 4 times the least value so far, so the result is
-        exact.  An obstacle's vertex boxes are its base's shifted by x, so
-        the base's are scored against the cell shifted by -x instead.
+        exact.  An obstacle's vertices are its base's shifted by x, so the
+        base's are scored against the cell shifted by -x instead.
         """
         (x0, y0), (x1, y1) = lo, hi
         sx, sy, wx, wy = x0 + x1, y0 + y1, x1 - x0, y1 - y0
@@ -319,11 +305,11 @@ class Obstacles:
             tx, ty = shifts[i]
             u0, u1, v0, v1 = x0 - tx, x1 - tx, y0 - ty, y1 - ty
             su, sv = sx - 2 * tx, sy - 2 * ty
-            for a, b, c, d in placed[i][0].vertex_boxes:
-                # Per axis the far end of the cell from [a, b] is u0 exactly
-                # when the cell's midpoint lies below the interval's.
-                value = (((u0 - b) ** 2 if su < a + b else (u1 - a) ** 2)
-                         + ((v0 - d) ** 2 if sv < c + d else (v1 - c) ** 2))
+            for a, c in placed[i][0].vertices:
+                # Per axis the far end of the cell from a is u0 exactly when
+                # the cell's midpoint lies below a.
+                value = (((u0 - a) ** 2 if su < 2 * a else (u1 - a) ** 2)
+                         + ((v0 - c) ** 2 if sv < 2 * c else (v1 - c) ** 2))
                 if best is None or value < best:
                     best = value
         limit = 4 * best
@@ -338,8 +324,8 @@ class Obstacles:
 class _Seen:
     """Obstacles ranked by the squared gap between their doubled box and the
     doubled point, once for every question asked there.  A hull is no nearer
-    than its box, and rounding outward only lowers a gap, so each answer
-    reads a prefix of the ranking and stays exact."""
+    than its box, so each answer reads a prefix of the ranking and stays
+    exact."""
 
     def __init__(self, index: Obstacles, point: Sequence[int], among: Sequence[int]):
         self.index, self.point = index, tuple(point)
@@ -372,7 +358,7 @@ class _Seen:
         obstacles whose box meets it are tested exactly, nearest first."""
         rank = len(self.point)
         fat = geometry.dilate(body, safety, rank)
-        a, b, c, d = _outward([_pad(v) for v in fat])
+        a, b, c, d = _box([_pad(v) for v in fat])
         reach = max(-a, b, -c, d)
         px, py = _pad(self.point)
         # The moved body's box, doubled.
@@ -404,10 +390,10 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
     lexicographically smallest point.
 
     Each obstacle is a placed translate (base, x), the hull base.hull + x
-    (see BaseHull); obstacles placed from one base share its vertex boxes,
-    and no translate is ever materialized.  Best-first branch and bound
-    over cells of lattice points.  Rank 1 is searched as rank 2 with second
-    coordinate 0 throughout, which changes neither distances nor the
+    (see BaseHull); obstacles placed from one base share its box and
+    vertices, and no translate is ever materialized.  Best-first branch and
+    bound over cells of lattice points.  Rank 1 is searched as rank 2 with
+    second coordinate 0 throughout, which changes neither distances nor the
     lexicographic order, so its cells are intervals and rank-2 cells are
     rectangles.
     - Bound: f(y) = min_i d(y, H_i)^2 is at most |y - v|^2 for every vertex v
@@ -427,9 +413,9 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
     - Leaves: cells are halved along their longest side down to single
       points y, which Obstacles.seen_from(y, near).dist2() scores exactly,
       nearest bounding box first.
-    Bounds use integer boxes rounded outward around every hull and every
-    vertex, so Fraction vertices keep them valid, and all arithmetic is
-    exact: Python ints and Fractions, no floating point.
+    Bounds use the exact box of every hull and the exact vertices, so they
+    hold for Fraction vertices too, and all arithmetic is exact: Python
+    ints and Fractions, no floating point.
     """
     if not obstacles:
         raise ValidationError("obstacle list must be nonempty")

@@ -26,7 +26,7 @@ from .cones import (
     epsilon_of_subcone,
     subcone_models,
 )
-from .errors import BudgetError, SubconeError, ValidationError
+from .errors import BudgetError, PowerCapError, SubconeError, ValidationError
 from .lattice import (
     BaseHull,
     FiberedClass,
@@ -46,6 +46,7 @@ from .trackmap import (
 
 TOOL_VERSION = "0.1.0"
 MAX_DOUBLINGS = 3  # times certify doubles a box radius that obstacles cover
+POWER_CAP = 2_000  # the highest map power certify walks and verify checks
 
 def _check_margins(safety: int, kappa: int) -> None:
     """Reject a negative obstacle dilation or a box multiple below 1."""
@@ -121,24 +122,40 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     return [GammaWord(cs, vec[:-1], vec[-1]) for cs, vec in walk]
 
 
+def _check_power_cap(powers: Sequence[int], cap: int, what: str) -> None:
+    """Raise PowerCapError if a power is above ``cap`` in absolute value."""
+    top = max(map(abs, powers))
+    if top > cap:
+        raise PowerCapError(f"{what} {top} exceeds the power cap {cap}")
+
+
+def kernel_words(L: PerpLattice, eps: EpsilonBound, box_radius: int, p_max: int,
+                 safety: int, power_cap: int) -> list[GammaWord]:
+    """The kernel words of a box within its word radius, as certify and
+    verify both derive them.  BudgetError if there are too many to
+    enumerate, PowerCapError if a word's power is above ``power_cap``; both
+    are raised before any support is walked."""
+    words = enumerate_words(L, word_radius(eps, box_radius, p_max, safety))
+    _check_power_cap([w.y for w in words], power_cap, "kernel word power")
+    return words
+
+
 def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: int,
                     allow_mirror: bool, support: Optional[SupportSource] = None) -> Obstacles:
     """The index of the obstacles, one per word, each a placed translate
     (base, x): the word's shift x and the dilated hull of the exact support
     of its power y by omega_of_word's route, read from ``support`` (certify:
-    semiring, verify: oracle), with its outward integer box.  A base is built
+    semiring, verify: oracle), with its exact box.  A base is built
     once per distinct power and shared by every word with that power, so no
     per-word hull is copied: the obstacle is base.hull + x.
     """
-    r = track.rank
-    zero = (0,) * r
     bases: dict[int, BaseHull] = {}
     obstacles = []
     for w in words:
         base = bases.get(w.y)
         if base is None:
-            hull = omega_of_word(track, zero, w.y, allow_mirror, support).hull
-            base = bases[w.y] = BaseHull.of(geometry.dilate(hull, safety, r))
+            hull = omega_of_word(track, w.y, allow_mirror, support)
+            base = bases[w.y] = BaseHull.of(geometry.dilate(hull, safety, track.rank))
         obstacles.append((base, w.x))
     return Obstacles(obstacles)
 
@@ -186,8 +203,11 @@ def certify(
     allow_mirror: bool = False,
     box_radius: Optional[int] = None,
 ) -> BoundCertificate:
-    """Run the full bound pipeline for one class."""
+    """Run the full bound pipeline for one class.  PowerCapError if p_max,
+    the cone's p_max or a kernel word's power is above POWER_CAP, before
+    any support above it is walked."""
     _check_margins(safety, kappa)
+    _check_power_cap((p_max, dual.p_max), POWER_CAP, "declared power")
     if P.membership(alpha.vector).status != "interior":
         raise ValidationError(
             f"class {alpha.vector} is not interior to the chosen subcone"
@@ -201,7 +221,7 @@ def certify(
     for attempt in range(MAX_DOUBLINGS + 1):
         if attempt:
             R *= 2
-        words = enumerate_words(L, word_radius(eps, R, p_max, safety))
+        words = kernel_words(L, eps, R, p_max, safety, POWER_CAP)
         obstacles = build_obstacles(track, words, safety, allow_mirror)
         dp = deep_point(obstacles, R, r)
         if dp.dist2 > 0:
@@ -258,7 +278,7 @@ def verify_certificate(
     cert: BoundCertificate,
     track: LiftedGraphMap,
     dataset_hash: str,
-    power_cap: int = 2_000,
+    power_cap: int = POWER_CAP,
 ) -> VerifyResult:
     """Re-derive a certificate's claim from the dataset and its declared parameters.
 
@@ -269,7 +289,7 @@ def verify_certificate(
     map's oracle memo walks it once per process, up to the highest power any
     certificate needs; the memo depends on the map alone.  The searches are
     not rerun, their results are checked: the deep point lies in the box,
-    outside every obstacle (scored nearest outward box first), at exactly
+    outside every obstacle (scored nearest box first), at exactly
     the claimed squared distance, and the K-th power moved there misses
     every obstacle within its box reach.  Returns the first failing predicate:
     fail dataset-hash, rank-mismatch, certificate-inconclusive, mode-mismatch
@@ -313,15 +333,13 @@ def verify_certificate(
     if max(abs(c) for c in cert.deep_point) > cert.box_radius:
         return VerifyResult("fail", "deep-point-outside-box")
     try:
-        words = enumerate_words(
-            perp_basis(alpha), word_radius(eps, cert.box_radius, cert.p_max, cert.safety)
-        )
+        words = kernel_words(perp_basis(alpha), eps, cert.box_radius, cert.p_max,
+                             cert.safety, power_cap)
+    except PowerCapError:
+        return VerifyResult("unverifiable", "power-cap")
     except BudgetError:
         return VerifyResult("unverifiable", "word-cap")
-    powers = [w.y for w in words]  # the zero word is one
-    if max(map(abs, powers)) > power_cap:
-        return VerifyResult("unverifiable", "power-cap")
-    if min(powers) < 0 and track.inverse is None and not cert.mirror:
+    if min(w.y for w in words) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
     obstacles = build_obstacles(track, words, cert.safety, cert.mirror, _oracle)
     seen = obstacles.seen_from(cert.deep_point)

@@ -4,9 +4,11 @@ A map is given combinatorially: a finite graph with a Z^r voltage on every
 edge (the edge copy (e, s) runs from (src(e), s) to (dst(e), s + w(e))),
 a vertex image with a deck shift per vertex, and for every edge the image
 edge-path as (edge, shift, orientation) steps.  The occupied fundamental
-domain of a step is its shift.  Track-level and surface-level domains may
-differ by a unit; mirror mode assumes, unchecked, that this discrepancy
-does not change a negative power's support.
+domain of a step is its shift.  A power's support is one SupportPolytope;
+a kernel word's support is the hull of its power's support, which the
+obstacle index places at the word's integer shift.  Track-level and
+surface-level domains may differ by a unit; mirror mode assumes, unchecked,
+that this discrepancy does not change a negative power's support.
 """
 
 from __future__ import annotations
@@ -38,17 +40,15 @@ class Edge:
 
 @dataclass(frozen=True, eq=False)
 class SupportPolytope:
-    """Occupied fundamental-domain indices of one map power (or word translate).
+    """Occupied fundamental-domain indices of one map power.
 
     Everything but ``omega``, ``oracle`` and the tests needs only ``hull``;
     ``points`` is computed by ``decode`` on first read.
     """
 
-    rank: int
     p: int
     hull: tuple[Shift, ...]
     decode: Callable[[], Iterable[Shift]] = field(repr=False)
-    mode: str = "exact-forward"  # or inverse-data / mirror
 
     @cached_property
     def points(self) -> frozenset[Shift]:
@@ -58,23 +58,6 @@ class SupportPolytope:
         """(N'_2, N'_1) in direction u: min and max of <u, x> over the hull
         vertices, where both extremes of a linear function are attained."""
         return geometry.directional_extrema(self.hull, u)
-
-    def translate(self, v: Sequence[int], mode: Optional[str] = None) -> "SupportPolytope":
-        v = tuple(v)
-        if not any(v):  # the zero shift shares the hull and points, copying nothing
-            return SupportPolytope(self.rank, self.p, self.hull, lambda: self.points,
-                                   mode or self.mode)
-        return SupportPolytope(
-            self.rank, self.p, tuple(geometry.translate(self.hull, v)),
-            lambda: geometry.translate(self.points, v), mode or self.mode,
-        )
-
-    def mirror(self) -> "SupportPolytope":
-        # Negation reverses the vertex order; re-hull for the canonical start.
-        hull = geometry.convex_hull(geometry.negate(self.hull), self.rank)
-        return SupportPolytope(
-            self.rank, -self.p, tuple(hull), lambda: geometry.negate(self.points), "mirror"
-        )
 
 
 @dataclass(frozen=True)
@@ -178,7 +161,7 @@ class LiftedGraphMap:
         """Verify's route: the path oracle's memo, one hull per edge over
         edge_images alone (see _edge_walk)."""
         hulls = _edge_walk(self, partial(geometry.convex_hull, rank=self.rank))
-        return PowerMemo(SupportPolytope(self.rank, q, tuple(h), partial(self.shift_walk, q))
+        return PowerMemo(SupportPolytope(q, tuple(h), partial(self.shift_walk, q))
                          for q, h in enumerate(hulls))
 
     @cached_property
@@ -246,7 +229,7 @@ def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
     entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
     for q in count():
         hull = geometry.convex_hull([v for row in entries for h in row for v in h], rank)
-        yield SupportPolytope(rank, q, tuple(hull), partial(walk, q))
+        yield SupportPolytope(q, tuple(hull), partial(walk, q))
         prev, entries = entries, []
         for row in prev:
             entries.append([])
@@ -299,9 +282,10 @@ def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
     return [track.oracle(q) for q in range(p)] + [last]
 
 
-def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror: bool = False,
-                  support: Optional[SupportSource] = None) -> SupportPolytope:
-    """Support of the word h^x psi~^y: the translate x + Omega(psi~^y).
+def omega_of_word(track: LiftedGraphMap, y: int, allow_mirror: bool = False,
+                  support: Optional[SupportSource] = None) -> tuple[Shift, ...]:
+    """Hull of Omega(psi~^y), the support of the word h^x psi~^y up to its
+    integer shift x, which the obstacle index applies.
 
     Negative y needs either bundled inverse-map data or explicitly enabled
     mirror mode, which applies the surface-level deck-commutation identity
@@ -309,17 +293,14 @@ def omega_of_word(track: LiftedGraphMap, x: Sequence[int], y: int, allow_mirror:
     mirrored support valid is an unchecked assumption of mirror mode.
     ``support`` is the support source, support_of_power unless given.
     """
-    x = tuple(int(v) for v in x)
-    if len(x) != track.rank:
-        raise ValidationError("translate vector has wrong length")
     support = support or support_of_power
     if y >= 0:
-        return support(track, y).translate(x, "exact-forward")
+        return support(track, y).hull
     if track.inverse is not None:
-        return support(track.inverse, -y).translate(x, "inverse-data")
+        return support(track.inverse, -y).hull
     if allow_mirror:
-        return support(track, -y).mirror().translate(x, "mirror")
+        # Negation reverses the vertex order; re-hull for the canonical start.
+        return tuple(geometry.convex_hull(geometry.negate(support(track, -y).hull), track.rank))
     raise ValidationError(
         "negative power requires inverse-map data or explicitly enabled mirror mode"
     )
-

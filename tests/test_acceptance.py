@@ -145,9 +145,10 @@ def test_criterion_5_covolume_bound(r1_sweep):
     for alpha in [(0, 1)] + R1_CLASSES + [(3, 5), (-2, 7)]:
         L = perp_basis(FiberedClass(alpha))
         p, n = alpha
-        assert L.ambient_covol2 == n * n + p * p
-        assert L.ambient_covol2 >= n * n
-        assert (L.ambient_covol2 == n * n) == (p == 0)
+        ambient_covol2 = sum(v * v for v in L.basis[0])  # Gram determinant of one row
+        assert ambient_covol2 == n * n + p * p
+        assert ambient_covol2 >= n * n
+        assert (ambient_covol2 == n * n) == (p == 0)
     _report(5, f"{len(rows)} primitive classes satisfy covol = c_P * n "
                "(c_P = 1); ambient sqrt(n^2 + p^2) >= n, equality iff p = 0")
 

@@ -409,3 +409,17 @@ def test_verify_word_power_cap_exit_code(capsys, tmp_path):
     d["box_radius"] = 10 ** 5
     code, out, _ = run(capsys, "verify", _write(tmp_path, json.dumps(d)), "--dataset", R1)
     assert (code, out) == (2, "verification: unverifiable (power-cap)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", R1, "--alpha", "250,1001", "--p-max", "64", "--box-radius", "20000"],
+    ["bound", R1, "--alpha", "1,9", "--p-max", "2001"],
+    ["sweep", R1, "--classes", "[[1,9]]", "--p-max", "2001"],
+], ids=["bound-word-power", "bound-p-max", "sweep-p-max"])
+def test_certify_power_cap_exit_code(capsys, argv):
+    """A certificate verify would call unverifiable (power-cap) is never
+    written: a kernel word's power or p_max above the cap exits 1 and the
+    error names the cap."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "exceeds the power cap 2000" in err

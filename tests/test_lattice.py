@@ -17,11 +17,17 @@ from fibercert.lattice import (
     FiberedClass,
     Obstacles,
     PerpLattice,
-    _outward,
+    _box,
     deep_point,
+    int_det,
     perp_basis,
     systole,
 )
+
+
+def _ambient_covol2(L: PerpLattice) -> int:
+    """The Gram determinant of the unprojected kernel basis."""
+    return int_det([[sum(x * y for x, y in zip(u, v)) for v in L.basis] for u in L.basis])
 
 
 def primitive_classes(rank: int, count: int, seed: int = 7):
@@ -55,12 +61,12 @@ def test_perp_basis_examples():
     L = perp_basis(FiberedClass((0, 1)))
     assert L.basis == ((1, 0),)
     assert L.zeta_basis == ((1,),)
-    assert L.covol2 == 1 and L.ambient_covol2 == 1
+    assert L.covol2 == 1 and _ambient_covol2(L) == 1
 
     L = perp_basis(FiberedClass((1, 2)))
     assert L.basis == ((2, -1),)
     assert L.covol2 == 4  # projected basis (2,)
-    assert L.ambient_covol2 == 5  # |(2, -1)|^2 = |alpha|^2
+    assert _ambient_covol2(L) == 5  # |(2, -1)|^2 = |alpha|^2
 
 
 def test_perp_basis_rejects_imprimitive():
@@ -76,7 +82,7 @@ def test_perp_basis_is_orthogonal_and_saturated():
         L = perp_basis(alpha)
         for b in L.basis:
             assert sum(x * y for x, y in zip(b, alpha.vector)) == 0
-        assert L.ambient_covol2 == sum(v * v for v in alpha.vector)
+        assert _ambient_covol2(L) == sum(v * v for v in alpha.vector)
 
 
 def test_projected_covolume_is_n_squared():
@@ -93,7 +99,7 @@ def test_covolume_is_unimodular_invariant():
     b0, b1 = L.basis
     rebased = (tuple(x + 3 * y for x, y in zip(b0, b1)), tuple(-v for v in b1))
     L2 = PerpLattice(
-        alpha, rebased, tuple(b[:-1] for b in rebased), 0, 0
+        alpha, rebased, tuple(b[:-1] for b in rebased), 0
     )
     gram = [
         [sum(x * y for x, y in zip(u, v)) for v in L2.zeta_basis]
@@ -117,7 +123,7 @@ def test_word_vector():
 def _fake_lattice(zeta_rows) -> PerpLattice:
     alpha = FiberedClass((0,) * len(zeta_rows[0]) + (1,))
     full = tuple(tuple(r) + (0,) for r in zeta_rows)
-    return PerpLattice(alpha, full, tuple(tuple(r) for r in zeta_rows), 1, 1)
+    return PerpLattice(alpha, full, tuple(tuple(r) for r in zeta_rows), 1)
 
 
 def _brute_shortest2(rows, span=12):
@@ -432,11 +438,11 @@ def test_cell_bound_matches_every_vertex():
             lo, hi = (x0, 0), (hi[0], 0)  # flat, like every rank-1 cell
         near = sorted(rng.sample(range(len(hulls)), rng.randint(1, len(hulls))))
         bound, kept = _placed(hulls).cell_bound(lo, hi, near)
-        assert bound == min(_far_corner(lo, hi, _outward([v]))
+        assert bound == min(_far_corner(lo, hi, _box([v]))
                             for i in near for v in hulls[i]), (case, lo, hi, hulls)
         box = (lo[0], hi[0], lo[1], hi[1])
         assert sorted(kept) == [i for i in near
-                                if _gap2(*box, _outward(hulls[i])) <= bound]
+                                if _gap2(*box, _box(hulls[i])) <= bound]
         # The bound holds f on the cell's lattice points.
         for y in product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
             assert min(point_hull_dist2(y, hulls[i], 2) for i in near) <= bound

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibercert import cones, geometry, pipeline, trackmap
-from fibercert.errors import BudgetError, SubconeError, ValidationError
+from fibercert.errors import BudgetError, PowerCapError, SubconeError, ValidationError
 from fibercert.cones import epsilon_of_subcone, estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import emit_certificate, load_dataset, parse_certificate
 from fibercert.lattice import BaseHull, FiberedClass, Obstacles, perp_basis
 from fibercert.pipeline import (
+    POWER_CAP,
     _ceil_root_multiple,
     build_obstacles,
     certify,
@@ -285,7 +286,8 @@ def _reference_scan(track, dual, P, cert):
     eps = epsilon_of_subcone(P, dual)
     words = enumerate_words(perp_basis(FiberedClass(cert.alpha)),
                             word_radius(eps, cert.box_radius, cert.p_max, cert.safety))
-    hulls = [geometry.dilate(omega_of_word(track, w.x, w.y, cert.mirror).hull, cert.safety, r)
+    hulls = [geometry.dilate(geometry.translate(omega_of_word(track, w.y, cert.mirror), w.x),
+                             cert.safety, r)
              for w in words]
     dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
     for K in range(cert.p_max, 0, -1):
@@ -483,6 +485,32 @@ def test_verify_caps_word_powers_before_walking(r1, r1_hash):
     assert (res.status, res.reason) == ("unverifiable", "power-cap")
     for m in (fresh, fresh.inverse):
         assert len(m.oracle.kept) <= 2_001
+
+
+def test_certify_caps_word_powers_before_walking(r1_hash):
+    """certify refuses what verify would call unverifiable (power-cap): r1
+    alpha = (250, 1001) at p_max 64 and box radius 20,000 has words of power
+    up to 10,000.  It raises before the semiring walks them, and the fresh
+    map's semiring memo keeps at most 2,001 powers."""
+    fresh = _fresh_map("rose_r1.json")
+    dual, cone, P = cones.subcone_models(fresh, 64, Fraction(1, 2))
+    with pytest.raises(PowerCapError, match="kernel word power 10000 exceeds the power cap 2000"):
+        certify(fresh, dual, cone, P, FiberedClass((250, 1001)), 64, r1_hash,
+                box_radius=20_000)
+    for m in (fresh, fresh.inverse):
+        assert len(m.semiring.kept) <= POWER_CAP + 1
+
+
+def test_certify_caps_declared_powers(r1, r1_models, r1_hash):
+    """A p_max or a cone p_max above the cap is refused before any support
+    is walked, as verify would call its certificate unverifiable."""
+    dual, cone, P = r1_models
+    alpha = FiberedClass((1, 9))
+    with pytest.raises(PowerCapError, match="declared power 2001 exceeds the power cap 2000"):
+        certify(r1, dual, cone, P, alpha, POWER_CAP + 1, r1_hash)
+    with pytest.raises(PowerCapError, match="power cap 2000"):
+        certify(r1, replace(dual, p_max=POWER_CAP + 1), cone, P, alpha, 32, r1_hash)
+    assert certify(r1, dual, cone, P, alpha, 32, r1_hash).status == "ok"
 
 
 def test_verify_rejects_imprimitive_alpha(r1, r1_cert, r1_hash):

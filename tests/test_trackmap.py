@@ -1,5 +1,6 @@
 from fractions import Fraction
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import convex_hull
+from fibercert.geometry import convex_hull, negate
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
     Edge,
@@ -147,8 +148,7 @@ def test_support_of_power_matches_oracle(r1, r2):
         walk = oracle_iterate(track, 200)
         assert [s.p for s in walk] == list(range(0, 201))
         for p in range(0, 201):
-            want, got = support_of_power(track, p), walk[p]
-            assert (got.mode, got.hull) == (want.mode, want.hull), p
+            assert walk[p].hull == support_of_power(track, p).hull, p
 
 
 def _tuple_state_walk(track, p):
@@ -173,7 +173,6 @@ def _assert_oracle_matches_walk(track, p_top):
         walk = oracle_iterate(track, p)
         assert [s.p for s in walk] == list(range(p + 1))
         for q, got in enumerate(walk):
-            assert got.mode == "exact-forward"
             assert got.points == ref[q], (p, q)
             assert got.hull == tuple(convex_hull(ref[q], track.rank)), (p, q)
 
@@ -282,22 +281,24 @@ def test_hull_semiring_matches_frozenset_semiring(case, powers):
 
 
 def _polytope(rank, p, points):
-    return SupportPolytope(rank, p, tuple(convex_hull(points, rank)), lambda: points)
+    return SupportPolytope(p, tuple(convex_hull(points, rank)), lambda: points)
 
 
 def test_support_polytope_basics():
     s = _polytope(1, 3, [(0,), (2,), (5,)])
-    assert s.hull == ((0,), (5,))
+    assert (s.p, s.hull) == (3, ((0,), (5,)))
+    assert s.points == frozenset({(0,), (2,), (5,)})
     assert s.extent((1,)) == (0, 5)
     assert s.extent((-1,)) == (-5, 0)
-    assert s.translate((10,)).points == frozenset({(10,), (12,), (15,)})
-    assert s.mirror().points == frozenset({(0,), (-2,), (-5,)})
-    assert s.mirror().p == -3
-    assert s.translate((10,)).hull == ((10,), (15,))
-    assert s.mirror().hull == ((-5,), (0,))
     square = _polytope(2, 1, [(0, 0), (2, 0), (0, 1), (1, 1)])
     assert square.hull == ((0, 0), (2, 0), (1, 1), (0, 1))
-    assert square.mirror().hull == ((-2, 0), (-1, -1), (0, -1), (0, 0))  # re-hulled
+
+    def mirrored(rank, supp):  # the word of power -1 of a map with no inverse data
+        track = SimpleNamespace(rank=rank, inverse=None)
+        return omega_of_word(track, -1, allow_mirror=True, support=lambda track, p: supp)
+
+    assert mirrored(1, s) == ((-5,), (0,))
+    assert mirrored(2, square) == ((-2, 0), (-1, -1), (0, -1), (0, 0))  # re-hulled
 
 
 def test_oracle_negative_power(r2):
@@ -324,28 +325,30 @@ def test_rank_3_supports_raise_on_every_request():
 # -- word supports ------------------------------------------------------------
 
 def test_omega_of_word_modes(r1, r2):
-    zero1, zero2 = (0,), (0, 0)
-    assert omega_of_word(r1, (3,), 2).mode == "exact-forward"
-    assert omega_of_word(r1, (3,), 2).points == frozenset(
-        tuple(a + 3 for a in s) for s in support_of_power(r1, 2).points
-    )
-    assert omega_of_word(r1, zero1, -2).mode == "inverse-data"
-    assert omega_of_word(r2, zero2, -2, allow_mirror=True).mode == "mirror"
-    assert omega_of_word(r2, zero2, -2, allow_mirror=True).points == frozenset(
-        tuple(-a for a in s) for s in support_of_power(r2, 2).points
-    )
+    assert omega_of_word(r1, 2) == support_of_power(r1, 2).hull
+    assert omega_of_word(r2, 2) == support_of_power(r2, 2).hull
+    assert omega_of_word(r2, -2, allow_mirror=True) == tuple(
+        convex_hull(negate(support_of_power(r2, 2).points), 2))
+    # r1's inverse is its exact mirror, so only the source's calls show that
+    # inverse data is taken before mirror mode.
+    calls = []
+
+    def recording(track, p):
+        calls.append((track, p))
+        return support_of_power(track, p)
+
+    assert omega_of_word(r1, -2, allow_mirror=True, support=recording) == \
+        support_of_power(r1.inverse, 2).hull
+    assert [(track is r1.inverse, p) for track, p in calls] == [(True, 2)]
     with pytest.raises(ValidationError, match="mirror"):
-        omega_of_word(r2, zero2, -1)
+        omega_of_word(r2, -1)
     # The route is the same whichever source the supports come from.
     def oracle(track, p):
         return oracle_iterate(track, p)[p]
 
     for track, y in ((r1, 3), (r1, -3), (r2, -3)):
-        want = omega_of_word(track, (2,) * track.rank, y, allow_mirror=True)
-        got = omega_of_word(track, (2,) * track.rank, y, allow_mirror=True, support=oracle)
-        assert (got.points, got.hull, got.mode) == (want.points, want.hull, want.mode)
-    with pytest.raises(ValidationError, match="length"):
-        omega_of_word(r1, (0, 0), 1)
+        assert omega_of_word(track, y, allow_mirror=True, support=oracle) == \
+            omega_of_word(track, y, allow_mirror=True), (track.rank, y)
 
 
 def test_dataset_hash_ignores_map_metadata(r1):
