@@ -20,14 +20,8 @@ from .cones import subcone_models
 from .errors import BudgetError, CapabilityError, SubconeError, ValidationError
 from .lattice import FiberedClass
 from .laurent import char_poly, mat_pow
-from .pipeline import certify, sweep, verify_certificate
-from .trackmap import (
-    LiftedGraphMap,
-    SupportPolytope,
-    build_transition_matrix,
-    oracle_iterate,
-    support_of_power,
-)
+from .pipeline import certify, check_power_cap, sweep, verify_certificate
+from .trackmap import LiftedGraphMap, build_transition_matrix, oracle_iterate, support_of_power
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -83,25 +77,17 @@ def cmd_charpoly(args) -> int:
     return EXIT_OK
 
 
-def _print_support(supp: SupportPolytope) -> None:
+def cmd_support(args) -> int:
+    """Print the p-th power's support by the subcommand's route: its hull
+    from that route, its points from the map's shared shift walk."""
+    track, _ = _load(args.dataset)
+    supp = args.route(track, args.p)
     out = {
         "p": supp.p,
         "points": sorted([list(pt) for pt in supp.points]),
         "hull": [list(v) for v in supp.hull],
     }
     print(json.dumps(out, sort_keys=True))
-
-
-def cmd_omega(args) -> int:
-    track, _ = _load(args.dataset)
-    supp = support_of_power(track, args.p)
-    _print_support(supp)
-    return EXIT_OK
-
-
-def cmd_oracle(args) -> int:
-    track, _ = _load(args.dataset)
-    _print_support(oracle_iterate(track, args.p)[-1])
     return EXIT_OK
 
 
@@ -126,6 +112,7 @@ def cmd_cone(args) -> int:
 
 def cmd_bound(args) -> int:
     track, ds_hash = _load(args.dataset)
+    check_power_cap((args.p_max,), "declared power")
     dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     alpha = FiberedClass(_parse_class(args.alpha))
     cert = certify(
@@ -154,6 +141,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --classes, or --base and --direction; "
                               f"missing {' and '.join(missing)}")
     track, ds_hash = _load(args.dataset)
+    check_power_cap((args.p_max,), "declared power")
     dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     if args.classes:
         try:
@@ -226,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="support polytope of the p-th power")
     common(p)
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=cmd_omega)
+    p.set_defaults(func=cmd_support, route=support_of_power)
 
     p = sub.add_parser("oracle", help="support polytope by path substitution")
     common(p)
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_support, route=lambda track, q: oracle_iterate(track, q)[-1])
 
     p = sub.add_parser("cone", help="reconstruct the dual and fibered cones")
     common(p)

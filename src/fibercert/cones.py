@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from . import geometry
@@ -96,7 +95,7 @@ class DualConeModel:
         if p < 0:
             return False
         for u, num, c in self._integer_facets:
-            if sum(map(mul, u, x)) > num * p + c:
+            if geometry.dot(u, x) > num * p + c:
                 return False
         return True
 
@@ -216,7 +215,7 @@ class FiberedConeModel:
         *x, n = alpha
         if n <= 0:
             return Membership("exterior", Fraction(-1))
-        margin = min((c * n - sum(map(mul, u, x))) / (scale * n)
+        margin = min((c * n - geometry.dot(u, x)) / (scale * n)
                      for u, c, scale in self._slice)
         if abs(margin) < BOUNDARY_TOLERANCE:
             return Membership("near-boundary", margin)
@@ -229,15 +228,12 @@ class FiberedConeModel:
             raise SubconeError(f"slope cap must be positive, got {cap}")
         return FiberedConeModel(self.rank, self.generators, cap)
 
-    def extreme_rays(self) -> list[tuple[int, ...]]:
-        """Primitive integer extreme rays of the (sub)cone, sorted, in a fresh
-        list; computed once per model.  They are the rays through the vertices
-        of the height-1 slice (each has a positive last coordinate), and a
-        slice that is unbounded raises SubconeError."""
-        return list(self._extreme_rays)
-
     @cached_property
-    def _extreme_rays(self) -> tuple[tuple[int, ...], ...]:
+    def extreme_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer extreme rays of the (sub)cone, sorted; computed
+        once per model.  They are the rays through the vertices of the
+        height-1 slice (each has a positive last coordinate), and a slice
+        that is unbounded raises SubconeError."""
         try:
             vertices = geometry.halfspace_vertices(
                 [(u, c) for u, c, _ in self._slice], self.rank)
@@ -292,7 +288,7 @@ def epsilon_of_subcone(P: FiberedConeModel, dual: DualConeModel) -> EpsilonBound
         rho = max(rho, f.slope)
         c_inf = max(c_inf, f.c_window)
     rho = max(rho, Fraction(0))
-    rays = P.extreme_rays()
+    rays = P.extreme_rays
     c_ratio = Fraction(0)
     for *x, n in rays:  # n > 0: every ray passes through the height-1 slice
         c_ratio = max(c_ratio, Fraction(sum(abs(v) for v in x), n))
@@ -304,4 +300,4 @@ def epsilon_of_subcone(P: FiberedConeModel, dual: DualConeModel) -> EpsilonBound
             f"subcone too wide: growth rate {rho} * kernel ratio {c_ratio} >= 1; "
             "lower the slope cap"
         )
-    return EpsilonBound(min(eps, Fraction(1)), rho, c_inf, c_ratio, tuple(rays))
+    return EpsilonBound(min(eps, Fraction(1)), rho, c_inf, c_ratio, rays)

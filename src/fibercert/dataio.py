@@ -266,8 +266,8 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
             status=_string(d["status"], "status"),
             dataset_hash=_string(d["dataset_hash"], "dataset_hash"),
             tool_version=_string(d["tool_version"], "tool_version"),
-            diagnostics=_strings(d.get("diagnostics", []), "diagnostics"),
-            assumptions=_strings(d.get("assumptions", []), "assumptions"),
+            diagnostics=_strings(d["diagnostics"], "diagnostics"),
+            assumptions=_strings(d["assumptions"], "assumptions"),
         )
         unknown = sorted(d.keys() - certificate_to_dict(cert).keys())
         if unknown:

@@ -50,9 +50,14 @@ def convex_hull(points: Iterable[Point], rank: int) -> list[Point]:
     return hull if len(hull) >= 2 else pts[:1]
 
 
+def dot(u: Sequence, v: Sequence):
+    """The inner product <u, v>."""
+    return sum(map(mul, u, v))
+
+
 def directional_extrema(points: Iterable[Point], u: Sequence) -> tuple:
     """(min, max) of <u, x> over the points."""
-    vals = [sum(a * b for a, b in zip(u, p)) for p in points]
+    vals = [dot(u, p) for p in points]
     if not vals:
         raise ValidationError("empty point set")
     return min(vals), max(vals)
@@ -144,11 +149,6 @@ def point_hull_dist2(y: Point, hull: Sequence[Point], rank: int) -> Fraction:
     return best
 
 
-def _project(hull: Sequence[Point], axis: tuple) -> tuple:
-    vals = [sum(a * b for a, b in zip(axis, p)) for p in hull]
-    return min(vals), max(vals)
-
-
 def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) -> bool:
     """Exact disjointness of two closed hulls (touching counts as overlap)."""
     if rank == 1:
@@ -170,8 +170,8 @@ def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) 
     for axis in axes:
         if axis == (0, 0):
             continue
-        lo_a, hi_a = _project(hull_a, axis)
-        lo_b, hi_b = _project(hull_b, axis)
+        lo_a, hi_a = directional_extrema(hull_a, axis)
+        lo_b, hi_b = directional_extrema(hull_b, axis)
         if hi_a < lo_b or hi_b < lo_a:
             return True
     return False
@@ -191,7 +191,7 @@ def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: in
     # Some free direction is a boundary direction of the recession cone, so
     # it is perpendicular to a normal (or there are no normals at all).
     free = [(1,), (-1,)] if rank == 1 else [d for a, b in normals for d in ((-b, a), (b, -a))]
-    if not normals or any(all(sum(map(mul, u, d)) <= 0 for u in normals) for d in free):
+    if not normals or any(all(dot(u, d) <= 0 for u in normals) for d in free):
         raise ValidationError("unbounded halfspace intersection")
     if rank == 1:
         hi = min(Fraction(c, u[0]) for u, c in halfspaces if u[0] > 0)

@@ -23,10 +23,6 @@ from .errors import CapabilityError, ValidationError
 Vec = tuple[int, ...]
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
-
-
 @dataclass(frozen=True)
 class FiberedClass:
     """A primitive integral class (p_1, ..., p_r, n)."""
@@ -164,10 +160,10 @@ def perp_basis(alpha: FiberedClass) -> PerpLattice:
     rows = _hnf_rows(kernel_rows)
     basis = tuple(tuple(r) for r in rows)
     for b in basis:
-        if _dot(b, alpha.vector) != 0:
+        if geometry.dot(b, alpha.vector) != 0:
             raise ValidationError("internal error: kernel basis not orthogonal")
     zeta = tuple(b[:-1] for b in basis)
-    covol2 = int_det([[_dot(u, v) for v in zeta] for u in zeta])
+    covol2 = int_det([[geometry.dot(u, v) for v in zeta] for u in zeta])
     if covol2 <= 0:
         raise ValidationError(
             "projected kernel basis is degenerate (class has n = 0?)"
@@ -198,16 +194,16 @@ def systole(L: PerpLattice) -> ShortestVector:
     if len(rows) == 2:
         v = rows[1]
         while True:
-            if _dot(v, v) < _dot(u, u):
+            if geometry.dot(v, v) < geometry.dot(u, u):
                 u, v = v, u
-            uu = _dot(u, u)
-            m = (2 * _dot(u, v) + uu) // (2 * uu)
+            uu = geometry.dot(u, u)
+            m = (2 * geometry.dot(u, v) + uu) // (2 * uu)
             if m == 0:
                 break
             v = tuple(b - m * a for a, b in zip(u, v))
     if u < tuple(-x for x in u):
         u = tuple(-x for x in u)
-    return ShortestVector(_dot(u, u), u)
+    return ShortestVector(geometry.dot(u, u), u)
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,8 @@ class GammaWord:
 
 
 def decompose(alpha: FiberedClass, cone: FiberedConeModel) -> tuple[int, PerpLattice]:
-    """Split a class into its return-power n and kernel lattice."""
-    if not alpha.is_primitive():
-        raise ValidationError(
-            "class is not primitive: divide by the gcd of its entries first"
-        )
+    """Split an interior class into its return-power n and kernel lattice;
+    perp_basis refuses a class that is not primitive."""
     verdict = cone.membership(alpha.vector)
     if verdict.status != "interior":
         raise ValidationError(
@@ -122,21 +119,22 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     return [GammaWord(cs, vec[:-1], vec[-1]) for cs, vec in walk]
 
 
-def _check_power_cap(powers: Sequence[int], cap: int, what: str) -> None:
-    """Raise PowerCapError if a power is above ``cap`` in absolute value."""
+def check_power_cap(powers: Sequence[int], what: str) -> None:
+    """Raise PowerCapError if a power is above POWER_CAP in absolute value;
+    the cap is read at call time."""
     top = max(map(abs, powers))
-    if top > cap:
-        raise PowerCapError(f"{what} {top} exceeds the power cap {cap}")
+    if top > POWER_CAP:
+        raise PowerCapError(f"{what} {top} exceeds the power cap {POWER_CAP}")
 
 
 def kernel_words(L: PerpLattice, eps: EpsilonBound, box_radius: int, p_max: int,
-                 safety: int, power_cap: int) -> list[GammaWord]:
+                 safety: int) -> list[GammaWord]:
     """The kernel words of a box within its word radius, as certify and
     verify both derive them.  BudgetError if there are too many to
-    enumerate, PowerCapError if a word's power is above ``power_cap``; both
+    enumerate, PowerCapError if a word's power is above POWER_CAP; both
     are raised before any support is walked."""
     words = enumerate_words(L, word_radius(eps, box_radius, p_max, safety))
-    _check_power_cap([w.y for w in words], power_cap, "kernel word power")
+    check_power_cap([w.y for w in words], "kernel word power")
     return words
 
 
@@ -207,7 +205,7 @@ def certify(
     the cone's p_max or a kernel word's power is above POWER_CAP, before
     any support above it is walked."""
     _check_margins(safety, kappa)
-    _check_power_cap((p_max, dual.p_max), POWER_CAP, "declared power")
+    check_power_cap((p_max, dual.p_max), "declared power")
     if P.membership(alpha.vector).status != "interior":
         raise ValidationError(
             f"class {alpha.vector} is not interior to the chosen subcone"
@@ -221,7 +219,7 @@ def certify(
     for attempt in range(MAX_DOUBLINGS + 1):
         if attempt:
             R *= 2
-        words = kernel_words(L, eps, R, p_max, safety, POWER_CAP)
+        words = kernel_words(L, eps, R, p_max, safety)
         obstacles = build_obstacles(track, words, safety, allow_mirror)
         dp = deep_point(obstacles, R, r)
         if dp.dist2 > 0:
@@ -278,7 +276,6 @@ def verify_certificate(
     cert: BoundCertificate,
     track: LiftedGraphMap,
     dataset_hash: str,
-    power_cap: int = POWER_CAP,
 ) -> VerifyResult:
     """Re-derive a certificate's claim from the dataset and its declared parameters.
 
@@ -298,7 +295,7 @@ def verify_certificate(
     word-mode (a negative power with neither inverse data nor declared
     mirror), deep-point-in-obstacle, deep-dist2, power-collision or
     bound-value; unverifiable power-cap (a declared power, or a word's
-    power, above ``power_cap``, caught before the oracle walks it) or
+    power, above POWER_CAP, caught before the oracle walks it) or
     word-cap (too many words to enumerate).  A negative safety or a
     cone_p_max below 1 raises ValidationError.
     """
@@ -311,7 +308,7 @@ def verify_certificate(
         return VerifyResult("fail", "certificate-inconclusive")
     if cert.mode != "certified":
         return VerifyResult("fail", "mode-mismatch")
-    if max(cert.p_max, cert.cone_p_max, cert.K) > power_cap:
+    if max(cert.p_max, cert.cone_p_max, cert.K) > POWER_CAP:
         return VerifyResult("unverifiable", "power-cap")
     if cert.safety < 0:
         raise ValidationError("certificate safety must be nonnegative")
@@ -334,7 +331,7 @@ def verify_certificate(
         return VerifyResult("fail", "deep-point-outside-box")
     try:
         words = kernel_words(perp_basis(alpha), eps, cert.box_radius, cert.p_max,
-                             cert.safety, power_cap)
+                             cert.safety)
     except PowerCapError:
         return VerifyResult("unverifiable", "power-cap")
     except BudgetError:

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from fibercert import cli
 from fibercert.cli import main
 
 DATA = resources.files("fibercert") / "data"
@@ -187,6 +188,12 @@ MALFORMED_INPUTS = {
         _edited_cert(lambda d: d.update(assumptions=[1])),
         "assumptions must be a list of strings",
     ),
+    # Every field is required: re-emitting a certificate without one would
+    # add it, so the bytes verify read would not be the bytes it passed.
+    "certificate-no-diagnostics": (_edited_cert(lambda d: d.pop("diagnostics")),
+                                   "malformed certificate: missing field 'diagnostics'"),
+    "certificate-no-assumptions": (_edited_cert(lambda d: d.pop("assumptions")),
+                                   "malformed certificate: missing field 'assumptions'"),
     "out-unwritable": (
         lambda capsys, tmp_path: ["bound", R1, "--alpha", "1,9", "--p-max", "8",
                                   "--out", str(tmp_path / "absent" / "c.json")],
@@ -416,10 +423,16 @@ def test_verify_word_power_cap_exit_code(capsys, tmp_path):
     ["bound", R1, "--alpha", "1,9", "--p-max", "2001"],
     ["sweep", R1, "--classes", "[[1,9]]", "--p-max", "2001"],
 ], ids=["bound-word-power", "bound-p-max", "sweep-p-max"])
-def test_certify_power_cap_exit_code(capsys, argv):
+def test_certify_power_cap_exit_code(capsys, monkeypatch, argv):
     """A certificate verify would call unverifiable (power-cap) is never
     written: a kernel word's power or p_max above the cap exits 1 and the
-    error names the cap."""
+    error names the cap.  A p_max above the cap is refused before the cone
+    is built."""
+    if "2001" in argv:
+        def no_cone(*args):
+            raise AssertionError("the cone was built for a p_max above the cap")
+
+        monkeypatch.setattr(cli, "subcone_models", no_cone)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "exceeds the power cap 2000" in err

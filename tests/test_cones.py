@@ -157,8 +157,8 @@ def test_subcone_parameters_validated(r1_models):
 
 def test_subcone_rays_and_monotone_epsilon(r1_models):
     dual, cone, P = r1_models
-    rays = P.extreme_rays()
-    assert rays == [(-1, 2), (1, 2)]  # slope box |a| <= n/2
+    rays = P.extreme_rays
+    assert rays == ((-1, 2), (1, 2))  # slope box |a| <= n/2
     eps_half = epsilon_of_subcone(P, dual)
     assert eps_half.epsilon == Fraction(1, 2)
     assert eps_half.c_ratio == Fraction(1, 2)
@@ -186,8 +186,7 @@ def test_extreme_rays_are_computed_once_per_model(r2_models, monkeypatch):
                         lambda *args: calls.append(args) or vertices(*args))
     first, second = epsilon_of_subcone(P, dual), epsilon_of_subcone(P, dual)
     assert first == second and len(calls) == 1
-    P.extreme_rays().clear()  # callers get a copy, never the memo itself
-    assert P.extreme_rays() == list(first.rays)
+    assert P.extreme_rays is first.rays  # the memo itself: a tuple, never copied
     epsilon_of_subcone(cone.subcone_slope(Fraction(1, 3)), dual)
     assert len(calls) == 2  # a new subcone is a new model
 
@@ -208,7 +207,7 @@ def test_unbounded_subcone_raises(r1_models):
     _, cone, _ = r1_models
     for model in (FiberedConeModel(1, ((1, 1),)), cone):
         with pytest.raises(SubconeError, match="unbounded"):
-            model.extreme_rays()
+            model.extreme_rays
 
 
 def _in_slice(P, s):
@@ -239,7 +238,7 @@ def test_extreme_rays_span_the_height_one_slice(data):
     if cap is not None:
         P = P.subcone_slope(cap)
     try:
-        rays = P.extreme_rays()
+        rays = P.extreme_rays
     except SubconeError:
         assert cap is None
         return

@@ -467,8 +467,14 @@ def test_verify_rejects_inconclusive(r1, r1_cert, r1_hash):
     assert (res.status, res.reason) == ("fail", "certificate-inconclusive")
 
 
-def test_verify_power_cap(r1, r1_cert, r1_hash):
-    res = verify_certificate(r1_cert, r1, r1_hash, power_cap=1)
+def test_verify_power_cap(r1, r1_cert, r1_hash, monkeypatch):
+    """A declared power above POWER_CAP is unverifiable before any walk.
+    The cap is read when verify runs, so a lowered cap applies at once."""
+    for field in ("p_max", "cone_p_max", "K"):
+        res = verify_certificate(replace(r1_cert, **{field: POWER_CAP + 1}), r1, r1_hash)
+        assert (res.status, res.reason) == ("unverifiable", "power-cap"), field
+    monkeypatch.setattr(pipeline, "POWER_CAP", 1)
+    res = verify_certificate(r1_cert, r1, r1_hash)
     assert (res.status, res.reason) == ("unverifiable", "power-cap")
 
 
@@ -501,9 +507,10 @@ def test_certify_caps_word_powers_before_walking(r1_hash):
         assert len(m.semiring.kept) <= POWER_CAP + 1
 
 
-def test_certify_caps_declared_powers(r1, r1_models, r1_hash):
+def test_certify_caps_declared_powers(r1, r1_models, r1_hash, monkeypatch):
     """A p_max or a cone p_max above the cap is refused before any support
-    is walked, as verify would call its certificate unverifiable."""
+    is walked, as verify would call its certificate unverifiable.  The cap
+    is read when certify runs, so a lowered cap applies at once."""
     dual, cone, P = r1_models
     alpha = FiberedClass((1, 9))
     with pytest.raises(PowerCapError, match="declared power 2001 exceeds the power cap 2000"):
@@ -511,6 +518,9 @@ def test_certify_caps_declared_powers(r1, r1_models, r1_hash):
     with pytest.raises(PowerCapError, match="power cap 2000"):
         certify(r1, replace(dual, p_max=POWER_CAP + 1), cone, P, alpha, 32, r1_hash)
     assert certify(r1, dual, cone, P, alpha, 32, r1_hash).status == "ok"
+    monkeypatch.setattr(pipeline, "POWER_CAP", 31)
+    with pytest.raises(PowerCapError, match="declared power 32 exceeds the power cap 31"):
+        certify(r1, dual, cone, P, alpha, 32, r1_hash)
 
 
 def test_verify_rejects_imprimitive_alpha(r1, r1_cert, r1_hash):

@@ -3,8 +3,8 @@
 import os
 import sys
 
-from fibercert import Edge, LiftedGraphMap
 from fibercert.dataio import dataset_hash, save_dataset
+from fibercert.trackmap import Edge, LiftedGraphMap
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "src", "fibercert", "data")
