@@ -113,8 +113,8 @@ def cmd_cone(args) -> int:
 def cmd_bound(args) -> int:
     track, ds_hash = _load(args.dataset)
     check_power_cap((args.p_max,), "declared power")
-    dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     alpha = FiberedClass(_parse_class(args.alpha))
+    dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     cert = certify(
         track, dual, cone, P, alpha, args.p_max, ds_hash,
         safety=args.safety, kappa=args.kappa, allow_mirror=args.mirror,
@@ -142,7 +142,6 @@ def cmd_sweep(args) -> int:
                               f"missing {' and '.join(missing)}")
     track, ds_hash = _load(args.dataset)
     check_power_cap((args.p_max,), "declared power")
-    dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     if args.classes:
         try:
             classes = [dataio.json_ints(c, "--classes entry") for c in json.loads(args.classes)]
@@ -159,6 +158,7 @@ def cmd_sweep(args) -> int:
             tuple(b + j * d for b, d in zip(base, direction))
             for j in range(args.start, args.stop)
         ]
+    dual, cone, P = subcone_models(track, args.p_max, args.slope_cap)
     rows = sweep(
         track, dual, cone, P, classes, args.p_max, ds_hash,
         safety=args.safety, kappa=args.kappa, allow_mirror=args.mirror,

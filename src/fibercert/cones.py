@@ -106,17 +106,18 @@ class DualConeModel:
         )
 
 
-def _candidate_directions(rank: int, ratio_points: list[tuple]) -> list[tuple[int, ...]]:
+def _candidate_directions(rank: int, ratio_points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The signed axes, then in rank 2 both primitive normals of every edge of
+    the hull of the ratio points, given in integers (see estimate_dual_cone)."""
     dirs = _signed_axes(rank)
     if rank == 2 and len(set(ratio_points)) >= 2:
         hull = geometry.convex_hull(ratio_points, 2)
         n = len(hull)
         for i in range(n if n > 2 else 1):
             v, w = hull[i], hull[(i + 1) % n]
-            d = (w[0] - v[0], w[1] - v[1])
-            # Outward normal for a counterclockwise hull, cleared to integers.
-            cleared = _clear_denominators((d[1], -d[0]))[0]
-            for cand in (cleared, tuple(-c for c in cleared)):
+            # Outward normal for a counterclockwise hull, and its opposite.
+            normal = (w[1] - v[1], v[0] - w[0])
+            for cand in (normal, tuple(-c for c in normal)):
                 prim = _primitive(cand)
                 if prim not in dirs:
                     dirs.append(prim)
@@ -131,38 +132,28 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
         raise ValidationError("p_max must be >= 1")
     support = support or support_of_power
     supports = [support(track, p) for p in range(0, p_max + 1)]
+    powers = range(1, p_max + 1)
     # The hull of a union is the hull of the union of the hulls, so the hull
-    # vertices of each power suffice.
-    ratio_points = [
-        tuple(Fraction(c, p) for c in x)
-        for p in range(1, p_max + 1)
-        for x in supports[p].hull
-    ]
+    # vertices x of each power p suffice.  Their ratio points x/p, times
+    # lcm(1..p_max) > 0, are integers with the same hull vertex order and
+    # primitive edge normals; only rank 2 reads them.
+    scale = lcm(*powers)
+    ratio_points = [tuple(c * (scale // p) for c in x) for p in powers
+                    for x in supports[p].hull] if track.rank == 2 else []
     k0 = track.k0
-    low_confidence = k0 is None or p_max < k0
     facets = []
     for u in _candidate_directions(track.rank, ratio_points):
-        slope = min(
-            Fraction(supports[p].extent(u)[1], p) for p in range(1, p_max + 1)
-        )
+        slope = min(Fraction(supports[p].extent(u)[1], p) for p in powers)
         if k0 is not None and k0 <= p_max:
             lo, hi = supports[k0].extent(u)
             c_window = hi - lo
         else:
             # No strict-positivity window available; fall back to the widest
             # observed deviation so the fattened cone still contains the data.
-            c_window = max(
-                -min(0, min(supports[p].extent(u)[0] for p in range(1, p_max + 1))),
-                0,
-            )
+            c_window = max(0, -min(supports[p].extent(u)[0] for p in powers))
         facets.append(FacetDirection(u, slope, c_window))
-    return DualConeModel(
-        rank=track.rank,
-        p_max=p_max,
-        k0=k0,
-        facets=tuple(facets),
-        low_confidence=low_confidence,
-    )
+    return DualConeModel(track.rank, p_max, k0, tuple(facets),
+                         low_confidence=k0 is None or p_max < k0)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -53,6 +54,11 @@ class FiberedClass:
     def primitive_reduction(self) -> "FiberedClass":
         g = gcd(*self.vector)
         return FiberedClass(tuple(v // g for v in self.vector))
+
+    @cached_property
+    def lattice(self) -> "PerpLattice":
+        """perp_basis of the class, computed once per class object."""
+        return perp_basis(self)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

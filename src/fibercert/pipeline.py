@@ -33,7 +33,6 @@ from .lattice import (
     Obstacles,
     PerpLattice,
     deep_point,
-    perp_basis,
     systole,
 )
 from .trackmap import (
@@ -81,7 +80,7 @@ def decompose(alpha: FiberedClass, cone: FiberedConeModel) -> tuple[int, PerpLat
             f"class {alpha.vector} is {verdict.status} (margin {verdict.margin}); "
             "the pipeline needs an interior class"
         )
-    return alpha.n, perp_basis(alpha)
+    return alpha.n, alpha.lattice
 
 
 def word_radius(eps: EpsilonBound, box_radius: int, p_max: int, safety: int) -> int:
@@ -330,7 +329,7 @@ def verify_certificate(
     if max(abs(c) for c in cert.deep_point) > cert.box_radius:
         return VerifyResult("fail", "deep-point-outside-box")
     try:
-        words = kernel_words(perp_basis(alpha), eps, cert.box_radius, cert.p_max,
+        words = kernel_words(alpha.lattice, eps, cert.box_radius, cert.p_max,
                              cert.safety)
     except PowerCapError:
         return VerifyResult("unverifiable", "power-cap")
@@ -404,7 +403,7 @@ def sweep(
         if verdict.status != "interior":
             return SweepRow(alpha.vector, alpha.n, 0, 0, Fraction(0), 0,
                             Fraction(0), "0", f"skipped-{verdict.status}")
-        L = perp_basis(alpha)
+        L = alpha.lattice
         cert = certify(
             track, dual, cone, P, alpha, p_max, dataset_hash,
             safety=safety, kappa=kappa, allow_mirror=allow_mirror,

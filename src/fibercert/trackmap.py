@@ -4,11 +4,14 @@ A map is given combinatorially: a finite graph with a Z^r voltage on every
 edge (the edge copy (e, s) runs from (src(e), s) to (dst(e), s + w(e))),
 a vertex image with a deck shift per vertex, and for every edge the image
 edge-path as (edge, shift, orientation) steps.  The occupied fundamental
-domain of a step is its shift.  A power's support is one SupportPolytope;
-a kernel word's support is the hull of its power's support, which the
-obstacle index places at the word's integer shift.  Track-level and
-surface-level domains may differ by a unit; mirror mode assumes, unchecked,
-that this discrepancy does not change a negative power's support.
+domain of a step is its shift.  A power's support is one SupportPolytope,
+by two exact routes: the semiring route walks the rows of the Laurent
+transition matrix's powers (certify), the path oracle the visits to each
+edge through edge_images (verify).  A kernel word's support is the hull of
+its power's support, which the obstacle index places at the word's integer
+shift.  Track-level and surface-level domains may differ by a unit; mirror
+mode assumes, unchecked, that this discrepancy does not change a negative
+power's support.
 """
 
 from __future__ import annotations
@@ -150,8 +153,8 @@ class LiftedGraphMap:
 
     @cached_property
     def semiring(self) -> "PowerMemo":
-        """Certify's route: support_of_power's memo, over the transition
-        matrix's entry supports (see _semiring_powers)."""
+        """Certify's route: support_of_power's memo, one hull per row of M^q
+        over the transition matrix's entry supports (see _semiring_powers)."""
         M = build_transition_matrix(self)
         return PowerMemo(_semiring_powers([[q.terms for q in row] for row in M.entries],
                                           self.rank, self.shift_walk))
@@ -218,29 +221,28 @@ def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
     serves the points of power q.  An empty power, after which every power
     is empty, raises ValidationError.
 
-    Transition-matrix coefficients are nonnegative, so products never cancel
-    and entry (i, j) of power q+1 is the union of the translates
-    supp M^q_{ik} + t over k and the monomials t of M_{kj}.  As
-    hull(∪ (t + A)) = hull(∪ (t + hull A)), only the entry hulls of the
-    current power are kept ([] where empty), and power q's hull is the hull
-    of its entry hulls.
+    The walk keeps one hull per row: R_q(i) = hull of the union over j of
+    supp M^q_{ij}, from R_0(i) = {0}.  Transition-matrix coefficients are
+    nonnegative, so products never cancel, and M^{q+1} = M M^q makes
+    R_{q+1}(i) the union of the translates t + R_q(k) over k and the
+    monomials t of M_{ik}.  As hull(∪ (t + A)) = hull(∪ (t + hull A)), the
+    row hulls suffice ([] for a row with no entries), and power q's hull is
+    the hull of its row hulls.  This multiplies on the left; the path
+    oracle (_edge_walk) multiplies on the right, one hull per column, and
+    reads supp M from edge_images, not from the Laurent matrix.
     """
-    m = len(base)
-    entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
+    rows = [[(0,) * rank] for _ in base]
     for q in count():
-        hull = geometry.convex_hull([v for row in entries for h in row for v in h], rank)
+        hull = geometry.convex_hull([v for h in rows for v in h], rank)
         yield SupportPolytope(q, tuple(hull), partial(walk, q))
-        prev, entries = entries, []
-        for row in prev:
-            entries.append([])
-            for j in range(m):
-                pts = [tuple(map(add, v, t)) for k in range(m) for t in base[k][j] for v in row[k]]
-                entries[-1].append(geometry.convex_hull(pts, rank) if pts else [])
+        sums = [[tuple(map(add, v, t)) for ts, h in zip(row, rows) for t in ts for v in h]
+                for row in base]
+        rows = [geometry.convex_hull(pts, rank) if pts else [] for pts in sums]
 
 
 def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
     """Support polytope of the p-th power of the transition matrix, from the
-    hulls of its entries (see _semiring_powers for why that is exact)."""
+    hulls of its rows (see _semiring_powers for why that is exact)."""
     return track.semiring(p)
 
 

@@ -436,3 +436,24 @@ def test_certify_power_cap_exit_code(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert "exceeds the power cap 2000" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", R1, "--alpha", "1,x"], "class must be a list of integers"),
+    (["bound", R1, "--alpha", "0,0"], "class must be nonzero"),
+    (["sweep", R2, "--classes", "[[1,2],[3]"], "--classes must be a JSON list"),
+    (["sweep", R1, "--classes", "[[1.5, 9]]"], "--classes entry"),
+    (["sweep", R1, "--base", "1,x", "--direction", "0,2"], "class must be a list of integers"),
+    (["sweep", R1, "--base", "1,9", "--direction", "2"], "equal length"),
+], ids=["alpha-word", "alpha-zero", "classes-json", "classes-float", "base-word",
+        "base-direction-lengths"])
+def test_malformed_class_input_exits_before_the_cone(capsys, monkeypatch, argv, message):
+    """Class input is parsed and validated before the cone is built: a
+    malformed --alpha, --classes or --base/--direction exits 1 at once."""
+    def no_cone(*args):
+        raise AssertionError("the cone was built for malformed class input")
+
+    monkeypatch.setattr(cli, "subcone_models", no_cone)
+    code, out, err = run(capsys, *argv, "--p-max", "1000")
+    assert (code, out) == (1, "")
+    assert message in err

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from fibercert.cones import (
     FiberedConeModel,
     Membership,
+    _candidate_directions,
     epsilon_of_subcone,
     estimate_dual_cone,
     fibered_cone_from_dual,
     subcone_models,
 )
-from fibercert import geometry
+from fibercert import cones, geometry
 from fibercert.errors import SubconeError, ValidationError
 from fibercert.geometry import contains_point, convex_hull
 from fibercert.trackmap import support_of_power
@@ -82,6 +84,86 @@ def test_ratio_hull_from_hull_vertices(r1, r2):
                                 for s in supports for x in getattr(s, attr)], track.rank)
 
         assert ratio_hull("points") == ratio_hull("hull")
+
+
+def _fraction_directions(ratio_points):
+    """The rank-2 candidate directions from ratio points kept as Fractions:
+    the reference for _candidate_directions on scaled integers."""
+    dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    if len(set(ratio_points)) < 2:
+        return dirs
+    hull = convex_hull(ratio_points, 2)
+    n = len(hull)
+    for i in range(n if n > 2 else 1):
+        v, w = hull[i], hull[(i + 1) % n]
+        normal = (w[1] - v[1], v[0] - w[0])
+        den = math.lcm(*(Fraction(c).denominator for c in normal))
+        for cand in (normal, tuple(-c for c in normal)):
+            ints = [int(c * den) for c in cand]
+            g = math.gcd(*ints)
+            prim = tuple(c // g for c in ints)
+            if prim not in dirs:
+                dirs.append(prim)
+    return dirs
+
+
+def _scaled_directions(vertices):
+    """_candidate_directions on the ratio points x/p of (x, p) pairs, given
+    as the integers x * (L // p), L the lcm of the p, as estimate_dual_cone
+    builds them."""
+    scale = math.lcm(*(p for _, p in vertices))
+    return _candidate_directions(2, [tuple(c * (scale // p) for c in x) for x, p in vertices])
+
+
+def _fractions(vertices):
+    return [tuple(Fraction(c, p) for c in x) for x, p in vertices]
+
+
+@pytest.mark.parametrize("vertices", [
+    [((3, 1), 2)],                                   # one ratio point
+    [((2, 4), 2), ((3, 6), 3), ((1, 2), 1)],         # one point three times
+    [((0, 0), 1), ((1, 2), 2), ((3, 6), 3)],         # collinear
+    [((1, -1), 3), ((-2, 2), 4), ((5, -5), 7)],      # collinear, off the axes
+    [((0, 0), 1), ((1, 0), 2), ((0, 1), 3), ((1, 1), 5)],
+], ids=["single", "repeated", "collinear", "collinear-anti", "quadrilateral"])
+def test_integer_ratio_hull_matches_fractions(vertices):
+    assert _scaled_directions(vertices) == _fraction_directions(_fractions(vertices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                          st.integers(1, 12)), min_size=1, max_size=12))
+def test_integer_ratio_hull_matches_fractions_on_random_points(vertices):
+    assert _scaled_directions(vertices) == _fraction_directions(_fractions(vertices))
+
+
+def test_integer_ratio_hull_matches_fractions_on_r2(r2):
+    vertices = [(x, p) for p in range(1, 41) for x in support_of_power(r2, p).hull]
+    dirs = _scaled_directions(vertices)
+    assert dirs == _fraction_directions(_fractions(vertices)) and len(dirs) > 4
+
+
+@pytest.mark.parametrize("p_max", [1, 2, 7, 30])
+def test_dual_cone_scales_every_ratio_point_by_one_factor(r1, r2, monkeypatch, p_max):
+    """estimate_dual_cone hands _candidate_directions the ratio points x/p of
+    every power's hull vertices as integers, all times one positive factor,
+    and in rank 1, which reads only the axes, none."""
+    seen = []
+
+    def spy(rank, ratio_points):
+        seen.append(ratio_points)
+        return _candidate_directions(rank, ratio_points)
+
+    monkeypatch.setattr(cones, "_candidate_directions", spy)
+    estimate_dual_cone(r1, p_max)
+    estimate_dual_cone(r2, p_max)
+    assert seen[0] == []
+    want = _fractions([(x, p) for p in range(1, p_max + 1)
+                       for x in support_of_power(r2, p).hull])
+    pairs = [(c, f) for pt, frac in zip(seen[1], want) for c, f in zip(pt, frac)]
+    assert len(seen[1]) == len(want) and all(isinstance(c, int) for c, _ in pairs)
+    scale = next(c / f for c, f in pairs if f)
+    assert scale > 0 and all(c == scale * f for c, f in pairs)
 
 
 def test_dual_cone_is_stable_in_p_max(r1, r2):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercert import cones, geometry, pipeline, trackmap
+from fibercert import cones, geometry, lattice, pipeline, trackmap
 from fibercert.errors import BudgetError, PowerCapError, SubconeError, ValidationError
 from fibercert.cones import epsilon_of_subcone, estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import emit_certificate, load_dataset, parse_certificate
@@ -666,6 +666,24 @@ def test_sweep_skips_and_certifies(r1, r1_models, r1_hash):
     assert rows[1].bound == rows[0].bound
     assert rows[2].status == "skipped-exterior"
     assert rows[3].status == "skipped-exterior"  # outside the slope box
+
+
+def test_sweep_computes_each_lattice_once(r1, r1_models, r1_hash, monkeypatch):
+    """A sweep builds the kernel lattice of each certified class once and
+    shares it between certify and the row's covolume and systole."""
+    calls = []
+
+    def counted(alpha):
+        calls.append(alpha.vector)
+        return perp_basis(alpha)
+
+    for module in (lattice, pipeline):  # every binding a sweep could call
+        monkeypatch.setattr(module, "perp_basis", counted, raising=False)
+    dual, cone, P = r1_models
+    rows = sweep(r1, dual, cone, P, [(1, 9), (1, 11), (1, 13)], 16, r1_hash)
+    assert [row.status for row in rows] == ["ok"] * 3
+    assert calls == [(1, 9), (1, 11), (1, 13)]
+    assert [row.covol2 for row in rows] == [81, 121, 169]
 
 
 # -- fuzzed declarations ---------------------------------------------------------

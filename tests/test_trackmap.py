@@ -280,6 +280,50 @@ def test_hull_semiring_matches_frozenset_semiring(case, powers):
         assert got.points == want
 
 
+def test_semiring_row_without_entries_stays_empty():
+    """Row 1 of the matrix has no entries, so row 1 of every positive power is
+    empty, while row 0 is not: the walk keeps the empty row as it is and
+    every power's hull is the hull of the frozenset semiring's union."""
+    base = [[{(1, 0)}, {(0, 1), (2, 2)}],
+            [set(), set()]]
+    ref = _frozenset_powers(base, 2, 6)
+    assert not any(ref[1][1]) and any(ref[1][0])
+    walk = _semiring_powers(base, 2, lambda q: ())
+    for q in range(7):
+        want = frozenset().union(*(e for row in ref[q] for e in row))
+        assert next(walk).hull == tuple(convex_hull(want, 2)), q
+
+
+def _entry_hull_powers(base, rank):
+    """Hulls of base^0, base^1, ... from one hull per matrix entry, the
+    full-matrix walk: the reference for the rows walk of _semiring_powers.
+    A power with no entries yields None."""
+    m = len(base)
+    entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
+    while True:
+        pts = [v for row in entries for h in row for v in h]
+        yield tuple(convex_hull(pts, rank)) if pts else None
+        sums = [[[tuple(map(add, v, t)) for k in range(m) for t in base[k][j] for v in row[k]]
+                 for j in range(m)] for row in entries]
+        entries = [[convex_hull(s, rank) if s else [] for s in row] for row in sums]
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_matrices())
+def test_rows_walk_matches_full_matrix_walk(case):
+    """The rows walk and the full-matrix walk give the same hull at every
+    power up to 40, and the same first empty power."""
+    rank, base = case
+    rows, full = _semiring_powers(base, rank, lambda q: ()), _entry_hull_powers(base, rank)
+    for q in range(41):
+        want = next(full)
+        if want is None:
+            with pytest.raises(ValidationError):
+                next(rows)
+            break
+        assert next(rows).hull == want, q
+
+
 def _polytope(rank, p, points):
     return SupportPolytope(p, tuple(convex_hull(points, rank)), lambda: points)
 
