@@ -15,7 +15,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .errors import ValidationError
 from .pipeline import BoundCertificate, SweepRow
@@ -80,6 +80,8 @@ def json_int(v, what: str) -> int:
 
 
 def json_ints(vs, what: str) -> tuple[int, ...]:
+    if type(vs) is not list:
+        raise ValidationError(f"{what} must be a list of integers, got {vs!r}")
     return tuple(json_int(v, what) for v in vs)
 
 
@@ -133,8 +135,7 @@ def _map_to_dict(track: LiftedGraphMap) -> dict:
     return d
 
 
-def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None,
-                   metadata: Optional[dict] = None) -> LiftedGraphMap:
+def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None) -> LiftedGraphMap:
     edges = tuple(
         Edge(e["name"], e["src"], e["dst"], json_ints(e["voltage"], "voltage"))
         for e in d["edges"]
@@ -153,14 +154,17 @@ def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None,
         euler = json_ints(euler, "euler_functional")
         if len(euler) != rank + 1:
             raise ValidationError("euler_functional must have length rank + 1")
+    metadata = d.get("metadata", {})
+    if type(metadata) is not dict:
+        raise ValidationError(f"metadata must be a JSON object, got {metadata!r}")
     return LiftedGraphMap(
         rank=rank,
-        vertices=tuple(d["vertices"]),
+        vertices=_strings(d["vertices"], "vertices"),
         edges=edges,
         vertex_images=vertex_images,
         edge_images=edge_images,
         inverse=inverse,
-        metadata=metadata or {},
+        metadata=metadata,
         euler_functional=euler,
     )
 
@@ -186,7 +190,7 @@ def dataset_from_dict(d: dict) -> LiftedGraphMap:
             if json_int(inv.get("rank", rank), "rank") != rank:
                 raise ValidationError("inverse section must share the dataset rank")
             inverse = _map_from_dict(inv, rank)
-        return _map_from_dict(d, rank, inverse=inverse, metadata=d.get("metadata", {}))
+        return _map_from_dict(d, rank, inverse=inverse)
 
 
 def canonical_json(d: dict) -> str:
@@ -211,33 +215,35 @@ def save_dataset(track: LiftedGraphMap, path: str) -> None:
 
 # -- certificates ------------------------------------------------------------
 
+def _flag(v, what: str) -> bool:
+    if type(v) is not bool:
+        raise ValidationError(f"{what} must be true or false")
+    return v
+
+
+# The certificate format is BoundCertificate's fields: per annotation, the
+# reader of outside input and the writer of JSON.  A field whose annotation
+# is missing here fails at import.
+_CODECS = {
+    int: (json_int, int),
+    bool: (_flag, bool),
+    str: (_string, str),
+    Fraction: (lambda v, what: Fraction(_num_in(v)), _num_out),
+    tuple[int, ...]: (json_ints, list),
+    tuple[str, ...]: (_strings, list),
+}
+_CERT_TYPES = get_type_hints(BoundCertificate)
+_CERT_FIELDS = tuple((name, *_CODECS[kind]) for name, kind in _CERT_TYPES.items())
+
+
 def certificate_to_dict(cert: BoundCertificate) -> dict:
-    return {
-        "format_version": CERT_FORMAT_VERSION,
-        "kind": "bound-certificate",
-        "alpha": list(cert.alpha),
-        "n": cert.n,
-        "rank": cert.rank,
-        "p_max": cert.p_max,
-        "cone_p_max": cert.cone_p_max,
-        "slope_cap": _num_out(cert.slope_cap),
-        "safety": cert.safety,
-        "box_radius": cert.box_radius,
-        "mirror": cert.mirror,
-        "deep_point": list(cert.deep_point),
-        "deep_dist2": _num_out(cert.deep_dist2),
-        "K": cert.K,
-        "bound": _num_out(cert.bound),
-        "mode": cert.mode,
-        "status": cert.status,
-        "dataset_hash": cert.dataset_hash,
-        "tool_version": cert.tool_version,
-        "diagnostics": list(cert.diagnostics),
-        "assumptions": list(cert.assumptions),
-    }
+    d = {name: write(getattr(cert, name)) for name, _, write in _CERT_FIELDS}
+    d.update(kind="bound-certificate", format_version=CERT_FORMAT_VERSION)
+    return d
 
 
 def certificate_from_dict(d: dict) -> BoundCertificate:
+    """Read the fields in BoundCertificate's order; the first bad one is reported."""
     with _malformed("certificate"):
         if d.get("kind") != "bound-certificate":
             raise ValidationError("not a bound certificate file")
@@ -246,30 +252,8 @@ def certificate_from_dict(d: dict) -> BoundCertificate:
                 f"unsupported certificate format_version {d.get('format_version')!r}"
                 f" (expected {CERT_FORMAT_VERSION})"
             )
-        if not isinstance(d["mirror"], bool):
-            raise ValidationError("mirror must be true or false")
-        cert = BoundCertificate(
-            alpha=json_ints(d["alpha"], "alpha"),
-            n=json_int(d["n"], "n"),
-            rank=json_int(d["rank"], "rank"),
-            p_max=json_int(d["p_max"], "p_max"),
-            cone_p_max=json_int(d["cone_p_max"], "cone_p_max"),
-            slope_cap=Fraction(_num_in(d["slope_cap"])),
-            safety=json_int(d["safety"], "safety"),
-            box_radius=json_int(d["box_radius"], "box_radius"),
-            mirror=d["mirror"],
-            deep_point=json_ints(d["deep_point"], "deep_point"),
-            deep_dist2=Fraction(_num_in(d["deep_dist2"])),
-            K=json_int(d["K"], "K"),
-            bound=Fraction(_num_in(d["bound"])),
-            mode=_string(d["mode"], "mode"),
-            status=_string(d["status"], "status"),
-            dataset_hash=_string(d["dataset_hash"], "dataset_hash"),
-            tool_version=_string(d["tool_version"], "tool_version"),
-            diagnostics=_strings(d["diagnostics"], "diagnostics"),
-            assumptions=_strings(d["assumptions"], "assumptions"),
-        )
-        unknown = sorted(d.keys() - certificate_to_dict(cert).keys())
+        cert = BoundCertificate(**{name: read(d[name], name) for name, read, _ in _CERT_FIELDS})
+        unknown = sorted(d.keys() - _CERT_TYPES.keys() - {"kind", "format_version"})
         if unknown:
             raise ValidationError("unknown certificate fields: "
                                   + ", ".join(map(repr, unknown)))

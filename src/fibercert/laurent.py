@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from . import geometry
 from .errors import RankMismatchError, ValidationError
 
 Exponent = tuple[int, ...]
@@ -114,17 +115,6 @@ class LaurentPoly:
                 v *= Fraction(x) ** e
             total += v
         return total
-
-    def max_degree(self, u: Sequence[int]) -> Optional[int]:
-        """Max of <u, e> over the support, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(a * b for a, b in zip(u, e)) for e in self.terms)
-
-    def min_degree(self, u: Sequence[int]) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(sum(a * b for a, b in zip(u, e)) for e in self.terms)
 
     def to_pairs(self) -> list[tuple[Exponent, int]]:
         """Canonical (exponent, coefficient) list, lexicographic on exponents."""
@@ -314,10 +304,6 @@ def degree_extrema(F: CharPoly, u: Sequence[int]) -> DegreeData:
         raise RankMismatchError("direction has wrong length")
     if not any(u):
         raise ValidationError("direction must be nonzero")
-    a = []
-    b = []
-    for k in range(1, F.dim + 1):
-        c = F.coeffs[k]
-        a.append(c.max_degree(u))
-        b.append(c.min_degree(u))
-    return DegreeData(u, tuple(a), tuple(b))
+    ext = [geometry.directional_extrema(c.terms, u) if c.terms else (None, None)
+           for c in F.coeffs[1:]]
+    return DegreeData(u, tuple(hi for _, hi in ext), tuple(lo for lo, _ in ext))

@@ -82,8 +82,15 @@ class LiftedGraphMap:
         if self.rank < 1:
             raise ValidationError("rank must be >= 1")
         edges = {e.name: e for e in self.edges}
+        if not edges:
+            raise ValidationError("a map needs at least one edge")
         if len(edges) != len(self.edges):
             raise ValidationError("duplicate edge names")
+        for what, images, known in (("vertex", self.vertex_images, self.vertices),
+                                    ("edge", self.edge_images, edges)):
+            unknown = sorted(images.keys() - set(known))
+            if unknown:
+                raise ValidationError(f"{what} image of unknown {what} {unknown[0]!r}")
         for e in self.edges:
             if e.src not in self.vertices or e.dst not in self.vertices:
                 raise ValidationError(f"edge {e.name!r} has unknown endpoint")

@@ -56,16 +56,50 @@ def _edited_cert(edit):
     return make_argv
 
 
-def _edited_dataset(edit):
-    """Argv ingesting the bundled r1 dataset after ``edit`` changes its JSON."""
+def _edited_r1(edit):
+    """The text of the bundled r1 dataset after ``edit`` changes its JSON."""
 
-    def make_argv(capsys, tmp_path):
+    def text():
         with open(R1, encoding="utf-8") as fh:
             d = json.load(fh)
         edit(d)
-        return ["ingest", _write(tmp_path, json.dumps(d))]
+        return json.dumps(d)
 
-    return make_argv
+    return text
+
+
+def _unknown_edge_image(d):
+    d["edge_images"]["zzz"] = d["edge_images"]["a"]
+    del d["inverse"]
+
+
+# Each dataset text with the error every subcommand reading it must give.
+MALFORMED_DATASETS = {
+    "dataset-not-json": (lambda: "{bad", "dataset is not valid JSON"),
+    "dataset-without-rank": (lambda: '{"format_version":1}',
+                             "malformed dataset: missing field 'rank'"),
+    "dataset-voltage-float": (_edited_r1(lambda d: d["edges"][0].update(voltage=[1.7])),
+                              "voltage must be an integer, got 1.7"),
+    "dataset-rank-float": (_edited_r1(lambda d: d.update(rank=1.9)),
+                           "rank must be an integer, got 1.9"),
+    # Each of these loaded, and a later subcommand died with a traceback.
+    "dataset-unknown-edge-image": (_edited_r1(_unknown_edge_image),
+                                   "edge image of unknown edge 'zzz'"),
+    "dataset-no-edges": (_edited_r1(lambda d: d.update(edges=[], edge_images={})),
+                         "a map needs at least one edge"),
+    "dataset-unknown-vertex-image": (
+        _edited_r1(lambda d: d["vertex_images"].update(w=["v", [0]])),
+        "vertex image of unknown vertex 'w'",
+    ),
+    "dataset-metadata-list": (_edited_r1(lambda d: d.update(metadata=[1])),
+                              "metadata must be a JSON object, got [1]"),
+    "dataset-vertices-string": (_edited_r1(lambda d: d.update(vertices="vw")),
+                                "vertices must be a list of strings, got 'vw'"),
+}
+
+
+def _ingest(text):
+    return lambda capsys, tmp_path: ["ingest", _write(tmp_path, text())]
 
 
 MALFORMED_INPUTS = {
@@ -73,14 +107,7 @@ MALFORMED_INPUTS = {
         lambda capsys, tmp_path: ["verify", str(tmp_path / "absent.json"), "--dataset", R1],
         "cannot read certificate file",
     ),
-    "dataset-not-json": (
-        lambda capsys, tmp_path: ["ingest", _write(tmp_path, "{bad")],
-        "dataset is not valid JSON",
-    ),
-    "dataset-without-rank": (
-        lambda capsys, tmp_path: ["ingest", _write(tmp_path, '{"format_version":1}')],
-        "malformed dataset: missing field 'rank'",
-    ),
+    **{case: (_ingest(text), message) for case, (text, message) in MALFORMED_DATASETS.items()},
     "certificate-without-K": (_edited_cert(lambda d: d.pop("K")),
                               "malformed certificate: missing field 'K'"),
     "v1-certificate": (_edited_cert(lambda d: d.update(format_version=1)),
@@ -103,12 +130,6 @@ MALFORMED_INPUTS = {
                                   "--p-max", "8"],
         "--classes entry must be an integer, got True",
     ),
-    "dataset-voltage-float": (
-        _edited_dataset(lambda d: d["edges"][0].update(voltage=[1.7])),
-        "voltage must be an integer, got 1.7",
-    ),
-    "dataset-rank-float": (_edited_dataset(lambda d: d.update(rank=1.9)),
-                           "rank must be an integer, got 1.9"),
     "certificate-p-max-float": (_edited_cert(lambda d: d.update(p_max=3.5)),
                                 "p_max must be an integer, got 3.5"),
     # Every field is one verify reads; a format-2 declaration is refused.
@@ -208,6 +229,30 @@ def test_malformed_input_exit_code(capsys, tmp_path, case):
     code, _, err = run(capsys, *make_argv(capsys, tmp_path))
     assert code == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.fixture(scope="module")
+def r1_cert(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert main(["bound", R1, "--alpha", "1,9", "--p-max", "8", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+def test_malformed_dataset_fails_every_subcommand(capsys, tmp_path, r1_cert, case):
+    """Every subcommand refuses a malformed dataset as it loads it: exit 1
+    and an error line, never a traceback from a later stage."""
+    text, message = MALFORMED_DATASETS[case]
+    bad = _write(tmp_path, text())
+    for argv in (["ingest", bad], ["charpoly", bad], ["omega", bad, "--p", "3"],
+                 ["oracle", bad, "--p", "3"], ["cone", bad, "--p-max", "8"],
+                 ["bound", bad, "--alpha", "1,9", "--p-max", "8", "--mirror"],
+                 ["sweep", bad, "--classes", "[[1,9]]", "--p-max", "8", "--mirror"],
+                 ["verify", r1_cert, "--dataset", bad]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and message in err, argv
+        assert "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 import importlib.util
 import json
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from fibercert import dataio, pipeline
 from fibercert.dataio import (
     SWEEP_HEADER,
     _num_in,
@@ -22,7 +24,7 @@ from fibercert.dataio import (
 )
 from fibercert.errors import ValidationError
 from fibercert.lattice import FiberedClass
-from fibercert.pipeline import SweepRow, certify
+from fibercert.pipeline import BoundCertificate, SweepRow, certify
 
 
 # -- rational scalars ----------------------------------------------------------
@@ -137,11 +139,97 @@ def cert(r1, r1_models, r1_hash):
     return certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash)
 
 
-def test_certificate_round_trip(cert):
-    text = emit_certificate(cert)
-    again = parse_certificate(text)
-    assert again == cert
-    assert emit_certificate(again) == text  # byte-stable
+@pytest.fixture(scope="module")
+def r2_cert(r2, r2_models, r2_hash):
+    dual, cone, P = r2_models
+    return certify(r2, dual, cone, P, FiberedClass((1, 20, 401)), 16, r2_hash,
+                   allow_mirror=True)
+
+
+def test_certificate_round_trip(cert, r2_cert):
+    """The r1 certificate (inverse data) and the r2 one (mirror mode)
+    re-emit byte for byte."""
+    assert (cert.mirror, r2_cert.mirror) == (False, True)
+    for c in (cert, r2_cert):
+        text = emit_certificate(c)
+        again = parse_certificate(text)
+        assert again == c
+        assert emit_certificate(again) == text  # byte-stable
+
+
+CERT_FIELDS = [f.name for f in fields(BoundCertificate)]
+# JSON values no certificate field holds: null, a float and objects.
+NEVER_VALUES = [None, 1.5, {}, {"x": 1}]
+# JSON values of every other type, each right for some field.
+OTHER_VALUES = [True, 0, "x", "1/2", "", [], [1], ["x"]]
+
+
+@pytest.mark.parametrize("name", CERT_FIELDS)
+def test_certificate_field_is_required(cert, name):
+    d = json.loads(emit_certificate(cert))
+    del d[name]
+    with pytest.raises(ValidationError, match=f"^malformed certificate: missing field '{name}'$"):
+        parse_certificate(json.dumps(d))
+
+
+@pytest.mark.parametrize("name", CERT_FIELDS)
+def test_certificate_field_reads_only_what_emit_writes(cert, name):
+    """A field reads a JSON value only if emit writes it back unchanged, and
+    never a null, a float or an object; any other value is a ValidationError
+    naming the field or the value."""
+    for value in NEVER_VALUES + OTHER_VALUES:
+        d = json.loads(emit_certificate(cert))
+        d[name] = value
+        text = canonical_json(d) + "\n"
+        try:
+            parsed = parse_certificate(text)
+        except ValidationError as exc:
+            assert name in str(exc) or f"malformed number {value!r}" in str(exc), exc
+        else:
+            assert value not in NEVER_VALUES and emit_certificate(parsed) == text, value
+
+
+def test_certificate_first_bad_field_in_field_order_is_reported(cert):
+    d = json.loads(emit_certificate(cert))
+    d.update(mirror=0, n=1.5, extra=1)
+    with pytest.raises(ValidationError, match="^n must be an integer, got 1.5$"):
+        parse_certificate(json.dumps(d))
+
+
+def _dataio_with(monkeypatch, certificate_class):
+    """A fresh dataio module built for another certificate class."""
+    monkeypatch.setattr(pipeline, "BoundCertificate", certificate_class)
+    spec = importlib.util.spec_from_file_location("fibercert.dataio_probe", dataio.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_new_certificate_field_needs_no_codec_edit(monkeypatch, cert):
+    @dataclass(frozen=True)
+    class Extended(BoundCertificate):
+        note: str = ""
+        weights: tuple[int, ...] = ()
+
+    probe = _dataio_with(monkeypatch, Extended)
+    ext = Extended(**{name: getattr(cert, name) for name in CERT_FIELDS},
+                   note="n", weights=(2, 3))
+    text = probe.emit_certificate(ext)
+    assert '"note":"n"' in text and '"weights":[2,3]' in text
+    assert probe.parse_certificate(text) == ext
+    d = json.loads(text)
+    del d["weights"]
+    with pytest.raises(ValidationError, match="missing field 'weights'"):
+        probe.parse_certificate(json.dumps(d))
+
+
+def test_unsupported_certificate_annotation_fails_at_import(monkeypatch):
+    @dataclass(frozen=True)
+    class Extended(BoundCertificate):
+        weight: float = 0.0
+
+    with pytest.raises(KeyError, match="float"):
+        _dataio_with(monkeypatch, Extended)
 
 
 def test_certificate_is_canonical_json(cert):
