@@ -63,12 +63,9 @@ def _read_json(path: str, what: str):
 def _num_out(v):
     if isinstance(v, bool):
         raise ValidationError("booleans are not serializable numbers")
-    if isinstance(v, int):
-        return v
-    f = Fraction(v)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    if v.denominator == 1:
+        return v.numerator
+    return f"{v.numerator}/{v.denominator}"
 
 
 def json_int(v, what: str) -> int:
@@ -85,18 +82,19 @@ def json_ints(vs, what: str) -> tuple[int, ...]:
     return tuple(json_int(v, what) for v in vs)
 
 
-def _num_in(v):
+def _num_in(v, what: str) -> Fraction:
     """A rational of outside input, in the one form _num_out writes: a JSON
     integer, or a "num/den" string in lowest terms with den >= 2."""
     if type(v) is int:
-        return v
+        return Fraction(v)
     if not (isinstance(v, str) and _FRACTION.fullmatch(v)):
-        raise ValidationError(f"malformed number {v!r}: expected an integer or a num/den string")
+        raise ValidationError(
+            f"{what}: malformed number {v!r}: expected an integer or a num/den string")
     num, den = map(int, v.split("/"))
     if den == 1:
-        raise ValidationError(f"malformed number {v!r}: an integer takes no denominator")
+        raise ValidationError(f"{what}: malformed number {v!r}: an integer takes no denominator")
     if gcd(num, den) != 1:
-        raise ValidationError(f"malformed number {v!r}: not in lowest terms")
+        raise ValidationError(f"{what}: malformed number {v!r}: not in lowest terms")
     return Fraction(num, den)
 
 
@@ -110,6 +108,20 @@ def _strings(vs, what: str) -> tuple[str, ...]:
     if type(vs) is not list or not all(type(v) is str for v in vs):
         raise ValidationError(f"{what} must be a list of strings, got {vs!r}")
     return tuple(vs)
+
+
+def _object(v, what: str) -> dict:
+    if type(v) is not dict:
+        raise ValidationError(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
+def _list(vs, what: str, length: Optional[int] = None) -> list:
+    """A JSON list, of ``length`` entries when that is given."""
+    if type(vs) is not list or length not in (None, len(vs)):
+        shape = "a list" if length is None else f"a list of {length} entries"
+        raise ValidationError(f"{what} must be {shape}, got {vs!r}")
+    return vs
 
 
 # -- datasets ----------------------------------------------------------------
@@ -137,26 +149,28 @@ def _map_to_dict(track: LiftedGraphMap) -> dict:
 
 def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None) -> LiftedGraphMap:
     edges = tuple(
-        Edge(e["name"], e["src"], e["dst"], json_ints(e["voltage"], "voltage"))
-        for e in d["edges"]
+        Edge(_string(e["name"], "edge name"), _string(e["src"], "edge src"),
+             _string(e["dst"], "edge dst"), json_ints(e["voltage"], "voltage"))
+        for e in (_object(e, "edge") for e in _list(d["edges"], "edges"))
     )
-    vertex_images = {
-        v: (im[0], json_ints(im[1], "vertex-image shift"))
-        for v, im in d["vertex_images"].items()
-    }
-    edge_images = {
-        e: tuple((s[0], json_ints(s[1], "step shift"), json_int(s[2], "orientation"))
-                 for s in path)
-        for e, path in d["edge_images"].items()
-    }
+    vertex_images = {}
+    for v, im in _object(d["vertex_images"], "vertex_images").items():
+        w, shift = _list(im, f"vertex image of {v!r}", 2)
+        vertex_images[v] = (w, json_ints(shift, "vertex-image shift"))
+    edge_images = {}
+    for e, path in _object(d["edge_images"], "edge_images").items():
+        steps = (_list(s, f"step of edge image {e!r}", 3)
+                 for s in _list(path, f"edge image of {e!r}"))
+        edge_images[e] = tuple(
+            (_string(name, "step edge"), json_ints(shift, "step shift"),
+             json_int(orient, "orientation"))
+            for name, shift, orient in steps)
     euler = d.get("euler_functional")
     if euler is not None:
         euler = json_ints(euler, "euler_functional")
         if len(euler) != rank + 1:
             raise ValidationError("euler_functional must have length rank + 1")
-    metadata = d.get("metadata", {})
-    if type(metadata) is not dict:
-        raise ValidationError(f"metadata must be a JSON object, got {metadata!r}")
+    metadata = _object(d.get("metadata", {}), "metadata")
     return LiftedGraphMap(
         rank=rank,
         vertices=_strings(d["vertices"], "vertices"),
@@ -179,6 +193,7 @@ def dataset_to_dict(track: LiftedGraphMap) -> dict:
 
 def dataset_from_dict(d: dict) -> LiftedGraphMap:
     with _malformed("dataset"):
+        d = _object(d, "dataset")
         if d.get("format_version") != FORMAT_VERSION:
             raise ValidationError(
                 f"unsupported dataset format_version {d.get('format_version')!r}"
@@ -186,7 +201,7 @@ def dataset_from_dict(d: dict) -> LiftedGraphMap:
         rank = json_int(d["rank"], "rank")
         inverse = None
         if "inverse" in d:
-            inv = d["inverse"]
+            inv = _object(d["inverse"], "inverse")
             if json_int(inv.get("rank", rank), "rank") != rank:
                 raise ValidationError("inverse section must share the dataset rank")
             inverse = _map_from_dict(inv, rank)
@@ -228,7 +243,7 @@ _CODECS = {
     int: (json_int, int),
     bool: (_flag, bool),
     str: (_string, str),
-    Fraction: (lambda v, what: Fraction(_num_in(v)), _num_out),
+    Fraction: (_num_in, _num_out),
     tuple[int, ...]: (json_ints, list),
     tuple[str, ...]: (_strings, list),
 }
@@ -245,6 +260,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
 def certificate_from_dict(d: dict) -> BoundCertificate:
     """Read the fields in BoundCertificate's order; the first bad one is reported."""
     with _malformed("certificate"):
+        d = _object(d, "certificate")
         if d.get("kind") != "bound-certificate":
             raise ValidationError("not a bound certificate file")
         if d.get("format_version") != CERT_FORMAT_VERSION:

@@ -1,12 +1,12 @@
 """Integer linear algebra for kernel lattices and the deep-point search.
 
-perp_basis computes a canonical saturated basis of the kernel of a primitive
-class and its exact squared covolume (Gram determinant); systole is the exact
-shortest vector of the rank <= 2 projected lattice by Lagrange-Gauss
-reduction; Obstacles indexes the obstacle hulls by their boxes; deep_point
-is an exact argmax over the lattice points of a box among them, found by
-branch and bound over exact boxes, with exact rational distances.  No
-floating point is used.
+perp_basis writes the Hermite normal form basis of the saturated kernel of a
+primitive class of rank <= 2 in closed form, with its exact squared covolume;
+systole is the exact shortest vector of the projected lattice by
+Lagrange-Gauss reduction; Obstacles indexes the obstacle hulls by their
+boxes; deep_point is an exact argmax over the lattice points of a box among
+them, found by branch and bound over exact boxes, with exact rational
+distances.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class FiberedClass:
     def n(self) -> int:
         return self.vector[-1]
 
-    @property
-    def p_part(self) -> Vec:
-        return self.vector[:-1]
-
     def is_primitive(self) -> bool:
         return gcd(*self.vector) == 1
 
@@ -59,61 +55,6 @@ class FiberedClass:
     def lattice(self) -> "PerpLattice":
         """perp_basis of the class, computed once per class object."""
         return perp_basis(self)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, s, t = _xgcd(b, a % b)
-    return (g, t, s - (a // b) * t)
-
-
-def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form: positive pivots, entries above reduced."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    ncols = len(rows[0])
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        # Clear the column below pivot_row by gcd steps.
-        nz = [i for i in range(pivot_row, m) if rows[i][col] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
-        for i in range(pivot_row + 1, m):
-            while rows[i][col] != 0:
-                q = rows[pivot_row][col] // rows[i][col]
-                rows[pivot_row] = [a - q * b for a, b in zip(rows[pivot_row], rows[i])]
-                rows[pivot_row], rows[i] = rows[i], rows[pivot_row]
-        if rows[pivot_row][col] < 0:
-            rows[pivot_row] = [-a for a in rows[pivot_row]]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-        if pivot_row == m:
-            break
-    for prow, pcol in pivots:
-        piv = rows[prow][pcol]
-        for i in range(prow):
-            q = rows[i][pcol] // piv
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[prow])]
-    return rows
-
-
-def int_det(mat: list[list[int]]) -> int:
-    """Exact determinant of a small square integer matrix (cofactor expansion)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * int_det(minor)
-    return total
 
 
 @dataclass(frozen=True)
@@ -140,41 +81,46 @@ class PerpLattice:
 
 
 def perp_basis(alpha: FiberedClass) -> PerpLattice:
-    """Canonical basis of the saturated kernel lattice of a primitive class."""
+    """The row Hermite normal form basis of the saturated kernel lattice of
+    a primitive class alpha = (x, n) of rank <= 2 with n != 0, in closed form.
+
+    Dropping the last coordinate maps the kernel onto
+    Lambda = {y : <x, y> = 0 mod n}, of index |n| in Z^r, and the kernel row
+    over y is (y, -<x, y>/n); so the basis is Lambda's upper-triangular one,
+    positive diagonal and entries above it reduced, each row extended.
+    - Rank 1: Lambda = |n| Z, since x is a unit mod n.
+    - Rank 2, x = (a, b): with g = gcd(b, n) and d = |n|/g, the basis is
+      ((g, e), (0, d)).  (0, d) is the least positive multiple of (0, 1) in
+      Lambda.  A y in Lambda has a*y_0 in gZ, and a is a unit mod g because
+      gcd(a, b, n) = 1, so g divides y_0.  (g, e) lies in Lambda exactly
+      when (b/g) e = -a mod d, which has one solution e in [0, d) since b/g
+      is a unit mod d; g d = |n| is the index, so the two rows span Lambda.
+    """
     if not alpha.is_primitive():
         raise ValidationError(
             "class is not primitive: divide by the gcd of its entries first"
         )
-    a = list(alpha.vector)
-    d = len(a)
-    # Column operations tracked in U until a*U = (g, 0, ..., 0).
-    U = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i in range(1, d):
-        if a[i] == 0:
-            continue
-        g, s, t = _xgcd(a[0], a[i])
-        x0, xi = a[0] // g, a[i] // g
-        for row in U:
-            c0, ci = row[0], row[i]
-            row[0] = s * c0 + t * ci
-            row[i] = -xi * c0 + x0 * ci
-        a[0], a[i] = g, 0
-    if a[0] == 0:
-        # alpha had a[0] = 0 throughout; swap a nonzero coordinate forward.
-        raise ValidationError("internal error: primitive class reduced to zero")
-    kernel_rows = [[U[r][c] for r in range(d)] for c in range(1, d)]
-    rows = _hnf_rows(kernel_rows)
-    basis = tuple(tuple(r) for r in rows)
-    for b in basis:
-        if geometry.dot(b, alpha.vector) != 0:
-            raise ValidationError("internal error: kernel basis not orthogonal")
-    zeta = tuple(b[:-1] for b in basis)
-    covol2 = int_det([[geometry.dot(u, v) for v in zeta] for u in zeta])
-    if covol2 <= 0:
+    *x, n = alpha.vector
+    if len(x) > 2:
+        raise CapabilityError(f"kernel lattice supports rank <= 2, got {len(x)}")
+    if n == 0:
         raise ValidationError(
             "projected kernel basis is degenerate (class has n = 0?)"
         )
-    return PerpLattice(alpha, basis, zeta, covol2)
+    if len(x) == 1:
+        zeta = ((abs(n),),)
+    else:
+        a, b = x
+        g = gcd(b, n)
+        d = abs(n) // g
+        zeta = ((g, -a * pow(b // g, -1, d) % d), (0, d))
+    basis = tuple(y + (-geometry.dot(x, y) // n,) for y in zeta)
+    for row in basis:
+        if geometry.dot(row, alpha.vector) != 0:
+            raise ValidationError("internal error: kernel basis not orthogonal")
+    # covol2 is the Gram determinant det(Z Z^T) = det(Z)^2 of the square Z.
+    det = zeta[0][0] if len(x) == 1 else zeta[0][0] * zeta[1][1] - zeta[0][1] * zeta[1][0]
+    return PerpLattice(alpha, basis, zeta, det * det)
 
 
 @dataclass(frozen=True)

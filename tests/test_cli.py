@@ -95,6 +95,35 @@ MALFORMED_DATASETS = {
                               "metadata must be a JSON object, got [1]"),
     "dataset-vertices-string": (_edited_r1(lambda d: d.update(vertices="vw")),
                                 "vertices must be a list of strings, got 'vw'"),
+    # Each of these named no field: a JSON value of the wrong container type.
+    "dataset-top-list": (lambda: "[1]", "dataset must be a JSON object, got [1]"),
+    "dataset-top-integer": (lambda: "5", "dataset must be a JSON object, got 5"),
+    "dataset-top-null": (lambda: "null", "dataset must be a JSON object, got None"),
+    "dataset-top-string": (lambda: '"x"', "dataset must be a JSON object, got 'x'"),
+    "dataset-edge-images-list": (_edited_r1(lambda d: d.update(edge_images=[])),
+                                 "edge_images must be a JSON object, got []"),
+    "dataset-edges-object": (_edited_r1(lambda d: d.update(edges={"a": 1})),
+                             "edges must be a list, got {'a': 1}"),
+    "dataset-image-path-object": (
+        _edited_r1(lambda d: d["edge_images"].update(a={"x": 1})),
+        "edge image of 'a' must be a list, got {'x': 1}",
+    ),
+    "dataset-image-step-integer": (
+        _edited_r1(lambda d: d["edge_images"].update(a=[5])),
+        "step of edge image 'a' must be a list of 3 entries, got 5",
+    ),
+    "dataset-image-step-edge-list": (
+        _edited_r1(lambda d: d["edge_images"]["a"][0].__setitem__(0, ["a"])),
+        "step edge must be a string, got ['a']",
+    ),
+    "dataset-vertex-image-integer": (
+        _edited_r1(lambda d: d["vertex_images"].update(v=5)),
+        "vertex image of 'v' must be a list of 2 entries, got 5",
+    ),
+    "dataset-inverse-list": (_edited_r1(lambda d: d.update(inverse=[1])),
+                             "inverse must be a JSON object, got [1]"),
+    "dataset-edge-name-integer": (_edited_r1(lambda d: d["edges"][0].update(name=3)),
+                                  "edge name must be a string, got 3"),
 }
 
 
@@ -102,11 +131,20 @@ def _ingest(text):
     return lambda capsys, tmp_path: ["ingest", _write(tmp_path, text())]
 
 
+def _verify(text):
+    return lambda capsys, tmp_path: ["verify", _write(tmp_path, text), "--dataset", R1]
+
+
 MALFORMED_INPUTS = {
     "missing-certificate": (
         lambda capsys, tmp_path: ["verify", str(tmp_path / "absent.json"), "--dataset", R1],
         "cannot read certificate file",
     ),
+    "certificate-top-list": (_verify("[1]"), "certificate must be a JSON object, got [1]"),
+    "certificate-top-integer": (_verify("5"), "certificate must be a JSON object, got 5"),
+    "certificate-top-null": (_verify("null"), "certificate must be a JSON object, got None"),
+    "certificate-top-string": (_verify('"x"'),
+                               "certificate must be a JSON object, got 'x'"),
     **{case: (_ingest(text), message) for case, (text, message) in MALFORMED_DATASETS.items()},
     "certificate-without-K": (_edited_cert(lambda d: d.pop("K")),
                               "malformed certificate: missing field 'K'"),
@@ -173,21 +211,23 @@ MALFORMED_INPUTS = {
     "v2-certificate": (_edited_cert(lambda d: d.update(format_version=2)),
                        "unsupported certificate format_version 2"),
     "certificate-slope-cap-underscore": (
-        _edited_cert(lambda d: d.update(slope_cap="1_0/3")), "malformed number '1_0/3'"),
+        _edited_cert(lambda d: d.update(slope_cap="1_0/3")),
+        "slope_cap: malformed number '1_0/3'",
+    ),
     "certificate-slope-cap-space": (_edited_cert(lambda d: d.update(slope_cap=" 2/4")),
-                                    "malformed number ' 2/4'"),
+                                    "slope_cap: malformed number ' 2/4'"),
     "certificate-slope-cap-plus": (_edited_cert(lambda d: d.update(slope_cap="+1/2")),
-                                   "malformed number '+1/2'"),
+                                   "slope_cap: malformed number '+1/2'"),
     "certificate-slope-cap-not-lowest": (
         _edited_cert(lambda d: d.update(slope_cap="2/4")),
-        "malformed number '2/4': not in lowest terms",
+        "slope_cap: malformed number '2/4': not in lowest terms",
     ),
     "certificate-slope-cap-denominator-1": (
         _edited_cert(lambda d: d.update(slope_cap="3/1")),
-        "malformed number '3/1': an integer takes no denominator",
+        "slope_cap: malformed number '3/1': an integer takes no denominator",
     ),
     "certificate-slope-cap-null": (_edited_cert(lambda d: d.update(slope_cap=None)),
-                                   "malformed number None"),
+                                   "slope_cap: malformed number None"),
     # The string fields are strings, never re-emitted or compared as
     # anything else.
     "certificate-mode-list": (_edited_cert(lambda d: d.update(mode=["certified"])),
@@ -200,7 +240,7 @@ MALFORMED_INPUTS = {
                                          "tool_version must be a string, got 5"),
     # The honest bound 2/9, written 4/18, no longer passes.
     "certificate-bound-not-lowest": (_edited_cert(lambda d: d.update(bound="4/18")),
-                                     "malformed number '4/18': not in lowest terms"),
+                                     "bound: malformed number '4/18': not in lowest terms"),
     "certificate-diagnostics-string": (
         _edited_cert(lambda d: d.update(diagnostics="abc")),
         "diagnostics must be a list of strings",

@@ -33,10 +33,10 @@ def test_num_round_trip():
     assert _num_out(5) == 5
     assert _num_out(Fraction(6, 3)) == 2
     assert _num_out(Fraction(5, 11)) == "5/11"
-    assert _num_in(5) == 5
-    assert _num_in("5/11") == Fraction(5, 11)
-    with pytest.raises(ValidationError):
-        _num_in("abc")
+    assert _num_in(5, "x") == 5 and type(_num_in(5, "x")) is Fraction
+    assert _num_in("5/11", "x") == Fraction(5, 11)
+    with pytest.raises(ValidationError, match="x: malformed number 'abc'"):
+        _num_in("abc", "x")
     with pytest.raises(ValidationError):
         _num_out(True)
 

@@ -19,15 +19,15 @@ from fibercert.lattice import (
     PerpLattice,
     _box,
     deep_point,
-    int_det,
     perp_basis,
     systole,
 )
 
 
 def _ambient_covol2(L: PerpLattice) -> int:
-    """The Gram determinant of the unprojected kernel basis."""
-    return int_det([[sum(x * y for x, y in zip(u, v)) for v in L.basis] for u in L.basis])
+    """The Gram determinant of the unprojected kernel basis (rank <= 2)."""
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in L.basis] for u in L.basis]
+    return gram[0][0] if len(gram) == 1 else gram[0][0] * gram[1][1] - gram[0][1] ** 2
 
 
 def primitive_classes(rank: int, count: int, seed: int = 7):
@@ -47,7 +47,7 @@ def primitive_classes(rank: int, count: int, seed: int = 7):
 
 def test_fibered_class_basics():
     a = FiberedClass((3, 6))
-    assert a.rank == 1 and a.n == 6 and a.p_part == (3,)
+    assert a.rank == 1 and a.n == 6
     assert not a.is_primitive()
     assert a.primitive_reduction().vector == (1, 2)
     assert FiberedClass((2, 3)).is_primitive()
@@ -69,28 +69,81 @@ def test_perp_basis_examples():
     assert _ambient_covol2(L) == 5  # |(2, -1)|^2 = |alpha|^2
 
 
+# Reference bases, as the general row Hermite normal form computed them.
+PERP_BASES = {
+    (5, 1): ((1, -5),),
+    (3, -7): ((7, 3),),
+    (4, -1): ((1, 4),),
+    (2, 3, 7): ((1, 4, -2), (0, 7, -3)),
+    (4, 6, -9): ((3, 1, 2), (0, 3, 2)),
+    (1, 0, 5): ((5, 0, -1), (0, 1, 0)),
+    (2, 0, -3): ((3, 0, 2), (0, 1, 0)),
+    (0, 0, 1): ((1, 0, 0), (0, 1, 0)),
+    (1, 1, -1): ((1, 0, 1), (0, 1, 1)),
+    (-3, 5, 12): ((1, 3, -1), (0, 12, -5)),
+    (6, 10, 15): ((5, 0, -2), (0, 3, -2)),
+    (7, -4, -6): ((2, 2, 1), (0, 3, -2)),
+    (1, 990, 980101): ((1, 990, -1), (0, 980101, -990)),
+}
+
+
+@pytest.mark.parametrize("vector", sorted(PERP_BASES), ids=lambda v: ",".join(map(str, v)))
+def test_perp_basis_table(vector):
+    L = perp_basis(FiberedClass(vector))
+    assert L.basis == PERP_BASES[vector]
+    assert L.covol2 == vector[-1] ** 2
+
+
+@st.composite
+def _primitive_class(draw):
+    """A primitive class of rank 1 or 2 with n != 0."""
+    rank = draw(st.integers(1, 2))
+    x = tuple(draw(st.lists(st.integers(-60, 60), min_size=rank, max_size=rank)))
+    n = draw(st.integers(-60, 60).filter(bool))
+    assume(gcd(*x, n) == 1)
+    return FiberedClass(x + (n,))
+
+
 def test_perp_basis_rejects_imprimitive():
     with pytest.raises(ValidationError, match="primitive"):
         perp_basis(FiberedClass((2, 4)))
 
 
-def test_perp_basis_is_orthogonal_and_saturated():
+def test_perp_basis_rejects_n_zero():
+    for vector in ((1, 0), (1, 2, 0), (0, 1, 0)):
+        with pytest.raises(ValidationError, match="degenerate"):
+            perp_basis(FiberedClass(vector))
+
+
+def test_perp_basis_rejects_rank_3():
+    with pytest.raises(CapabilityError, match="rank <= 2, got 3"):
+        perp_basis(FiberedClass((1, 2, 3, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_primitive_class())
+def test_perp_basis_is_orthogonal_and_saturated(alpha):
     """Basis rows kill alpha, and the lattice is saturated: its Gram
     determinant in the ambient space equals |alpha|^2 exactly (index-1
-    sublattice of alpha-perp)."""
-    for alpha in primitive_classes(1, 25) + primitive_classes(2, 25):
-        L = perp_basis(alpha)
-        for b in L.basis:
-            assert sum(x * y for x, y in zip(b, alpha.vector)) == 0
-        assert _ambient_covol2(L) == sum(v * v for v in alpha.vector)
+    sublattice of alpha-perp).  The projection is the Hermite normal form:
+    upper triangular, positive diagonal, the entry above it reduced."""
+    L = perp_basis(alpha)
+    for b in L.basis:
+        assert sum(x * y for x, y in zip(b, alpha.vector)) == 0
+    assert _ambient_covol2(L) == sum(v * v for v in alpha.vector)
+    zeta = L.zeta_basis
+    assert zeta == tuple(b[:-1] for b in L.basis)
+    assert all(row[i] > 0 and not any(row[:i]) for i, row in enumerate(zeta))
+    if alpha.rank == 2:
+        assert 0 <= zeta[0][1] < zeta[1][1]
 
 
-def test_projected_covolume_is_n_squared():
+@settings(max_examples=200, deadline=None)
+@given(_primitive_class())
+def test_projected_covolume_is_n_squared(alpha):
     """covol^2 of the projected kernel lattice equals n^2 for primitive
-    classes with n > 0."""
-    for alpha in primitive_classes(1, 25) + primitive_classes(2, 25):
-        L = perp_basis(alpha)
-        assert L.covol2 == alpha.n ** 2
+    classes with n != 0."""
+    assert perp_basis(alpha).covol2 == alpha.n ** 2
 
 
 def test_covolume_is_unimodular_invariant():
