@@ -143,14 +143,20 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
     k0 = track.k0
     facets = []
     for u in _candidate_directions(track.rank, ratio_points):
-        slope = min(Fraction(supports[p].extent(u)[1], p) for p in powers)
+        extents = [supports[p].extent(u) for p in powers]
+        # The least hi/p, its pairs (hi, p > 0) compared by cross-multiplication.
+        top, q = extents[0][1], 1
+        for p, (_, hi) in zip(powers, extents):
+            if hi * q < top * p:
+                top, q = hi, p
+        slope = Fraction(top, q)
         if k0 is not None and k0 <= p_max:
-            lo, hi = supports[k0].extent(u)
+            lo, hi = extents[k0 - 1]
             c_window = hi - lo
         else:
             # No strict-positivity window available; fall back to the widest
             # observed deviation so the fattened cone still contains the data.
-            c_window = max(0, -min(supports[p].extent(u)[0] for p in powers))
+            c_window = max(0, -min(lo for lo, _ in extents))
         facets.append(FacetDirection(u, slope, c_window))
     return DualConeModel(track.rank, p_max, k0, tuple(facets),
                          low_confidence=k0 is None or p_max < k0)

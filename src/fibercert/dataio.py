@@ -110,9 +110,13 @@ def _strings(vs, what: str) -> tuple[str, ...]:
     return tuple(vs)
 
 
-def _object(v, what: str) -> dict:
+def _object(v, what: str, keys: Optional[frozenset] = None) -> dict:
+    """A JSON object; when ``keys`` is given, one with no other key."""
     if type(v) is not dict:
         raise ValidationError(f"{what} must be a JSON object, got {v!r}")
+    unknown = sorted(v.keys() - keys) if keys is not None else ()
+    if unknown:
+        raise ValidationError(f"unknown {what} key {unknown[0]!r}")
     return v
 
 
@@ -125,6 +129,14 @@ def _list(vs, what: str, length: Optional[int] = None) -> list:
 
 
 # -- datasets ----------------------------------------------------------------
+
+# The keys the readers read: of an edge, of a map (the dataset and its
+# inverse), and those only the dataset or the inverse section reads.
+_EDGE_KEYS = frozenset({"name", "src", "dst", "voltage"})
+_MAP_KEYS = frozenset({"vertices", "edges", "vertex_images", "edge_images",
+                       "euler_functional", "metadata", "rank"})
+_DATASET_KEYS = _MAP_KEYS | {"format_version", "inverse"}
+
 
 def _map_to_dict(track: LiftedGraphMap) -> dict:
     d = {
@@ -151,7 +163,7 @@ def _map_from_dict(d: dict, rank: int, inverse: Optional[LiftedGraphMap] = None)
     edges = tuple(
         Edge(_string(e["name"], "edge name"), _string(e["src"], "edge src"),
              _string(e["dst"], "edge dst"), json_ints(e["voltage"], "voltage"))
-        for e in (_object(e, "edge") for e in _list(d["edges"], "edges"))
+        for e in (_object(e, "edge", _EDGE_KEYS) for e in _list(d["edges"], "edges"))
     )
     vertex_images = {}
     for v, im in _object(d["vertex_images"], "vertex_images").items():
@@ -198,10 +210,11 @@ def dataset_from_dict(d: dict) -> LiftedGraphMap:
             raise ValidationError(
                 f"unsupported dataset format_version {d.get('format_version')!r}"
             )
+        _object(d, "dataset", _DATASET_KEYS)
         rank = json_int(d["rank"], "rank")
         inverse = None
         if "inverse" in d:
-            inv = _object(d["inverse"], "inverse")
+            inv = _object(d["inverse"], "inverse", _MAP_KEYS)
             if json_int(inv.get("rank", rank), "rank") != rank:
                 raise ValidationError("inverse section must share the dataset rank")
             inverse = _map_from_dict(inv, rank)

@@ -299,14 +299,14 @@ class _Seen:
                 best = d
         return best
 
-    def misses(self, body: Sequence[tuple], safety: int) -> bool:
-        """Whether ``body`` moved to the point and dilated misses every
-        obstacle.  The moved body's box lies within L-inf distance ``reach``
-        of the point, so a box meeting it has a gap of at most 8 reach^2; the
-        obstacles whose box meets it are tested exactly, nearest first."""
+    def misses(self, body: BaseHull) -> bool:
+        """Whether ``body``, a dilated hull about the origin, moved to the
+        point misses every obstacle.  The moved body's box lies within
+        L-inf distance ``reach`` of the point, so a box meeting it has a gap
+        of at most 8 reach^2; the obstacles whose box meets it are tested
+        exactly, nearest first."""
         rank = len(self.point)
-        fat = geometry.dilate(body, safety, rank)
-        a, b, c, d = _box([_pad(v) for v in fat])
+        a, b, c, d = body.box
         reach = max(-a, b, -c, d)
         px, py = _pad(self.point)
         # The moved body's box, doubled.
@@ -319,7 +319,7 @@ class _Seen:
             if e > b or a > f or g > d or c > h:
                 continue  # disjoint boxes, so disjoint hulls
             base, x = placed[i]
-            moved = geometry.translate(fat, tuple(p - t for p, t in zip(self.point, x)))
+            moved = geometry.translate(body.hull, tuple(p - t for p, t in zip(self.point, x)))
             if not geometry.hulls_disjoint(moved, base.hull, rank):
                 return False
         return True

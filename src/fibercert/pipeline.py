@@ -40,7 +40,6 @@ from .trackmap import (
     SupportPolytope,
     SupportSource,
     omega_of_word,
-    support_of_power,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -137,24 +136,41 @@ def kernel_words(L: PerpLattice, eps: EpsilonBound, box_radius: int, p_max: int,
     return words
 
 
+def _oracle(track: LiftedGraphMap, p: int) -> SupportPolytope:
+    return track.oracle(p)
+
+
+# The support source of each route; None is omega_of_word's default,
+# support_of_power.
+_SOURCES: dict[str, Optional[SupportSource]] = {"semiring": None, "oracle": _oracle}
+
+
+def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
+                 allow_mirror: bool) -> BaseHull:
+    """The hull of omega_of_word(track, y, allow_mirror) on ``route``'s
+    supports, dilated by ``safety``, with its box.  Memoized per map in
+    ``track.derived`` under (route, "base", y, safety, allow_mirror); the
+    ValidationError of a negative power with neither inverse data nor
+    mirror is raised again on every call, never stored."""
+    key = (route, "base", y, safety, allow_mirror)
+    base = track.derived.get(key)
+    if base is None:
+        hull = omega_of_word(track, y, allow_mirror, _SOURCES[route])
+        base = track.derived[key] = BaseHull.of(geometry.dilate(hull, safety, track.rank))
+    return base
+
+
 def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: int,
-                    allow_mirror: bool, support: Optional[SupportSource] = None) -> Obstacles:
+                    allow_mirror: bool, route: str = "semiring") -> Obstacles:
     """The index of the obstacles, one per word, each a placed translate
-    (base, x): the word's shift x and the dilated hull of the exact support
-    of its power y by omega_of_word's route, read from ``support`` (certify:
-    semiring, verify: oracle), with its exact box.  A base is built
-    once per distinct power and shared by every word with that power, so no
-    per-word hull is copied: the obstacle is base.hull + x.
+    (base, x): the word's shift x and dilated_base of its power y on
+    ``route``'s supports (certify: semiring, verify: oracle).  A base is
+    built once per map, route, power, safety and mirror flag and shared by
+    every word, certificate and class that needs it, so no per-word hull is
+    copied: the obstacle is base.hull + x.
     """
-    bases: dict[int, BaseHull] = {}
-    obstacles = []
-    for w in words:
-        base = bases.get(w.y)
-        if base is None:
-            hull = omega_of_word(track, w.y, allow_mirror, support)
-            base = bases[w.y] = BaseHull.of(geometry.dilate(hull, safety, track.rank))
-        obstacles.append((base, w.x))
-    return Obstacles(obstacles)
+    return Obstacles([(dilated_base(track, route, w.y, safety, allow_mirror), w.x)
+                      for w in words])
 
 
 @dataclass(frozen=True)
@@ -202,7 +218,9 @@ def certify(
 ) -> BoundCertificate:
     """Run the full bound pipeline for one class.  PowerCapError if p_max,
     the cone's p_max or a kernel word's power is above POWER_CAP, before
-    any support above it is walked."""
+    any support above it is walked.  The obstacle bases and the body of
+    every K tested are dilated_base's, memoized per map on the semiring
+    route, so a sweep builds each once."""
     _check_margins(safety, kappa)
     check_power_cap((p_max, dual.p_max), "declared power")
     if P.membership(alpha.vector).status != "interior":
@@ -230,7 +248,8 @@ def certify(
     if dp.dist2 > 0:
         seen = obstacles.seen_from(dp.point)
         K = next((cand for cand in range(p_max, 0, -1)
-                  if seen.misses(support_of_power(track, cand).hull, safety)), 0)
+                  if seen.misses(dilated_base(track, "semiring", cand, safety,
+                                              allow_mirror))), 0)
     status = "ok" if K >= 1 else "inconclusive"
     if K == 0:
         diagnostics.append(
@@ -267,8 +286,18 @@ class VerifyResult:
         return self.status == "pass"
 
 
-def _oracle(track: LiftedGraphMap, p: int) -> SupportPolytope:
-    return track.oracle(p)
+def _verify_models(track: LiftedGraphMap, cone_p_max: int,
+                   slope_cap: Fraction) -> tuple[DualConeModel, FiberedConeModel,
+                                                 EpsilonBound]:
+    """(dual, P, epsilon) on path-oracle supports, memoized per map in
+    ``track.derived`` under ("oracle", "subcone", cone_p_max, slope_cap).
+    A SubconeError is raised again on every call, never stored."""
+    key = ("oracle", "subcone", cone_p_max, slope_cap)
+    models = track.derived.get(key)
+    if models is None:
+        dual, _, P = subcone_models(track, cone_p_max, slope_cap, _oracle)
+        models = track.derived[key] = (dual, P, epsilon_of_subcone(P, dual))
+    return models
 
 
 def verify_certificate(
@@ -283,11 +312,18 @@ def verify_certificate(
     declared ``mirror``: per-power hulls placed by word shift) on
     path-oracle supports, never the semiring route certify used.  Each
     map's oracle memo walks it once per process, up to the highest power any
-    certificate needs; the memo depends on the map alone.  The searches are
-    not rerun, their results are checked: the deep point lies in the box,
-    outside every obstacle (scored nearest box first), at exactly
-    the claimed squared distance, and the K-th power moved there misses
-    every obstacle within its box reach.  Returns the first failing predicate:
+    certificate needs; the memo depends on the map alone.  What verify
+    derives is memoized per map on the oracle route, in ``track.derived``:
+    (dual, P, epsilon) under ("oracle", "subcone", cone_p_max, slope_cap),
+    and the dilated base of every word power and of K under ("oracle",
+    "base", y, safety, mirror).  Each key holds every value its entry
+    depends on, and a SubconeError or ValidationError is raised again on
+    every call, never stored, so one certificate cannot sway another's
+    verdict.  The searches are not rerun, their results are checked: the
+    deep point lies in the box, outside every obstacle (scored nearest box
+    first), at exactly the claimed squared distance, and the K-th power
+    moved there misses every obstacle within its box reach.  Returns the
+    first failing predicate:
     fail dataset-hash, rank-mismatch, certificate-inconclusive, mode-mismatch
     (a mode other than certified), alpha-primitive, n-mismatch,
     k-exceeds-pmax, subcone, alpha-not-interior, deep-point-outside-box,
@@ -320,8 +356,7 @@ def verify_certificate(
         return VerifyResult("fail", "k-exceeds-pmax")
 
     try:
-        dual, _, P = subcone_models(track, cert.cone_p_max, cert.slope_cap, _oracle)
-        eps = epsilon_of_subcone(P, dual)
+        _, P, eps = _verify_models(track, cert.cone_p_max, cert.slope_cap)
     except SubconeError:
         return VerifyResult("fail", "subcone")
     if P.membership(alpha.vector).status != "interior":
@@ -337,14 +372,14 @@ def verify_certificate(
         return VerifyResult("unverifiable", "word-cap")
     if min(w.y for w in words) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
-    obstacles = build_obstacles(track, words, cert.safety, cert.mirror, _oracle)
+    obstacles = build_obstacles(track, words, cert.safety, cert.mirror, "oracle")
     seen = obstacles.seen_from(cert.deep_point)
     dist2 = seen.dist2()
     if dist2 <= 0:
         return VerifyResult("fail", "deep-point-in-obstacle")
     if dist2 != cert.deep_dist2:
         return VerifyResult("fail", "deep-dist2")
-    if not seen.misses(track.oracle(cert.K).hull, cert.safety):
+    if not seen.misses(dilated_base(track, "oracle", cert.K, cert.safety, cert.mirror)):
         return VerifyResult("fail", "power-collision")
     if cert.bound != Fraction(2, cert.n * cert.K):
         return VerifyResult("fail", "bound-value")

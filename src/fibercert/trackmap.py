@@ -175,6 +175,14 @@ class LiftedGraphMap:
                          for q, h in enumerate(hulls))
 
     @cached_property
+    def derived(self) -> dict:
+        """pipeline's memo of what it derives from this map and a few
+        declared values, so it dies with the map.  A key starts with the
+        support route that built its value ("semiring" or "oracle") and
+        holds every value the entry depends on."""
+        return {}
+
+    @cached_property
     def shift_walk(self) -> "PowerMemo":
         """The occupied shifts of every power: the ``points`` of both routes."""
         return PowerMemo(_edge_walk(self, frozenset))

@@ -124,6 +124,16 @@ MALFORMED_DATASETS = {
                              "inverse must be a JSON object, got [1]"),
     "dataset-edge-name-integer": (_edited_r1(lambda d: d["edges"][0].update(name=3)),
                                   "edge name must be a string, got 3"),
+    # Each of these loaded with its key ignored: a misspelled inverse made
+    # bound ask for --mirror, and a misspelled voltage was dropped.
+    "dataset-unknown-key": (_edited_r1(lambda d: d.update(inverses=d.pop("inverse"))),
+                            "unknown dataset key 'inverses'"),
+    "dataset-unknown-inverse-key": (_edited_r1(lambda d: d["inverse"].update(edge_image={})),
+                                    "unknown inverse key 'edge_image'"),
+    "dataset-unknown-edge-key": (
+        _edited_r1(lambda d: d["edges"][0].update(voltag=d["edges"][0].pop("voltage"))),
+        "unknown edge key 'voltag'",
+    ),
 }
 
 

@@ -455,7 +455,7 @@ def test_obstacles_seen_from_matches_translates(data, r1, r2):
         seen = index.seen_from(y)
         assert seen.dist2() == min(point_hull_dist2(y, t, rank) for t in translates), y
         moved = translate(dilate(body, s, rank), y)
-        assert seen.misses(body, s) == all(hulls_disjoint(moved, t, rank)
+        assert seen.misses(BaseHull.of(dilate(body, s, rank))) == all(hulls_disjoint(moved, t, rank)
                                            for t in translates), (y, body, s)
 
 

@@ -319,16 +319,16 @@ def test_kscan_tests_obstacles_at_full_reach():
         return Obstacles([(dot, x)]).seen_from(point)
 
     dot = BaseHull.of([(0,)])
-    body = [(0,), (2,)]  # reach 2 from the point 0
-    assert not seen((0,), dot, (2,)).misses(body, 0)
-    assert seen((0,), dot, (3,)).misses(body, 0)
-    assert not seen((0,), dot, (3,)).misses(body, 1)
+    body = BaseHull.of([(0,), (2,)])  # reach 2 from the point 0
+    assert not seen((0,), dot, (2,)).misses(body)
+    assert seen((0,), dot, (3,)).misses(body)
+    assert not seen((0,), dot, (3,)).misses(BaseHull.of(geometry.dilate(body.hull, 1, 1)))
     dot = BaseHull.of([(0, 0)])
-    diagonal = [(0, 0), (2, 2)]  # its box meets both dots, the segment only one
-    assert seen((5, 5), dot, (7, 5)).misses(diagonal, 0)
-    assert not seen((5, 5), dot, (6, 6)).misses(diagonal, 0)
+    diagonal = BaseHull.of([(0, 0), (2, 2)])  # its box meets both dots, the segment only one
+    assert seen((5, 5), dot, (7, 5)).misses(diagonal)
+    assert not seen((5, 5), dot, (6, 6)).misses(diagonal)
     # Full reach along both axes: the dot's box sits at gap 2 on each.
-    assert not seen((5, 5), dot, (7, 7)).misses(diagonal, 0)
+    assert not seen((5, 5), dot, (7, 7)).misses(diagonal)
 
 
 def test_certify_copies_hulls_per_power_not_per_word(r2, r2_models, r2_hash, monkeypatch):
@@ -372,18 +372,20 @@ def test_verify_passes(r1, r1_cert, r1_hash, r2, r2_cert, r2_hash, far_words_cer
     assert verify_certificate(far_words_cert, r1, r1_hash).status == "pass"
 
 
-def test_verify_never_reads_semiring_supports(r1, r1_cert, r1_hash, r2, r2_cert,
-                                              r2_hash, far_words_cert, monkeypatch):
+def test_verify_never_reads_semiring_supports(r1_cert, r1_hash, r2_cert, r2_hash,
+                                              far_words_cert, monkeypatch):
     """verify takes every exact support from the path oracle, the cone
     rebuild included, so the oracle and the semiring route stay independent
     cross-checks: on an r1 certificate with inverse data, an r2 certificate
-    in mirror mode and an r1 one with words past p_max."""
+    in mirror mode and an r1 one with words past p_max.  Fresh maps, so no
+    memo built before holds a support."""
 
     def forbidden(track, p):
         raise AssertionError("verify read the semiring route")
 
-    for module in (pipeline, trackmap, cones):
+    for module in (trackmap, cones):
         monkeypatch.setattr(module, "support_of_power", forbidden)
+    r1, r2 = _fresh_map("rose_r1.json"), _fresh_map("rose_r2.json")
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
     assert verify_certificate(far_words_cert, r1, r1_hash).status == "pass"
@@ -406,6 +408,8 @@ def test_each_route_builds_only_its_own_memo(r1_cert, r1_hash, r2_cert, r2_hash,
     assert "oracle" in vars(r1) and "oracle" in vars(r1.inverse) and "oracle" in vars(r2)
     for m in (r1, r1.inverse, r2):
         assert "semiring" not in vars(m)
+    for m in (r1, r2):
+        assert m.derived and all(key[0] == "oracle" for key in m.derived)
     r1, r2 = _fresh_map("rose_r1.json"), _fresh_map("rose_r2.json")
     dual, cone, P = r1_models
     assert certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash) == r1_cert
@@ -415,6 +419,8 @@ def test_each_route_builds_only_its_own_memo(r1_cert, r1_hash, r2_cert, r2_hash,
     assert "semiring" in vars(r1) and "semiring" in vars(r1.inverse) and "semiring" in vars(r2)
     for m in (r1, r1.inverse, r2):
         assert "oracle" not in vars(m)
+    for m in (r1, r2):
+        assert m.derived and all(key[0] == "semiring" for key in m.derived)
 
 
 def test_verify_walks_each_map_once(r1_cert, r1_cert_29, r1_hash, monkeypatch):
@@ -442,6 +448,81 @@ def test_verify_walks_each_map_once(r1_cert, r1_cert_29, r1_hash, monkeypatch):
     assert (starts[id(shared)], starts[id(shared.inverse)]) == (1, 1)
     assert (drawn[id(shared)], drawn[id(shared.inverse)]) == tuple(map(max, *alone))
     assert alone[0] != alone[1]
+
+
+def test_memo_cannot_sway_a_verdict(r1_cert, r1_hash, r2_cert, r2_hash):
+    """A verdict does not depend on what the map's memo already holds: the
+    honest r1 and r2 certificates and mutants of every declared value a memo
+    key holds (cone_p_max, slope_cap, one of them failing subcone, safety
+    and mirror), of K and of the deep point, verified on one map in forward
+    and in reverse order, get the verdicts each gets on a fresh map.  A
+    failing subcone key stores nothing."""
+    for cert, name, ds_hash in ((r1_cert, "rose_r1.json", r1_hash),
+                                (r2_cert, "rose_r2.json", r2_hash)):
+        edits = [{}, {"cone_p_max": cert.cone_p_max // 2}, {"slope_cap": Fraction(1, 3)},
+                 {"slope_cap": Fraction(2)}, {"safety": 0}, {"safety": 2},
+                 {"mirror": not cert.mirror}, {"K": cert.K + 1},
+                 {"deep_point": tuple(c + 1 for c in cert.deep_point)}]
+        certs = [replace(cert, **edit) for edit in edits]
+        alone = [verify_certificate(c, _fresh_map(name), ds_hash) for c in certs]
+        assert alone[0].status == "pass"
+        assert {"subcone", "deep-dist2", "power-collision"} <= {v.reason for v in alone}
+        for order in (certs, certs[::-1]):
+            shared = _fresh_map(name)
+            verdicts = [verify_certificate(c, shared, ds_hash) for c in order]
+            assert verdicts == (alone if order is certs else alone[::-1]), name
+            assert ("oracle", "subcone", cert.cone_p_max, 2) not in shared.derived
+
+
+def test_memo_keeps_the_mirror_flag(r2_models, r2_hash, r2_cert):
+    """A base built in mirror mode is never handed to a certify without it:
+    on one r2 map, the class certified with mirror is refused without it,
+    by name, both before and after."""
+    r2 = _fresh_map("rose_r2.json")
+    dual, cone, P = r2_models
+    for mirror in (False, True, False):
+        run = lambda: certify(r2, dual, cone, P, FiberedClass((1, 7, 50)), 12, r2_hash,
+                              allow_mirror=mirror)
+        if mirror:
+            assert run() == r2_cert
+        else:
+            with pytest.raises(ValidationError, match="mirror"):
+                run()
+
+
+def test_verify_batch_derives_once_per_map(r1, r1_models, r1_hash, monkeypatch):
+    """verify-r1's 20 seed-0 certificates, verified on one map, rebuild the
+    dual cone once and build each dilated base once, although every
+    certificate asks for its words' bases and its K's."""
+    dual, cone, P = r1_models
+    rows = sweep(r1, dual, cone, P, [(1, 2 * j + 9) for j in range(20)], 32, r1_hash)
+    certs = [parse_certificate(emit_certificate(row.certificate)) for row in rows]
+    cone_calls, asked, built = Counter(), Counter(), Counter()
+    estimate, base, omega = (cones.estimate_dual_cone, pipeline.dilated_base,
+                             pipeline.omega_of_word)
+
+    def counted_estimate(track, p_max, support=None):
+        cone_calls[p_max] += 1
+        return estimate(track, p_max, support)
+
+    def counted_base(track, *key):
+        asked[key] += 1
+        return base(track, *key)
+
+    def counted_omega(track, y, allow_mirror, support):
+        built[y, allow_mirror] += 1
+        return omega(track, y, allow_mirror, support)
+
+    monkeypatch.setattr(cones, "estimate_dual_cone", counted_estimate)
+    monkeypatch.setattr(pipeline, "dilated_base", counted_base)
+    monkeypatch.setattr(pipeline, "omega_of_word", counted_omega)
+    track = _fresh_map("rose_r1.json")
+    assert [verify_certificate(c, track, r1_hash).status for c in certs] == ["pass"] * 20
+    assert cone_calls == {16: 1}
+    assert set(built.values()) == {1}
+    assert {key[:1] + key[2:] for key in track.derived if key[1] == "base"} == \
+        {("oracle", y, 1, False) for y, _ in built} == set(asked)
+    assert sum(asked.values()) > 10 * len(built)
 
 
 def test_verify_rejects_wrong_dataset(r1, r1_cert):
