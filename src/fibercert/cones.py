@@ -133,30 +133,34 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
     support = support or support_of_power
     supports = [support(track, p) for p in range(0, p_max + 1)]
     powers = range(1, p_max + 1)
-    # The hull of a union is the hull of the union of the hulls, so the hull
-    # vertices x of each power p suffice.  Their ratio points x/p, times
-    # lcm(1..p_max) > 0, are integers with the same hull vertex order and
-    # primitive edge normals; only rank 2 reads them.
-    scale = lcm(*powers)
-    ratio_points = [tuple(c * (scale // p) for c in x) for p in powers
-                    for x in supports[p].hull] if track.rank == 2 else []
+    ratio_points = []
+    if track.rank == 2:
+        # The hull of a union is the hull of the union of the hulls, so the
+        # hull vertices x of each power p suffice.  Their ratio points x/p,
+        # times lcm(1..p_max) > 0, are integers with the same hull vertex
+        # order and primitive edge normals.
+        scale = lcm(*powers)
+        ratio_points = [tuple(c * (scale // p) for c in x) for p in powers
+                        for x in supports[p].hull]
     k0 = track.k0
     facets = []
     for u in _candidate_directions(track.rank, ratio_points):
-        extents = [supports[p].extent(u) for p in powers]
-        # The least hi/p, its pairs (hi, p > 0) compared by cross-multiplication.
-        top, q = extents[0][1], 1
-        for p, (_, hi) in zip(powers, extents):
+        # N'_1(u, p): the largest <u, x> over the hull vertices of power p.
+        tops = [max(geometry.dot(u, x) for x in supports[p].hull) for p in powers]
+        # The least N'_1/p, its pairs (hi, p > 0) compared by cross-multiplication.
+        top, q = tops[0], 1
+        for p, hi in zip(powers, tops):
             if hi * q < top * p:
                 top, q = hi, p
         slope = Fraction(top, q)
         if k0 is not None and k0 <= p_max:
-            lo, hi = extents[k0 - 1]
+            lo, hi = geometry.directional_extrema(supports[k0].hull, u)
             c_window = hi - lo
         else:
             # No strict-positivity window available; fall back to the widest
             # observed deviation so the fattened cone still contains the data.
-            c_window = max(0, -min(lo for lo, _ in extents))
+            c_window = max(0, -min(geometry.dot(u, x) for p in powers
+                                   for x in supports[p].hull))
         facets.append(FacetDirection(u, slope, c_window))
     return DualConeModel(track.rank, p_max, k0, tuple(facets),
                          low_confidence=k0 is None or p_max < k0)

@@ -6,7 +6,8 @@ systole is the exact shortest vector of the projected lattice by
 Lagrange-Gauss reduction; Obstacles indexes the obstacle hulls by their
 boxes; deep_point is an exact argmax over the lattice points of a box among
 them, found by branch and bound over exact boxes, with exact rational
-distances.  No floating point is used.
+distances, over half the box when the obstacles are point-symmetric.  No
+floating point is used.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import geometry
 from .errors import CapabilityError, ValidationError
@@ -178,7 +179,8 @@ def _pad(v: Sequence) -> tuple:
     return tuple(v) + (0,) * (2 - len(v))
 
 
-class BaseHull(NamedTuple):
+@dataclass(frozen=True)
+class BaseHull:
     """A hull shared by every obstacle placed from it, with its exact box
     and its vertices as rank-2 points (in rank 1 their y coordinate is 0).
 
@@ -194,6 +196,13 @@ class BaseHull(NamedTuple):
         hull = tuple(tuple(v) for v in hull)
         padded = tuple(_pad(v) for v in hull)
         return cls(hull, _box(padded), padded)
+
+    @cached_property
+    def reflected(self) -> tuple:
+        """The hull reflected through the origin, in convex_hull's vertex
+        order, so it equals the hull of a base built from the reflected
+        points; computed once per base."""
+        return tuple(geometry.convex_hull(geometry.negate(self.hull), len(self.hull[0])))
 
 
 Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
@@ -212,6 +221,20 @@ class Obstacles:
 
     def __len__(self) -> int:
         return len(self.placed)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the obstacles are point-symmetric, checked in the order
+        build_obstacles places kernel words: obstacle N-1-i is obstacle i
+        reflected through the origin, its shift negated and its base's hull
+        the reflected hull of obstacle i's base.  Then the union of the
+        obstacles is closed under y -> -y.  One pass over half the shifts
+        and bases; each base reflects its hull once (BaseHull.reflected)."""
+        placed, shifts, n = self.placed, self.shifts, len(self.placed)
+        half = (n + 1) // 2
+        return (shifts[:half] == [(-a, -b) for a, b in reversed(shifts[n // 2:])]
+                and all(b.hull == a.reflected for (a, _), (b, _)
+                        in zip(placed[:half], reversed(placed[n // 2:]))))
 
     def cell_bound(self, lo: Vec, hi: Vec, near: Sequence[int]) -> tuple[int, list[int]]:
         """The least far-corner value of the cell [lo, hi] over the vertices
@@ -361,6 +384,14 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
     - Leaves: cells are halved along their longest side down to single
       points y, which Obstacles.seen_from(y, near).dist2() scores exactly,
       nearest bounding box first.
+    - Half the box: when the obstacles are point-symmetric
+      (Obstacles.symmetric, checked on the placed translates, never
+      assumed), f(-y) = f(y), so the set S of argmax points is closed under
+      negation.  Its lexicographically smallest point p is then <=lex 0:
+      were p >lex 0, -p would be a point of S below it.  Every point <=lex 0
+      has x <= 0, so the search covers [-R, 0] x [-R, R] ([-R, 0] in rank
+      1) with the same bounds and tie-break, and returns the full box's
+      result.
     Bounds use the exact box of every hull and the exact vertices, so they
     hold for Fraction vertices too, and all arithmetic is exact: Python
     ints and Fractions, no floating point.
@@ -373,7 +404,7 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
         raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
     best: Optional[DeepPoint] = None
     span = R if rank == 2 else 0
-    lo, hi = (-R, -span), (R, span)
+    lo, hi = (-R, -span), (0 if obstacles.symmetric else R, span)
     bound, near = obstacles.cell_bound(lo, hi, range(len(obstacles)))
     # A heap entry is a cell's negated bound, its corners, and the hulls
     # within the bound of it.

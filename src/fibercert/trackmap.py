@@ -57,11 +57,6 @@ class SupportPolytope:
     def points(self) -> frozenset[Shift]:
         return frozenset(self.decode())
 
-    def extent(self, u: Sequence[int]) -> tuple[int, int]:
-        """(N'_2, N'_1) in direction u: min and max of <u, x> over the hull
-        vertices, where both extremes of a linear function are attained."""
-        return geometry.directional_extrema(self.hull, u)
-
 
 @dataclass(frozen=True)
 class LiftedGraphMap:

@@ -12,7 +12,7 @@ import pytest
 
 from fibercert.cones import estimate_dual_cone
 from fibercert.dataio import emit_certificate, sweep_to_csv
-from fibercert.geometry import convex_hull
+from fibercert.geometry import convex_hull, directional_extrema
 from fibercert.laurent import char_poly, degree_extrema, mat_pow
 from fibercert.pipeline import sweep, verify_certificate
 from fibercert.trackmap import (
@@ -75,7 +75,7 @@ def test_criterion_2_degree_inequality(r1, r1_models, r2, r2_models):
             supp = support_of_power(track, p)
             for f in dual.facets:
                 dd = degree_extrema(F, f.u)
-                n1 = supp.extent(f.u)[1]
+                n1 = directional_extrema(supp.hull, f.u)[1]
                 for k in range(1, F.dim + 1):
                     ak = dd.a[k - 1]
                     if ak is None:
@@ -96,10 +96,10 @@ def test_criterion_3_slope_convergence(r1):
     assert k0 is not None
     dirs = [(1,), (-1,)]
     for u in dirs:
-        lo0, hi0 = support_of_power(r1, k0).extent(u)
+        lo0, hi0 = directional_extrema(support_of_power(r1, k0).hull, u)
         C = hi0 - lo0
         # Certified slope: min over the full window of N'1(p)/p.
-        ratios = {p: Fraction(support_of_power(r1, p).extent(u)[1], p)
+        ratios = {p: Fraction(directional_extrema(support_of_power(r1, p).hull, u)[1], p)
                   for p in range(k0, 201)}
         A = min(ratios.values())
         for p, ratio in ratios.items():

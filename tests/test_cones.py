@@ -60,13 +60,27 @@ def test_dual_cone_of_doubling_rose_is_0_to_p():
     assert not dual.contains_fattened((0, -1))
 
 
+def test_rank_1_estimate_never_takes_the_lcm(r1, r2, monkeypatch):
+    """lcm(1..p_max) scales the rank-2 ratio points only: a rank-1 estimate
+    gives the same model without it."""
+    want = estimate_dual_cone(r1, 16)
+
+    def refuse(*args):
+        raise AssertionError("lcm called")
+
+    monkeypatch.setattr(cones, "lcm", refuse)
+    assert estimate_dual_cone(r1, 16) == want
+    with pytest.raises(AssertionError, match="lcm called"):
+        estimate_dual_cone(r2, 4)
+
+
 def test_dual_cone_slopes_are_certified_upper_estimates(r1, r2):
     """Every computed support point lies under every facet's slope line."""
     for track, p_max in ((r1, 12), (r2, 10)):
         dual = estimate_dual_cone(track, p_max)
         for f in dual.facets:
             for p in range(1, p_max + 1):
-                hi = support_of_power(track, p).extent(f.u)[1]
+                hi = geometry.directional_extrema(support_of_power(track, p).hull, f.u)[1]
                 assert Fraction(hi, p) >= f.slope
         for p in range(0, p_max + 1):
             for x in support_of_power(track, p).points:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
+from fibercert.geometry import convex_hull, dilate, negate, point_hull_dist2, translate
 from fibercert.geometry import hulls_disjoint
 from fibercert.trackmap import support_of_power
 from fibercert.lattice import (
@@ -457,6 +457,85 @@ def test_obstacles_seen_from_matches_translates(data, r1, r2):
         moved = translate(dilate(body, s, rank), y)
         assert seen.misses(BaseHull.of(dilate(body, s, rank))) == all(hulls_disjoint(moved, t, rank)
                                            for t in translates), (y, body, s)
+
+
+def _reflect(placed):
+    """Each placed translate's partner under y -> -y, in reverse order: the
+    reflected base, built as a base of its own, placed by the negated shift."""
+    mirrors = {}
+    for base, _ in placed:
+        mirrors.setdefault(id(base), BaseHull.of(convex_hull(negate(base.hull), len(base.hull[0]))))
+    return [(mirrors[id(base)], tuple(-c for c in x)) for base, x in reversed(placed)]
+
+
+@st.composite
+def _symmetric_translates(draw, tracks):
+    """Placed translates closed under y -> -y in the order build_obstacles
+    places kernel words, obstacle N-1-i the partner of obstacle i: a half
+    drawn as in _placed_translates, a middle obstacle at shift 0 on a
+    point-symmetric base or none, and the half's partners reversed."""
+    half, _, R, rank = draw(_placed_translates(tracks))
+    middle = []
+    if draw(st.booleans()):
+        coord = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+        pts = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=3))
+        hull = convex_hull(pts + negate(pts), rank)
+        middle = [(BaseHull.of(dilate(hull, draw(st.integers(0, 1)), rank)), (0,) * rank)]
+    placed = half + middle + _reflect(half)
+    return placed, [translate(base.hull, x) for base, x in placed], R, rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_deep_point_half_box_over_symmetric_translates(data, r1, r2):
+    """Point-symmetric translates are marked symmetric, and the half-box
+    search finds exactly the brute-force deep point of the full box."""
+    placed, translates, R, rank = data.draw(_symmetric_translates({1: r1, 2: r2}))
+    index = Obstacles(placed)
+    assert index.symmetric
+    assert deep_point(index, R, rank) == _brute_deep_point(translates, R, rank)
+
+
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_deep_point_half_box_needs_every_partner(data, r1, r2):
+    """Dropping one partner, or moving or growing one, leaves the index
+    unmarked, and deep_point still finds the brute-force deep point."""
+    placed, _, R, rank = data.draw(_symmetric_translates({1: r1, 2: r2}))
+    i = data.draw(st.integers(0, len(placed) // 2 - 1))
+    base, x = placed[i]
+    how = data.draw(st.sampled_from(("drop", "move", "grow")))
+    if how == "drop":
+        # An obstacle at shift 0 on a point-symmetric base is its own
+        # partner: dropping it leaves a point-symmetric set.
+        assume(any(x) or base.hull != base.reflected)
+        placed = placed[:i] + placed[i + 1:]
+    else:
+        if how == "move":
+            x = (x[0] + 1,) + x[1:]
+        else:
+            base = BaseHull.of(dilate(base.hull, 1, rank))
+        placed = placed[:i] + [(base, x)] + placed[i + 1:]
+    index = Obstacles(placed)
+    assert not index.symmetric, how
+    translates = [translate(b.hull, t) for b, t in placed]
+    assert deep_point(index, R, rank) == _brute_deep_point(translates, R, rank)
+
+
+def test_symmetric_needs_the_reflected_hull():
+    """A partner whose base is its partner's hull unreflected, or whose
+    shift is not negated, leaves the index unmarked; a base reflects its
+    hull in convex_hull's vertex order."""
+    tri = BaseHull.of(convex_hull([(0, 0), (2, 0), (0, 1)], 2))
+    flip = BaseHull.of(convex_hull([(0, 0), (-2, 0), (0, -1)], 2))
+    assert tri.reflected == flip.hull
+    assert Obstacles([(tri, (3, 1)), (flip, (-3, -1))]).symmetric
+    assert not Obstacles([(tri, (3, 1)), (tri, (-3, -1))]).symmetric
+    assert not Obstacles([(tri, (3, 1)), (flip, (-3, 1))]).symmetric
+    assert not Obstacles([(tri, (0, 0))]).symmetric
+    dot = BaseHull.of([(0,)])
+    assert Obstacles([(dot, (0,))]).symmetric
+    assert not Obstacles([(dot, (1,))]).symmetric
 
 
 def _far_corner(lo, hi, box) -> int:

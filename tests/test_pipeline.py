@@ -22,12 +22,15 @@ from fibercert.pipeline import (
     certify,
     decompose,
     enumerate_words,
+    kernel_words,
     normalized_bound,
     sweep,
     verify_certificate,
     word_radius,
 )
 from fibercert.trackmap import LiftedGraphMap, omega_of_word, support_of_power
+
+from test_trackmap import doubling_rose, single_edge_rose
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +365,100 @@ def test_certify_copies_hulls_per_power_not_per_word(r2, r2_models, r2_hash, mon
     assert calls["dilate"] <= sum(powers) + scanned, (calls, powers, scanned)
     assert calls["translate"] <= calls["hulls_disjoint"], calls
     assert 10 * (calls["translate"] + calls["dilate"]) < len(words), (calls, len(words))
+
+
+# The sweep-r2 benchmark's seed-0 classes; other seeds draw quarter turns of
+# their p-parts (_quarter_turns).
+SWEEP_R2 = [(1, j, j * j + 1) for j in range(7, 21)]
+# The verify-r1 benchmark's classes at every seed, p_max 32.
+VERIFY_R1 = [(s, 2 * j + 9) for j in range(20) for s in (1, -1)]
+
+
+def _quarter_turns(alpha):
+    a, b, n = alpha
+    for _ in range(4):
+        yield (a, b, n)
+        a, b = -b, a
+
+
+def _first_box_words(track, models, alpha, p_max, safety=1, kappa=4):
+    """The kernel words of the first box certify searches for alpha."""
+    dual, _, P = models
+    R = _ceil_root_multiple(kappa, alpha[-1], track.rank)
+    return kernel_words(FiberedClass(alpha).lattice, epsilon_of_subcone(P, dual), R,
+                        p_max, safety)
+
+
+def test_kernel_words_are_closed_under_negation(r1, r1_models, r2, r2_models):
+    """Word N-1-i is word i negated, the order Obstacles.symmetric checks."""
+    cases = [(r1, r1_models, alpha, 32) for alpha in VERIFY_R1]
+    cases += [(r2, r2_models, alpha, 16) for alpha in SWEEP_R2]
+    for track, models, alpha, p_max in cases:
+        words = _first_box_words(track, models, alpha, p_max)
+        assert [(w.x, w.y) for w in reversed(words)] == \
+            [(tuple(-c for c in w.x), -w.y) for w in words], alpha
+
+
+def test_build_obstacles_marks_sweep_r2_symmetric(r2, r2_models):
+    """Mirror mode reflects every negative power's hull, so every index the
+    sweep-r2 benchmark builds, at any seed, is marked point-symmetric."""
+    for alpha in SWEEP_R2:
+        for turned in _quarter_turns(alpha):
+            words = _first_box_words(r2, r2_models, turned, 16)
+            assert build_obstacles(r2, words, 1, True).symmetric, turned
+
+
+def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
+    """r1's bundled inverse is the exact mirror, so its index is marked; an
+    inverse that is the forward map itself gives negative powers unreflected
+    hulls, so that index is not, and deep_point finds the full box's deep
+    point."""
+    forward = replace(r1, inverse=None)
+    words = _first_box_words(r1, r1_models, (1, 9), 12)
+    assert any(w.y < 0 for w in words)
+    assert build_obstacles(r1, words, 1, False).symmetric
+    index = build_obstacles(replace(r1, inverse=forward), words, 1, False)
+    assert not index.symmetric
+    R = _ceil_root_multiple(4, 9, 1)
+    translates = [geometry.translate(base.hull, x) for base, x in index.placed]
+    best = None
+    for y in range(-R, R + 1):
+        d = min(geometry.point_hull_dist2((y,), t, 1) for t in translates)
+        if best is None or d > best.dist2:
+            best = lattice.DeepPoint((y,), d)
+    assert lattice.deep_point(index, R, 1) == best
+
+
+def test_k_bisection_matches_the_scan(r1, r1_models, r1_hash, r2, r2_models, r2_hash):
+    """Both bundled maps have nested supports, so certify bisects for K; on
+    every sweep-r2 seed-0 class and every verify-r1 class it finds the K
+    that testing every power from p_max down finds."""
+    assert pipeline.nested_supports(r1) and pipeline.nested_supports(r2)
+    cases = [(r1, r1_models, r1_hash, alpha, 32, False) for alpha in VERIFY_R1]
+    cases += [(r2, r2_models, r2_hash, alpha, 16, True) for alpha in SWEEP_R2]
+    for track, (dual, cone, P), ds_hash, alpha, p_max, mirror in cases:
+        cert = certify(track, dual, cone, P, FiberedClass(alpha), p_max, ds_hash,
+                       allow_mirror=mirror)
+        words = kernel_words(FiberedClass(alpha).lattice, epsilon_of_subcone(P, dual),
+                             cert.box_radius, p_max, cert.safety)
+        seen = build_obstacles(track, words, cert.safety, mirror).seen_from(cert.deep_point)
+        scan = next((K for K in range(p_max, 0, -1) if seen.misses(
+            pipeline.dilated_base(track, "semiring", K, cert.safety, mirror))), 0)
+        assert (cert.status, cert.K) == ("ok", scan), alpha
+
+
+def test_k_scan_without_nested_supports():
+    """single_edge_rose's power p is the point p, so 0 is not in R_1 = {1}
+    and its supports are not nested: the K search scans down from p_max and
+    finds 8 past an obstacle at 4, below which bisection would stop.
+    doubling_rose's R_1 is [0, 1], so its supports are nested."""
+    shift = single_edge_rose()
+    assert not pipeline.nested_supports(shift)
+    assert shift.derived[("semiring", "nested")] is False
+    obstacles = Obstacles([(BaseHull.of([(4,)]), (0,))])
+    assert pipeline.largest_missing_power(shift, obstacles, (0,), 8, 0, False) == 8
+    assert pipeline.largest_missing_power(shift, obstacles, (0,), 3, 0, False) == 3
+    assert pipeline.nested_supports(doubling_rose())
 
 
 # -- verification -----------------------------------------------------------

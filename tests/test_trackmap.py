@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import convex_hull, negate
+from fibercert.geometry import convex_hull, directional_extrema, negate
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
     Edge,
@@ -332,8 +332,8 @@ def test_support_polytope_basics():
     s = _polytope(1, 3, [(0,), (2,), (5,)])
     assert (s.p, s.hull) == (3, ((0,), (5,)))
     assert s.points == frozenset({(0,), (2,), (5,)})
-    assert s.extent((1,)) == (0, 5)
-    assert s.extent((-1,)) == (-5, 0)
+    assert directional_extrema(s.hull, (1,)) == (0, 5)
+    assert directional_extrema(s.hull, (-1,)) == (-5, 0)
     square = _polytope(2, 1, [(0, 0), (2, 0), (0, 1), (1, 1)])
     assert square.hull == ((0, 0), (2, 0), (1, 1), (0, 1))
 
