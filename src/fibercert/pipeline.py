@@ -40,7 +40,6 @@ from .trackmap import (
     LiftedGraphMap,
     SupportPolytope,
     SupportSource,
-    build_transition_matrix,
     omega_of_word,
 )
 
@@ -177,43 +176,21 @@ def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: i
                       for w in words])
 
 
-def nested_supports(track: LiftedGraphMap) -> bool:
-    """Whether 0 lies in every row hull R_1(i) of the semiring walk (see
-    trackmap._semiring_powers), which makes the supports of the map's powers
-    nested: S_q within S_{q+1} for every q.  Memoized per map in
-    ``track.derived`` under ("semiring", "nested").
-
-    R_0(i) = {0} lies in R_1(i), and the step from R_q to R_{q+1}, the hull
-    of the translates t + R_q(k) over the monomials t of M_ik, is monotone
-    in every R_q(k); so R_q(i) within R_{q+1}(i) gives R_{q+1}(i) within
-    R_{q+2}(i).  Power q's support is the hull of its row hulls.
-    """
-    key = ("semiring", "nested")
-    nested = track.derived.get(key)
-    if nested is None:
-        r, origin = track.rank, (0,) * track.rank
-        rows = [[t for q in row for t in q.terms]
-                for row in build_transition_matrix(track).entries]
-        nested = track.derived[key] = all(
-            row and geometry.contains_point(geometry.convex_hull(row, r), origin, r)
-            for row in rows)
-    return nested
-
-
 def largest_missing_power(track: LiftedGraphMap, obstacles: Obstacles, point: Vec,
                           p_max: int, safety: int, allow_mirror: bool) -> int:
     """The largest K <= p_max whose dilated_base on the semiring route,
     moved to ``point``, misses every obstacle; 0 if none does.  With
-    nested supports (nested_supports) every dilated body holds the lower
-    powers' bodies, so a power that misses makes every lower one miss too:
-    misses holds up to K and fails above, and bisection finds K in about
-    log2(p_max) tests.  Otherwise powers are tested from p_max down."""
+    nested supports (LiftedGraphMap.nested_supports) every dilated body
+    holds the lower powers' bodies, so a power that misses makes every
+    lower one miss too: misses holds up to K and fails above, and bisection
+    finds K in about log2(p_max) tests.  Otherwise powers are tested from
+    p_max down."""
     seen = obstacles.seen_from(point)
 
     def misses(cand: int) -> bool:
         return seen.misses(dilated_base(track, "semiring", cand, safety, allow_mirror))
 
-    if not nested_supports(track):
+    if not track.nested_supports:
         return next((cand for cand in range(p_max, 0, -1) if misses(cand)), 0)
     lo, hi = 0, p_max  # misses(lo) holds unless lo = 0, and K <= hi
     while lo < hi:

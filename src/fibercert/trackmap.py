@@ -154,12 +154,29 @@ class LiftedGraphMap:
         return None
 
     @cached_property
+    def entry_supports(self) -> list[list[Iterable[Shift]]]:
+        """supp M_ij of the transition matrix M, row by row."""
+        return [[q.terms for q in row] for row in build_transition_matrix(self).entries]
+
+    @cached_property
     def semiring(self) -> "PowerMemo":
         """Certify's route: support_of_power's memo, one hull per row of M^q
         over the transition matrix's entry supports (see _semiring_powers)."""
-        M = build_transition_matrix(self)
-        return PowerMemo(_semiring_powers([[q.terms for q in row] for row in M.entries],
-                                          self.rank, self.shift_walk))
+        return PowerMemo(_semiring_powers(self.entry_supports, self.rank, self.shift_walk))
+
+    @cached_property
+    def nested_supports(self) -> bool:
+        """Whether 0 lies in every row hull R_1(i) of the semiring walk,
+        which nests the supports of the powers: S_q within S_{q+1}.
+
+        R_0(i) = {0} then lies in R_1(i), and the step from R_q to R_{q+1}
+        (see _semiring_powers) is monotone in every R_q(k); so R_q(i) within
+        R_{q+1}(i) gives R_{q+1}(i) within R_{q+2}(i), and power q's support
+        is the hull of its row hulls."""
+        r, origin = self.rank, (0,) * self.rank
+        firsts = ([t for ts in row for t in ts] for row in self.entry_supports)
+        return all(pts and geometry.contains_point(geometry.convex_hull(pts, r), origin, r)
+                   for pts in firsts)
 
     @cached_property
     def oracle(self) -> "PowerMemo":

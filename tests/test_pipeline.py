@@ -433,7 +433,7 @@ def test_k_bisection_matches_the_scan(r1, r1_models, r1_hash, r2, r2_models, r2_
     """Both bundled maps have nested supports, so certify bisects for K; on
     every sweep-r2 seed-0 class and every verify-r1 class it finds the K
     that testing every power from p_max down finds."""
-    assert pipeline.nested_supports(r1) and pipeline.nested_supports(r2)
+    assert r1.nested_supports and r2.nested_supports
     cases = [(r1, r1_models, r1_hash, alpha, 32, False) for alpha in VERIFY_R1]
     cases += [(r2, r2_models, r2_hash, alpha, 16, True) for alpha in SWEEP_R2]
     for track, (dual, cone, P), ds_hash, alpha, p_max, mirror in cases:
@@ -453,12 +453,11 @@ def test_k_scan_without_nested_supports():
     finds 8 past an obstacle at 4, below which bisection would stop.
     doubling_rose's R_1 is [0, 1], so its supports are nested."""
     shift = single_edge_rose()
-    assert not pipeline.nested_supports(shift)
-    assert shift.derived[("semiring", "nested")] is False
+    assert not shift.nested_supports
     obstacles = Obstacles([(BaseHull.of([(4,)]), (0,))])
     assert pipeline.largest_missing_power(shift, obstacles, (0,), 8, 0, False) == 8
     assert pipeline.largest_missing_power(shift, obstacles, (0,), 3, 0, False) == 3
-    assert pipeline.nested_supports(doubling_rose())
+    assert doubling_rose().nested_supports
 
 
 # -- verification -----------------------------------------------------------

@@ -2,18 +2,18 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --parent <rev> --pr <number> \
-        [--pairs 10] [--seeds 1-10] [--seconds 15] \
-        [--workloads sweep-r2,verify-r1,cone-r2] [--claim sweep-r2:ops_per_s] \
+    python3 tools/bench_pairs.py --parent <rev> --pr <number> [--seeds 1-10] \
+        [--workloads sweep-r2,verify-r1] [--claim sweep-r2:ops_per_s] \
         [--change "one line on what changed"]
 
 The parent side is ``git archive <rev>`` unpacked in a temporary directory;
 the change side is a copy of this working tree (tracked and untracked files
-that git does not ignore), in another.  For each workload in turn, pair i
-runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once
-in each directory, the parent first on even i, and keeps the last line of
-its stdout.  Seeds are given as a range ``a-b`` or a comma list and used one
-per pair, in order.  The result is written to ``BENCH_<pr>.json`` at the
+that git does not ignore), in another.  For each workload in turn (by
+default every workload BENCHMARK.json lists), pair i runs
+``python3 bench/run.py --workload W --seed S --trace 0`` once in each
+directory, the parent first on even i, and keeps the last line of its
+stdout; the run length is bench/run.py's own.  Seeds are given as a range
+``a-b`` or a comma list, one pair per seed, in order.  The result is written to ``BENCH_<pr>.json`` at the
 root of this checkout: per workload, every pair's end-to-end metrics and,
 per metric, each side's median and quartiles (statistics.quantiles, n=4),
 the pairs the change side won, the median ratio and the parent's
@@ -70,11 +70,11 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in checkout: its correctness and end-to-end metrics."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     row = {key: result[key] for key in KEPT}
@@ -113,23 +113,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--workloads", default="sweep-r2,verify-r1,cone-r2")
+    parser.add_argument("--seeds", default="1-10", help="one pair per seed")
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated; every workload of BENCHMARK.json by default")
     parser.add_argument("--claim", default=None, help="workload:metric of a claimed gain")
     parser.add_argument("--change", default="", help="one line on what the change does")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    if len(seeds) < args.pairs:
-        parser.error(f"{args.pairs} pairs need {args.pairs} seeds, got {len(seeds)}")
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in benchmark["workloads"]])
 
     out = {"change": args.change, "parent_commit": None, "claim": None,
-           "command": "python3 bench/run.py --workload <workload> --seed <seed> "
-                      f"--seconds {args.seconds:g} --trace 0",
-           "procedure": f"{args.pairs} pairs per workload, seeds {args.seeds}, one per pair; "
+           "command": "python3 bench/run.py --workload <workload> --seed <seed> --trace 0",
+           "procedure": f"{len(seeds)} pairs per workload, seeds {args.seeds}, one per pair; "
                         "within a pair the side that runs first alternates, parent first "
                         "on even pair index; workloads run one after another. The change "
                         "side is a copy of the working tree, the parent side an archive of "
@@ -146,13 +145,13 @@ def main(argv=None) -> int:
             path.mkdir()
         out["parent_commit"] = unpack_parent(args.parent, checkouts["parent"])
         copy_worktree(checkouts["change"])
-        for workload in args.workloads.split(","):
+        for workload in workloads:
             pairs = []
-            for i, seed in enumerate(seeds[:args.pairs]):
+            for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                    pair[side] = run_once(checkouts[side], workload, seed)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {pair[side].get('ops_per_s')}" for side in SIDES), file=sys.stderr)
                 pairs.append(pair)
