@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 from contextlib import contextmanager
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 from typing import Optional, get_type_hints
@@ -132,9 +133,8 @@ def _list(vs, what: str, length: Optional[int] = None) -> list:
 
 # The keys the readers read: of an edge, of a map (the dataset and its
 # inverse), and those only the dataset or the inverse section reads.
-_EDGE_KEYS = frozenset({"name", "src", "dst", "voltage"})
-_MAP_KEYS = frozenset({"vertices", "edges", "vertex_images", "edge_images",
-                       "euler_functional", "metadata", "rank"})
+_EDGE_KEYS = frozenset(f.name for f in fields(Edge))
+_MAP_KEYS = frozenset(f.name for f in fields(LiftedGraphMap)) - {"inverse"}
 _DATASET_KEYS = _MAP_KEYS | {"format_version", "inverse"}
 
 

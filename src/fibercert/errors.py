@@ -18,7 +18,7 @@ class PowerCapError(BudgetError):
 
 
 class CapabilityError(RuntimeError):
-    """The requested exact computation is outside the supported dimension range."""
+    """A map's rank is above 2, the most its exact hulls and lattices handle."""
 
 
 class SubconeError(ValueError):

@@ -9,10 +9,11 @@ chains in rank 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, ValidationError
+from .errors import ValidationError
 
 Point = tuple  # tuple of int | Fraction, length = rank
 
@@ -28,8 +29,6 @@ def convex_hull(points: Iterable[Point], rank: int) -> list[Point]:
         raise ValidationError("empty point set has no hull")
     if rank == 1:
         return [pts[0]] if len(pts) == 1 else [pts[0], pts[-1]]
-    if rank != 2:
-        raise CapabilityError(f"exact hulls implemented for rank <= 2, got {rank}")
     if len(pts) == 1:
         return pts
 
@@ -83,13 +82,7 @@ def dilate(hull: Sequence[Point], s: int, rank: int) -> list[Point]:
         return list(hull)
     if s < 0:
         raise ValidationError("dilation must be nonnegative")
-    if rank == 1:
-        cube = [(-s,), (s,)]
-    elif rank == 2:
-        cube = [(-s, -s), (-s, s), (s, -s), (s, s)]
-    else:
-        raise CapabilityError(f"dilation implemented for rank <= 2, got {rank}")
-    return minkowski_sum(hull, cube, rank)
+    return minkowski_sum(hull, list(product((-s, s), repeat=rank)), rank)
 
 
 def _seg_dist2(y: Point, a: Point, b: Point) -> Fraction:
@@ -108,8 +101,6 @@ def contains_point(hull: Sequence[Point], y: Point, rank: int) -> bool:
     if rank == 1:
         lo, hi = hull[0][0], hull[-1][0]
         return lo <= y[0] <= hi
-    if rank != 2:
-        raise CapabilityError(f"containment implemented for rank <= 2, got {rank}")
     if len(hull) == 1:
         return tuple(y) == tuple(hull[0])
     if len(hull) == 2:
@@ -135,8 +126,6 @@ def point_hull_dist2(y: Point, hull: Sequence[Point], rank: int) -> Fraction:
         if lo <= y[0] <= hi:
             return Fraction(0)
         return Fraction((lo - y[0]) ** 2 if y[0] < lo else (y[0] - hi) ** 2)
-    if rank != 2:
-        raise CapabilityError(f"distances implemented for rank <= 2, got {rank}")
     if len(hull) == 1:
         return Fraction(sum((a - b) ** 2 for a, b in zip(y, hull[0])))
     if contains_point(hull, y, rank):
@@ -153,8 +142,6 @@ def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) 
     """Exact disjointness of two closed hulls (touching counts as overlap)."""
     if rank == 1:
         return hull_a[-1][0] < hull_b[0][0] or hull_b[-1][0] < hull_a[0][0]
-    if rank != 2:
-        raise CapabilityError(f"disjointness implemented for rank <= 2, got {rank}")
     axes = []
     for hull in (hull_a, hull_b):
         n = len(hull)
@@ -185,8 +172,6 @@ def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: in
     leave a direction d free (<u, d> <= 0 for every u, so the region is
     unbounded if nonempty), or if the region is empty.
     """
-    if rank not in (1, 2):
-        raise CapabilityError(f"vertex enumeration implemented for rank <= 2, got {rank}")
     normals = [u for u, _ in halfspaces if any(u)]
     # Some free direction is a boundary direction of the recession cone, so
     # it is perpendicular to a normal (or there are no normals at all).

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import geometry
-from .errors import CapabilityError, ValidationError
+from .errors import ValidationError
 
 Vec = tuple[int, ...]
 
@@ -102,8 +102,6 @@ def perp_basis(alpha: FiberedClass) -> PerpLattice:
             "class is not primitive: divide by the gcd of its entries first"
         )
     *x, n = alpha.vector
-    if len(x) > 2:
-        raise CapabilityError(f"kernel lattice supports rank <= 2, got {len(x)}")
     if n == 0:
         raise ValidationError(
             "projected kernel basis is degenerate (class has n = 0?)"
@@ -141,8 +139,6 @@ def systole(L: PerpLattice) -> ShortestVector:
     is on integers.  The sign is the lexicographically positive one.
     """
     rows = L.zeta_basis
-    if len(rows) > 2:
-        raise CapabilityError(f"shortest-vector search supports rank <= 2, got {len(rows)}")
     u = rows[0]
     if len(rows) == 2:
         v = rows[1]
@@ -400,8 +396,6 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
         raise ValidationError("obstacle list must be nonempty")
     if R < 1:
         raise ValidationError("box radius must be >= 1")
-    if rank not in (1, 2):
-        raise CapabilityError(f"deep-point search supports rank <= 2, got {rank}")
     best: Optional[DeepPoint] = None
     span = R if rank == 2 else 0
     lo, hi = (-R, -span), (0 if obstacles.symmetric else R, span)

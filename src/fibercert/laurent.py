@@ -120,24 +120,8 @@ class LaurentPoly:
         """Canonical (exponent, coefficient) list, lexicographic on exponents."""
         return sorted(self.terms.items())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.rank == other.rank
-            and dict(self.terms) == dict(other.terms)
-        )
-
     def __hash__(self) -> int:
         return hash((self.rank, tuple(self.to_pairs())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self.to_pairs():
-            mono = "*".join(f"t{i + 1}^{e}" for i, e in enumerate(exp) if e)
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)

@@ -467,7 +467,7 @@ def sweep(
             safety=safety, kappa=kappa, allow_mirror=allow_mirror,
         )
         sv = systole(L)
-        norm = normalized_bound(cert.bound, alpha.n, track.rank) if cert.K else "0"
+        norm = normalized_bound(cert.bound, alpha.n, track.rank)
         return SweepRow(
             alpha.vector, alpha.n, L.covol2, sv.length2, cert.deep_dist2,
             cert.K, cert.bound, norm, cert.status, cert,

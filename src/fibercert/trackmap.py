@@ -23,7 +23,7 @@ from operator import add
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from . import geometry
-from .errors import ValidationError
+from .errors import CapabilityError, ValidationError
 from .laurent import LaurentMatrix, LaurentPoly
 
 Shift = tuple[int, ...]
@@ -76,6 +76,8 @@ class LiftedGraphMap:
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError("rank must be >= 1")
+        if self.rank > 2:
+            raise CapabilityError(f"exact hulls are implemented for rank <= 2, got {self.rank}")
         edges = {e.name: e for e in self.edges}
         if not edges:
             raise ValidationError("a map needs at least one edge")

@@ -134,6 +134,17 @@ MALFORMED_DATASETS = {
         _edited_r1(lambda d: d["edges"][0].update(voltag=d["edges"][0].pop("voltage"))),
         "unknown edge key 'voltag'",
     ),
+    # A valid map of rank 3: ingest and charpoly passed it, and every other
+    # subcommand stopped at its first hull.
+    "dataset-rank-3": (
+        lambda: json.dumps({
+            "format_version": 1, "rank": 3, "vertices": ["v"],
+            "edges": [{"name": "a", "src": "v", "dst": "v", "voltage": [1, 0, 0]}],
+            "vertex_images": {"v": ["v", [0, 0, 0]]},
+            "edge_images": {"a": [["a", [0, 0, 0], 1]]},
+        }),
+        "exact hulls are implemented for rank <= 2, got 3",
+    ),
 }
 
 

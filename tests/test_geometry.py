@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercert.errors import CapabilityError, ValidationError
+from fibercert.errors import ValidationError
 from fibercert.geometry import (
     contains_point,
     convex_hull,
@@ -40,8 +40,6 @@ def test_hull_degenerate_cases():
     assert convex_hull([(0, 0), (2, 2), (1, 1)], 2) == [(0, 0), (2, 2)]
     with pytest.raises(ValidationError):
         convex_hull([], 2)
-    with pytest.raises(CapabilityError):
-        convex_hull([(1, 2, 3)], 3)
 
 
 @given(point_sets2)
@@ -234,8 +232,6 @@ def test_halfspace_vertices_rank1_and_errors():
         halfspace_vertices(
             [((1, 0), Fraction(0)), ((-1, 0), Fraction(-1)),
              ((0, 1), Fraction(1)), ((0, -1), Fraction(1))], 2)
-    with pytest.raises(CapabilityError):
-        halfspace_vertices([((1, 0, 0), Fraction(1))], 3)
 
 
 def test_halfspace_vertices_zero_normal_with_negative_bound_is_empty():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibercert.errors import CapabilityError, ValidationError
+from fibercert.errors import ValidationError
 from fibercert.geometry import convex_hull, dilate, negate, point_hull_dist2, translate
 from fibercert.geometry import hulls_disjoint
 from fibercert.trackmap import support_of_power
@@ -113,11 +113,6 @@ def test_perp_basis_rejects_n_zero():
     for vector in ((1, 0), (1, 2, 0), (0, 1, 0)):
         with pytest.raises(ValidationError, match="degenerate"):
             perp_basis(FiberedClass(vector))
-
-
-def test_perp_basis_rejects_rank_3():
-    with pytest.raises(CapabilityError, match="rank <= 2, got 3"):
-        perp_basis(FiberedClass((1, 2, 3, 5)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,11 +243,6 @@ def test_systole_has_no_shorter_lattice_point(rows):
     for x in product(range(-k, k + 1), repeat=len(rows)):
         if 0 < sum(c * c for c in x) < s.length2:
             assert not _in_lattice(rows, x), x
-
-
-def test_systole_rejects_rank_3():
-    with pytest.raises(CapabilityError, match="rank <= 2"):
-        systole(_fake_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
 
 def test_systole_on_real_kernels():
@@ -585,5 +575,3 @@ def test_deep_point_validation():
         deep_point(Obstacles([]), 3, 1)
     with pytest.raises(ValidationError):
         deep_point(_placed([[(0,)]]), 0, 1)
-    with pytest.raises(CapabilityError):
-        deep_point(_placed([[(0, 0)]]), 3, 3)

@@ -352,18 +352,14 @@ def test_oracle_negative_power(r2):
         support_of_power(r2, -1)
 
 
-def test_rank_3_supports_raise_on_every_request():
-    """Exact hulls stop at rank 2: both routes' memos raise CapabilityError
-    on every request, not only the first."""
-    m = LiftedGraphMap(
-        3, ("v",), (Edge("a", "v", "v", (1, 0, 0)),),
-        {"v": ("v", (0, 0, 0))}, {"a": (("a", (0, 0, 0), 1),)},
-    )
-    for _ in range(2):
-        with pytest.raises(CapabilityError):
-            support_of_power(m, 1)
-        with pytest.raises(CapabilityError):
-            oracle_iterate(m, 0)
+def test_rank_3_map_is_refused_on_construction():
+    """Exact hulls and lattices stop at rank 2, so a rank-3 map is refused
+    where it is built, before any support is asked for."""
+    with pytest.raises(CapabilityError, match="rank <= 2, got 3"):
+        LiftedGraphMap(
+            3, ("v",), (Edge("a", "v", "v", (1, 0, 0)),),
+            {"v": ("v", (0, 0, 0))}, {"a": (("a", (0, 0, 0), 1),)},
+        )
 
 
 # -- word supports ------------------------------------------------------------
