@@ -5,10 +5,6 @@ class ValidationError(ValueError):
     """Input data violates a structural contract (bad dataset, bad class, ...)."""
 
 
-class RankMismatchError(ValidationError):
-    """Operands live over covers of different ranks."""
-
-
 class BudgetError(RuntimeError):
     """Kernel-word enumeration would exceed its box-size cap."""
 

@@ -3,7 +3,8 @@
 Polynomials are maps from exponent vectors in Z^r to nonzero integer
 coefficients.  Matrices of them carry the lifted train-track transition data;
 the characteristic polynomial is computed division-free (Berkowitz), since
-Z[t_1^{±1}, ..., t_r^{±1}] is not a field.
+Z[t_1^{±1}, ..., t_r^{±1}] is not a field.  Ranks and shapes are a map's,
+checked once when LiftedGraphMap is built, and not checked again here.
 
 Sign convention, used everywhere: char_poly returns F(x, t) = det(M - xI),
 i.e. (-1)^m det(xI - M) for an m x m matrix.
@@ -16,14 +17,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import geometry
-from .errors import RankMismatchError, ValidationError
+from .errors import ValidationError
 
 Exponent = tuple[int, ...]
-
-
-def _check_same_rank(p: "LaurentPoly", q: "LaurentPoly") -> None:
-    if p.rank != q.rank:
-        raise RankMismatchError(f"rank mismatch: {p.rank} vs {q.rank}")
 
 
 @dataclass(frozen=True)
@@ -38,15 +34,7 @@ class LaurentPoly:
     terms: Mapping[Exponent, int]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
-        clean = {}
-        for exp, coeff in self.terms.items():
-            if len(exp) != self.rank:
-                raise ValidationError(f"exponent {exp} has length != rank {self.rank}")
-            if coeff != 0:
-                clean[tuple(int(e) for e in exp)] = int(coeff)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {e: c for e, c in self.terms.items() if c})
 
     # -- constructors ------------------------------------------------------
 
@@ -56,23 +44,18 @@ class LaurentPoly:
 
     @staticmethod
     def const(rank: int, c: int) -> "LaurentPoly":
-        return LaurentPoly(rank, {(0,) * rank: c} if c else {})
+        return LaurentPoly(rank, {(0,) * rank: c})
 
     @staticmethod
     def monomial(rank: int, exponent: Sequence[int], coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly(rank, {tuple(exponent): coeff} if coeff else {})
+        return LaurentPoly(rank, {tuple(exponent): coeff})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_rank(self, other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, 0) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+            terms[exp] = terms.get(exp, 0) + c
         return LaurentPoly(self.rank, terms)
 
     def __neg__(self) -> "LaurentPoly":
@@ -82,21 +65,14 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check_same_rank(self, other)
         terms: dict[Exponent, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, 0) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
+                terms[exp] = terms.get(exp, 0) + c1 * c2
         return LaurentPoly(self.rank, terms)
 
     def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly.zero(self.rank)
         return LaurentPoly(self.rank, {e: c * v for e, v in self.terms.items()})
 
     # -- queries -----------------------------------------------------------
@@ -106,8 +82,6 @@ class LaurentPoly:
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Evaluate at nonzero rational coordinates."""
-        if len(point) != self.rank:
-            raise RankMismatchError("evaluation point has wrong length")
         total = Fraction(0)
         for exp, c in self.terms.items():
             v = Fraction(c)
@@ -120,32 +94,15 @@ class LaurentPoly:
         """Canonical (exponent, coefficient) list, lexicographic on exponents."""
         return sorted(self.terms.items())
 
-    def __hash__(self) -> int:
-        return hash((self.rank, tuple(self.to_pairs())))
-
 
 @dataclass(frozen=True)
 class LaurentMatrix:
-    """A square matrix of Laurent polynomials over one common rank."""
+    """A square matrix of Laurent polynomials: dim is a map's edge count and
+    rank its rank, both checked once in LiftedGraphMap, not here."""
 
     dim: int
     rank: int
     entries: tuple[tuple[LaurentPoly, ...], ...]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("matrix dimension must be >= 1")
-        rows = []
-        for row in self.entries:
-            if len(row) != self.dim:
-                raise ValidationError("matrix is not square")
-            for p in row:
-                if p.rank != self.rank:
-                    raise RankMismatchError("entry rank differs from matrix rank")
-            rows.append(tuple(row))
-        if len(rows) != self.dim:
-            raise ValidationError("matrix is not square")
-        object.__setattr__(self, "entries", tuple(rows))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[LaurentPoly]]) -> "LaurentMatrix":
@@ -161,8 +118,6 @@ class LaurentMatrix:
         )
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.dim != other.dim or self.rank != other.rank:
-            raise RankMismatchError("matrix shape/rank mismatch")
         zero = LaurentPoly.zero(self.rank)
         rows = []
         for i in range(self.dim):
@@ -204,13 +159,6 @@ class CharPoly:
     dim: int
     rank: int
     coeffs: tuple[LaurentPoly, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.dim + 1:
-            raise ValidationError("char poly needs dim+1 coefficients")
-        c0 = self.coeffs[0]
-        if list(c0.terms.items()) != [((0,) * self.rank, (-1) ** self.dim)]:
-            raise ValidationError("leading coefficient must be the constant (-1)^dim")
 
 
 def char_poly(M: LaurentMatrix) -> CharPoly:
@@ -273,21 +221,10 @@ class DegreeData:
     a: tuple[Optional[int], ...]
     b: tuple[Optional[int], ...]
 
-    def __post_init__(self):
-        for ak, bk in zip(self.a, self.b):
-            if (ak is None) != (bk is None):
-                raise ValidationError("a_k and b_k must be empty together")
-            if ak is not None and bk > ak:
-                raise ValidationError("b_k must not exceed a_k")
-
 
 def degree_extrema(F: CharPoly, u: Sequence[int]) -> DegreeData:
     """a_k, b_k for the coefficients of x^(m-k), k = 1..m, in direction u."""
-    u = tuple(int(x) for x in u)
-    if len(u) != F.rank:
-        raise RankMismatchError("direction has wrong length")
-    if not any(u):
-        raise ValidationError("direction must be nonzero")
+    u = tuple(u)
     ext = [geometry.directional_extrema(c.terms, u) if c.terms else (None, None)
            for c in F.coeffs[1:]]
     return DegreeData(u, tuple(hi for _, hi in ext), tuple(lo for lo, _ in ext))

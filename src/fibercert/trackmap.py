@@ -17,9 +17,9 @@ power's support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import count, islice
-from operator import add
+from operator import add, or_
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from . import geometry
@@ -28,9 +28,6 @@ from .laurent import LaurentMatrix, LaurentPoly
 
 Shift = tuple[int, ...]
 Step = tuple[str, Shift, int]  # (edge, deck shift, orientation +1/-1)
-
-# Wielandt: a primitive m x m 0/1 matrix has a positive power <= (m-1)^2 + 1.
-_PRIMITIVITY_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -138,21 +135,19 @@ class LiftedGraphMap:
     def k0(self) -> Optional[int]:
         """First power making the integer incidence matrix strictly positive.
 
-        None if no power up to the Wielandt cap works; that disables the
-        convergence-constant machinery but is only a warning.
+        None if no power up to Wielandt's bound (m-1)^2 + 1 is positive, so
+        the matrix is not primitive; that disables the convergence-constant
+        machinery but is only a warning.  Rows are bitmasks: row i of P·M is
+        the OR of M's rows l over the bits l of P's row i.
         """
-        m = len(self.edges)
-        idx = {e.name: i for i, e in enumerate(self.edges)}
-        M = [[0] * m for _ in range(m)]
-        for e in self.edges:
-            for name, _, _ in self.edge_images[e.name]:
-                M[idx[e.name]][idx[name]] += 1
-        cap = min((m - 1) ** 2 + 1 if m > 1 else 1, _PRIMITIVITY_CAP)
-        P = M
-        for k in range(1, cap + 1):
-            if all(all(x > 0 for x in row) for row in P):
+        m, idx = len(self.edges), {e.name: i for i, e in enumerate(self.edges)}
+        M = [reduce(or_, (1 << idx[name] for name, _, _ in self.edge_images[e.name]))
+             for e in self.edges]
+        P, full = M, (1 << m) - 1
+        for k in range(1, (m - 1) ** 2 + 2):
+            if all(row == full for row in P):
                 return k
-            P = [[sum(P[i][l] * M[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
+            P = [reduce(or_, (M[l] for l in range(m) if row >> l & 1), 0) for row in P]
         return None
 
     @cached_property

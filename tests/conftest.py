@@ -6,16 +6,30 @@ from fibercert.cones import estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import dataset_hash, load_dataset
 
 DATA = resources.files("fibercert") / "data"
+CONE_P_MAX = {"r1": 16, "r2": 12}  # p_max of each bundled map's dual cone
+
+
+def _load(name: str):
+    return load_dataset(str(DATA / f"rose_{name}.json"))
+
+
+def _models(track, name: str):
+    """(dual, cone, P) of a bundled map: its dual cone at CONE_P_MAX, the
+    fibered cone and the subcone of slope cap 1/2."""
+    dual = estimate_dual_cone(track, CONE_P_MAX[name])
+    cone = fibered_cone_from_dual(dual)
+    P = cone.subcone_slope(Fraction(1, 2))
+    return dual, cone, P
 
 
 @pytest.fixture(scope="session")
 def r1():
-    return load_dataset(str(DATA / "rose_r1.json"))
+    return _load("r1")
 
 
 @pytest.fixture(scope="session")
 def r2():
-    return load_dataset(str(DATA / "rose_r2.json"))
+    return _load("r2")
 
 
 @pytest.fixture(scope="session")
@@ -30,15 +44,20 @@ def r2_hash(r2):
 
 @pytest.fixture(scope="session")
 def r1_models(r1):
-    dual = estimate_dual_cone(r1, 16)
-    cone = fibered_cone_from_dual(dual)
-    P = cone.subcone_slope(Fraction(1, 2))
-    return dual, cone, P
+    return _models(r1, "r1")
 
 
 @pytest.fixture(scope="session")
 def r2_models(r2):
-    dual = estimate_dual_cone(r2, 12)
-    cone = fibered_cone_from_dual(dual)
-    P = cone.subcone_slope(Fraction(1, 2))
-    return dual, cone, P
+    return _models(r2, "r2")
+
+
+@pytest.fixture
+def fresh_map():
+    """fresh_map("r1") loads that bundled map anew and returns
+    (track, dual, cone, P) built as r1_models builds them, so nothing read
+    from it was memoized by the session maps."""
+    def make(name: str):
+        track = _load(name)
+        return (track, *_models(track, name))
+    return make

@@ -223,23 +223,24 @@ def test_criterion_8_bound_scaling(r1_sweep):
                f"{float(ratio):.3f} <= 10 over the upper half")
 
 
-def test_criterion_9_determinism(r1, r1_models, r1_hash, r2, r2_models,
-                                 r2_hash, r1_sweep, r2_sweep):
-    dual1, cone1, P1 = r1_models
-    dual2, cone2, P2 = r2_models
-    base_r1 = sweep_to_csv(r1_sweep)
-    base_r2 = sweep_to_csv(r2_sweep)
+def test_criterion_9_determinism(fresh_map, r1_hash, r2_hash, r1_sweep, r2_sweep):
+    """Each repeat sweeps maps loaded anew, with their models rebuilt, so it
+    re-derives every memoized base instead of reading the first sweep's."""
+    def certs(rows):
+        return [emit_certificate(row.certificate) for row in rows if row.certificate]
+
     for repeat in (1, 2):
-        again_r1 = sweep(r1, dual1, cone1, P1, R1_CLASSES, R1_PMAX, r1_hash)
-        assert sweep_to_csv(again_r1) == base_r1, f"r1 sweep differs on repeat {repeat}"
-        again_r2 = sweep_to_csv(sweep(r2, dual2, cone2, P2, R2_CLASSES,
-                                      R2_PMAX, r2_hash, allow_mirror=True))
-        assert again_r2 == base_r2, f"r2 sweep differs on repeat {repeat}"
-    # Certificate artifacts are byte-stable too.
-    certs_a = [emit_certificate(row.certificate) for row in r1_sweep
-               if row.certificate]
-    certs_b = [emit_certificate(row.certificate) for row in again_r1
-               if row.certificate]
-    assert certs_a == certs_b
+        track, dual, cone, P = fresh_map("r1")
+        again_r1 = sweep(track, dual, cone, P, R1_CLASSES, R1_PMAX, r1_hash)
+        assert sweep_to_csv(again_r1) == sweep_to_csv(r1_sweep), (
+            f"r1 sweep differs on repeat {repeat}")
+        track, dual, cone, P = fresh_map("r2")
+        again_r2 = sweep(track, dual, cone, P, R2_CLASSES, R2_PMAX, r2_hash,
+                         allow_mirror=True)
+        assert sweep_to_csv(again_r2) == sweep_to_csv(r2_sweep), (
+            f"r2 sweep differs on repeat {repeat}")
+        # Certificate artifacts are byte-stable too.
+        assert certs(again_r1) == certs(r1_sweep)
+        assert certs(again_r2) == certs(r2_sweep)
     _report(9, "sweep CSVs and certificate JSON byte-identical across "
                "repeat runs")

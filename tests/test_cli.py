@@ -365,10 +365,16 @@ def test_omega_matches_oracle(capsys):
     assert a["points"] == [[x] for x in range(0, 6)]
 
 
-def test_oracle_negative_power_exit_code(capsys):
-    code, _, err = run(capsys, "oracle", R2, "--p", "-1")
-    assert code == 1
-    assert err.startswith("error: power must be nonnegative")
+@pytest.mark.parametrize("cmd, message", [
+    ("oracle", "power must be nonnegative"),
+    ("omega", "power must be nonnegative"),
+    ("charpoly", "matrix power must be nonnegative"),
+], ids=("oracle", "omega", "charpoly"))
+def test_negative_power_exit_code(capsys, cmd, message):
+    code, out, err = run(capsys, cmd, R2, "--p", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 # -- cone ---------------------------------------------------------------------

@@ -122,6 +122,22 @@ def test_bundled_datasets_validate_and_are_primitive(r1, r2):
     assert r2.inverse is None
 
 
+def wielandt_rose(chord: bool) -> LiftedGraphMap:
+    """16 unshifted loops, e_i -> e_(i+1) and e_15 -> e_0 e_1 with the chord
+    (Wielandt's matrix, exponent (16-1)^2 + 1 = 226), e_15 -> e_0 without it
+    (a cyclic permutation, not primitive)."""
+    names = [f"e{i}" for i in range(16)]
+    images = {a: ((b, (0,), 1),) for a, b in zip(names, names[1:])}
+    images["e15"] = (("e0", (0,), 1),) + ((("e1", (0,), 1),) if chord else ())
+    return LiftedGraphMap(1, ("v",), tuple(Edge(a, "v", "v", (0,)) for a in names),
+                          {"v": ("v", (0,))}, images)
+
+
+def test_k0_reaches_wielandt_bound():
+    assert wielandt_rose(chord=True).k0 == 226
+    assert wielandt_rose(chord=False).k0 is None
+
+
 # -- transition matrix and supports -----------------------------------------
 
 def test_transition_matrix_of_examples():
