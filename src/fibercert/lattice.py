@@ -72,14 +72,6 @@ class PerpLattice:
     zeta_basis: tuple[Vec, ...]
     covol2: int
 
-    def word_vector(self, coeffs: Sequence[int]) -> Vec:
-        if len(coeffs) != len(self.basis):
-            raise ValidationError("wrong number of word coefficients")
-        d = len(self.alpha.vector)
-        return tuple(
-            sum(c * b[i] for c, b in zip(coeffs, self.basis)) for i in range(d)
-        )
-
 
 def perp_basis(alpha: FiberedClass) -> PerpLattice:
     """The row Hermite normal form basis of the saturated kernel lattice of

@@ -7,7 +7,9 @@ word radius), finds an exact deep point y among them, determines the largest
 power K whose translated support stays disjoint from every obstacle, and
 emits the translation-length upper bound 2/(nK) in a short certificate: the
 class, the declared parameters and the two search results, from which verify
-re-derives everything else out of the dataset alone.
+re-derives everything else out of the dataset alone.  certify searches
+only the obstacles whose box lies within a checked L-inf gap D of the box;
+the others cannot change either result (see certify).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import geometry
 from .cones import (
@@ -30,6 +32,7 @@ from .errors import BudgetError, PowerCapError, SubconeError, ValidationError
 from .lattice import (
     BaseHull,
     FiberedClass,
+    Obstacle,
     Obstacles,
     PerpLattice,
     Vec,
@@ -62,8 +65,7 @@ def _ceil_root_multiple(kappa: int, n: int, r: int) -> int:
     return math.isqrt(max(kappa * kappa * n - 1, 0)) + 1
 
 
-@dataclass(frozen=True)
-class GammaWord:
+class GammaWord(NamedTuple):
     """A kernel word: coefficients over the perp basis and its (x, y) split."""
 
     coeffs: tuple[int, ...]
@@ -86,7 +88,10 @@ def decompose(alpha: FiberedClass, cone: FiberedConeModel) -> tuple[int, PerpLat
 def word_radius(eps: EpsilonBound, box_radius: int, p_max: int, safety: int) -> int:
     """The word radius R_w: by the comparison in EpsilonBound, the obstacle of
     a word outside the box of radius R_w, dilated by ``safety``, is out of
-    reach of every power up to p_max moved into the deep-point box."""
+    reach of every power up to p_max moved into the deep-point box.  It
+    bounds what verify enumerates and searches; certify enumerates the same
+    words but searches only those within its reach D (see certify), often a
+    small share, since the radius rests on epsilon alone."""
     reach = box_radius + math.ceil(eps.rho * p_max) + eps.c_inf + 2 * safety
     return math.ceil(Fraction(reach + eps.c_inf + safety + 1) / eps.epsilon)
 
@@ -94,30 +99,32 @@ def word_radius(eps: EpsilonBound, box_radius: int, p_max: int, safety: int) -> 
 def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[GammaWord]:
     """All kernel words whose projection lands in the centered box of radius R_w.
 
-    perp_basis returns a row Hermite normal form whose projection is
-    nonsingular, so ``zeta_basis`` is upper triangular with a positive
-    diagonal: coordinate i of a word's projection depends only on
-    coefficients 0..i, and given those, coefficient i ranges over one exact
-    interval.  Walking the nested intervals in ascending order yields exactly
-    the qualifying words, in lexicographic coefficient order.  Negating a
-    prefix negates coefficient i's interval, so word N-1-i is word i
-    negated, the order Obstacles.symmetric reads.  The product of
-    ``2 R_w // d_i + 1`` over the diagonal bounds the number of words; a bound
-    above ``word_cap`` raises BudgetError before any word is built.
+    perp_basis writes the basis in closed form: rows (m, t) in rank 1 and
+    (g, e, t0), (0, d, t1) in rank 2, so ``zeta_basis`` is upper triangular
+    with a positive diagonal.  Coordinate i of a word's projection depends
+    only on coefficients 0..i, and given those, coefficient i ranges over
+    one exact interval: c0 over |c0 g| <= R_w, then c1 over
+    |c0 e + c1 d| <= R_w.  Walking the nested intervals in ascending order
+    yields exactly the qualifying words, in lexicographic coefficient order.
+    Negating c0 negates c1's interval, so word N-1-i is word i negated, the
+    order Obstacles.symmetric reads.  The product of ``2 R_w // d_i + 1``
+    over the diagonal bounds the number of words; a bound above
+    ``word_cap`` raises BudgetError before any word is built.
     """
     diag = [row[i] for i, row in enumerate(L.zeta_basis)]
     total = math.prod(max(0, 2 * R_w // d + 1) for d in diag)
     if total > word_cap:
         raise BudgetError(f"word enumeration bound {total} exceeds cap {word_cap}")
-
-    # A prefix carries its partial word vector, whose coordinate i is the
-    # partial sum that shifts coefficient i's interval.
-    walk = [((), (0,) * len(L.alpha.vector))]
-    for i, (d, row) in enumerate(zip(diag, L.basis)):
-        walk = [(cs + (c,), tuple(v + c * b for v, b in zip(vec, row)))
-                for cs, vec in walk
-                for c in range(-((R_w + vec[i]) // d), (R_w - vec[i]) // d + 1)]
-    return [GammaWord(cs, vec[:-1], vec[-1]) for cs, vec in walk]
+    if len(diag) == 1:
+        ((m, t),) = L.basis
+        return [GammaWord((c,), (c * m,), c * t) for c in range(-(R_w // m), R_w // m + 1)]
+    (g, e, t0), (_, d, t1) = L.basis
+    words = []
+    for c0 in range(-(R_w // g), R_w // g + 1):
+        x0, u, v = c0 * g, c0 * e, c0 * t0
+        words += [GammaWord((c0, c1), (x0, u + c1 * d), v + c1 * t1)
+                  for c1 in range(-((R_w + u) // d), (R_w - u) // d + 1)]
+    return words
 
 
 def check_power_cap(powers: Sequence[int], what: str) -> None:
@@ -164,16 +171,29 @@ def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
 
 
 def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: int,
-                    allow_mirror: bool, route: str = "semiring") -> Obstacles:
-    """The index of the obstacles, one per word, each a placed translate
+                    allow_mirror: bool, route: str = "semiring") -> list[Obstacle]:
+    """The obstacles, one per word in word order, each a placed translate
     (base, x): the word's shift x and dilated_base of its power y on
-    ``route``'s supports (certify: semiring, verify: oracle).  A base is
-    built once per map, route, power, safety and mirror flag and shared by
-    every word, certificate and class that needs it, so no per-word hull is
-    copied: the obstacle is base.hull + x.
+    ``route``'s supports.  verify indexes all of them on the oracle route;
+    certify, on the semiring route, indexes only those within its reach D
+    (see certify).  A base is built once per map, route, power, safety and
+    mirror flag and shared by every word, certificate and class that needs
+    it, so no per-word hull is copied: the obstacle is base.hull + x.
     """
-    return Obstacles([(dilated_base(track, route, w.y, safety, allow_mirror), w.x)
-                      for w in words])
+    return [(dilated_base(track, route, w.y, safety, allow_mirror), w.x) for w in words]
+
+
+def _within_reach(placed: Sequence[Obstacle], R: int, D: int) -> list[Obstacle]:
+    """The placed translates, in their order, whose exact box lies within
+    L-inf gap D of the full box [-R, R]^r."""
+    far = R + D
+    kept = []
+    for base, x in placed:
+        a, b, c, d = base.box
+        sx, sy = (*x, 0)[:2]
+        if -far <= b + sx and a + sx <= far and -far <= d + sy and c + sy <= far:
+            kept.append((base, x))
+    return kept
 
 
 def largest_missing_power(track: LiftedGraphMap, obstacles: Obstacles, point: Vec,
@@ -243,10 +263,34 @@ def certify(
     box_radius: Optional[int] = None,
 ) -> BoundCertificate:
     """Run the full bound pipeline for one class.  PowerCapError if p_max,
-    the cone's p_max or a kernel word's power is above POWER_CAP, before
-    any support above it is walked.  The obstacle bases and the body of
-    every K tested are dilated_base's, memoized per map on the semiring
-    route, so a sweep builds each once."""
+    the cone's p_max or a kernel word's power is above POWER_CAP, and
+    BudgetError if the words are too many to enumerate, both read off
+    every word before any support is walked.  The obstacle bases and the
+    body of every K tested are dilated_base's, memoized per map on the
+    semiring route, so a sweep builds each once.
+
+    Only the obstacles whose exact box lies within L-inf gap D of the full
+    box [-R, R]^r enter the two searches; dropping the others changes
+    neither result.
+    - Deep point: a dropped obstacle is at distance > D from every point of
+      the box.  If the deep point over the kept ones has d* <= D^2, every
+      point of the box lies within sqrt(d*) <= D of a kept obstacle, nearer
+      than any dropped one, so its squared distance is the same over the
+      kept obstacles as over all of them: the same maximum, attained at the
+      same points, with the same lexicographically smallest one.  Measured
+      from the full box, the kept set of a point-symmetric word set is
+      point-symmetric too, so the half-box search still applies.
+    - K: a body moved to a point of the box has its box within L-inf reach
+      of the point, so it cannot meet a box at gap > D if D is at least
+      that reach.  D is at least the box reach of the dilated body of every
+      power up to p_max: power p_max's alone when supports nest
+      (LiftedGraphMap.nested_supports), the largest of them all otherwise.
+    D starts at the larger of that reach and isqrt of the lattice's squared
+    systole, a guess at sqrt(d*) that is checked, never trusted: if
+    d* > D^2, D widens to ceil(sqrt(d*)) and the search runs once more.
+    One redo suffices: the wider set's deep distance is at most the
+    narrower set's d*, so it lies within the new D.
+    """
     _check_margins(safety, kappa)
     check_power_cap((p_max, dual.p_max), "declared power")
     if P.membership(alpha.vector).status != "interior":
@@ -263,8 +307,20 @@ def certify(
         if attempt:
             R *= 2
         words = kernel_words(L, eps, R, p_max, safety)
-        obstacles = build_obstacles(track, words, safety, allow_mirror)
+        placed = build_obstacles(track, words, safety, allow_mirror)
+        if not attempt:
+            # The box reach of every body the K search may test (power
+            # p_max's holds the others' when supports nest), and a guess.
+            bodies = (p_max,) if track.nested_supports else range(1, p_max + 1)
+            D = max([math.isqrt(systole(L).length2)]
+                    + [max(map(abs, dilated_base(track, "semiring", q, safety,
+                                                 allow_mirror).box)) for q in bodies])
+        obstacles = Obstacles(_within_reach(placed, R, D))
         dp = deep_point(obstacles, R, r)
+        if dp.dist2 > D * D:
+            D = math.isqrt(math.ceil(dp.dist2) - 1) + 1  # ceil(sqrt(d*))
+            obstacles = Obstacles(_within_reach(placed, R, D))
+            dp = deep_point(obstacles, R, r)
         if dp.dist2 > 0:
             break
         diagnostics.append(f"box radius {R} fully covered by obstacles"
@@ -395,7 +451,7 @@ def verify_certificate(
         return VerifyResult("unverifiable", "word-cap")
     if min(w.y for w in words) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
-    obstacles = build_obstacles(track, words, cert.safety, cert.mirror, "oracle")
+    obstacles = Obstacles(build_obstacles(track, words, cert.safety, cert.mirror, "oracle"))
     seen = obstacles.seen_from(cert.deep_point)
     dist2 = seen.dist2()
     if dist2 <= 0:

@@ -17,5 +17,5 @@ def test_cli_snapshot_prints_one_record_per_call():
     assert {r["argv"][0] for r in records} == {
         "ingest", "charpoly", "omega", "oracle", "cone", "bound", "verify", "sweep"}
     verdicts = [r["stdout"] for r in records if r["argv"][0] == "verify"]
-    assert verdicts == ["verification: pass\n"] * 3
+    assert verdicts == ["verification: pass\n"] * 4
     assert str(ROOT) not in out

@@ -157,15 +157,6 @@ def test_covolume_is_unimodular_invariant():
     assert det == L.covol2
 
 
-def test_word_vector():
-    L = perp_basis(FiberedClass((1, 1, 3)))
-    w = L.word_vector((2, -1))
-    assert w == tuple(2 * a - b for a, b in zip(L.basis[0], L.basis[1]))
-    assert sum(x * y for x, y in zip(w, (1, 1, 3))) == 0
-    with pytest.raises(ValidationError):
-        L.word_vector((1,))
-
-
 # -- systole -------------------------------------------------------------------
 
 def _fake_lattice(zeta_rows) -> PerpLattice:

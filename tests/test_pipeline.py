@@ -7,7 +7,7 @@ from itertools import product
 from math import ceil, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibercert import cones, geometry, lattice, pipeline, trackmap
@@ -30,6 +30,7 @@ from fibercert.pipeline import (
 )
 from fibercert.trackmap import LiftedGraphMap, omega_of_word, support_of_power
 
+from test_lattice import _brute_deep_point, _placed_translates, _symmetric_translates
 from test_trackmap import doubling_rose, single_edge_rose
 
 
@@ -122,11 +123,17 @@ def test_enumerate_words_is_complete():
     # Independent completeness scan over a generous coefficient box.
     for c0 in range(-30, 31):
         for c1 in range(-30, 31):
-            vec = L2.word_vector((c0, c1))
+            vec = _word_vector(L2, (c0, c1))
             if all(abs(v) <= 5 for v in vec[:-1]):
                 assert (c0, c1) in got
     with pytest.raises(BudgetError):
         enumerate_words(L2, 5, word_cap=3)
+
+
+def _word_vector(L, coeffs) -> tuple[int, ...]:
+    """The kernel vector with these coefficients over the perp basis."""
+    return tuple(sum(c * row[i] for c, row in zip(coeffs, L.basis))
+                 for i in range(len(L.alpha.vector)))
 
 
 def _coeff_box(zeta, R_w: int) -> int:
@@ -169,12 +176,12 @@ def test_enumerate_words_matches_brute_force(p, n, R_w, word_cap):
     B = _coeff_box(zeta, R_w)
     expected = [
         cs for cs in product(range(-B, B + 1), repeat=r)
-        if all(abs(v) <= R_w for v in L.word_vector(cs)[:-1])
+        if all(abs(v) <= R_w for v in _word_vector(L, cs)[:-1])
     ]
     assert [w.coeffs for w in words] == expected
     assert len(words) <= bound
     for w in words:
-        vec = L.word_vector(w.coeffs)
+        vec = _word_vector(L, w.coeffs)
         assert (w.x, w.y) == (vec[:-1], vec[-1])
 
 
@@ -272,8 +279,7 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
     )
     words = enumerate_words(perp_basis(FiberedClass((1, 9))), 60)
     assert any(w.y < 0 for w in words)
-    a, b = build_obstacles(r1, words, 1, False), build_obstacles(stripped, words, 1, True)
-    assert a.placed == b.placed
+    assert build_obstacles(r1, words, 1, False) == build_obstacles(stripped, words, 1, True)
     a = certify(r1, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash)
     b = certify(stripped, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash,
                 allow_mirror=True)
@@ -405,7 +411,7 @@ def test_build_obstacles_marks_sweep_r2_symmetric(r2, r2_models):
     for alpha in SWEEP_R2:
         for turned in _quarter_turns(alpha):
             words = _first_box_words(r2, r2_models, turned, 16)
-            assert build_obstacles(r2, words, 1, True).symmetric, turned
+            assert Obstacles(build_obstacles(r2, words, 1, True)).symmetric, turned
 
 
 def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
@@ -416,8 +422,8 @@ def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
     forward = replace(r1, inverse=None)
     words = _first_box_words(r1, r1_models, (1, 9), 12)
     assert any(w.y < 0 for w in words)
-    assert build_obstacles(r1, words, 1, False).symmetric
-    index = build_obstacles(replace(r1, inverse=forward), words, 1, False)
+    assert Obstacles(build_obstacles(r1, words, 1, False)).symmetric
+    index = Obstacles(build_obstacles(replace(r1, inverse=forward), words, 1, False))
     assert not index.symmetric
     R = _ceil_root_multiple(4, 9, 1)
     translates = [geometry.translate(base.hull, x) for base, x in index.placed]
@@ -441,7 +447,8 @@ def test_k_bisection_matches_the_scan(r1, r1_models, r1_hash, r2, r2_models, r2_
                        allow_mirror=mirror)
         words = kernel_words(FiberedClass(alpha).lattice, epsilon_of_subcone(P, dual),
                              cert.box_radius, p_max, cert.safety)
-        seen = build_obstacles(track, words, cert.safety, mirror).seen_from(cert.deep_point)
+        seen = Obstacles(build_obstacles(track, words, cert.safety, mirror)).seen_from(
+            cert.deep_point)
         scan = next((K for K in range(p_max, 0, -1) if seen.misses(
             pipeline.dilated_base(track, "semiring", K, cert.safety, mirror))), 0)
         assert (cert.status, cert.K) == ("ok", scan), alpha
@@ -458,6 +465,169 @@ def test_k_scan_without_nested_supports():
     assert pipeline.largest_missing_power(shift, obstacles, (0,), 8, 0, False) == 8
     assert pipeline.largest_missing_power(shift, obstacles, (0,), 3, 0, False) == 3
     assert doubling_rose().nested_supports
+
+
+# -- reach filter -------------------------------------------------------------
+
+def _certify_checked(monkeypatch, track, models, ds_hash, alpha, p_max, **kwargs):
+    """certify alpha, and again with the reach filter off, every word's
+    obstacle placed; the two certificates must be byte-identical."""
+    dual, cone, P = models
+    args = (track, dual, cone, P, FiberedClass(alpha), p_max, ds_hash)
+    got = certify(*args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_within_reach", lambda placed, R, D: list(placed))
+        want = certify(*args, **kwargs)
+    assert emit_certificate(got) == emit_certificate(want), alpha
+    return got
+
+
+def _spy(monkeypatch, name):
+    """Record every call of pipeline.<name>: its arguments and result."""
+    calls, fn = [], getattr(pipeline, name)
+
+    def spied(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, name, spied)
+    return calls
+
+
+def test_reach_filter_keeps_sweep_r2_certificates(r2, r2_models, r2_hash, monkeypatch):
+    """Every sweep-r2 seed-0 class in all four quarter turns, the classes
+    every seed draws from, certifies byte for byte as with every obstacle
+    placed, and places about a fifth of its words' obstacles."""
+    kept = _spy(monkeypatch, "_within_reach")
+    for alpha in SWEEP_R2:
+        for turned in _quarter_turns(alpha):
+            _certify_checked(monkeypatch, r2, r2_models, r2_hash, turned, 16,
+                             allow_mirror=True)
+    assert sum(len(k) for _, k in kept) < 0.25 * sum(len(args[0]) for args, _ in kept)
+
+
+def test_reach_filter_keeps_verify_r1_certificates(r1, r1_models, r1_hash, monkeypatch):
+    """Every verify-r1 class of either sign certifies byte for byte as with
+    every obstacle placed."""
+    for alpha in VERIFY_R1:
+        _certify_checked(monkeypatch, r1, r1_models, r1_hash, alpha, 32)
+
+
+def test_reach_filter_without_nested_supports(r1_models, r1_hash, monkeypatch):
+    """single_edge_rose's supports are not nested, so the filter's gap
+    covers the body of every power up to p_max, not p_max's alone."""
+    shift = single_edge_rose()
+    assert not shift.nested_supports
+    for alpha, p_max, safety in (((1, 9), 12, 1), ((1, 29), 7, 0), ((-1, 21), 4, 1)):
+        cert = _certify_checked(monkeypatch, shift, r1_models, r1_hash, alpha, p_max,
+                                safety=safety, allow_mirror=True)
+        assert cert.status == "ok", alpha
+
+
+def _swap_map(m: int) -> LiftedGraphMap:
+    """Edges a: u -> v and b: v -> u, each mapped to the other by deck
+    shifts m and -m: odd powers have support [-m, m], even powers {0}, so
+    0 is in no row hull R_1 and power 2 reaches less far than power 1."""
+    return LiftedGraphMap(
+        rank=1,
+        vertices=("u", "v"),
+        edges=(trackmap.Edge("a", "u", "v", (2 * m,)), trackmap.Edge("b", "v", "u", (0,))),
+        vertex_images={"u": ("v", (m,)), "v": ("u", (-m,))},
+        edge_images={"a": (("b", (m,), 1),), "b": (("a", (-m,), 1),)},
+    )
+
+
+def test_reach_filter_covers_a_lower_power_that_reaches_farther(r1_models, r1_hash,
+                                                                monkeypatch):
+    """On _swap_map(40) at p_max 2, power 1's dilated body reaches 41 and
+    power 2's only 1, below r1 (1, 9)'s systole 9: the gap certify filters
+    with is at least 41."""
+    swap = _swap_map(40)
+    assert not swap.nested_supports
+    assert [support_of_power(swap, q).hull for q in (1, 2)] == [((-40,), (40,)), ((0,),)]
+    gaps = _spy(monkeypatch, "_within_reach")
+    _certify_checked(monkeypatch, swap, r1_models, r1_hash, (1, 9), 2, allow_mirror=True)
+    reach = [max(map(abs, pipeline.dilated_base(swap, "semiring", q, 1, True).box))
+             for q in (1, 2)]
+    assert reach == [41, 1]
+    assert gaps and min(args[2] for args, _ in gaps) >= 41
+
+
+def test_reach_filter_with_an_unsymmetric_inverse(r1, r1_models, r1_hash, monkeypatch):
+    """r1 with the forward map as its inverse: negative powers get
+    unreflected hulls, so the placed obstacles are not point-symmetric and
+    deep_point searches the full box, with the same certificate."""
+    forward = replace(r1, inverse=None)
+    track = replace(r1, inverse=forward)
+    placed = _spy(monkeypatch, "deep_point")
+    for alpha in ((1, 9), (1, 29), (-1, 15)):
+        _certify_checked(monkeypatch, track, r1_models, r1_hash, alpha, 12)
+    assert placed and not any(args[0].symmetric for args, _ in placed)
+
+
+def test_reach_filter_widens_and_searches_again(r2, r2_models, r2_hash, monkeypatch):
+    """r2 (1, 0, 50)'s kernel lattice has systole 1 and its rows lie 50
+    apart, so the first deep point lies farther than the first gap, 10,
+    the reach of power 16: certify widens the gap to ceil(sqrt(784)) = 28,
+    places more obstacles and searches once more, finding the deep point
+    of every obstacle."""
+    placed = _spy(monkeypatch, "deep_point")
+    cert = _certify_checked(monkeypatch, r2, r2_models, r2_hash, (1, 0, 50), 16,
+                            allow_mirror=True)
+    (first, first_dp), (again, again_dp) = placed[:2]
+    assert first_dp.dist2 == 784 > 10 ** 2
+    assert len(again[0]) > len(first[0])
+    assert again_dp.dist2 == cert.deep_dist2 == 529 <= 28 ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reach_filter_keeps_the_deep_point_of_placed_translates(data, r1, r2):
+    """Whenever the deep point over the obstacles within gap D of the box
+    lies within D, it is the brute-force deep point of every obstacle: a
+    dropped one is farther than D from every point of the box."""
+    placed, translates, R, rank = data.draw(_placed_translates({1: r1, 2: r2}))
+    D = data.draw(st.integers(0, 8))
+    kept = pipeline._within_reach(placed, R, D)
+    assume(kept)
+    dp = lattice.deep_point(Obstacles(kept), R, rank)
+    if dp.dist2 <= D * D:
+        assert dp == _brute_deep_point(translates, R, rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reach_filter_keeps_symmetric_translates_symmetric(data, r1, r2):
+    """The gap is measured from the full box, so the obstacles kept out of
+    a point-symmetric set are point-symmetric too."""
+    placed, _, R, rank = data.draw(_symmetric_translates({1: r1, 2: r2}))
+    D = data.draw(st.integers(0, 8))
+    kept = pipeline._within_reach(placed, R, D)
+    assert not kept or Obstacles(kept).symmetric
+
+
+def test_certify_caps_word_powers_the_filter_drops(r1, r1_hash, monkeypatch):
+    """certify reads every word's power before it places or filters any:
+    r1 (1, 9) at cone p_max and p_max 4 places no word above power 5, yet
+    with the cap at 9 its words of power 10, at shifts -90 and 90, raise
+    PowerCapError before any support is walked; a box too large to
+    enumerate raises BudgetError before it too."""
+    dual = estimate_dual_cone(r1, 4)
+    cone = fibered_cone_from_dual(dual)
+    P = cone.subcone_slope(Fraction(1, 2))
+    kept = _spy(monkeypatch, "_within_reach")
+    certify(r1, dual, cone, P, FiberedClass((1, 9)), 4, r1_hash)
+    assert max(abs(x[0]) for _, placed in kept for _, x in placed) < 90
+
+    def forbidden(*args):
+        raise AssertionError("certify walked a support")
+
+    monkeypatch.setattr(pipeline, "dilated_base", forbidden)
+    monkeypatch.setattr(pipeline, "POWER_CAP", 9)
+    with pytest.raises(PowerCapError, match="kernel word power 10 exceeds the power cap 9"):
+        certify(r1, dual, cone, P, FiberedClass((1, 9)), 4, r1_hash)
+    with pytest.raises(BudgetError, match="word enumeration bound"):
+        certify(r1, dual, cone, P, FiberedClass((1, 9)), 4, r1_hash, box_radius=10 ** 7)
 
 
 # -- verification -----------------------------------------------------------

@@ -30,7 +30,8 @@ def _calls() -> list[list[str]]:
                   for p in (0, 1, 5, 17)]
         calls += [["cone", ds, "--p-max", str(p)] for p in (4, 12, 20)]
     for ds, alpha, extra in (("{r1}", "1,9", []), ("{r1}", "1,29", []),
-                             ("{r2}", "1,7,50", ["--mirror"])):
+                             ("{r2}", "1,7,50", ["--mirror"]),
+                             ("{r2}", "1,20,401", ["--mirror"])):
         calls.append(["bound", ds, "--alpha", alpha, *extra, "--out", "{cert}"])
         calls.append(["verify", "{cert}", "--dataset", ds])
     calls.append(["sweep", "{r1}", "--base", "1,9", "--direction", "0,2",
