@@ -136,17 +136,20 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
     ratio_points = []
     if track.rank == 2:
         # The hull of a union is the hull of the union of the hulls, so the
-        # hull vertices x of each power p suffice.  Their ratio points x/p,
+        # hull vertices v of each power p suffice.  Their ratio points v/p,
         # times lcm(1..p_max) > 0, are integers with the same hull vertex
         # order and primitive edge normals.
         scale = lcm(*powers)
-        ratio_points = [tuple(c * (scale // p) for c in x) for p in powers
-                        for x in supports[p].hull]
+        ratio_points = [(x * m, y * m) for p in powers for m in (scale // p,)
+                        for x, y in supports[p].hull]
     k0 = track.k0
     facets = []
+    # Each power's hull vertices, as rank-2 points (second coordinate 0 in rank 1).
+    hulls = [[(*x, 0)[:2] for x in supports[p].hull] for p in powers]
     for u in _candidate_directions(track.rank, ratio_points):
         # N'_1(u, p): the largest <u, x> over the hull vertices of power p.
-        tops = [max(geometry.dot(u, x) for x in supports[p].hull) for p in powers]
+        a, b = (*u, 0)[:2]
+        tops = [max([a * x + b * y for x, y in h]) for h in hulls]
         # The least N'_1/p, its pairs (hi, p > 0) compared by cross-multiplication.
         top, q = tops[0], 1
         for p, hi in zip(powers, tops):

@@ -3,13 +3,16 @@
 All coordinates are ints or Fractions; no floating point is used here, so
 every predicate (containment, disjointness, distance comparison) is exact.
 Hulls are vertex lists: sorted endpoints in rank 1, counterclockwise monotone
-chains in rank 2.
+chains in rank 2.  halfspace_vertices works on integer rows: it clears its
+bounds by their lcm, tests every candidate vertex on integers, and builds
+Fractions only for the vertices it accepts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -18,35 +21,35 @@ from .errors import ValidationError
 Point = tuple  # tuple of int | Fraction, length = rank
 
 
+def _chain(pts: Iterable[Point]) -> list[Point]:
+    """One monotone chain over sorted rank-2 points: every kept turn is a
+    strict left turn, so collinear points drop out."""
+    chain = []
+    for p in pts:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def convex_hull(points: Iterable[Point], rank: int) -> list[Point]:
     """Vertices of the convex hull.
 
     Rank 1: [min] or [min, max].  Rank 2: counterclockwise order, starting
     from the lexicographically smallest vertex (monotone chain).
     """
-    pts = sorted(set(tuple(p) for p in points))
+    pts = sorted(set(map(tuple, points)))
     if not pts:
         raise ValidationError("empty point set has no hull")
     if rank == 1:
         return [pts[0]] if len(pts) == 1 else [pts[0], pts[-1]]
     if len(pts) == 1:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 2 else pts[:1]
+    return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
 def dot(u: Sequence, v: Sequence):
@@ -171,6 +174,12 @@ def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: in
     negative c empties the region.  Raises ValidationError if the normals
     leave a direction d free (<u, d> <= 0 for every u, so the region is
     unbounded if nonempty), or if the region is empty.
+
+    Rank 2 intersects every pair of rows and keeps the points that satisfy
+    all rows.  The rows are integer: each bound times den, the lcm of the
+    bounds' denominators.  A pair's point, times its determinant det > 0 and
+    den, is an integer point, tested against every row on integers; Fractions
+    are built only for the vertices that pass.
     """
     normals = [u for u, _ in halfspaces if any(u)]
     # Some free direction is a boundary direction of the recession cone, so
@@ -184,19 +193,21 @@ def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: in
         if lo > hi or any(c < 0 for u, c in halfspaces if u[0] == 0):
             raise ValidationError("empty halfspace intersection")
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
+    den = lcm(*(c.denominator for _, c in halfspaces))
+    rows = [(a, b, c.numerator * (den // c.denominator)) for (a, b), c in halfspaces]
     verts = []
-    m = len(halfspaces)
-    for i in range(m):
-        (u1, c1) = halfspaces[i]
-        for j in range(i + 1, m):
-            (u2, c2) = halfspaces[j]
-            det = u1[0] * u2[1] - u1[1] * u2[0]
+    for i, (a1, b1, c1) in enumerate(rows):
+        for a2, b2, c2 in rows[i + 1:]:
+            det = a1 * b2 - b1 * a2
             if det == 0:
                 continue
-            x = Fraction(c1 * u2[1] - c2 * u1[1], det)
-            y = Fraction(u1[0] * c2 - u2[0] * c1, det)
-            if all(u[0] * x + u[1] * y <= c for u, c in halfspaces):
-                verts.append((x, y))
+            # The pair's vertex is (x, y) / (det den); with det > 0 a row
+            # holds there iff a x + b y <= c det.
+            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+            if det < 0:
+                det, x, y = -det, -x, -y
+            if all(a * x + b * y <= c * det for a, b, c in rows):
+                verts.append((Fraction(x, det * den), Fraction(y, det * den)))
     if not verts:
         raise ValidationError("empty halfspace intersection")
     return convex_hull(verts, 2)

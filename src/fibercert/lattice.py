@@ -72,6 +72,11 @@ class PerpLattice:
     zeta_basis: tuple[Vec, ...]
     covol2: int
 
+    @cached_property
+    def shortest_vector(self) -> "ShortestVector":
+        """systole of the lattice, computed once per lattice object."""
+        return systole(self)
+
 
 def perp_basis(alpha: FiberedClass) -> PerpLattice:
     """The row Hermite normal form basis of the saturated kernel lattice of

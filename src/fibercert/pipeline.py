@@ -37,7 +37,6 @@ from .lattice import (
     PerpLattice,
     Vec,
     deep_point,
-    systole,
 )
 from .trackmap import (
     LiftedGraphMap,
@@ -312,7 +311,7 @@ def certify(
             # The box reach of every body the K search may test (power
             # p_max's holds the others' when supports nest), and a guess.
             bodies = (p_max,) if track.nested_supports else range(1, p_max + 1)
-            D = max([math.isqrt(systole(L).length2)]
+            D = max([math.isqrt(L.shortest_vector.length2)]
                     + [max(map(abs, dilated_base(track, "semiring", q, safety,
                                                  allow_mirror).box)) for q in bodies])
         obstacles = Obstacles(_within_reach(placed, R, D))
@@ -522,10 +521,9 @@ def sweep(
             track, dual, cone, P, alpha, p_max, dataset_hash,
             safety=safety, kappa=kappa, allow_mirror=allow_mirror,
         )
-        sv = systole(L)
         norm = normalized_bound(cert.bound, alpha.n, track.rank)
         return SweepRow(
-            alpha.vector, alpha.n, L.covol2, sv.length2, cert.deep_dist2,
+            alpha.vector, alpha.n, L.covol2, L.shortest_vector.length2, cert.deep_dist2,
             cert.K, cert.bound, norm, cert.status, cert,
         )
 

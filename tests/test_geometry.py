@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibercert.errors import ValidationError
@@ -63,6 +63,62 @@ def test_hull_membership_matches_halfplane_test(pts, y):
         if cross < 0:
             inside = False
     assert contains_point(hull, y, 2) == inside
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _reference_hull(points, rank):
+    """convex_hull by brute force.  Rank 1: the least and greatest points.
+    Rank 2: a -> b is a counterclockwise hull edge iff every point lies
+    strictly left of the line a b or on the closed segment [a, b]; the hull
+    is that cycle of edges, from the lexicographically smallest point.  An
+    edge ending at a point inside another edge fails the test, so collinear
+    points drop out, and all-collinear points give the two ends."""
+    pts = sorted(set(points))
+    if rank == 1 or len(pts) == 1:
+        return pts[:1] + pts[1:][-1:]
+
+    def on_segment(q, a, b):
+        return (_cross(a, b, q) == 0
+                and (q[0] - a[0]) * (b[0] - a[0]) + (q[1] - a[1]) * (b[1] - a[1]) >= 0
+                and (q[0] - b[0]) * (a[0] - b[0]) + (q[1] - b[1]) * (a[1] - b[1]) >= 0)
+
+    succ = {a: b for a in pts for b in pts if a != b
+            and all(_cross(a, b, q) > 0 or on_segment(q, a, b) for q in pts)}
+    hull = [pts[0]]
+    while succ[hull[-1]] != pts[0]:
+        hull.append(succ[hull[-1]])
+    return hull
+
+
+coords = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def collinear_points(draw):
+    """Points o + t d on one line, for rationals o, d and small integers t."""
+    o = draw(st.tuples(coords, coords))
+    d = draw(st.tuples(coords, coords))
+    ts = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    return [(o[0] + t * d[0], o[1] + t * d[1]) for t in ts]
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.lists(st.tuples(coords), min_size=1, max_size=6).map(lambda pts: (pts, 1)),
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=10).map(lambda pts: (pts, 2)),
+    collinear_points().map(lambda pts: (pts, 2)),
+))
+@example(([(Fraction(1, 2), 3)], 2))
+@example(([(0, 0), (Fraction(1, 3), 1)], 2))
+@example(([(0, 0), (1, 1), (2, 2), (Fraction(1, 2), Fraction(1, 2))], 2))
+def test_hull_matches_brute_force_reference(case):
+    """The exact vertex list: extreme points only, counterclockwise from the
+    lexicographically smallest, on int and Fraction points."""
+    pts, rank = case
+    assert convex_hull(pts, rank) == _reference_hull(pts, rank)
 
 
 # -- affine operations ---------------------------------------------------------
@@ -246,6 +302,69 @@ def test_halfspace_vertices_unbounded_rank1():
         halfspace_vertices([((1,), 1)], 1)
     with pytest.raises(ValidationError, match="unbounded"):
         halfspace_vertices([((0,), 1)], 1)
+
+
+def _reference_halfspace_vertices(halfspaces):
+    """Rank-2 halfspace_vertices as it was written on Fractions: the same
+    unboundedness check, then every pair's intersection as a Fraction point,
+    kept if it satisfies every halfspace."""
+    normals = [u for u, _ in halfspaces if any(u)]
+    free = [d for a, b in normals for d in ((-b, a), (b, -a))]
+    if not normals or any(all(u[0] * d[0] + u[1] * d[1] <= 0 for u in normals)
+                          for d in free):
+        raise ValidationError("unbounded halfspace intersection")
+    verts = []
+    m = len(halfspaces)
+    for i in range(m):
+        (u1, c1) = halfspaces[i]
+        for j in range(i + 1, m):
+            (u2, c2) = halfspaces[j]
+            det = u1[0] * u2[1] - u1[1] * u2[0]
+            if det == 0:
+                continue
+            x = Fraction(c1 * u2[1] - c2 * u1[1], det)
+            y = Fraction(u1[0] * c2 - u2[0] * c1, det)
+            if all(u[0] * x + u[1] * y <= c for u, c in halfspaces):
+                verts.append((x, y))
+    if not verts:
+        raise ValidationError("empty halfspace intersection")
+    return convex_hull(verts, 2)
+
+
+def _vertices_or_error(fn, halfspaces):
+    try:
+        return fn(halfspaces)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+_bounds = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+_rows = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), _bounds),
+                 max_size=6)
+
+
+@settings(max_examples=400)
+@given(rows=_rows, box=st.one_of(st.none(), st.lists(_bounds, min_size=4, max_size=4)))
+@example(rows=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 2), ((1, 0), 100), ((1, 1), 3)],
+         box=None)  # redundant rows
+@example(rows=[((0, 0), Fraction(-1, 2))], box=[1, 1, 1, 1])  # zero normal, empty
+@example(rows=[((0, 0), Fraction(1, 2))], box=[1, 1, 1, 1])  # zero normal, harmless
+@example(rows=[((1, 1), Fraction(-5, 2))], box=[1, 1, 1, 1])  # empty
+@example(rows=[((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)], box=None)  # unbounded strip
+@example(rows=[((2, 1), Fraction(1, 3)), ((-1, 3), Fraction(2, 5)), ((-1, -2), 1)],
+         box=None)  # a triangle with unlike denominators
+def test_halfspace_vertices_match_fraction_reference(rows, box):
+    """The integer-row rank-2 path gives the Fraction reference's vertex
+    list, Fraction-typed, or its ValidationError message: redundant rows,
+    zero normals, and empty and unbounded regions included.  ``box``, when
+    drawn, adds the four rows |x|, |y| <= its bounds, so bounded regions
+    come up often."""
+    if box is not None:
+        rows = rows + [(e, c) for e, c in zip([(1, 0), (-1, 0), (0, 1), (0, -1)], box)]
+    got = _vertices_or_error(lambda hs: halfspace_vertices(hs, 2), rows)
+    assert got == _vertices_or_error(_reference_halfspace_vertices, rows)
+    if not isinstance(got, str):
+        assert all(type(c) is Fraction for v in got for c in v)
 
 
 def test_halfspace_vertices_unbounded_rank2():

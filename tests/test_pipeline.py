@@ -14,7 +14,7 @@ from fibercert import cones, geometry, lattice, pipeline, trackmap
 from fibercert.errors import BudgetError, PowerCapError, SubconeError, ValidationError
 from fibercert.cones import epsilon_of_subcone, estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import emit_certificate, load_dataset, parse_certificate
-from fibercert.lattice import BaseHull, FiberedClass, Obstacles, perp_basis
+from fibercert.lattice import BaseHull, FiberedClass, Obstacles, perp_basis, systole
 from fibercert.pipeline import (
     POWER_CAP,
     _ceil_root_multiple,
@@ -1031,6 +1031,26 @@ def test_sweep_computes_each_lattice_once(r1, r1_models, r1_hash, monkeypatch):
     assert [row.status for row in rows] == ["ok"] * 3
     assert calls == [(1, 9), (1, 11), (1, 13)]
     assert [row.covol2 for row in rows] == [81, 121, 169]
+
+
+def test_sweep_computes_each_systole_once(r2, r2_models, r2_hash, monkeypatch):
+    """A sweep finds the systole of each certified class's lattice once and
+    shares it between certify's first reach guess and the row's systole2."""
+    calls = []
+
+    def counted(L):
+        calls.append(L.alpha.vector)
+        return systole(L)
+
+    for module in (lattice, pipeline):  # every binding a sweep could call
+        monkeypatch.setattr(module, "systole", counted, raising=False)
+    dual, cone, P = r2_models
+    classes = [(1, 7, 50), (1, 8, 65)]
+    rows = sweep(r2, dual, cone, P, classes, 16, r2_hash, allow_mirror=True)
+    assert [row.status for row in rows] == ["ok"] * 2
+    assert calls == classes
+    assert [row.systole2 for row in rows] == [
+        systole(perp_basis(FiberedClass(c))).length2 for c in classes]
 
 
 # -- fuzzed declarations ---------------------------------------------------------

@@ -29,6 +29,7 @@ def _calls() -> list[list[str]]:
         calls += [[route, ds, "--p", str(p)] for route in ("omega", "oracle")
                   for p in (0, 1, 5, 17)]
         calls += [["cone", ds, "--p-max", str(p)] for p in (4, 12, 20)]
+    calls.append(["cone", "{r2}", "--p-max", "80"])  # the cone-r2 benchmark's build
     for ds, alpha, extra in (("{r1}", "1,9", []), ("{r1}", "1,29", []),
                              ("{r2}", "1,7,50", ["--mirror"]),
                              ("{r2}", "1,20,401", ["--mirror"])):
