@@ -3,7 +3,8 @@
 All coordinates are ints or Fractions; no floating point is used here, so
 every predicate (containment, disjointness, distance comparison) is exact.
 Hulls are vertex lists: sorted endpoints in rank 1, counterclockwise monotone
-chains in rank 2.  halfspace_vertices works on integer rows: it clears its
+chains in rank 2.  minkowski_sum and minkowski_difference take hulls in this
+form and walk their edges.  halfspace_vertices works on integer rows: it clears its
 bounds by their lcm, tests every candidate vertex on integers, and builds
 Fractions only for the vertices it accepts.
 """
@@ -11,10 +12,9 @@ Fractions only for the vertices it accepts.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -73,10 +73,72 @@ def negate(points: Iterable[Point]) -> list[Point]:
     return [tuple(-a for a in p) for p in points]
 
 
+def _edges(hull: Sequence[Point]) -> list[Point]:
+    """Edge vectors of a rank-2 hull in vertex order: none for a point, there
+    and back for a segment."""
+    if len(hull) == 1:
+        return []
+    return [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(hull, [*hull[1:], hull[0]])]
+
+
+def _turn(d: Point, e: Point):
+    """Positive if direction d comes before e counterclockwise from straight
+    down, negative if after, 0 if they point the same way.  A canonical
+    hull's edges, from its lexicographically smallest vertex, come in this
+    order: first the half (-90°, 90°], then (90°, 270°]."""
+    hd, he = d[0] < 0 or (d[0] == 0 and d[1] < 0), e[0] < 0 or (e[0] == 0 and e[1] < 0)
+    return he - hd if hd != he else d[0] * e[1] - d[1] * e[0]
+
+
 def minkowski_sum(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) -> list[Point]:
-    """Hull of the Minkowski sum of two hulls (vertex-sum then re-hull)."""
-    pts = [tuple(x + y for x, y in zip(a, b)) for a in hull_a for b in hull_b]
-    return convex_hull(pts, rank)
+    """Hull of the Minkowski sum of two hulls, both in convex_hull's form.
+
+    Rank 2 merges the two edge sequences by direction from the sum of the
+    first vertices, the sum's lexicographically smallest vertex; parallel
+    edges merge into one, so no vertex is collinear.
+    """
+    if rank == 1:
+        lo, hi = hull_a[0][0] + hull_b[0][0], hull_a[-1][0] + hull_b[-1][0]
+        return [(lo,)] if lo == hi else [(lo,), (hi,)]
+    ea, eb = _edges(hull_a), _edges(hull_b)
+    na, nb = len(ea), len(eb)
+    (ax, ay), (bx, by) = hull_a[0], hull_b[0]
+    x, y, i, j, out = ax + bx, ay + by, 0, 0, []
+    while i < na or j < nb:
+        out.append((x, y))
+        turn = 1 if j == nb else -1 if i == na else _turn(ea[i], eb[j])
+        if turn >= 0:
+            x, y, i = x + ea[i][0], y + ea[i][1], i + 1
+        if turn <= 0:
+            x, y, j = x + eb[j][0], y + eb[j][1], j + 1
+    return out or [(x, y)]
+
+
+def minkowski_difference(hull_b: Sequence[Point], hull_a: Sequence[Point],
+                         rank: int) -> Optional[list[Point]]:
+    """The hull Q with minkowski_sum(hull_a, Q) == hull_b, or None if there is
+    none.  Rank 2 subtracts each edge of hull_a from hull_b's edge of the
+    same direction; hull_a may have no direction that hull_b lacks, nor a
+    longer edge."""
+    if rank == 1:
+        lo, hi = hull_b[0][0] - hull_a[0][0], hull_b[-1][0] - hull_a[-1][0]
+        return None if lo > hi else [(lo,)] if lo == hi else [(lo,), (hi,)]
+    ea, eb = _edges(hull_a), _edges(hull_b)
+    (ax, ay), (bx, by) = hull_a[0], hull_b[0]
+    x, y, i, out = bx - ax, by - ay, 0, []
+    for e in eb:
+        turn = _turn(ea[i], e) if i < len(ea) else -1
+        if turn > 0:
+            return None
+        dx, dy = e
+        if turn == 0:
+            dx, dy, i = dx - ea[i][0], dy - ea[i][1], i + 1
+            if dx * e[0] + dy * e[1] < 0:
+                return None
+        if dx or dy:
+            out.append((x, y))
+            x, y = x + dx, y + dy
+    return (out or [(x, y)]) if i == len(ea) else None
 
 
 def dilate(hull: Sequence[Point], s: int, rank: int) -> list[Point]:
@@ -85,7 +147,8 @@ def dilate(hull: Sequence[Point], s: int, rank: int) -> list[Point]:
         return list(hull)
     if s < 0:
         raise ValidationError("dilation must be nonnegative")
-    return minkowski_sum(hull, list(product((-s, s), repeat=rank)), rank)
+    cube = [(-s,), (s,)] if rank == 1 else [(-s, -s), (s, -s), (s, s), (-s, s)]
+    return minkowski_sum(hull, cube, rank)
 
 
 def _seg_dist2(y: Point, a: Point, b: Point) -> Fraction:

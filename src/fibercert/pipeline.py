@@ -222,7 +222,9 @@ def largest_missing_power(track: LiftedGraphMap, obstacles: Obstacles, point: Ve
 class BoundCertificate:
     """A bound claim: the class, the declared parameters, and the results of
     certify's two searches (the deep point and K).  verify_certificate
-    re-derives everything else from the dataset."""
+    re-derives everything else from the dataset.  It never reads
+    tool_version, diagnostics or assumptions: they are notes for a reader,
+    parsed for their type only, and no verdict depends on them."""
 
     alpha: tuple[int, ...]
     n: int

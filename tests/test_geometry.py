@@ -13,6 +13,7 @@ from fibercert.geometry import (
     directional_extrema,
     halfspace_vertices,
     hulls_disjoint,
+    minkowski_difference,
     minkowski_sum,
     negate,
     point_hull_dist2,
@@ -217,7 +218,7 @@ def test_hulls_disjoint_touching_counts_as_overlap():
 def test_hulls_disjoint_vs_minkowski_difference(a, b):
     """A and B intersect iff 0 lies in A + (-B)."""
     ha, hb = convex_hull(a, 2), convex_hull(b, 2)
-    diff = minkowski_sum(ha, negate(hb), 2)
+    diff = minkowski_sum(ha, convex_hull(negate(hb), 2), 2)
     meets = contains_point(diff, (0, 0), 2)
     assert hulls_disjoint(ha, hb, 2) == (not meets)
 
@@ -262,6 +263,34 @@ def test_disjoint_bounding_boxes_imply_disjoint_hulls(pair):
         if _bboxes_disjoint(ha, hb):
             assert hulls_disjoint(ha, hb, rank)
             assert hulls_disjoint(hb, ha, rank)
+
+
+@settings(max_examples=300)
+@given(frac_set_pairs)
+@example(([(0, 0), (2, 0), (0, 1)], [(0, 0), (1, 0), (1, 1)]))  # parallel bottom edges
+@example(([(1, 1)], [(0, 0), (0, 3)]))  # a point and a vertical segment
+def test_minkowski_sum_matches_vertex_sum_reference(pair):
+    """The edge merge gives the hull of the vertex sums, in ranks 1 and 2, over
+    Fraction vertices, points, segments and collinear or parallel edges;
+    minkowski_difference recovers either summand from the sum, and a
+    difference it finds between any two hulls sums back."""
+    a, b = pair
+    for rank, pa, pb in ((2, a, b), (1, [p[:1] for p in a], [p[:1] for p in b])):
+        ha, hb = convex_hull(pa, rank), convex_hull(pb, rank)
+        ref = convex_hull([tuple(x + y for x, y in zip(p, q)) for p in ha for q in hb], rank)
+        assert minkowski_sum(ha, hb, rank) == ref
+        assert minkowski_difference(ref, ha, rank) == hb
+        assert minkowski_difference(ref, hb, rank) == ha
+        q = minkowski_difference(hb, ha, rank)
+        assert q is None or minkowski_sum(ha, q, rank) == hb
+
+
+def test_minkowski_difference_without_summand():
+    square, triangle = [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (1, 0), (0, 1)]
+    assert minkowski_difference(triangle, square, 2) is None  # a direction too many
+    assert minkowski_difference([(0, 0), (1, 0)], [(0, 0), (2, 0)], 2) is None  # too long
+    assert minkowski_difference([(0,), (1,)], [(0,), (2,)], 1) is None
+    assert minkowski_difference(square, [(0, 0), (1, 0)], 2) == [(0, 0), (0, 1)]
 
 
 # -- halfspace vertex enumeration -------------------------------------------

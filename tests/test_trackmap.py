@@ -1,16 +1,19 @@
 from fractions import Fraction
+from itertools import islice, takewhile
 from operator import add
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fibercert import trackmap
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import convex_hull, directional_extrema, negate
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
+    PERIOD_WINDOW,
     Edge,
     LiftedGraphMap,
     PowerMemo,
@@ -296,23 +299,70 @@ def test_hull_semiring_matches_frozenset_semiring(case, powers):
         assert got.points == want
 
 
-def test_semiring_row_without_entries_stays_empty():
-    """Row 1 of the matrix has no entries, so row 1 of every positive power is
-    empty, while row 0 is not: the walk keeps the empty row as it is and
-    every power's hull is the hull of the frozenset semiring's union."""
-    base = [[{(1, 0)}, {(0, 1), (2, 2)}],
-            [set(), set()]]
+def _walked(base, rank, p):
+    """Hulls of powers 0..p read from a PowerMemo over _semiring_powers, and
+    what each of the walk's period searches returned, power by power."""
+    searches, search = [], trackmap._column_period
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackmap, "_column_period",
+                   lambda cols, rank: searches.append(search(cols, rank)) or searches[-1])
+        memo = PowerMemo(_semiring_powers(base, rank, lambda q: ()))
+        return [memo(q).hull for q in range(p + 1)], searches
+
+
+def _period(searches):
+    """(T, c, Q) with C_{T+c}(j) = C_T(j) ⊕ Q for every column j, from the
+    first search that found it, or None; no search may follow it."""
+    for q, found in enumerate(searches):
+        if found:
+            assert q == len(searches) - 1
+            return q - found[0], found[0], found[1]
+    return None
+
+
+def test_semiring_periods(r1, r2):
+    """The period each map's walk finds, after which it walks no column."""
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    cases = ((r1, (1, 1, [(0,), (1,)])), (r1.inverse, (1, 1, [(-1,), (0,)])),
+             (r2, (1, 2, square)), (single_edge_rose(), (0, 1, [(1,)])),
+             (doubling_rose(), (0, 1, [(0,), (1,)])), (tilted_loop(), (0, 1, [(-1, 1)])),
+             (unshifted_theta(), (0, 1, [(0,)])))
+    for track, period in cases:
+        _, searches = _walked(track.entry_supports, track.rank, 40)
+        assert _period(searches) == period, track.edges
+
+
+def test_walk_without_period_matches_oracle(r2):
+    """r2's transposed entry supports have no period within the window, so
+    the walk takes every power from its columns, which are r2's rows.  The
+    union of the entries is r2's at every power, so the hulls are the path
+    oracle's."""
+    transposed = [list(col) for col in zip(*r2.entry_supports)]
+    hulls, searches = _walked(transposed, 2, 200)
+    assert searches == [None] * (PERIOD_WINDOW + 1)
+    assert hulls == [r2.oracle(q).hull for q in range(201)]
+
+
+def test_semiring_column_without_entries_stays_empty():
+    """Column 1 of the matrix has no entries, so column 1 of every positive
+    power is empty, while column 0 is not.  Power 1 is column 0's power 0
+    summed with one hull, but column 1 does not stay as it was, so the
+    period is found only from power 2, and every power's hull is the hull
+    of the frozenset semiring's union."""
+    base = [[{(1, 0)}, set()],
+            [{(0, 1), (2, 2)}, set()]]
     ref = _frozenset_powers(base, 2, 6)
-    assert not any(ref[1][1]) and any(ref[1][0])
-    walk = _semiring_powers(base, 2, lambda q: ())
+    assert not any(row[1] for row in ref[1]) and any(row[0] for row in ref[1])
+    hulls, searches = _walked(base, 2, 6)
+    assert _period(searches) == (1, 1, [(1, 0)])
     for q in range(7):
         want = frozenset().union(*(e for row in ref[q] for e in row))
-        assert next(walk).hull == tuple(convex_hull(want, 2)), q
+        assert hulls[q] == tuple(convex_hull(want, 2)), q
 
 
 def _entry_hull_powers(base, rank):
     """Hulls of base^0, base^1, ... from one hull per matrix entry, the
-    full-matrix walk: the reference for the rows walk of _semiring_powers.
+    full-matrix walk: the reference for the column walk of _semiring_powers.
     A power with no entries yields None."""
     m = len(base)
     entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
@@ -326,18 +376,19 @@ def _entry_hull_powers(base, rank):
 
 @settings(max_examples=60, deadline=None)
 @given(support_matrices())
-def test_rows_walk_matches_full_matrix_walk(case):
-    """The rows walk and the full-matrix walk give the same hull at every
-    power up to 40, and the same first empty power."""
+def test_column_walk_matches_full_matrix_walk(case):
+    """The semiring memo and the full-matrix walk give the same hull at every
+    power up to 40, and the same first empty power, whether or not the walk
+    finds a period (about 40 % of draws have none)."""
     rank, base = case
-    rows, full = _semiring_powers(base, rank, lambda q: ()), _entry_hull_powers(base, rank)
-    for q in range(41):
-        want = next(full)
-        if want is None:
-            with pytest.raises(ValidationError):
-                next(rows)
-            break
-        assert next(rows).hull == want, q
+    full = _entry_hull_powers(base, rank)
+    want = list(takewhile(lambda hull: hull is not None, islice(full, 41)))
+    hulls, searches = _walked(base, rank, len(want) - 1)
+    event("period" if _period(searches) else "no period")
+    assert hulls == want
+    if len(want) <= 40:
+        with pytest.raises(ValidationError):
+            _walked(base, rank, len(want))
 
 
 def _polytope(rank, p, points):
