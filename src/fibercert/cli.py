@@ -78,16 +78,10 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_support(args) -> int:
-    """Print the p-th power's support by the subcommand's route: its hull
-    from that route, its points from the map's shared shift walk."""
+    """Print the hull of the p-th power's support by the subcommand's route."""
     track, _ = _load(args.dataset)
-    supp = args.route(track, args.p)
-    out = {
-        "p": supp.p,
-        "points": sorted([list(pt) for pt in supp.points]),
-        "hull": [list(v) for v in supp.hull],
-    }
-    print(json.dumps(out, sort_keys=True))
+    hull = args.route(track, args.p)
+    print(json.dumps({"p": args.p, "hull": [list(v) for v in hull]}, sort_keys=True))
     return EXIT_OK
 
 
@@ -211,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=1)
     p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("omega", help="support polytope of the p-th power")
+    p = sub.add_parser("omega", help="hull of the p-th power's support (semiring route)")
     common(p)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=cmd_support, route=support_of_power)
 
-    p = sub.add_parser("oracle", help="support polytope by path substitution")
+    p = sub.add_parser("oracle", help="hull of the p-th power's support by path substitution")
     common(p)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=cmd_support, route=lambda track, q: oracle_iterate(track, q)[-1])

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import geometry
 from .errors import SubconeError, ValidationError
-from .trackmap import LiftedGraphMap, SupportSource, support_of_power
+from .trackmap import LiftedGraphMap
 
 # Membership margins below this in absolute value are reported near-boundary.
 BOUNDARY_TOLERANCE = Fraction(1, 100)
@@ -125,13 +125,13 @@ def _candidate_directions(rank: int, ratio_points: list[tuple[int, ...]]) -> lis
 
 
 def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
-                       support: Optional[SupportSource] = None) -> DualConeModel:
-    """Reconstruct the dual cone from supports at powers 1..p_max, read from
-    ``support`` (support_of_power unless given)."""
+                       route: str = "semiring") -> DualConeModel:
+    """Reconstruct the dual cone from the support hulls at powers 1..p_max,
+    read from the map's ``route`` memo ("semiring" or "oracle")."""
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
-    support = support or support_of_power
-    supports = [support(track, p) for p in range(0, p_max + 1)]
+    hull_of = getattr(track, route)
+    supports = [hull_of(p) for p in range(0, p_max + 1)]
     powers = range(1, p_max + 1)
     ratio_points = []
     if track.rank == 2:
@@ -141,11 +141,11 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
         # order and primitive edge normals.
         scale = lcm(*powers)
         ratio_points = [(x * m, y * m) for p in powers for m in (scale // p,)
-                        for x, y in supports[p].hull]
+                        for x, y in supports[p]]
     k0 = track.k0
     facets = []
     # Each power's hull vertices, as rank-2 points (second coordinate 0 in rank 1).
-    hulls = [[(*x, 0)[:2] for x in supports[p].hull] for p in powers]
+    hulls = [[(*x, 0)[:2] for x in supports[p]] for p in powers]
     for u in _candidate_directions(track.rank, ratio_points):
         # N'_1(u, p): the largest <u, x> over the hull vertices of power p.
         a, b = (*u, 0)[:2]
@@ -157,13 +157,13 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
                 top, q = hi, p
         slope = Fraction(top, q)
         if k0 is not None and k0 <= p_max:
-            lo, hi = geometry.directional_extrema(supports[k0].hull, u)
+            lo, hi = geometry.directional_extrema(supports[k0], u)
             c_window = hi - lo
         else:
             # No strict-positivity window available; fall back to the widest
             # observed deviation so the fattened cone still contains the data.
             c_window = max(0, -min(geometry.dot(u, x) for p in powers
-                                   for x in supports[p].hull))
+                                   for x in supports[p]))
         facets.append(FacetDirection(u, slope, c_window))
     return DualConeModel(track.rank, p_max, k0, tuple(facets),
                          low_confidence=k0 is None or p_max < k0)
@@ -252,12 +252,12 @@ def fibered_cone_from_dual(dual: DualConeModel) -> FiberedConeModel:
 
 
 def subcone_models(track: LiftedGraphMap, cone_p_max: int, slope_cap: Optional[Fraction],
-                   support: Optional[SupportSource] = None,
+                   route: str = "semiring",
                    ) -> tuple[DualConeModel, FiberedConeModel, FiberedConeModel]:
-    """(dual, cone, P): the dual cone at ``cone_p_max`` from ``support``, the
+    """(dual, cone, P): the dual cone at ``cone_p_max`` on ``route``, the
     fibered cone, and its subcone P capped by ``slope_cap`` (P is the cone
     when None), as bound, sweep and verify build it."""
-    dual = estimate_dual_cone(track, cone_p_max, support)
+    dual = estimate_dual_cone(track, cone_p_max, route)
     cone = fibered_cone_from_dual(dual)
     P = cone if slope_cap is None else cone.subcone_slope(slope_cap)
     return dual, cone, P

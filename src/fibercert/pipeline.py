@@ -38,12 +38,7 @@ from .lattice import (
     Vec,
     deep_point,
 )
-from .trackmap import (
-    LiftedGraphMap,
-    SupportPolytope,
-    SupportSource,
-    omega_of_word,
-)
+from .trackmap import LiftedGraphMap, omega_of_word
 
 TOOL_VERSION = "0.1.0"
 MAX_DOUBLINGS = 3  # times certify doubles a box radius that obstacles cover
@@ -145,15 +140,6 @@ def kernel_words(L: PerpLattice, eps: EpsilonBound, box_radius: int, p_max: int,
     return words
 
 
-def _oracle(track: LiftedGraphMap, p: int) -> SupportPolytope:
-    return track.oracle(p)
-
-
-# The support source of each route; None is omega_of_word's default,
-# support_of_power.
-_SOURCES: dict[str, Optional[SupportSource]] = {"semiring": None, "oracle": _oracle}
-
-
 def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
                  allow_mirror: bool) -> BaseHull:
     """The hull of omega_of_word(track, y, allow_mirror) on ``route``'s
@@ -164,7 +150,7 @@ def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
     key = (route, "base", y, safety, allow_mirror)
     base = track.derived.get(key)
     if base is None:
-        hull = omega_of_word(track, y, allow_mirror, _SOURCES[route])
+        hull = omega_of_word(track, y, allow_mirror, route)
         base = track.derived[key] = BaseHull.of(geometry.dilate(hull, safety, track.rank))
     return base
 
@@ -375,7 +361,7 @@ def _verify_models(track: LiftedGraphMap, cone_p_max: int,
     key = ("oracle", "subcone", cone_p_max, slope_cap)
     models = track.derived.get(key)
     if models is None:
-        dual, _, P = subcone_models(track, cone_p_max, slope_cap, _oracle)
+        dual, _, P = subcone_models(track, cone_p_max, slope_cap, "oracle")
         models = track.derived[key] = (dual, P, epsilon_of_subcone(P, dual))
     return models
 

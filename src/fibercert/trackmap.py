@@ -1,18 +1,19 @@
-"""Lifted train-track maps on Z^r covers and their support polytopes.
+"""Lifted train-track maps on Z^r covers and the hulls of their supports.
 
 A map is given combinatorially: a finite graph with a Z^r voltage on every
 edge (the edge copy (e, s) runs from (src(e), s) to (dst(e), s + w(e))),
 a vertex image with a deck shift per vertex, and for every edge the image
 edge-path as (edge, shift, orientation) steps.  The occupied fundamental
-domain of a step is its shift.  A power's support is one SupportPolytope,
-by two exact routes, each holding one hull per column of the powers of the
-transition matrix M: the semiring route reads supp M from the Laurent
-matrix and, once its columns repeat up to a checked period, takes each
-later power as one Minkowski sum (certify); the path oracle reads supp M
-from edge_images and walks every power (verify).  A kernel word's support
-is the hull of its power's support, which the obstacle index places at the
-word's integer shift.  Track-level and surface-level domains may differ by
-a unit; mirror mode assumes, unchecked, that this discrepancy does not
+domain of a step is its shift.  A power's support is read only as its
+hull, by two exact routes, each holding one hull per column of the powers
+of the transition matrix M: the semiring route reads supp M from the
+Laurent matrix and, once its columns repeat up to a checked period, takes
+each later power as one Minkowski sum (certify); the path oracle reads
+supp M from edge_images and walks every power (verify).  The occupied
+shifts themselves are never walked.  A kernel word's support is the hull
+of its power's support, which the obstacle index places at the word's
+integer shift.  Track-level and surface-level domains may differ by a
+unit; mirror mode assumes, unchecked, that this discrepancy does not
 change a negative power's support.
 """
 
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import count, islice
 from operator import add, or_
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import geometry
 from .errors import CapabilityError, ValidationError
@@ -45,23 +46,6 @@ class Edge:
     src: str
     dst: str
     voltage: Shift
-
-
-@dataclass(frozen=True, eq=False)
-class SupportPolytope:
-    """Occupied fundamental-domain indices of one map power.
-
-    Everything but ``omega``, ``oracle`` and the tests needs only ``hull``;
-    ``points`` is computed by ``decode`` on first read.
-    """
-
-    p: int
-    hull: tuple[Shift, ...]
-    decode: Callable[[], Iterable[Shift]] = field(repr=False)
-
-    @cached_property
-    def points(self) -> frozenset[Shift]:
-        return frozenset(self.decode())
 
 
 @dataclass(frozen=True)
@@ -166,10 +150,10 @@ class LiftedGraphMap:
 
     @cached_property
     def semiring(self) -> "PowerMemo":
-        """Certify's route: support_of_power's memo, one hull per column of
-        M^q over the transition matrix's entry supports up to a checked
+        """Certify's route: the hull of every power, from one hull per column
+        of M^q over the transition matrix's entry supports up to a checked
         period, one Minkowski sum per power after it (see _semiring_powers)."""
-        return PowerMemo(_semiring_powers(self.entry_supports, self.rank, self.shift_walk))
+        return PowerMemo(_semiring_powers(self.entry_supports, self.rank))
 
     @cached_property
     def nested_supports(self) -> bool:
@@ -189,11 +173,9 @@ class LiftedGraphMap:
 
     @cached_property
     def oracle(self) -> "PowerMemo":
-        """Verify's route: the path oracle's memo, one hull per edge over
-        edge_images alone (see _edge_walk)."""
-        hulls = _edge_walk(self, partial(geometry.convex_hull, rank=self.rank))
-        return PowerMemo(SupportPolytope(q, tuple(h), partial(self.shift_walk, q))
-                         for q, h in enumerate(hulls))
+        """Verify's route: the hull of every power by the path oracle, one
+        hull per edge over edge_images alone (see _edge_walk)."""
+        return PowerMemo(_edge_walk(self))
 
     @cached_property
     def derived(self) -> dict:
@@ -202,15 +184,6 @@ class LiftedGraphMap:
         support route that built its value ("semiring" or "oracle") and
         holds every value the entry depends on."""
         return {}
-
-    @cached_property
-    def shift_walk(self) -> "PowerMemo":
-        """The occupied shifts of every power: the ``points`` of both routes."""
-        return PowerMemo(_edge_walk(self, frozenset))
-
-
-# Reads the support of a map's p-th power: support_of_power or the path oracle.
-SupportSource = Callable[[LiftedGraphMap, int], SupportPolytope]
 
 
 def build_transition_matrix(track: LiftedGraphMap) -> LaurentMatrix:
@@ -251,11 +224,10 @@ class PowerMemo:
         return self.kept[p]
 
 
-def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
-                     walk: Callable[[int], Iterable[Shift]]) -> Iterator[SupportPolytope]:
-    """Support polytopes of the powers of a matrix of entry supports; ``walk(q)``
-    serves the points of power q.  An empty power, after which every power
-    is empty, raises ValidationError.
+def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]],
+                     rank: int) -> Iterator[tuple[Shift, ...]]:
+    """Hulls of the supports of the powers of a matrix of entry supports.  An
+    empty power, after which every power is empty, raises ValidationError.
 
     The walk keeps one hull per column: C_q(j) = hull of the union over i
     of supp M^q_{ij}, from C_0(j) = {0}.  Transition-matrix coefficients
@@ -277,17 +249,17 @@ def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]], rank: int,
     hulls, period = [], None
     for q in count():
         if period:
-            hull = geometry.minkowski_sum(hulls[q - period[0]], period[1], rank)
+            hull = tuple(geometry.minkowski_sum(hulls[q - period[0]], period[1], rank))
         else:
             if q:
                 sums = ([tuple(map(add, v, t)) for ts, h in zip(col, cols[-1]) for t in ts for v in h]
                         for col in entry_columns)
                 cols.append([geometry.convex_hull(pts, rank) if pts else [] for pts in sums])
-            hull = geometry.convex_hull([v for h in cols[-1] for v in h], rank)
+            hull = tuple(geometry.convex_hull([v for h in cols[-1] for v in h], rank))
             if q <= PERIOD_WINDOW:
                 period = _column_period(cols, rank)
         hulls.append(hull)
-        yield SupportPolytope(q, tuple(hull), partial(walk, q))
+        yield hull
 
 
 def _column_period(cols: Sequence[list[list[Shift]]], rank: int
@@ -307,52 +279,54 @@ def _column_period(cols: Sequence[list[list[Shift]]], rank: int
     return None
 
 
-def support_of_power(track: LiftedGraphMap, p: int) -> SupportPolytope:
-    """Support polytope of the p-th power of the transition matrix, from the
-    hulls of its columns (see _semiring_powers for why that is exact)."""
+def support_of_power(track: LiftedGraphMap, p: int) -> tuple[Shift, ...]:
+    """Hull of the support of the p-th power of the transition matrix, on the
+    semiring route (see _semiring_powers for why it is exact).  The omega
+    CLI reads it; the library reads track.semiring directly."""
     return track.semiring(p)
 
 
-def _edge_walk(track: LiftedGraphMap,
-               keep: Callable[[set[Shift]], Collection[Shift]]) -> Iterator[Collection[Shift]]:
-    """keep(occupied shifts) of the powers 0, 1, ... by edge-path substitution.
+def _edge_walk(track: LiftedGraphMap) -> Iterator[tuple[Shift, ...]]:
+    """Hulls of the supports of the powers 0, 1, ... by edge-path substitution.
 
-    Per edge f the walk holds keep(S(f)), S(f) being the shifts at which the
-    lifts of all edges based in domain 0 visit f.  One substitution makes
-    S(f) the union of d + S(e) over the steps (f, d) in the image of each
-    edge e, as a visit's image depends on neither its place in the path nor
-    its orientation.  Keeping the set or the hull is exact, since
-    hull(∪ (d + A)) = hull(∪ (d + hull A)).
+    Per edge f the walk holds the hull of S(f), S(f) being the shifts at
+    which the lifts of all edges based in domain 0 visit f.  One
+    substitution makes S(f) the union of d + S(e) over the steps (f, d) in
+    the image of each edge e, as a visit's image depends on neither its
+    place in the path nor its orientation.  Keeping the hull is exact,
+    since hull(∪ (d + A)) = hull(∪ (d + hull A)).
     """
     groups: dict[str, dict[str, set[Shift]]] = {e.name: {} for e in track.edges}
     for edge, path in track.edge_images.items():
         for name, shift, _ in path:
             groups[edge].setdefault(name, set()).add(tuple(shift))
-    frontier = {e.name: [(0,) * track.rank] for e in track.edges}
+    rank = track.rank
+    frontier = {e.name: [(0,) * rank] for e in track.edges}
     while True:
-        yield keep(set().union(*frontier.values()))
+        yield tuple(geometry.convex_hull(set().union(*frontier.values()), rank))
         nxt: dict[str, set[Shift]] = {}
         for edge, shifts in frontier.items():
             for name, ds in groups[edge].items():
                 into = nxt.setdefault(name, set())
                 for d in ds:  # a zero shift, the common case, adds the shifts as they are
                     into.update([tuple(map(add, v, d)) for v in shifts] if any(d) else shifts)
-        frontier = {name: keep(shifts) for name, shifts in nxt.items()}
+        frontier = {name: geometry.convex_hull(shifts, rank) for name, shifts in nxt.items()}
 
 
-def oracle_iterate(track: LiftedGraphMap, p: int) -> list[SupportPolytope]:
-    """Support polytopes of every power 0..p by edge-path substitution.
+def oracle_iterate(track: LiftedGraphMap, p: int) -> list[tuple[Shift, ...]]:
+    """Hulls of the supports of every power 0..p by edge-path substitution.
 
     Independent of the matrix-algebra route; serves as its oracle.  Entry q
     is ``track.oracle(q)``, the path oracle's memo, which walks to p first
-    (and rejects a negative p).
+    (and rejects a negative p).  The oracle CLI reads it; the library reads
+    track.oracle directly.
     """
     last = track.oracle(p)
     return [track.oracle(q) for q in range(p)] + [last]
 
 
 def omega_of_word(track: LiftedGraphMap, y: int, allow_mirror: bool = False,
-                  support: Optional[SupportSource] = None) -> tuple[Shift, ...]:
+                  route: str = "semiring") -> tuple[Shift, ...]:
     """Hull of Omega(psi~^y), the support of the word h^x psi~^y up to its
     integer shift x, which the obstacle index applies.
 
@@ -360,16 +334,16 @@ def omega_of_word(track: LiftedGraphMap, y: int, allow_mirror: bool = False,
     mirror mode, which applies the surface-level deck-commutation identity
     to track-level supports; that the track/surface discrepancy leaves the
     mirrored support valid is an unchecked assumption of mirror mode.
-    ``support`` is the support source, support_of_power unless given.
+    ``route`` names the map's memo the hulls come from: "semiring" or
+    "oracle".
     """
-    support = support or support_of_power
     if y >= 0:
-        return support(track, y).hull
+        return getattr(track, route)(y)
     if track.inverse is not None:
-        return support(track.inverse, -y).hull
+        return getattr(track.inverse, route)(-y)
     if allow_mirror:
         # Negation reverses the vertex order; re-hull for the canonical start.
-        return tuple(geometry.convex_hull(geometry.negate(support(track, -y).hull), track.rank))
+        return tuple(geometry.convex_hull(geometry.negate(getattr(track, route)(-y)), track.rank))
     raise ValidationError(
         "negative power requires inverse-map data or explicitly enabled mirror mode"
     )

@@ -1,12 +1,28 @@
 import pytest
 from fractions import Fraction
 from importlib import resources
+from operator import add
 
 from fibercert.cones import estimate_dual_cone, fibered_cone_from_dual
 from fibercert.dataio import dataset_hash, load_dataset
 
 DATA = resources.files("fibercert") / "data"
 CONE_P_MAX = {"r1": 16, "r2": 12}  # p_max of each bundled map's dual cone
+
+
+def tuple_state_walk(track, p):
+    """Supports of powers 0..p, as sets of occupied shifts, by a walk over
+    (edge, shift-tuple) states, one substitution at a time: the reference
+    that both support routes' hulls are checked against."""
+    zero = (0,) * track.rank
+    frontier = {(e.name, zero) for e in track.edges}
+    supports = [frozenset([zero])]
+    for _ in range(p):
+        frontier = {(name, tuple(map(add, shift, s2)))
+                    for edge, shift in frontier
+                    for name, s2, _ in track.edge_images[edge]}
+        supports.append(frozenset(s for _, s in frontier))
+    return supports
 
 
 def _load(name: str):

@@ -21,6 +21,8 @@ from fibercert.trackmap import (
     support_of_power,
 )
 
+from conftest import tuple_state_walk
+
 R1_CLASSES = [(1, 2 * j + 9) for j in range(20)]
 R1_PMAX = 32
 R2_CLASSES = [(1, j, j * j + 1) for j in range(7, 21)]
@@ -45,23 +47,21 @@ def r2_sweep(r2, r2_models, r2_hash):
 
 
 def test_criterion_1_oracle_equivalence(r1, r2):
-    """Both routes read their points from the one shift walk, so comparing
-    their points would compare the walk with itself.  Each route carries
-    its own hull; both must equal the hull of the walked points."""
+    """Each route holds only hulls; both must equal the hull of the points
+    that the tuple-state reference walk occupies."""
     start = time.monotonic()
     checked = 0
     for track in (r1, r2):
         walk = oracle_iterate(track, 8)
-        for p in range(0, 9):
-            semiring = support_of_power(track, p)
-            hull = tuple(convex_hull(sorted(semiring.points), track.rank))
-            assert semiring.hull == hull, f"semiring hull mismatch at p={p}"
-            assert walk[p].hull == hull, f"oracle hull mismatch at p={p}"
+        for p, points in enumerate(tuple_state_walk(track, 8)):
+            hull = tuple(convex_hull(points, track.rank))
+            assert support_of_power(track, p) == hull, f"semiring hull mismatch at p={p}"
+            assert walk[p] == hull, f"oracle hull mismatch at p={p}"
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"criterion 1 took {elapsed:.1f}s (limit 60s)"
     _report(1, f"{checked} powers: the semiring and path-substitution hulls "
-               f"both equal the hull of the walked points, in {elapsed:.1f}s")
+               f"both equal the hull of the reference walk's points, in {elapsed:.1f}s")
 
 
 def test_criterion_2_degree_inequality(r1, r1_models, r2, r2_models):
@@ -75,7 +75,7 @@ def test_criterion_2_degree_inequality(r1, r1_models, r2, r2_models):
             supp = support_of_power(track, p)
             for f in dual.facets:
                 dd = degree_extrema(F, f.u)
-                n1 = directional_extrema(supp.hull, f.u)[1]
+                n1 = directional_extrema(supp, f.u)[1]
                 for k in range(1, F.dim + 1):
                     ak = dd.a[k - 1]
                     if ak is None:
@@ -96,10 +96,10 @@ def test_criterion_3_slope_convergence(r1):
     assert k0 is not None
     dirs = [(1,), (-1,)]
     for u in dirs:
-        lo0, hi0 = directional_extrema(support_of_power(r1, k0).hull, u)
+        lo0, hi0 = directional_extrema(support_of_power(r1, k0), u)
         C = hi0 - lo0
         # Certified slope: min over the full window of N'1(p)/p.
-        ratios = {p: Fraction(directional_extrema(support_of_power(r1, p).hull, u)[1], p)
+        ratios = {p: Fraction(directional_extrema(support_of_power(r1, p), u)[1], p)
                   for p in range(k0, 201)}
         A = min(ratios.values())
         for p, ratio in ratios.items():
@@ -113,21 +113,22 @@ def test_criterion_3_slope_convergence(r1):
 
 
 def test_criterion_4_cone_containment(r1, r2):
+    """The C-fattened dual cone is convex, so it holds every support point of
+    a power exactly when it holds that power's hull vertices."""
     start = time.monotonic()
-    points = 0
+    vertices = 0
     for track in (r1, r2):
         dual = estimate_dual_cone(track, 20)
         for p in range(0, 201):
-            supp = support_of_power(track, p)
-            for x in supp.points:
+            for x in support_of_power(track, p):
                 assert dual.contains_fattened(x + (p,)), (
-                    f"support point {x} at power {p} escapes the "
+                    f"support hull vertex {x} at power {p} escapes the "
                     f"C-fattened dual cone (C={dual.C})"
                 )
-                points += 1
+                vertices += 1
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"criterion 4 took {elapsed:.1f}s (limit 30s)"
-    _report(4, f"all {points} computed support points for p <= 200 lie in "
+    _report(4, f"all {vertices} support hull vertices for p <= 200 lie in "
                f"the C-fattened dual cone, zero violations, in {elapsed:.1f}s")
 
 

@@ -19,6 +19,7 @@ from fibercert.errors import SubconeError, ValidationError
 from fibercert.geometry import contains_point, convex_hull
 from fibercert.trackmap import support_of_power
 
+from conftest import tuple_state_walk
 from test_trackmap import doubling_rose, single_edge_rose
 
 
@@ -42,9 +43,9 @@ def test_low_confidence_dual_cone_below_k0(r2):
     dual = estimate_dual_cone(r2, 1)
     assert dual.low_confidence
     assert tuple(f.c_window for f in dual.facets) == (0, 1, 0, 1, 0, 1)
-    for p in (0, 1):
-        for x in support_of_power(r2, p).points:
-            assert dual.contains_fattened(tuple(x) + (p,))
+    for p, points in enumerate(tuple_state_walk(r2, 1)):
+        for x in points:
+            assert dual.contains_fattened(x + (p,))
 
 
 def test_dual_cone_of_doubling_rose_is_0_to_p():
@@ -80,24 +81,24 @@ def test_dual_cone_slopes_are_certified_upper_estimates(r1, r2):
         dual = estimate_dual_cone(track, p_max)
         for f in dual.facets:
             for p in range(1, p_max + 1):
-                hi = geometry.directional_extrema(support_of_power(track, p).hull, f.u)[1]
+                hi = geometry.directional_extrema(support_of_power(track, p), f.u)[1]
                 assert Fraction(hi, p) >= f.slope
-        for p in range(0, p_max + 1):
-            for x in support_of_power(track, p).points:
+        for p, points in enumerate(tuple_state_walk(track, p_max)):
+            for x in points:
                 assert dual.contains_fattened(x + (p,))
 
 
 def test_ratio_hull_from_hull_vertices(r1, r2):
-    """The hull of the ratio points x/p over every support point equals the
-    hull over each power's hull vertices, which estimate_dual_cone uses."""
+    """The hull of the ratio points x/p over every support point, as the
+    reference walk occupies them, equals the hull over each power's hull
+    vertices, which estimate_dual_cone uses."""
     for track in (r1, r2):
-        supports = [support_of_power(track, p) for p in range(1, 21)]
+        def ratio_hull(supports):
+            return convex_hull([tuple(Fraction(c, p) for c in x)
+                                for p in range(1, 21) for x in supports[p]], track.rank)
 
-        def ratio_hull(attr):
-            return convex_hull([tuple(Fraction(c, s.p) for c in x)
-                                for s in supports for x in getattr(s, attr)], track.rank)
-
-        assert ratio_hull("points") == ratio_hull("hull")
+        hulls = [support_of_power(track, p) for p in range(21)]
+        assert ratio_hull(tuple_state_walk(track, 20)) == ratio_hull(hulls)
 
 
 def _fraction_directions(ratio_points):
@@ -152,7 +153,7 @@ def test_integer_ratio_hull_matches_fractions_on_random_points(vertices):
 
 
 def test_integer_ratio_hull_matches_fractions_on_r2(r2):
-    vertices = [(x, p) for p in range(1, 41) for x in support_of_power(r2, p).hull]
+    vertices = [(x, p) for p in range(1, 41) for x in support_of_power(r2, p)]
     dirs = _scaled_directions(vertices)
     assert dirs == _fraction_directions(_fractions(vertices)) and len(dirs) > 4
 
@@ -173,7 +174,7 @@ def test_dual_cone_scales_every_ratio_point_by_one_factor(r1, r2, monkeypatch, p
     estimate_dual_cone(r2, p_max)
     assert seen[0] == []
     want = _fractions([(x, p) for p in range(1, p_max + 1)
-                       for x in support_of_power(r2, p).hull])
+                       for x in support_of_power(r2, p)])
     pairs = [(c, f) for pt, frac in zip(seen[1], want) for c, f in zip(pt, frac)]
     assert len(seen[1]) == len(want) and all(isinstance(c, int) for c, _ in pairs)
     scale = next(c / f for c, f in pairs if f)

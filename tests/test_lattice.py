@@ -393,7 +393,7 @@ def _placed_translates(draw, tracks):
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(("int", "fraction", "support")))
         if kind == "support":
-            verts = support_of_power(tracks[rank], draw(st.integers(1, 4))).hull
+            verts = support_of_power(tracks[rank], draw(st.integers(1, 4)))
             if draw(st.booleans()):
                 verts = [tuple(-c for c in v) for v in verts]
         else:

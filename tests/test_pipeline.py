@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -301,7 +302,7 @@ def _reference_scan(track, dual, P, cert):
     dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
     for K in range(cert.p_max, 0, -1):
         moved = geometry.dilate(geometry.translate(
-            support_of_power(track, K).hull, cert.deep_point), cert.safety, r)
+            support_of_power(track, K), cert.deep_point), cert.safety, r)
         if all(geometry.hulls_disjoint(moved, h, r) for h in hulls):
             return dist2, K
     return dist2, 0
@@ -544,7 +545,7 @@ def test_reach_filter_covers_a_lower_power_that_reaches_farther(r1_models, r1_ha
     with is at least 41."""
     swap = _swap_map(40)
     assert not swap.nested_supports
-    assert [support_of_power(swap, q).hull for q in (1, 2)] == [((-40,), (40,)), ((0,),)]
+    assert [support_of_power(swap, q) for q in (1, 2)] == [((-40,), (40,)), ((0,),)]
     gaps = _spy(monkeypatch, "_within_reach")
     _certify_checked(monkeypatch, swap, r1_models, r1_hash, (1, 9), 2, allow_mirror=True)
     reach = [max(map(abs, pipeline.dilated_base(swap, "semiring", q, 1, True).box))
@@ -644,13 +645,13 @@ def test_verify_never_reads_semiring_supports(r1_cert, r1_hash, r2_cert, r2_hash
     rebuild included, so the oracle and the semiring route stay independent
     cross-checks: on an r1 certificate with inverse data, an r2 certificate
     in mirror mode and an r1 one with words past p_max.  Fresh maps, so no
-    memo built before holds a support."""
+    memo built before holds a support, and the semiring walk that every
+    semiring memo starts cannot run."""
 
-    def forbidden(track, p):
+    def forbidden(base, rank):
         raise AssertionError("verify read the semiring route")
 
-    for module in (trackmap, cones):
-        monkeypatch.setattr(module, "support_of_power", forbidden)
+    monkeypatch.setattr(trackmap, "_semiring_powers", forbidden)
     r1, r2 = _fresh_map("rose_r1.json"), _fresh_map("rose_r2.json")
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
@@ -660,6 +661,45 @@ def test_verify_never_reads_semiring_supports(r1_cert, r1_hash, r2_cert, r2_hash
 def _fresh_map(name):
     """A map loaded anew, with none of its memos built."""
     return load_dataset(str(resources.files("fibercert") / "data" / name))
+
+
+def test_library_never_calls_the_cli_support_readers(r1_hash, r2_hash, monkeypatch):
+    """support_of_power and oracle_iterate serve the omega and oracle
+    commands; the library reads the maps' memos directly.  With both
+    raising in every fibercert module that binds them, subcone_models,
+    sweep (r1, and r2 in mirror mode) and verify_certificate give the
+    models, rows and verdicts of unpatched runs, on fresh maps."""
+    from fibercert import cli  # noqa: F401, so that its bindings are patched too
+
+    runs = (("rose_r1.json", r1_hash, 16, [(1, 9), (1, 11), (1, 29)], False),
+            ("rose_r2.json", r2_hash, 12, [(1, 7, 50), (1, 8, 65)], True))
+
+    def run():
+        out = []
+        for name, ds_hash, cone_p_max, classes, mirror in runs:
+            track = _fresh_map(name)
+            dual, cone, P = cones.subcone_models(track, cone_p_max, Fraction(1, 2))
+            rows = sweep(track, dual, cone, P, classes, 16, ds_hash, allow_mirror=mirror)
+            verdicts = [verify_certificate(row.certificate, _fresh_map(name), ds_hash)
+                        for row in rows]
+            out.append(((dual, cone, P), rows, verdicts))
+        return out
+
+    want = run()
+    assert all(v.status == "pass" for _, _, verdicts in want for v in verdicts)
+
+    def forbidden(track, p):
+        raise AssertionError("the library called a CLI support reader")
+
+    patched = 0
+    for name in ("support_of_power", "oracle_iterate"):
+        original = getattr(trackmap, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "fibercert" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+                patched += 1
+    assert patched == 4  # trackmap and cli bind both
+    assert run() == want
 
 
 def test_each_route_builds_only_its_own_memo(r1_cert, r1_hash, r2_cert, r2_hash,
@@ -696,11 +736,11 @@ def test_verify_walks_each_map_once(r1_cert, r1_cert_29, r1_hash, monkeypatch):
     starts, drawn = Counter(), Counter()
     edge_walk = trackmap._edge_walk
 
-    def counted_walk(track, keep):
+    def counted_walk(track):
         starts[id(track)] += 1
-        for kept in edge_walk(track, keep):
+        for hull in edge_walk(track):
             drawn[id(track)] += 1
-            yield kept
+            yield hull
 
     monkeypatch.setattr(trackmap, "_edge_walk", counted_walk)
     maps, alone = [], []  # maps stay referenced, so no two share an id
@@ -767,17 +807,17 @@ def test_verify_batch_derives_once_per_map(r1, r1_models, r1_hash, monkeypatch):
     estimate, base, omega = (cones.estimate_dual_cone, pipeline.dilated_base,
                              pipeline.omega_of_word)
 
-    def counted_estimate(track, p_max, support=None):
+    def counted_estimate(track, p_max, route="semiring"):
         cone_calls[p_max] += 1
-        return estimate(track, p_max, support)
+        return estimate(track, p_max, route)
 
     def counted_base(track, *key):
         asked[key] += 1
         return base(track, *key)
 
-    def counted_omega(track, y, allow_mirror, support):
+    def counted_omega(track, y, allow_mirror, route):
         built[y, allow_mirror] += 1
-        return omega(track, y, allow_mirror, support)
+        return omega(track, y, allow_mirror, route)
 
     monkeypatch.setattr(cones, "estimate_dual_cone", counted_estimate)
     monkeypatch.setattr(pipeline, "dilated_base", counted_base)

@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 from fibercert import trackmap
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import convex_hull, directional_extrema, negate
+from fibercert.geometry import contains_point, convex_hull, minkowski_sum, negate
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
     PERIOD_WINDOW,
     Edge,
     LiftedGraphMap,
     PowerMemo,
-    SupportPolytope,
     _semiring_powers,
     build_transition_matrix,
     omega_of_word,
     oracle_iterate,
     support_of_power,
 )
+
+from conftest import tuple_state_walk
 
 
 def single_edge_rose() -> LiftedGraphMap:
@@ -165,35 +166,17 @@ def test_support_of_power_matches_oracle(r1, r2):
     for track in (r1, r1.inverse, r2, single_edge_rose(), doubling_rose(), tilted_loop(),
                   unshifted_theta()):
         walk = oracle_iterate(track, 200)
-        assert [s.p for s in walk] == list(range(0, 201))
+        assert len(walk) == 201
         for p in range(0, 201):
-            assert walk[p].hull == support_of_power(track, p).hull, p
-
-
-def _tuple_state_walk(track, p):
-    """Supports of powers 0..p by a walk over (edge, shift-tuple) states,
-    one substitution at a time: the reference for oracle_iterate."""
-    zero = (0,) * track.rank
-    frontier = {(e.name, zero) for e in track.edges}
-    supports = [frozenset([zero])]
-    for _ in range(p):
-        frontier = {(name, tuple(map(add, shift, s2)))
-                    for edge, shift in frontier
-                    for name, s2, _ in track.edge_images[edge]}
-        supports.append(frozenset(s for _, s in frontier))
-    return supports
+            assert walk[p] == support_of_power(track, p), p
 
 
 def _assert_oracle_matches_walk(track, p_top):
-    """oracle_iterate(track, p) equals the reference walk, in points and
-    hull, at every power of every p <= p_top."""
-    ref = _tuple_state_walk(track, p_top)
+    """oracle_iterate(track, p) gives the hulls of the reference walk's
+    points at every power of every p <= p_top."""
+    ref = [tuple(convex_hull(points, track.rank)) for points in tuple_state_walk(track, p_top)]
     for p in range(p_top + 1):
-        walk = oracle_iterate(track, p)
-        assert [s.p for s in walk] == list(range(p + 1))
-        for q, got in enumerate(walk):
-            assert got.points == ref[q], (p, q)
-            assert got.hull == tuple(convex_hull(ref[q], track.rank)), (p, q)
+        assert oracle_iterate(track, p) == ref[:p + 1], p
 
 
 def test_oracle_matches_tuple_state_walk(r1, r2):
@@ -205,9 +188,9 @@ def test_oracle_on_small_maps():
     """Loops whose powers are single points, one of them tilted, a map with
     no shift at all, and a doubling rose."""
     for p in range(13):
-        assert oracle_iterate(single_edge_rose(), p)[p].points == {(p,)}
-        assert oracle_iterate(tilted_loop(), p)[p].points == {(-p, p)}
-        assert oracle_iterate(unshifted_theta(), p)[p].points == {(0,)}
+        assert oracle_iterate(single_edge_rose(), p)[p] == ((p,),)
+        assert oracle_iterate(tilted_loop(), p)[p] == ((-p, p),)
+        assert oracle_iterate(unshifted_theta(), p)[p] == ((0,),)
     for track in (single_edge_rose(), doubling_rose(), tilted_loop(), unshifted_theta()):
         _assert_oracle_matches_walk(track, 12)
 
@@ -215,13 +198,12 @@ def test_oracle_on_small_maps():
 def test_oracle_power_zero(r1, r2):
     for track in (r1, r2, tilted_loop(), unshifted_theta()):
         zero = (0,) * track.rank
-        (only,) = oracle_iterate(track, 0)
-        assert (only.p, only.hull, only.points) == (0, (zero,), {zero})
+        assert oracle_iterate(track, 0) == [(zero,)]
 
 
 def test_support_semiring_matches_laurent_power(r1, r2):
-    """Semiring supports equal the supports of the literal matrix power, in
-    points and hull."""
+    """Semiring hulls are the hulls of the supports of the literal matrix
+    power."""
     for track in (r1, r2):
         M = build_transition_matrix(track)
         for p in range(0, 9):
@@ -230,22 +212,19 @@ def test_support_semiring_matches_laurent_power(r1, r2):
             for row in Mp.entries:
                 for q in row:
                     want.update(q.terms)
-            got = support_of_power(track, p)
-            assert got.points == frozenset(want)
-            assert got.hull == tuple(convex_hull(want, track.rank))
+            assert support_of_power(track, p) == tuple(convex_hull(want, track.rank)), p
 
 
 def test_support_is_subadditive(r2):
-    """Omega(p+q) is contained in Omega(p) + Omega(q) (Minkowski)."""
-    sup = {p: support_of_power(r2, p) for p in range(1, 9)}
+    """Omega(p+q) is contained in Omega(p) + Omega(q) (Minkowski): in the
+    reference walk's points, and in the semiring's hulls."""
+    ref = tuple_state_walk(r2, 8)
     for p in range(1, 5):
         for q in range(1, 5):
-            mink = {
-                tuple(a + b for a, b in zip(s, t))
-                for s in sup[p].points
-                for t in sup[q].points
-            }
-            assert sup[p + q].points <= mink
+            mink = {tuple(map(add, s, t)) for s in ref[p] for t in ref[q]}
+            assert ref[p + q] <= mink
+            both = minkowski_sum(support_of_power(r2, p), support_of_power(r2, q), 2)
+            assert all(contains_point(both, v, 2) for v in support_of_power(r2, p + q))
 
 
 def _frozenset_powers(base, rank, p):
@@ -277,7 +256,7 @@ def support_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(support_matrices(), st.lists(st.integers(0, 11), min_size=1, max_size=4))
 def test_hull_semiring_matches_frozenset_semiring(case, powers):
-    """Hull-semiring polytopes, read through a PowerMemo, are the hulls of the
+    """Hull-semiring hulls, read through a PowerMemo, are the hulls of the
     frozenset semiring's supports, for powers asked in any order and each
     asked twice; an empty power raises ValidationError on every request."""
     rank, base = case
@@ -286,17 +265,14 @@ def test_hull_semiring_matches_frozenset_semiring(case, powers):
     def union(p):
         return frozenset().union(*(e for row in ref[p] for e in row))
 
-    semiring = PowerMemo(_semiring_powers(base, rank, union))
+    semiring = PowerMemo(_semiring_powers(base, rank))
     for p in powers + powers:
         want = union(p)
         if not want:
             with pytest.raises(ValidationError):
                 semiring(p)
             continue
-        got = semiring(p)
-        assert got.p == p
-        assert got.hull == tuple(convex_hull(want, rank)), p
-        assert got.points == want
+        assert semiring(p) == tuple(convex_hull(want, rank)), p
 
 
 def _walked(base, rank, p):
@@ -306,8 +282,8 @@ def _walked(base, rank, p):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trackmap, "_column_period",
                    lambda cols, rank: searches.append(search(cols, rank)) or searches[-1])
-        memo = PowerMemo(_semiring_powers(base, rank, lambda q: ()))
-        return [memo(q).hull for q in range(p + 1)], searches
+        memo = PowerMemo(_semiring_powers(base, rank))
+        return [memo(q) for q in range(p + 1)], searches
 
 
 def _period(searches):
@@ -340,7 +316,7 @@ def test_walk_without_period_matches_oracle(r2):
     transposed = [list(col) for col in zip(*r2.entry_supports)]
     hulls, searches = _walked(transposed, 2, 200)
     assert searches == [None] * (PERIOD_WINDOW + 1)
-    assert hulls == [r2.oracle(q).hull for q in range(201)]
+    assert hulls == [r2.oracle(q) for q in range(201)]
 
 
 def test_semiring_column_without_entries_stays_empty():
@@ -391,25 +367,19 @@ def test_column_walk_matches_full_matrix_walk(case):
             _walked(base, rank, len(want))
 
 
-def _polytope(rank, p, points):
-    return SupportPolytope(p, tuple(convex_hull(points, rank)), lambda: points)
+def test_mirrored_word_is_rehulled():
+    """The word of power -1 of a map with no inverse data, in mirror mode, is
+    the negated hull of power 1, re-hulled to start from its lexicographically
+    smallest vertex; on either route, the stand-in map holding only power 1."""
+    def mirrored(rank, points, route):
+        hull = tuple(convex_hull(points, rank))
+        track = SimpleNamespace(rank=rank, inverse=None, **{route: {1: hull}.__getitem__})
+        return omega_of_word(track, -1, True, route)
 
-
-def test_support_polytope_basics():
-    s = _polytope(1, 3, [(0,), (2,), (5,)])
-    assert (s.p, s.hull) == (3, ((0,), (5,)))
-    assert s.points == frozenset({(0,), (2,), (5,)})
-    assert directional_extrema(s.hull, (1,)) == (0, 5)
-    assert directional_extrema(s.hull, (-1,)) == (-5, 0)
-    square = _polytope(2, 1, [(0, 0), (2, 0), (0, 1), (1, 1)])
-    assert square.hull == ((0, 0), (2, 0), (1, 1), (0, 1))
-
-    def mirrored(rank, supp):  # the word of power -1 of a map with no inverse data
-        track = SimpleNamespace(rank=rank, inverse=None)
-        return omega_of_word(track, -1, allow_mirror=True, support=lambda track, p: supp)
-
-    assert mirrored(1, s) == ((-5,), (0,))
-    assert mirrored(2, square) == ((-2, 0), (-1, -1), (0, -1), (0, 0))  # re-hulled
+    for route in ("semiring", "oracle"):
+        assert mirrored(1, [(0,), (2,), (5,)], route) == ((-5,), (0,))
+        square = [(0, 0), (2, 0), (0, 1), (1, 1)]
+        assert mirrored(2, square, route) == ((-2, 0), (-1, -1), (0, -1), (0, 0))
 
 
 def test_oracle_negative_power(r2):
@@ -432,30 +402,28 @@ def test_rank_3_map_is_refused_on_construction():
 # -- word supports ------------------------------------------------------------
 
 def test_omega_of_word_modes(r1, r2):
-    assert omega_of_word(r1, 2) == support_of_power(r1, 2).hull
-    assert omega_of_word(r2, 2) == support_of_power(r2, 2).hull
+    assert omega_of_word(r1, 2) == support_of_power(r1, 2)
+    assert omega_of_word(r2, 2) == support_of_power(r2, 2)
     assert omega_of_word(r2, -2, allow_mirror=True) == tuple(
-        convex_hull(negate(support_of_power(r2, 2).points), 2))
-    # r1's inverse is its exact mirror, so only the source's calls show that
+        convex_hull(negate(tuple_state_walk(r2, 2)[2]), 2))
+    # r1's inverse is its exact mirror, so only the memos' calls show that
     # inverse data is taken before mirror mode.
     calls = []
 
-    def recording(track, p):
-        calls.append((track, p))
-        return support_of_power(track, p)
+    def recording(name, memo):
+        return lambda p: calls.append((name, p)) or memo(p)
 
-    assert omega_of_word(r1, -2, allow_mirror=True, support=recording) == \
-        support_of_power(r1.inverse, 2).hull
-    assert [(track is r1.inverse, p) for track, p in calls] == [(True, 2)]
+    track = SimpleNamespace(rank=1, semiring=recording("forward", r1.semiring),
+                            inverse=SimpleNamespace(semiring=recording("inverse",
+                                                                       r1.inverse.semiring)))
+    assert omega_of_word(track, -2, allow_mirror=True) == support_of_power(r1.inverse, 2)
+    assert calls == [("inverse", 2)]
     with pytest.raises(ValidationError, match="mirror"):
         omega_of_word(r2, -1)
-    # The route is the same whichever source the supports come from.
-    def oracle(track, p):
-        return oracle_iterate(track, p)[p]
-
+    # A word's hull is the same on either route.
     for track, y in ((r1, 3), (r1, -3), (r2, -3)):
-        assert omega_of_word(track, y, allow_mirror=True, support=oracle) == \
-            omega_of_word(track, y, allow_mirror=True), (track.rank, y)
+        assert omega_of_word(track, y, True, "oracle") == omega_of_word(track, y, True), \
+            (track.rank, y)
 
 
 def test_dataset_hash_ignores_map_metadata(r1):
