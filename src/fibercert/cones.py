@@ -78,32 +78,16 @@ class DualConeModel:
                 return f
         raise ValidationError(f"direction {u} is not a model facet direction")
 
-    @cached_property
-    def _integer_facets(self) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
-        """(u·den, num, c_window·den) per facet, with slope = num/den."""
-        return tuple(
-            (tuple(a * f.slope.denominator for a in f.u), f.slope.numerator,
-             f.c_window * f.slope.denominator)
-            for f in self.facets
-        )
-
     def contains_fattened(self, point: Sequence[int]) -> bool:
-        """Is (x, p) inside the C-fattened reconstructed dual cone?  Each
-        facet's test <u, x> <= slope * p + c_window is cleared of the slope's
-        denominator, so it runs on integers."""
+        """Is (x, p) inside the C-fattened reconstructed dual cone: p >= 0 and
+        <u, x> <= slope * p + c_window for every facet?"""
         *x, p = point
-        if p < 0:
-            return False
-        for u, num, c in self._integer_facets:
-            if geometry.dot(u, x) > num * p + c:
-                return False
-        return True
+        return p >= 0 and all(geometry.dot(f.u, x) <= f.slope * p + f.c_window
+                              for f in self.facets)
 
     def base_polytope(self) -> list[tuple]:
         """Vertices of the height-1 slice of the (unfattened) model cone."""
-        return geometry.halfspace_vertices(
-            [(f.u, f.slope) for f in self.facets], self.rank
-        )
+        return geometry.halfspace_vertices([(f.u, f.slope) for f in self.facets])
 
 
 def _candidate_directions(rank: int, ratio_points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -111,7 +95,7 @@ def _candidate_directions(rank: int, ratio_points: list[tuple[int, ...]]) -> lis
     the hull of the ratio points, given in integers (see estimate_dual_cone)."""
     dirs = _signed_axes(rank)
     if rank == 2 and len(set(ratio_points)) >= 2:
-        hull = geometry.convex_hull(ratio_points, 2)
+        hull = geometry.convex_hull(ratio_points)
         n = len(hull)
         for i in range(n if n > 2 else 1):
             v, w = hull[i], hull[(i + 1) % n]
@@ -239,8 +223,7 @@ class FiberedConeModel:
         height-1 slice (each has a positive last coordinate), and a slice
         that is unbounded raises SubconeError."""
         try:
-            vertices = geometry.halfspace_vertices(
-                [(u, c) for u, c, _ in self._slice], self.rank)
+            vertices = geometry.halfspace_vertices([(u, c) for u, c, _ in self._slice])
         except ValidationError as exc:
             raise SubconeError(f"subcone has no bounded height-1 slice: {exc}") from exc
         return _rays_over_slice(vertices)

@@ -2,11 +2,14 @@
 
 All coordinates are ints or Fractions; no floating point is used here, so
 every predicate (containment, disjointness, distance comparison) is exact.
+No function takes a rank: each reads it from the length of its points.
 Hulls are vertex lists: sorted endpoints in rank 1, counterclockwise monotone
-chains in rank 2.  minkowski_sum and minkowski_difference take hulls in this
-form and walk their edges.  halfspace_vertices works on integer rows: it clears its
-bounds by their lcm, tests every candidate vertex on integers, and builds
-Fractions only for the vertices it accepts.
+chains in rank 2, each from its lexicographically smallest vertex, as
+convex_hull returns them.  minkowski_sum, minkowski_difference, reflect and
+hulls_disjoint need hulls in this form; the sum and the difference walk
+their edges, and hulls_disjoint runs on the sum.  halfspace_vertices works
+on integer rows: it clears its bounds by their lcm, tests every candidate
+vertex on integers, and builds Fractions only for the vertices it accepts.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def _chain(pts: Iterable[Point]) -> list[Point]:
     return chain
 
 
-def convex_hull(points: Iterable[Point], rank: int) -> list[Point]:
+def convex_hull(points: Iterable[Point]) -> list[Point]:
     """Vertices of the convex hull.
 
     Rank 1: [min] or [min, max].  Rank 2: counterclockwise order, starting
@@ -45,10 +48,10 @@ def convex_hull(points: Iterable[Point], rank: int) -> list[Point]:
     pts = sorted(set(map(tuple, points)))
     if not pts:
         raise ValidationError("empty point set has no hull")
-    if rank == 1:
-        return [pts[0]] if len(pts) == 1 else [pts[0], pts[-1]]
     if len(pts) == 1:
         return pts
+    if len(pts[0]) == 1:
+        return [pts[0], pts[-1]]
     return _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
@@ -69,8 +72,13 @@ def translate(points: Iterable[Point], v: Sequence) -> list[Point]:
     return [tuple(a + b for a, b in zip(p, v)) for p in points]
 
 
-def negate(points: Iterable[Point]) -> list[Point]:
-    return [tuple(-a for a in p) for p in points]
+def reflect(hull: Sequence[Point]) -> list[Point]:
+    """The hull reflected through the origin.  A half turn keeps the
+    counterclockwise order, so the negated vertices only start again from
+    their smallest."""
+    neg = [tuple(-a for a in p) for p in hull]
+    i = neg.index(min(neg))
+    return neg[i:] + neg[:i]
 
 
 def _edges(hull: Sequence[Point]) -> list[Point]:
@@ -90,14 +98,14 @@ def _turn(d: Point, e: Point):
     return he - hd if hd != he else d[0] * e[1] - d[1] * e[0]
 
 
-def minkowski_sum(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) -> list[Point]:
+def minkowski_sum(hull_a: Sequence[Point], hull_b: Sequence[Point]) -> list[Point]:
     """Hull of the Minkowski sum of two hulls, both in convex_hull's form.
 
     Rank 2 merges the two edge sequences by direction from the sum of the
     first vertices, the sum's lexicographically smallest vertex; parallel
     edges merge into one, so no vertex is collinear.
     """
-    if rank == 1:
+    if len(hull_a[0]) == 1:
         lo, hi = hull_a[0][0] + hull_b[0][0], hull_a[-1][0] + hull_b[-1][0]
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
     ea, eb = _edges(hull_a), _edges(hull_b)
@@ -114,13 +122,13 @@ def minkowski_sum(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) -
     return out or [(x, y)]
 
 
-def minkowski_difference(hull_b: Sequence[Point], hull_a: Sequence[Point],
-                         rank: int) -> Optional[list[Point]]:
+def minkowski_difference(hull_b: Sequence[Point], hull_a: Sequence[Point]
+                         ) -> Optional[list[Point]]:
     """The hull Q with minkowski_sum(hull_a, Q) == hull_b, or None if there is
     none.  Rank 2 subtracts each edge of hull_a from hull_b's edge of the
     same direction; hull_a may have no direction that hull_b lacks, nor a
     longer edge."""
-    if rank == 1:
+    if len(hull_b[0]) == 1:
         lo, hi = hull_b[0][0] - hull_a[0][0], hull_b[-1][0] - hull_a[-1][0]
         return None if lo > hi else [(lo,)] if lo == hi else [(lo,), (hi,)]
     ea, eb = _edges(hull_a), _edges(hull_b)
@@ -141,14 +149,14 @@ def minkowski_difference(hull_b: Sequence[Point], hull_a: Sequence[Point],
     return (out or [(x, y)]) if i == len(ea) else None
 
 
-def dilate(hull: Sequence[Point], s: int, rank: int) -> list[Point]:
+def dilate(hull: Sequence[Point], s: int) -> list[Point]:
     """Minkowski sum with the cube [-s, s]^rank (s = 0 is a no-op)."""
     if s == 0:
         return list(hull)
     if s < 0:
         raise ValidationError("dilation must be nonnegative")
-    cube = [(-s,), (s,)] if rank == 1 else [(-s, -s), (s, -s), (s, s), (-s, s)]
-    return minkowski_sum(hull, cube, rank)
+    cube = [(-s,), (s,)] if len(hull[0]) == 1 else [(-s, -s), (s, -s), (s, s), (-s, s)]
+    return minkowski_sum(hull, cube)
 
 
 def _seg_dist2(y: Point, a: Point, b: Point) -> Fraction:
@@ -162,9 +170,9 @@ def _seg_dist2(y: Point, a: Point, b: Point) -> Fraction:
     return sum((Fraction(yy) - (aa + t * x)) ** 2 for yy, aa, x in zip(y, a, d))
 
 
-def contains_point(hull: Sequence[Point], y: Point, rank: int) -> bool:
+def contains_point(hull: Sequence[Point], y: Point) -> bool:
     """Exact membership of y in the closed hull."""
-    if rank == 1:
+    if len(y) == 1:
         lo, hi = hull[0][0], hull[-1][0]
         return lo <= y[0] <= hi
     if len(hull) == 1:
@@ -185,16 +193,16 @@ def contains_point(hull: Sequence[Point], y: Point, rank: int) -> bool:
     return True
 
 
-def point_hull_dist2(y: Point, hull: Sequence[Point], rank: int) -> Fraction:
+def point_hull_dist2(y: Point, hull: Sequence[Point]) -> Fraction:
     """Exact squared Euclidean distance from y to the closed hull."""
-    if rank == 1:
+    if len(y) == 1:
         lo, hi = hull[0][0], hull[-1][0]
         if lo <= y[0] <= hi:
             return Fraction(0)
         return Fraction((lo - y[0]) ** 2 if y[0] < lo else (y[0] - hi) ** 2)
     if len(hull) == 1:
         return Fraction(sum((a - b) ** 2 for a, b in zip(y, hull[0])))
-    if contains_point(hull, y, rank):
+    if contains_point(hull, y):
         return Fraction(0)
     best = None
     for i in range(len(hull)):
@@ -204,33 +212,15 @@ def point_hull_dist2(y: Point, hull: Sequence[Point], rank: int) -> Fraction:
     return best
 
 
-def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point], rank: int) -> bool:
-    """Exact disjointness of two closed hulls (touching counts as overlap)."""
-    if rank == 1:
+def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point]) -> bool:
+    """Exact disjointness of two closed hulls in convex_hull's form (touching
+    counts as overlap).  In rank 2 they meet iff 0 lies in A ⊕ (-B)."""
+    if len(hull_a[0]) == 1:
         return hull_a[-1][0] < hull_b[0][0] or hull_b[-1][0] < hull_a[0][0]
-    axes = []
-    for hull in (hull_a, hull_b):
-        n = len(hull)
-        if n == 1:
-            continue
-        for i in range(n if n > 2 else 1):
-            a, b = hull[i], hull[(i + 1) % n]
-            d = (b[0] - a[0], b[1] - a[1])
-            axes.append((-d[1], d[0]))
-            axes.append(d)  # covers collinear degenerate hulls
-    if not axes:  # two single points
-        return tuple(hull_a[0]) != tuple(hull_b[0])
-    for axis in axes:
-        if axis == (0, 0):
-            continue
-        lo_a, hi_a = directional_extrema(hull_a, axis)
-        lo_b, hi_b = directional_extrema(hull_b, axis)
-        if hi_a < lo_b or hi_b < lo_a:
-            return True
-    return False
+    return not contains_point(minkowski_sum(hull_a, reflect(hull_b)), (0, 0))
 
 
-def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: int) -> list[Point]:
+def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]]) -> list[Point]:
     """Vertices of a bounded polytope {x : <u, x> <= c} in rank 1 or 2.
 
     Each halfspace is (u, c) with integer u and rational c; a zero u with a
@@ -245,10 +235,13 @@ def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: in
     are built only for the vertices that pass.
     """
     normals = [u for u, _ in halfspaces if any(u)]
+    if not normals:
+        raise ValidationError("unbounded halfspace intersection")
+    rank = len(normals[0])
     # Some free direction is a boundary direction of the recession cone, so
-    # it is perpendicular to a normal (or there are no normals at all).
+    # it is perpendicular to a normal.
     free = [(1,), (-1,)] if rank == 1 else [d for a, b in normals for d in ((-b, a), (b, -a))]
-    if not normals or any(all(dot(u, d) <= 0 for u in normals) for d in free):
+    if any(all(dot(u, d) <= 0 for u in normals) for d in free):
         raise ValidationError("unbounded halfspace intersection")
     if rank == 1:
         hi = min(Fraction(c, u[0]) for u, c in halfspaces if u[0] > 0)
@@ -273,4 +266,4 @@ def halfspace_vertices(halfspaces: Sequence[tuple[Sequence, Fraction]], rank: in
                 verts.append((Fraction(x, det * den), Fraction(y, det * den)))
     if not verts:
         raise ValidationError("empty halfspace intersection")
-    return convex_hull(verts, 2)
+    return convex_hull(verts)

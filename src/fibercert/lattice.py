@@ -192,10 +192,10 @@ class BaseHull:
 
     @cached_property
     def reflected(self) -> tuple:
-        """The hull reflected through the origin, in convex_hull's vertex
-        order, so it equals the hull of a base built from the reflected
-        points; computed once per base."""
-        return tuple(geometry.convex_hull(geometry.negate(self.hull), len(self.hull[0])))
+        """The hull reflected through the origin (geometry.reflect), in
+        convex_hull's form, so it equals the hull of a base built from the
+        reflected points; computed once per base."""
+        return tuple(geometry.reflect(self.hull))
 
 
 Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
@@ -303,14 +303,13 @@ class _Seen:
     def dist2(self) -> Fraction:
         """Exact min over the obstacles of the squared distance from the
         point, scored until a gap reaches 4 times the least so far."""
-        placed, rank = self.index.placed, len(self.point)
+        placed = self.index.placed
         best = None
         for gap, i in self.ranked:
             if best is not None and gap >= 4 * best:
                 break
             base, x = placed[i]
-            d = geometry.point_hull_dist2(
-                tuple(p - t for p, t in zip(self.point, x)), base.hull, rank)
+            d = geometry.point_hull_dist2(tuple(p - t for p, t in zip(self.point, x)), base.hull)
             if best is None or d < best:
                 best = d
         return best
@@ -321,7 +320,6 @@ class _Seen:
         L-inf distance ``reach`` of the point, so a box meeting it has a gap
         of at most 8 reach^2; the obstacles whose box meets it are tested
         exactly, nearest first."""
-        rank = len(self.point)
         a, b, c, d = body.box
         reach = max(-a, b, -c, d)
         px, py = _pad(self.point)
@@ -336,7 +334,7 @@ class _Seen:
                 continue  # disjoint boxes, so disjoint hulls
             base, x = placed[i]
             moved = geometry.translate(body.hull, tuple(p - t for p, t in zip(self.point, x)))
-            if not geometry.hulls_disjoint(moved, base.hull, rank):
+            if not geometry.hulls_disjoint(moved, base.hull):
                 return False
         return True
 

@@ -151,7 +151,7 @@ def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
     base = track.derived.get(key)
     if base is None:
         hull = omega_of_word(track, y, allow_mirror, route)
-        base = track.derived[key] = BaseHull.of(geometry.dilate(hull, safety, track.rank))
+        base = track.derived[key] = BaseHull.of(geometry.dilate(hull, safety))
     return base
 
 
@@ -249,7 +249,8 @@ def certify(
     allow_mirror: bool = False,
     box_radius: Optional[int] = None,
 ) -> BoundCertificate:
-    """Run the full bound pipeline for one class.  PowerCapError if p_max,
+    """Run the full bound pipeline for one class.  ValidationError, before
+    any word, if a given box_radius is below 1.  PowerCapError if p_max,
     the cone's p_max or a kernel word's power is above POWER_CAP, and
     BudgetError if the words are too many to enumerate, both read off
     every word before any support is walked.  The obstacle bases and the
@@ -279,6 +280,8 @@ def certify(
     narrower set's d*, so it lies within the new D.
     """
     _check_margins(safety, kappa)
+    if box_radius is not None and box_radius < 1:
+        raise ValidationError(f"box radius must be >= 1, got {box_radius}")
     check_power_cap((p_max, dual.p_max), "declared power")
     if P.membership(alpha.vector).status != "interior":
         raise ValidationError(
@@ -347,9 +350,6 @@ def certify(
 class VerifyResult:
     status: str  # pass | fail | unverifiable
     reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.status == "pass"
 
 
 def _verify_models(track: LiftedGraphMap, cone_p_max: int,

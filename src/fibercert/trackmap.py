@@ -166,9 +166,9 @@ class LiftedGraphMap:
         of the translates t + R_q(k) over k and the monomials t of M_{ik}:
         monotone in every R_q(k).  R_0(i) lies in R_1(i), so R_q(i) within
         R_{q+1}(i) gives R_{q+1}(i) within R_{q+2}(i)."""
-        r, origin = self.rank, (0,) * self.rank
+        origin = (0,) * self.rank
         firsts = ([t for ts in row for t in ts] for row in self.entry_supports)
-        return all(pts and geometry.contains_point(geometry.convex_hull(pts, r), origin, r)
+        return all(pts and geometry.contains_point(geometry.convex_hull(pts), origin)
                    for pts in firsts)
 
     @cached_property
@@ -249,21 +249,20 @@ def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]],
     hulls, period = [], None
     for q in count():
         if period:
-            hull = tuple(geometry.minkowski_sum(hulls[q - period[0]], period[1], rank))
+            hull = tuple(geometry.minkowski_sum(hulls[q - period[0]], period[1]))
         else:
             if q:
                 sums = ([tuple(map(add, v, t)) for ts, h in zip(col, cols[-1]) for t in ts for v in h]
                         for col in entry_columns)
-                cols.append([geometry.convex_hull(pts, rank) if pts else [] for pts in sums])
-            hull = tuple(geometry.convex_hull([v for h in cols[-1] for v in h], rank))
+                cols.append([geometry.convex_hull(pts) if pts else [] for pts in sums])
+            hull = tuple(geometry.convex_hull([v for h in cols[-1] for v in h]))
             if q <= PERIOD_WINDOW:
-                period = _column_period(cols, rank)
+                period = _column_period(cols)
         hulls.append(hull)
         yield hull
 
 
-def _column_period(cols: Sequence[list[list[Shift]]], rank: int
-                   ) -> Optional[tuple[int, list[Shift]]]:
+def _column_period(cols: Sequence[list[list[Shift]]]) -> Optional[tuple[int, list[Shift]]]:
     """(c, Q) with each of the last column hulls in ``cols`` equal to the one
     c powers before summed with Q, for the least c < len(cols); None if
     there is none.  Q is the Minkowski difference of the first column that
@@ -272,8 +271,8 @@ def _column_period(cols: Sequence[list[list[Shift]]], rank: int
     at both."""
     j = next(j for j, b in enumerate(cols[-1]) if b)
     for c in range(1, len(cols)):
-        Q = geometry.minkowski_difference(cols[-1][j], cols[-1 - c][j], rank)
-        if Q is not None and all((geometry.minkowski_sum(a, Q, rank) if a else []) == b
+        Q = geometry.minkowski_difference(cols[-1][j], cols[-1 - c][j])
+        if Q is not None and all((geometry.minkowski_sum(a, Q) if a else []) == b
                                  for a, b in zip(cols[-1 - c], cols[-1])):
             return c, Q
     return None
@@ -300,17 +299,16 @@ def _edge_walk(track: LiftedGraphMap) -> Iterator[tuple[Shift, ...]]:
     for edge, path in track.edge_images.items():
         for name, shift, _ in path:
             groups[edge].setdefault(name, set()).add(tuple(shift))
-    rank = track.rank
-    frontier = {e.name: [(0,) * rank] for e in track.edges}
+    frontier = {e.name: [(0,) * track.rank] for e in track.edges}
     while True:
-        yield tuple(geometry.convex_hull(set().union(*frontier.values()), rank))
+        yield tuple(geometry.convex_hull(set().union(*frontier.values())))
         nxt: dict[str, set[Shift]] = {}
         for edge, shifts in frontier.items():
             for name, ds in groups[edge].items():
                 into = nxt.setdefault(name, set())
                 for d in ds:  # a zero shift, the common case, adds the shifts as they are
                     into.update([tuple(map(add, v, d)) for v in shifts] if any(d) else shifts)
-        frontier = {name: geometry.convex_hull(shifts, rank) for name, shifts in nxt.items()}
+        frontier = {name: geometry.convex_hull(shifts) for name, shifts in nxt.items()}
 
 
 def oracle_iterate(track: LiftedGraphMap, p: int) -> list[tuple[Shift, ...]]:
@@ -342,8 +340,7 @@ def omega_of_word(track: LiftedGraphMap, y: int, allow_mirror: bool = False,
     if track.inverse is not None:
         return getattr(track.inverse, route)(-y)
     if allow_mirror:
-        # Negation reverses the vertex order; re-hull for the canonical start.
-        return tuple(geometry.convex_hull(geometry.negate(getattr(track, route)(-y)), track.rank))
+        return tuple(geometry.reflect(getattr(track, route)(-y)))
     raise ValidationError(
         "negative power requires inverse-map data or explicitly enabled mirror mode"
     )

@@ -25,6 +25,12 @@ def tuple_state_walk(track, p):
     return supports
 
 
+def negate(points):
+    """The points reflected through the origin, in their order: with
+    convex_hull, the reference that geometry.reflect is checked against."""
+    return [tuple(-a for a in p) for p in points]
+
+
 def _load(name: str):
     return load_dataset(str(DATA / f"rose_{name}.json"))
 

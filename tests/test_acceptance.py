@@ -54,7 +54,7 @@ def test_criterion_1_oracle_equivalence(r1, r2):
     for track in (r1, r2):
         walk = oracle_iterate(track, 8)
         for p, points in enumerate(tuple_state_walk(track, 8)):
-            hull = tuple(convex_hull(points, track.rank))
+            hull = tuple(convex_hull(points))
             assert support_of_power(track, p) == hull, f"semiring hull mismatch at p={p}"
             assert walk[p] == hull, f"oracle hull mismatch at p={p}"
             checked += 1

@@ -549,6 +549,19 @@ def test_certify_power_cap_exit_code(capsys, monkeypatch, argv):
     assert "exceeds the power cap 2000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", R1, "--alpha", "1,9", "--p-max", "8", "--box-radius=-100"],
+    ["bound", R2, "--alpha", "1,9,82", "--mirror", "--p-max", "8", "--box-radius=-30"],
+    ["bound", R1, "--alpha", "1,9", "--p-max", "8", "--box-radius", "0"],
+], ids=["r1-negative", "r2-mirror-negative", "r1-zero"])
+def test_bound_box_radius_below_1_exit_code(capsys, argv):
+    """A box radius below 1 exits 1 with one named error and no traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: box radius must be >= 1, got ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bound", R1, "--alpha", "1,x"], "class must be a list of integers"),
     (["bound", R1, "--alpha", "0,0"], "class must be nonzero"),

@@ -95,7 +95,7 @@ def test_ratio_hull_from_hull_vertices(r1, r2):
     for track in (r1, r2):
         def ratio_hull(supports):
             return convex_hull([tuple(Fraction(c, p) for c in x)
-                                for p in range(1, 21) for x in supports[p]], track.rank)
+                                for p in range(1, 21) for x in supports[p]])
 
         hulls = [support_of_power(track, p) for p in range(21)]
         assert ratio_hull(tuple_state_walk(track, 20)) == ratio_hull(hulls)
@@ -107,7 +107,7 @@ def _fraction_directions(ratio_points):
     dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     if len(set(ratio_points)) < 2:
         return dirs
-    hull = convex_hull(ratio_points, 2)
+    hull = convex_hull(ratio_points)
     n = len(hull)
     for i in range(n if n > 2 else 1):
         v, w = hull[i], hull[(i + 1) % n]
@@ -340,15 +340,15 @@ def test_extreme_rays_span_the_height_one_slice(data):
         assert cap is None
         return
     points = [tuple(Fraction(v, ray[-1]) for v in ray[:-1]) for ray in rays]
-    hull = convex_hull(points, rank)
+    hull = convex_hull(points)
     assert len(hull) == len(rays)  # every ray is extreme
     centroid = tuple(sum(c) / len(points) for c in zip(*points))
     for s in points + [centroid]:
         assert _in_slice(P, s)
     if cap is not None:
-        assert _in_slice(P, (0,) * rank) and contains_point(hull, (0,) * rank, rank)
+        assert _in_slice(P, (0,) * rank) and contains_point(hull, (0,) * rank)
     s = data.draw(st.tuples(*[_slice_points] * rank))
-    assert _in_slice(P, s) == contains_point(hull, s, rank)
+    assert _in_slice(P, s) == contains_point(hull, s)
 
 
 def test_reconstructed_cones_contain_the_axis(r1_models, r2_models):

@@ -15,10 +15,12 @@ from fibercert.geometry import (
     hulls_disjoint,
     minkowski_difference,
     minkowski_sum,
-    negate,
     point_hull_dist2,
+    reflect,
     translate,
 )
+
+from conftest import negate
 
 points2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 point_sets2 = st.lists(points2, min_size=1, max_size=12)
@@ -27,34 +29,34 @@ point_sets2 = st.lists(points2, min_size=1, max_size=12)
 # -- hulls ---------------------------------------------------------------------
 
 def test_hull_rank1_is_interval():
-    assert convex_hull([(3,), (-1,), (2,)], 1) == [(-1,), (3,)]
-    assert convex_hull([(5,), (5,)], 1) == [(5,)]
+    assert convex_hull([(3,), (-1,), (2,)]) == [(-1,), (3,)]
+    assert convex_hull([(5,), (5,)]) == [(5,)]
 
 
 def test_hull_rank2_square_is_ccw_from_lex_min():
     pts = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-    assert convex_hull(pts, 2) == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    assert convex_hull(pts) == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
 
 
 def test_hull_degenerate_cases():
-    assert convex_hull([(2, 3)], 2) == [(2, 3)]
-    assert convex_hull([(0, 0), (2, 2), (1, 1)], 2) == [(0, 0), (2, 2)]
+    assert convex_hull([(2, 3)]) == [(2, 3)]
+    assert convex_hull([(0, 0), (2, 2), (1, 1)]) == [(0, 0), (2, 2)]
     with pytest.raises(ValidationError):
-        convex_hull([], 2)
+        convex_hull([])
 
 
 @given(point_sets2)
 def test_hull_contains_all_inputs_and_vertices_are_inputs(pts):
-    hull = convex_hull(pts, 2)
+    hull = convex_hull(pts)
     assert set(hull) <= set(pts)
     for p in pts:
-        assert contains_point(hull, p, 2)
+        assert contains_point(hull, p)
 
 
 @given(point_sets2, points2)
 def test_hull_membership_matches_halfplane_test(pts, y):
     """Containment agrees with an independent all-halfplanes check."""
-    hull = convex_hull(pts, 2)
+    hull = convex_hull(pts)
     if len(hull) < 3:
         return
     inside = True
@@ -63,7 +65,7 @@ def test_hull_membership_matches_halfplane_test(pts, y):
         cross = (b[0] - a[0]) * (y[1] - a[1]) - (b[1] - a[1]) * (y[0] - a[0])
         if cross < 0:
             inside = False
-    assert contains_point(hull, y, 2) == inside
+    assert contains_point(hull, y) == inside
 
 
 def _cross(o, a, b):
@@ -119,7 +121,7 @@ def test_hull_matches_brute_force_reference(case):
     """The exact vertex list: extreme points only, counterclockwise from the
     lexicographically smallest, on int and Fraction points."""
     pts, rank = case
-    assert convex_hull(pts, rank) == _reference_hull(pts, rank)
+    assert convex_hull(pts) == _reference_hull(pts, rank)
 
 
 # -- affine operations ---------------------------------------------------------
@@ -127,7 +129,7 @@ def test_hull_matches_brute_force_reference(case):
 def test_translate_negate_extrema():
     pts = [(1, 2), (-3, 4)]
     assert translate(pts, (10, -1)) == [(11, 1), (7, 3)]
-    assert negate(pts) == [(-1, -2), (3, -4)]
+    assert reflect(convex_hull(pts)) == [(-1, -2), (3, -4)]
     assert directional_extrema(pts, (1, 0)) == (-3, 1)
     assert directional_extrema(pts, (0, -1)) == (-4, -2)
     with pytest.raises(ValidationError):
@@ -136,27 +138,27 @@ def test_translate_negate_extrema():
 
 @given(point_sets2, point_sets2)
 def test_minkowski_sum_matches_pairwise_sums(a, b):
-    hull = minkowski_sum(convex_hull(a, 2), convex_hull(b, 2), 2)
+    hull = minkowski_sum(convex_hull(a), convex_hull(b))
     for p, q in product(a, b):
-        assert contains_point(hull, (p[0] + q[0], p[1] + q[1]), 2)
+        assert contains_point(hull, (p[0] + q[0], p[1] + q[1]))
     assert set(hull) <= {(p[0] + q[0], p[1] + q[1]) for p, q in product(a, b)}
 
 
 def test_dilate_is_cube_fattening():
-    assert dilate([(0,)], 2, 1) == [(-2,), (2,)]
-    sq = dilate([(0, 0)], 1, 2)
+    assert dilate([(0,)], 2) == [(-2,), (2,)]
+    sq = dilate([(0, 0)], 1)
     assert sq == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-    assert dilate(sq, 0, 2) == sq
+    assert dilate(sq, 0) == sq
     with pytest.raises(ValidationError):
-        dilate(sq, -1, 2)
+        dilate(sq, -1)
 
 
 @given(point_sets2, st.integers(0, 3))
 def test_dilate_l_inf_characterization(pts, s):
     """y is in the dilated hull iff the L-inf ball of radius s around y
     meets the hull.  The independent check uses closed-box intersection."""
-    hull = convex_hull(pts, 2)
-    fat = dilate(hull, s, 2)
+    hull = convex_hull(pts)
+    fat = dilate(hull, s)
     lo_x = min(p[0] for p in hull) - s - 1
     hi_x = max(p[0] for p in hull) + s + 1
     lo_y = min(p[1] for p in hull) - s - 1
@@ -164,28 +166,28 @@ def test_dilate_l_inf_characterization(pts, s):
     for y in product(range(lo_x, hi_x + 1), range(lo_y, hi_y + 1)):
         box = [(y[0] - s, y[1] - s), (y[0] + s, y[1] - s),
                (y[0] + s, y[1] + s), (y[0] - s, y[1] + s)]
-        near = not hulls_disjoint(convex_hull(box, 2), hull, 2)
-        assert contains_point(fat, y, 2) == near
+        near = not hulls_disjoint(convex_hull(box), hull)
+        assert contains_point(fat, y) == near
 
 
 # -- distances -------------------------------------------------------------
 
 def test_point_hull_dist2_examples():
-    assert point_hull_dist2((7,), [(-1,), (3,)], 1) == 16
-    assert point_hull_dist2((0,), [(-1,), (3,)], 1) == 0
+    assert point_hull_dist2((7,), [(-1,), (3,)]) == 16
+    assert point_hull_dist2((0,), [(-1,), (3,)]) == 0
     tri = [(0, 0), (4, 0), (0, 4)]
-    assert point_hull_dist2((1, 1), tri, 2) == 0
-    assert point_hull_dist2((-3, 0), tri, 2) == 9
-    assert point_hull_dist2((3, 3), tri, 2) == Fraction(2)  # nearest edge x+y=4
-    assert point_hull_dist2((5, 7), [(5, 4)], 2) == 9
+    assert point_hull_dist2((1, 1), tri) == 0
+    assert point_hull_dist2((-3, 0), tri) == 9
+    assert point_hull_dist2((3, 3), tri) == Fraction(2)  # nearest edge x+y=4
+    assert point_hull_dist2((5, 7), [(5, 4)]) == 9
 
 
 @given(point_sets2, points2)
 def test_point_hull_dist2_vs_dense_sampling(pts, y):
     """The exact distance is a lower bound attained by some rational point
     of the hull; check it against distances to a fine affine sample."""
-    hull = convex_hull(pts, 2)
-    d = point_hull_dist2(y, hull, 2)
+    hull = convex_hull(pts)
+    d = point_hull_dist2(y, hull)
     assert d >= 0
     grid = []
     n = 8
@@ -196,7 +198,7 @@ def test_point_hull_dist2_vs_dense_sampling(pts, y):
                 grid.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
     sampled = min((y[0] - g[0]) ** 2 + (y[1] - g[1]) ** 2 for g in grid)
     assert d <= sampled
-    if contains_point(hull, y, 2):
+    if contains_point(hull, y):
         assert d == 0
     else:
         assert d > 0
@@ -205,22 +207,22 @@ def test_point_hull_dist2_vs_dense_sampling(pts, y):
 def test_hulls_disjoint_touching_counts_as_overlap():
     a = [(0, 0), (2, 0), (2, 2), (0, 2)]
     b = translate(a, (2, 0))  # shares the edge x = 2
-    assert not hulls_disjoint(a, b, 2)
-    assert hulls_disjoint(a, translate(a, (3, 0)), 2)
-    assert hulls_disjoint([(0,), (1,)], [(2,), (5,)], 1)
-    assert not hulls_disjoint([(0,), (2,)], [(2,), (5,)], 1)
-    assert hulls_disjoint([(0, 0)], [(0, 1)], 2)
-    assert not hulls_disjoint([(0, 0)], [(0, 0)], 2)
+    assert not hulls_disjoint(a, b)
+    assert hulls_disjoint(a, translate(a, (3, 0)))
+    assert hulls_disjoint([(0,), (1,)], [(2,), (5,)])
+    assert not hulls_disjoint([(0,), (2,)], [(2,), (5,)])
+    assert hulls_disjoint([(0, 0)], [(0, 1)])
+    assert not hulls_disjoint([(0, 0)], [(0, 0)])
 
 
 @settings(max_examples=200)
 @given(point_sets2, point_sets2)
 def test_hulls_disjoint_vs_minkowski_difference(a, b):
     """A and B intersect iff 0 lies in A + (-B)."""
-    ha, hb = convex_hull(a, 2), convex_hull(b, 2)
-    diff = minkowski_sum(ha, convex_hull(negate(hb), 2), 2)
-    meets = contains_point(diff, (0, 0), 2)
-    assert hulls_disjoint(ha, hb, 2) == (not meets)
+    ha, hb = convex_hull(a), convex_hull(b)
+    diff = minkowski_sum(ha, convex_hull(negate(hb)))
+    meets = contains_point(diff, (0, 0))
+    assert hulls_disjoint(ha, hb) == (not meets)
 
 
 fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
@@ -259,10 +261,64 @@ def test_disjoint_bounding_boxes_imply_disjoint_hulls(pair):
     a, b = pair
     for rank, pa, pb in ((2, a, b),
                          (1, [p[:1] for p in a], [p[:1] for p in b])):
-        ha, hb = convex_hull(pa, rank), convex_hull(pb, rank)
+        ha, hb = convex_hull(pa), convex_hull(pb)
         if _bboxes_disjoint(ha, hb):
-            assert hulls_disjoint(ha, hb, rank)
-            assert hulls_disjoint(hb, ha, rank)
+            assert hulls_disjoint(ha, hb)
+            assert hulls_disjoint(hb, ha)
+
+
+def _separating_axis_disjoint(hull_a, hull_b) -> bool:
+    """The separating-axis test of two rank-2 hulls, independent of the
+    Minkowski sum: disjoint iff their projections onto some edge normal or
+    edge direction of either hull are disjoint."""
+    axes = []
+    for hull in (hull_a, hull_b):
+        n = len(hull)
+        if n == 1:
+            continue
+        for i in range(n if n > 2 else 1):
+            a, b = hull[i], hull[(i + 1) % n]
+            d = (b[0] - a[0], b[1] - a[1])
+            axes.append((-d[1], d[0]))
+            axes.append(d)  # covers collinear degenerate hulls
+    if not axes:  # two single points
+        return tuple(hull_a[0]) != tuple(hull_b[0])
+    for axis in axes:
+        if axis == (0, 0):
+            continue
+        lo_a, hi_a = directional_extrema(hull_a, axis)
+        lo_b, hi_b = directional_extrema(hull_b, axis)
+        if hi_a < lo_b or hi_b < lo_a:
+            return True
+    return False
+
+
+@settings(max_examples=300)
+@given(frac_set_pairs)
+@example(([(0, 0), (2, 0)], [(2, 0), (3, 0)]))  # collinear segments touching end to end
+@example(([(0, 0), (2, 0)], [(3, 0), (4, 0)]))  # collinear segments apart
+@example(([(1, 1)], [(0, 0), (2, 2)]))  # a point on a segment
+def test_hulls_disjoint_matches_separating_axis_reference(pair):
+    """hulls_disjoint, A ⊕ (-B) missing 0, agrees with the separating-axis
+    test on points, segments, collinear pairs and polygons over Fractions;
+    rank-1 hulls are tested as rank-2 segments on the x axis."""
+    a, b = pair
+    for rank, pa, pb in ((2, a, b), (1, [p[:1] for p in a], [p[:1] for p in b])):
+        ha, hb = convex_hull(pa), convex_hull(pb)
+        flat = [[tuple(v) + (0,) * (2 - rank) for v in h] for h in (ha, hb)]
+        assert hulls_disjoint(ha, hb) == _separating_axis_disjoint(*flat), (ha, hb)
+        assert hulls_disjoint(hb, ha) == hulls_disjoint(ha, hb)
+
+
+@settings(max_examples=300)
+@given(frac_set_pairs)
+def test_reflect_matches_hull_of_negated_points(pair):
+    """reflect keeps convex_hull's form: it equals the hull of the negated
+    points, in ranks 1 and 2, and reflecting twice gives the hull back."""
+    for pts in (pair[0], [p[:1] for p in pair[0]]):
+        hull = convex_hull(pts)
+        assert reflect(hull) == convex_hull(negate(pts))
+        assert reflect(reflect(hull)) == hull
 
 
 @settings(max_examples=300)
@@ -276,21 +332,21 @@ def test_minkowski_sum_matches_vertex_sum_reference(pair):
     difference it finds between any two hulls sums back."""
     a, b = pair
     for rank, pa, pb in ((2, a, b), (1, [p[:1] for p in a], [p[:1] for p in b])):
-        ha, hb = convex_hull(pa, rank), convex_hull(pb, rank)
-        ref = convex_hull([tuple(x + y for x, y in zip(p, q)) for p in ha for q in hb], rank)
-        assert minkowski_sum(ha, hb, rank) == ref
-        assert minkowski_difference(ref, ha, rank) == hb
-        assert minkowski_difference(ref, hb, rank) == ha
-        q = minkowski_difference(hb, ha, rank)
-        assert q is None or minkowski_sum(ha, q, rank) == hb
+        ha, hb = convex_hull(pa), convex_hull(pb)
+        ref = convex_hull([tuple(x + y for x, y in zip(p, q)) for p in ha for q in hb])
+        assert minkowski_sum(ha, hb) == ref
+        assert minkowski_difference(ref, ha) == hb
+        assert minkowski_difference(ref, hb) == ha
+        q = minkowski_difference(hb, ha)
+        assert q is None or minkowski_sum(ha, q) == hb
 
 
 def test_minkowski_difference_without_summand():
     square, triangle = [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (1, 0), (0, 1)]
-    assert minkowski_difference(triangle, square, 2) is None  # a direction too many
-    assert minkowski_difference([(0, 0), (1, 0)], [(0, 0), (2, 0)], 2) is None  # too long
-    assert minkowski_difference([(0,), (1,)], [(0,), (2,)], 1) is None
-    assert minkowski_difference(square, [(0, 0), (1, 0)], 2) == [(0, 0), (0, 1)]
+    assert minkowski_difference(triangle, square) is None  # a direction too many
+    assert minkowski_difference([(0, 0), (1, 0)], [(0, 0), (2, 0)]) is None  # too long
+    assert minkowski_difference([(0,), (1,)], [(0,), (2,)]) is None
+    assert minkowski_difference(square, [(0, 0), (1, 0)]) == [(0, 0), (0, 1)]
 
 
 # -- halfspace vertex enumeration -------------------------------------------
@@ -298,39 +354,39 @@ def test_minkowski_difference_without_summand():
 def test_halfspace_vertices_unit_box():
     hs = [((1, 0), Fraction(1)), ((-1, 0), Fraction(1)),
           ((0, 1), Fraction(1)), ((0, -1), Fraction(1))]
-    assert halfspace_vertices(hs, 2) == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+    assert halfspace_vertices(hs) == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
 
 
 def test_halfspace_vertices_triangle_with_redundancy():
     hs = [((-1, 0), Fraction(0)), ((0, -1), Fraction(0)),
           ((1, 1), Fraction(2)), ((1, 0), Fraction(100))]
-    assert halfspace_vertices(hs, 2) == [(0, 0), (2, 0), (0, 2)]
+    assert halfspace_vertices(hs) == [(0, 0), (2, 0), (0, 2)]
 
 
 def test_halfspace_vertices_rank1_and_errors():
     hs = [((1,), Fraction(3)), ((-1,), Fraction(1))]
-    assert halfspace_vertices(hs, 1) == [(-1,), (3,)]
-    assert halfspace_vertices([((1,), Fraction(2)), ((-1,), Fraction(-2))], 1) == [(2,)]
+    assert halfspace_vertices(hs) == [(-1,), (3,)]
+    assert halfspace_vertices([((1,), Fraction(2)), ((-1,), Fraction(-2))]) == [(2,)]
     with pytest.raises(ValidationError):
-        halfspace_vertices([((1,), Fraction(0)), ((-1,), Fraction(-1))], 1)
+        halfspace_vertices([((1,), Fraction(0)), ((-1,), Fraction(-1))])
     with pytest.raises(ValidationError):
         halfspace_vertices(
             [((1, 0), Fraction(0)), ((-1, 0), Fraction(-1)),
-             ((0, 1), Fraction(1)), ((0, -1), Fraction(1))], 2)
+             ((0, 1), Fraction(1)), ((0, -1), Fraction(1))])
 
 
 def test_halfspace_vertices_zero_normal_with_negative_bound_is_empty():
     # 0 <= -1 holds nowhere, whatever the other halfspaces allow.
     with pytest.raises(ValidationError, match="empty"):
-        halfspace_vertices([((0,), -1), ((1,), 1), ((-1,), 1)], 1)
-    assert halfspace_vertices([((0,), 1), ((1,), 1), ((-1,), 1)], 1) == [(-1,), (1,)]
+        halfspace_vertices([((0,), -1), ((1,), 1), ((-1,), 1)])
+    assert halfspace_vertices([((0,), 1), ((1,), 1), ((-1,), 1)]) == [(-1,), (1,)]
 
 
 def test_halfspace_vertices_unbounded_rank1():
     with pytest.raises(ValidationError, match="unbounded"):
-        halfspace_vertices([((1,), 1)], 1)
+        halfspace_vertices([((1,), 1)])
     with pytest.raises(ValidationError, match="unbounded"):
-        halfspace_vertices([((0,), 1)], 1)
+        halfspace_vertices([((0,), 1)])
 
 
 def _reference_halfspace_vertices(halfspaces):
@@ -357,7 +413,7 @@ def _reference_halfspace_vertices(halfspaces):
                 verts.append((x, y))
     if not verts:
         raise ValidationError("empty halfspace intersection")
-    return convex_hull(verts, 2)
+    return convex_hull(verts)
 
 
 def _vertices_or_error(fn, halfspaces):
@@ -390,7 +446,7 @@ def test_halfspace_vertices_match_fraction_reference(rows, box):
     come up often."""
     if box is not None:
         rows = rows + [(e, c) for e, c in zip([(1, 0), (-1, 0), (0, 1), (0, -1)], box)]
-    got = _vertices_or_error(lambda hs: halfspace_vertices(hs, 2), rows)
+    got = _vertices_or_error(halfspace_vertices, rows)
     assert got == _vertices_or_error(_reference_halfspace_vertices, rows)
     if not isinstance(got, str):
         assert all(type(c) is Fraction for v in got for c in v)
@@ -399,6 +455,6 @@ def test_halfspace_vertices_match_fraction_reference(rows, box):
 def test_halfspace_vertices_unbounded_rank2():
     # A strip has no vertex; a wedge has one, but it is not the whole region.
     with pytest.raises(ValidationError, match="unbounded"):
-        halfspace_vertices([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)], 2)
+        halfspace_vertices([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)])
     with pytest.raises(ValidationError, match="unbounded"):
-        halfspace_vertices([((1, 1), 0), ((1, -1), 0)], 2)
+        halfspace_vertices([((1, 1), 0), ((1, -1), 0)])

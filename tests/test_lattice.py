@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibercert.errors import ValidationError
-from fibercert.geometry import convex_hull, dilate, negate, point_hull_dist2, translate
+from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
 from fibercert.geometry import hulls_disjoint
 from fibercert.trackmap import support_of_power
 from fibercert.lattice import (
@@ -22,6 +22,8 @@ from fibercert.lattice import (
     perp_basis,
     systole,
 )
+
+from conftest import negate
 
 
 def _ambient_covol2(L: PerpLattice) -> int:
@@ -267,14 +269,14 @@ def test_deep_point_rank2_matches_exhaustive_scan():
             pts = [(rng.randint(-6, 6), rng.randint(-6, 6))
                    for _ in range(rng.randint(1, 4))]
             from fibercert.geometry import convex_hull
-            obstacles.append(convex_hull(pts, 2))
+            obstacles.append(convex_hull(pts))
         R = 6
         dp = deep_point(_placed(obstacles), R, 2)
         best = None
         # product() yields points in ascending lexicographic order, so a
         # strict improvement rule reproduces the lex-smallest tie-break.
         for y in product(range(-R, R + 1), repeat=2):
-            d = min(point_hull_dist2(y, h, 2) for h in obstacles)
+            d = min(point_hull_dist2(y, h) for h in obstacles)
             if best is None or d > best[1]:
                 best = (y, d)
         assert dp.point == best[0]
@@ -292,7 +294,7 @@ def _random_obstacle(rng, rank: int, R: int, far: bool) -> list:
         center[rng.randrange(rank)] = rng.choice((-1, 1)) * rng.randint(2 * R, 4 * R)
     pts = [tuple(c + Fraction(rng.randint(-2 * den, 2 * den), den) for c in center)
            for _ in range(k)]
-    return convex_hull(pts, rank)
+    return convex_hull(pts)
 
 
 def _lattice_obstacles(rank: int, R: int, step: int) -> list:
@@ -307,7 +309,7 @@ def _translated_obstacles(rng, rank: int, R: int) -> list:
     den = rng.choice((1, 1, 2, 3))
     pts = [tuple(Fraction(rng.randint(-den, den), den) for _ in range(rank))
            for _ in range(rng.randint(1, 4))]
-    base = dilate(convex_hull(pts, rank), rng.randint(0, 1), rank)
+    base = dilate(convex_hull(pts), rng.randint(0, 1))
     if rank == 1:
         basis = [(rng.randint(3, 6),)]
     else:
@@ -335,7 +337,7 @@ def _diagonal_obstacles(rng, R: int) -> list:
         dx, dy = rng.choice((1, 2)), rng.choice((-2, -1, 1, 2))
         half = rng.randint(3 * R, 6 * R)
         obstacles.append(convex_hull([(cx - half * dx, cy - half * dy),
-                                      (cx + half * dx, cy + half * dy)], 2))
+                                      (cx + half * dx, cy + half * dy)]))
     obstacles += [_random_obstacle(rng, 2, R, far=False) for _ in range(rng.randint(0, 2))]
     return obstacles
 
@@ -345,7 +347,7 @@ def _brute_deep_point(obstacles, R: int, rank: int) -> DeepPoint:
     # product() yields points in ascending lexicographic order, so a strict
     # improvement rule reproduces the lex-smallest tie-break.
     for y in product(range(-R, R + 1), repeat=rank):
-        d = min(point_hull_dist2(y, h, rank) for h in obstacles)
+        d = min(point_hull_dist2(y, h) for h in obstacles)
         if best is None or d > best.dist2:
             best = DeepPoint(y, d)
     return best
@@ -400,7 +402,7 @@ def _placed_translates(draw, tracks):
             den = 1 if kind == "int" else draw(st.integers(2, 4))
             coord = st.integers(-3 * den, 3 * den).map(lambda k, den=den: Fraction(k, den))
             verts = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=4))
-        base = BaseHull.of(dilate(convex_hull(verts, rank), draw(st.integers(0, 1)), rank))
+        base = BaseHull.of(dilate(convex_hull(verts), draw(st.integers(0, 1))))
         shift = st.tuples(*[st.integers(-R - 6, R + 6)] * rank)
         for x in draw(st.lists(shift, min_size=1, max_size=6)):
             placed.append((base, x))
@@ -430,13 +432,13 @@ def test_obstacles_seen_from_matches_translates(data, r1, r2):
     index = Obstacles(placed)
     coord = st.integers(-4, 4)
     body = convex_hull(data.draw(st.lists(st.tuples(*[coord] * rank), min_size=1,
-                                          max_size=4)), rank)
+                                          max_size=4)))
     s = data.draw(st.integers(0, 1))
     for y in product(range(-R, R + 1), repeat=rank):
         seen = index.seen_from(y)
-        assert seen.dist2() == min(point_hull_dist2(y, t, rank) for t in translates), y
-        moved = translate(dilate(body, s, rank), y)
-        assert seen.misses(BaseHull.of(dilate(body, s, rank))) == all(hulls_disjoint(moved, t, rank)
+        assert seen.dist2() == min(point_hull_dist2(y, t) for t in translates), y
+        moved = translate(dilate(body, s), y)
+        assert seen.misses(BaseHull.of(dilate(body, s))) == all(hulls_disjoint(moved, t)
                                            for t in translates), (y, body, s)
 
 
@@ -445,7 +447,7 @@ def _reflect(placed):
     reflected base, built as a base of its own, placed by the negated shift."""
     mirrors = {}
     for base, _ in placed:
-        mirrors.setdefault(id(base), BaseHull.of(convex_hull(negate(base.hull), len(base.hull[0]))))
+        mirrors.setdefault(id(base), BaseHull.of(convex_hull(negate(base.hull))))
     return [(mirrors[id(base)], tuple(-c for c in x)) for base, x in reversed(placed)]
 
 
@@ -460,8 +462,8 @@ def _symmetric_translates(draw, tracks):
     if draw(st.booleans()):
         coord = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
         pts = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=3))
-        hull = convex_hull(pts + negate(pts), rank)
-        middle = [(BaseHull.of(dilate(hull, draw(st.integers(0, 1)), rank)), (0,) * rank)]
+        hull = convex_hull(pts + negate(pts))
+        middle = [(BaseHull.of(dilate(hull, draw(st.integers(0, 1)))), (0,) * rank)]
     placed = half + middle + _reflect(half)
     return placed, [translate(base.hull, x) for base, x in placed], R, rank
 
@@ -495,7 +497,7 @@ def test_deep_point_half_box_needs_every_partner(data, r1, r2):
         if how == "move":
             x = (x[0] + 1,) + x[1:]
         else:
-            base = BaseHull.of(dilate(base.hull, 1, rank))
+            base = BaseHull.of(dilate(base.hull, 1))
         placed = placed[:i] + [(base, x)] + placed[i + 1:]
     index = Obstacles(placed)
     assert not index.symmetric, how
@@ -507,8 +509,8 @@ def test_symmetric_needs_the_reflected_hull():
     """A partner whose base is its partner's hull unreflected, or whose
     shift is not negated, leaves the index unmarked; a base reflects its
     hull in convex_hull's vertex order."""
-    tri = BaseHull.of(convex_hull([(0, 0), (2, 0), (0, 1)], 2))
-    flip = BaseHull.of(convex_hull([(0, 0), (-2, 0), (0, -1)], 2))
+    tri = BaseHull.of(convex_hull([(0, 0), (2, 0), (0, 1)]))
+    flip = BaseHull.of(convex_hull([(0, 0), (-2, 0), (0, -1)]))
     assert tri.reflected == flip.hull
     assert Obstacles([(tri, (3, 1)), (flip, (-3, -1))]).symmetric
     assert not Obstacles([(tri, (3, 1)), (tri, (-3, -1))]).symmetric
@@ -558,7 +560,7 @@ def test_cell_bound_matches_every_vertex():
                                 if _gap2(*box, _box(hulls[i])) <= bound]
         # The bound holds f on the cell's lattice points.
         for y in product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)):
-            assert min(point_hull_dist2(y, hulls[i], 2) for i in near) <= bound
+            assert min(point_hull_dist2(y, hulls[i]) for i in near) <= bound
 
 
 def test_deep_point_validation():

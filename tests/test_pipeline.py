@@ -249,6 +249,20 @@ def test_certify_records_last_searched_box(r1, r1_models, r1_hash):
     )
 
 
+@pytest.mark.parametrize("box_radius", [0, -1, -100])
+def test_certify_refuses_a_box_radius_below_1(r1, r1_models, r1_hash, monkeypatch,
+                                             box_radius):
+    """A box radius below 1 is refused with a named error before any word is
+    enumerated (a negative one left the word list empty)."""
+    def no_words(*args):
+        raise AssertionError("words were enumerated for a box radius below 1")
+
+    monkeypatch.setattr(pipeline, "enumerate_words", no_words)
+    dual, cone, P = r1_models
+    with pytest.raises(ValidationError, match=f"box radius must be >= 1, got {box_radius}"):
+        certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash, box_radius=box_radius)
+
+
 def test_certify_is_deterministic(r1, r1_models, r1_hash, r1_cert):
     dual, cone, P = r1_models
     again = certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash)
@@ -292,18 +306,17 @@ def _reference_scan(track, dual, P, cert):
     """The deep point's squared distance and K with no placements, boxes or
     reach: every word's obstacle materialized as its own dilated hull, and
     each candidate power tested exactly against all of them."""
-    r = track.rank
     eps = epsilon_of_subcone(P, dual)
     words = enumerate_words(perp_basis(FiberedClass(cert.alpha)),
                             word_radius(eps, cert.box_radius, cert.p_max, cert.safety))
     hulls = [geometry.dilate(geometry.translate(omega_of_word(track, w.y, cert.mirror), w.x),
-                             cert.safety, r)
+                             cert.safety)
              for w in words]
-    dist2 = min(geometry.point_hull_dist2(cert.deep_point, h, r) for h in hulls)
+    dist2 = min(geometry.point_hull_dist2(cert.deep_point, h) for h in hulls)
     for K in range(cert.p_max, 0, -1):
         moved = geometry.dilate(geometry.translate(
-            support_of_power(track, K), cert.deep_point), cert.safety, r)
-        if all(geometry.hulls_disjoint(moved, h, r) for h in hulls):
+            support_of_power(track, K), cert.deep_point), cert.safety)
+        if all(geometry.hulls_disjoint(moved, h) for h in hulls):
             return dist2, K
     return dist2, 0
 
@@ -332,7 +345,7 @@ def test_kscan_tests_obstacles_at_full_reach():
     body = BaseHull.of([(0,), (2,)])  # reach 2 from the point 0
     assert not seen((0,), dot, (2,)).misses(body)
     assert seen((0,), dot, (3,)).misses(body)
-    assert not seen((0,), dot, (3,)).misses(BaseHull.of(geometry.dilate(body.hull, 1, 1)))
+    assert not seen((0,), dot, (3,)).misses(BaseHull.of(geometry.dilate(body.hull, 1)))
     dot = BaseHull.of([(0, 0)])
     diagonal = BaseHull.of([(0, 0), (2, 2)])  # its box meets both dots, the segment only one
     assert seen((5, 5), dot, (7, 5)).misses(diagonal)
@@ -430,7 +443,7 @@ def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
     translates = [geometry.translate(base.hull, x) for base, x in index.placed]
     best = None
     for y in range(-R, R + 1):
-        d = min(geometry.point_hull_dist2((y,), t, 1) for t in translates)
+        d = min(geometry.point_hull_dist2((y,), t) for t in translates)
         if best is None or d > best.dist2:
             best = lattice.DeepPoint((y,), d)
     assert lattice.deep_point(index, R, 1) == best
@@ -834,7 +847,6 @@ def test_verify_batch_derives_once_per_map(r1, r1_models, r1_hash, monkeypatch):
 def test_verify_rejects_wrong_dataset(r1, r1_cert):
     res = verify_certificate(r1_cert, r1, "0" * 64)
     assert res.status == "fail" and res.reason == "dataset-hash"
-    assert not res
 
 
 @pytest.mark.parametrize("edit", [

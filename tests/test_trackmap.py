@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fibercert import trackmap
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
-from fibercert.geometry import contains_point, convex_hull, minkowski_sum, negate
+from fibercert.geometry import contains_point, convex_hull, minkowski_sum
 from fibercert.laurent import LaurentPoly, mat_pow
 from fibercert.trackmap import (
     PERIOD_WINDOW,
@@ -24,7 +24,7 @@ from fibercert.trackmap import (
     support_of_power,
 )
 
-from conftest import tuple_state_walk
+from conftest import negate, tuple_state_walk
 
 
 def single_edge_rose() -> LiftedGraphMap:
@@ -174,7 +174,7 @@ def test_support_of_power_matches_oracle(r1, r2):
 def _assert_oracle_matches_walk(track, p_top):
     """oracle_iterate(track, p) gives the hulls of the reference walk's
     points at every power of every p <= p_top."""
-    ref = [tuple(convex_hull(points, track.rank)) for points in tuple_state_walk(track, p_top)]
+    ref = [tuple(convex_hull(points)) for points in tuple_state_walk(track, p_top)]
     for p in range(p_top + 1):
         assert oracle_iterate(track, p) == ref[:p + 1], p
 
@@ -212,7 +212,7 @@ def test_support_semiring_matches_laurent_power(r1, r2):
             for row in Mp.entries:
                 for q in row:
                     want.update(q.terms)
-            assert support_of_power(track, p) == tuple(convex_hull(want, track.rank)), p
+            assert support_of_power(track, p) == tuple(convex_hull(want)), p
 
 
 def test_support_is_subadditive(r2):
@@ -223,8 +223,8 @@ def test_support_is_subadditive(r2):
         for q in range(1, 5):
             mink = {tuple(map(add, s, t)) for s in ref[p] for t in ref[q]}
             assert ref[p + q] <= mink
-            both = minkowski_sum(support_of_power(r2, p), support_of_power(r2, q), 2)
-            assert all(contains_point(both, v, 2) for v in support_of_power(r2, p + q))
+            both = minkowski_sum(support_of_power(r2, p), support_of_power(r2, q))
+            assert all(contains_point(both, v) for v in support_of_power(r2, p + q))
 
 
 def _frozenset_powers(base, rank, p):
@@ -272,7 +272,7 @@ def test_hull_semiring_matches_frozenset_semiring(case, powers):
             with pytest.raises(ValidationError):
                 semiring(p)
             continue
-        assert semiring(p) == tuple(convex_hull(want, rank)), p
+        assert semiring(p) == tuple(convex_hull(want)), p
 
 
 def _walked(base, rank, p):
@@ -281,7 +281,7 @@ def _walked(base, rank, p):
     searches, search = [], trackmap._column_period
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trackmap, "_column_period",
-                   lambda cols, rank: searches.append(search(cols, rank)) or searches[-1])
+                   lambda cols: searches.append(search(cols)) or searches[-1])
         memo = PowerMemo(_semiring_powers(base, rank))
         return [memo(q) for q in range(p + 1)], searches
 
@@ -333,7 +333,7 @@ def test_semiring_column_without_entries_stays_empty():
     assert _period(searches) == (1, 1, [(1, 0)])
     for q in range(7):
         want = frozenset().union(*(e for row in ref[q] for e in row))
-        assert hulls[q] == tuple(convex_hull(want, 2)), q
+        assert hulls[q] == tuple(convex_hull(want)), q
 
 
 def _entry_hull_powers(base, rank):
@@ -344,10 +344,10 @@ def _entry_hull_powers(base, rank):
     entries = [[[(0,) * rank] if i == j else [] for j in range(m)] for i in range(m)]
     while True:
         pts = [v for row in entries for h in row for v in h]
-        yield tuple(convex_hull(pts, rank)) if pts else None
+        yield tuple(convex_hull(pts)) if pts else None
         sums = [[[tuple(map(add, v, t)) for k in range(m) for t in base[k][j] for v in row[k]]
                  for j in range(m)] for row in entries]
-        entries = [[convex_hull(s, rank) if s else [] for s in row] for row in sums]
+        entries = [[convex_hull(s) if s else [] for s in row] for row in sums]
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,7 +372,7 @@ def test_mirrored_word_is_rehulled():
     the negated hull of power 1, re-hulled to start from its lexicographically
     smallest vertex; on either route, the stand-in map holding only power 1."""
     def mirrored(rank, points, route):
-        hull = tuple(convex_hull(points, rank))
+        hull = tuple(convex_hull(points))
         track = SimpleNamespace(rank=rank, inverse=None, **{route: {1: hull}.__getitem__})
         return omega_of_word(track, -1, True, route)
 
@@ -405,7 +405,7 @@ def test_omega_of_word_modes(r1, r2):
     assert omega_of_word(r1, 2) == support_of_power(r1, 2)
     assert omega_of_word(r2, 2) == support_of_power(r2, 2)
     assert omega_of_word(r2, -2, allow_mirror=True) == tuple(
-        convex_hull(negate(tuple_state_walk(r2, 2)[2]), 2))
+        convex_hull(negate(tuple_state_walk(r2, 2)[2])))
     # r1's inverse is its exact mirror, so only the memos' calls show that
     # inverse data is taken before mirror mode.
     calls = []
