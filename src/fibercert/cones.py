@@ -4,9 +4,12 @@ The dual cone in Z^{r+1} is the cone over the support polytopes stacked at
 their heights.  Facet slopes are estimated from the data: for a direction u,
 the directional extent N'_1(u, p) is subadditive in p, so N'_1(u, p)/p
 decreases to the true slope and min over computed p is a certified upper
-estimate.  Every model records the truncation p_max and the convergence
-window constant C.  The models set the subcone and the word radius of a
-certificate; its obstacles are exact supports, never cone slices.
+estimate.  Past a support route's checked period only the powers that can
+set a facet are read, and the model is the one every power gives (see
+estimate_dual_cone).  Every model records the truncation p_max and the
+convergence window constant C.  The models set the subcone and the word
+radius of a certificate; its obstacles are exact supports, never cone
+slices.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import geometry
 from .errors import SubconeError, ValidationError
-from .trackmap import LiftedGraphMap
+from .trackmap import LiftedGraphMap, PowerMemo
 
 # Membership margins below this in absolute value are reported near-boundary.
 BOUNDARY_TOLERANCE = Fraction(1, 100)
@@ -108,21 +111,55 @@ def _candidate_directions(rank: int, ratio_points: list[tuple[int, ...]]) -> lis
     return dirs
 
 
+def _powers_read(hull_of: PowerMemo, p_max: int) -> list[int]:
+    """The powers in 1..p_max whose hulls can set a facet of the estimate
+    (see estimate_dual_cone): every one, unless the route ``hull_of`` has a
+    period (T, c, Q) by p_max; then 1..T + c and, for each residue r < c,
+    the largest p <= p_max with p ≡ T + r (mod c)."""
+    hull_of(p_max)  # walks to p_max, or to the route's period if it finds one first
+    if hull_of.period is None:
+        return list(range(1, p_max + 1))
+    T, c, _ = hull_of.period
+    lasts = (p_max - (p_max - T - r) % c for r in range(c))
+    return sorted({*range(1, min(p_max, T + c) + 1), *(p for p in lasts if p > 0)})
+
+
 def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
                        route: str = "semiring") -> DualConeModel:
     """Reconstruct the dual cone from the support hulls at powers 1..p_max,
-    read from the map's ``route`` memo ("semiring" or "oracle")."""
+    read from the map's ``route`` memo ("semiring" or "oracle").
+
+    Only the powers of _powers_read are read, and the model is the one that
+    every power gives.  With a period (T, c, Q), each power p = p0 + kc
+    past T + c, p0 = T + r, is H_{p0} ⊕ kQ with k >= 1, and:
+    - the normal fan of H ⊕ kQ does not depend on k > 0, so its vertices
+      are a_i + k q_j over one fixed set of pairs (a_i, q_j) of vertices of
+      H_{p0} and Q;
+    - each ratio point (a_i + k q_j)/(p0 + kc) moves monotonically, as k
+      grows from 0, along the segment from a_i/p0 towards q_j/c, so the
+      ratio points of the powers between p0 and the last one read lie on
+      segments between read ones: the ratio hull keeps its vertices, and
+      _chain drops collinear points (for p0 = 0 the point is q_j/c at
+      every k);
+    - top_u(p)/p = (A + kB)/(p0 + kc) is monotone in k, so its least value
+      is at k = 0 or at the largest k, and the fallback window's
+      min <u, x> = A' + kB' is linear in k;
+    - scaling the ratio points by the lcm of the powers read, not of
+      1..p_max, changes neither the hull's vertex order nor its primitive
+      edge normals.
+    A route with no period, like the path oracle, reads every power.
+    """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
     hull_of = getattr(track, route)
-    supports = [hull_of(p) for p in range(0, p_max + 1)]
-    powers = range(1, p_max + 1)
+    powers = _powers_read(hull_of, p_max)
+    supports = {p: hull_of(p) for p in powers}
     ratio_points = []
     if track.rank == 2:
         # The hull of a union is the hull of the union of the hulls, so the
         # hull vertices v of each power p suffice.  Their ratio points v/p,
-        # times lcm(1..p_max) > 0, are integers with the same hull vertex
-        # order and primitive edge normals.
+        # times the lcm of the powers > 0, are integers with the same hull
+        # vertex order and primitive edge normals.
         scale = lcm(*powers)
         ratio_points = [(x * m, y * m) for p in powers for m in (scale // p,)
                         for x, y in supports[p]]
@@ -135,13 +172,13 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
         a, b = (*u, 0)[:2]
         tops = [max([a * x + b * y for x, y in h]) for h in hulls]
         # The least N'_1/p, its pairs (hi, p > 0) compared by cross-multiplication.
-        top, q = tops[0], 1
+        top, q = tops[0], powers[0]
         for p, hi in zip(powers, tops):
             if hi * q < top * p:
                 top, q = hi, p
         slope = Fraction(top, q)
         if k0 is not None and k0 <= p_max:
-            lo, hi = geometry.directional_extrema(supports[k0], u)
+            lo, hi = geometry.directional_extrema(hull_of(k0), u)
             c_window = hi - lo
         else:
             # No strict-positivity window available; fall back to the widest

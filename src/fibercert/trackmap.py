@@ -7,13 +7,13 @@ edge-path as (edge, shift, orientation) steps.  The occupied fundamental
 domain of a step is its shift.  A power's support is read only as its
 hull, by two exact routes, each holding one hull per column of the powers
 of the transition matrix M: the semiring route reads supp M from the
-Laurent matrix and, once its columns repeat up to a checked period, takes
-each later power as one Minkowski sum (certify); the path oracle reads
-supp M from edge_images and walks every power (verify).  The occupied
-shifts themselves are never walked.  A kernel word's support is the hull
-of its power's support, which the obstacle index places at the word's
-integer shift.  Track-level and surface-level domains may differ by a
-unit; mirror mode assumes, unchecked, that this discrepancy does not
+Laurent matrix and, once its columns repeat up to a checked period,
+answers any later power in closed form, one Minkowski sum (certify); the
+path oracle reads supp M from edge_images and walks every power (verify).
+The occupied shifts themselves are never walked.  A kernel word's support
+is the hull of its power's support, which the obstacle index places at the
+word's integer shift.  Track-level and surface-level domains may differ by
+a unit; mirror mode assumes, unchecked, that this discrepancy does not
 change a negative power's support.
 """
 
@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import count, islice
+from itertools import count
 from operator import add, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from . import geometry
 from .errors import CapabilityError, ValidationError
@@ -32,6 +32,7 @@ from .laurent import LaurentMatrix, LaurentPoly
 
 Shift = tuple[int, ...]
 Step = tuple[str, Shift, int]  # (edge, deck shift, orientation +1/-1)
+Period = tuple[int, int, tuple[Shift, ...]]  # (T, c, Q): H_p = H_{p-c} ⊕ Q for p >= T + c
 
 # The last power at which the semiring walk looks for a period.  Of 400
 # random entry-support matrices (size <= 4, shifts in [-3, 3]^rank), each
@@ -152,7 +153,9 @@ class LiftedGraphMap:
     def semiring(self) -> "PowerMemo":
         """Certify's route: the hull of every power, from one hull per column
         of M^q over the transition matrix's entry supports up to a checked
-        period, one Minkowski sum per power after it (see _semiring_powers)."""
+        period, then of any later power in closed form, one Minkowski sum
+        each; ``semiring.period`` is that period, (T, c, Q), once the walk
+        has found it (see _semiring_powers and PowerMemo)."""
         return PowerMemo(_semiring_powers(self.entry_supports, self.rank))
 
     @cached_property
@@ -205,27 +208,44 @@ class PowerMemo:
     """The values of powers 0, 1, ..., taken from the iterator ``powers`` on
     demand and kept.  An error raised by ``powers`` ends it: that power and
     every later one raise the error again.  A negative power raises
-    ValidationError."""
+    ValidationError.
+
+    ``powers`` may end by returning a period (T, c, Q), once it has yielded
+    power q = T + c, where H_p = H_{p-c} ⊕ Q for every p >= q (see
+    _semiring_powers).  The memo keeps H_0..H_q and ``period``, and answers
+    each later power in closed form, keeping none: with (k, r) =
+    divmod(p - T, c), k >= 1 and T + r < q, H_p = H_{T+r} ⊕ kQ, as kQ, Q's
+    vertices times k, is Q summed k times and still in convex_hull's form.
+    ``period`` is None until then, and on a route that has none.
+    """
 
     def __init__(self, powers: Iterator):
-        self.powers, self.kept = powers, []
+        self.powers, self.kept, self.period = powers, [], None
         self.end: Exception = ValidationError("no further powers")
 
     def __call__(self, p: int):
         if p < 0:
             raise ValidationError("power must be nonnegative")
         try:
-            self.kept.extend(islice(self.powers, max(0, p + 1 - len(self.kept))))
+            while p >= len(self.kept) and self.period is None:
+                self.kept.append(next(self.powers))
+        except StopIteration as stop:
+            self.period = stop.value
         except Exception as exc:
             self.end = exc
             raise
-        if p >= len(self.kept):
+        if p < len(self.kept):
+            return self.kept[p]
+        if self.period is None:
             raise self.end.with_traceback(None)
-        return self.kept[p]
+        T, c, Q = self.period
+        k, r = divmod(p - T, c)
+        kQ = [tuple(k * a for a in v) for v in Q]
+        return tuple(geometry.minkowski_sum(self.kept[T + r], kQ))
 
 
 def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]],
-                     rank: int) -> Iterator[tuple[Shift, ...]]:
+                     rank: int) -> Generator[tuple[Shift, ...], None, Period]:
     """Hulls of the supports of the powers of a matrix of entry supports.  An
     empty power, after which every power is empty, raises ValidationError.
 
@@ -241,25 +261,22 @@ def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]],
     _column_period): C_q(j) = C_{q-c}(j) ⊕ Q for every column j.  The
     step from C_q to C_{q+1} commutes with ⊕ Q for a convex Q, so the
     period then holds at every later power, and so does H_p = H_{p-c} ⊕ Q,
-    as hull(∪ (A_j ⊕ Q)) = hull(∪ A_j) ⊕ Q.  From there each power is one
-    Minkowski sum and the columns are no longer walked.
+    as hull(∪ (A_j ⊕ Q)) = hull(∪ A_j) ⊕ Q.  The walk then stops and
+    returns (T, c, Q), T = q - c, from which PowerMemo answers every later
+    power with one Minkowski sum; without a period it walks on.
     """
     entry_columns = list(zip(*base))  # column j of M: supp M_kj over k
     cols = deque([[[(0,) * rank] for _ in base]], maxlen=len(base) + 1)
-    hulls, period = [], None
     for q in count():
+        if q:
+            sums = ([tuple(map(add, v, t)) for ts, h in zip(col, cols[-1]) for t in ts for v in h]
+                    for col in entry_columns)
+            cols.append([geometry.convex_hull(pts) if pts else [] for pts in sums])
+        yield tuple(geometry.convex_hull([v for h in cols[-1] for v in h]))
+        period = _column_period(cols) if q <= PERIOD_WINDOW else None
         if period:
-            hull = tuple(geometry.minkowski_sum(hulls[q - period[0]], period[1]))
-        else:
-            if q:
-                sums = ([tuple(map(add, v, t)) for ts, h in zip(col, cols[-1]) for t in ts for v in h]
-                        for col in entry_columns)
-                cols.append([geometry.convex_hull(pts) if pts else [] for pts in sums])
-            hull = tuple(geometry.convex_hull([v for h in cols[-1] for v in h]))
-            if q <= PERIOD_WINDOW:
-                period = _column_period(cols)
-        hulls.append(hull)
-        yield hull
+            c, Q = period
+            return q - c, c, tuple(Q)
 
 
 def _column_period(cols: Sequence[list[list[Shift]]]) -> Optional[tuple[int, list[Shift]]]:

@@ -1,9 +1,17 @@
 import pytest
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from operator import add
 
-from fibercert.cones import estimate_dual_cone, fibered_cone_from_dual
+from fibercert import geometry
+from fibercert.cones import (
+    DualConeModel,
+    FacetDirection,
+    _candidate_directions,
+    estimate_dual_cone,
+    fibered_cone_from_dual,
+)
 from fibercert.dataio import dataset_hash, load_dataset
 
 DATA = resources.files("fibercert") / "data"
@@ -29,6 +37,41 @@ def negate(points):
     """The points reflected through the origin, in their order: with
     convex_hull, the reference that geometry.reflect is checked against."""
     return [tuple(-a for a in p) for p in points]
+
+
+def every_power_estimate(track, p_max, route="semiring"):
+    """The dual cone from the support hulls of every power 1..p_max, their
+    ratio points scaled by lcm(1..p_max): estimate_dual_cone as it was
+    before it read only the powers that can set a facet, kept as the
+    reference it is checked against."""
+    hull_of = getattr(track, route)
+    supports = [hull_of(p) for p in range(0, p_max + 1)]
+    powers = range(1, p_max + 1)
+    ratio_points = []
+    if track.rank == 2:
+        scale = lcm(*powers)
+        ratio_points = [(x * m, y * m) for p in powers for m in (scale // p,)
+                        for x, y in supports[p]]
+    k0 = track.k0
+    facets = []
+    hulls = [[(*x, 0)[:2] for x in supports[p]] for p in powers]
+    for u in _candidate_directions(track.rank, ratio_points):
+        a, b = (*u, 0)[:2]
+        tops = [max([a * x + b * y for x, y in h]) for h in hulls]
+        top, q = tops[0], 1
+        for p, hi in zip(powers, tops):
+            if hi * q < top * p:
+                top, q = hi, p
+        slope = Fraction(top, q)
+        if k0 is not None and k0 <= p_max:
+            lo, hi = geometry.directional_extrema(supports[k0], u)
+            c_window = hi - lo
+        else:
+            c_window = max(0, -min(geometry.dot(u, x) for p in powers
+                                   for x in supports[p]))
+        facets.append(FacetDirection(u, slope, c_window))
+    return DualConeModel(track.rank, p_max, k0, tuple(facets),
+                         low_confidence=k0 is None or p_max < k0)
 
 
 def _load(name: str):

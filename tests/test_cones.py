@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,13 @@ from fibercert.cones import (
     subcone_models,
 )
 from fibercert import cones, geometry
+from fibercert.dataio import load_dataset
 from fibercert.errors import SubconeError, ValidationError
 from fibercert.geometry import contains_point, convex_hull
+from fibercert.pipeline import POWER_CAP
 from fibercert.trackmap import support_of_power
 
-from conftest import tuple_state_walk
+from conftest import every_power_estimate, tuple_state_walk
 from test_trackmap import doubling_rose, single_edge_rose
 
 
@@ -161,8 +165,11 @@ def test_integer_ratio_hull_matches_fractions_on_r2(r2):
 @pytest.mark.parametrize("p_max", [1, 2, 7, 30])
 def test_dual_cone_scales_every_ratio_point_by_one_factor(r1, r2, monkeypatch, p_max):
     """estimate_dual_cone hands _candidate_directions the ratio points x/p of
-    every power's hull vertices as integers, all times one positive factor,
-    and in rank 1, which reads only the axes, none."""
+    the hull vertices of the powers it reads as integers, all times one
+    positive factor, and in rank 1, which reads only the axes, none.  The
+    oracle route reads every power.  r2's semiring route has the period
+    (T, c) = (1, 2), so it reads 1..3 and the last power of each residue
+    mod 2."""
     seen = []
 
     def spy(rank, ratio_points):
@@ -170,15 +177,36 @@ def test_dual_cone_scales_every_ratio_point_by_one_factor(r1, r2, monkeypatch, p
         return _candidate_directions(rank, ratio_points)
 
     monkeypatch.setattr(cones, "_candidate_directions", spy)
-    estimate_dual_cone(r1, p_max)
-    estimate_dual_cone(r2, p_max)
-    assert seen[0] == []
-    want = _fractions([(x, p) for p in range(1, p_max + 1)
-                       for x in support_of_power(r2, p)])
-    pairs = [(c, f) for pt, frac in zip(seen[1], want) for c, f in zip(pt, frac)]
-    assert len(seen[1]) == len(want) and all(isinstance(c, int) for c, _ in pairs)
-    scale = next(c / f for c, f in pairs if f)
-    assert scale > 0 and all(c == scale * f for c, f in pairs)
+    read = {"oracle": list(range(1, p_max + 1)),
+            "semiring": {1: [1], 2: [1, 2], 7: [1, 2, 3, 6, 7], 30: [1, 2, 3, 29, 30]}[p_max]}
+    for route in ("oracle", "semiring"):
+        seen.clear()
+        estimate_dual_cone(r1, p_max, route)
+        estimate_dual_cone(r2, p_max, route)
+        assert seen[0] == []
+        want = _fractions([(x, p) for p in read[route] for x in support_of_power(r2, p)])
+        pairs = [(c, f) for pt, frac in zip(seen[1], want) for c, f in zip(pt, frac)]
+        assert len(seen[1]) == len(want) and all(isinstance(c, int) for c, _ in pairs)
+        scale = next(c / f for c, f in pairs if f)
+        assert scale > 0 and all(c == scale * f for c, f in pairs), route
+
+
+def test_paper_scale_semiring_cone_reads_few_powers():
+    """At p_max POWER_CAP, the semiring route's dual cone of each bundled
+    map, on a map loaded anew, equals the every-power reference, and its
+    build alone, semiring walk included, takes under 0.1 s: past r1's period
+    (T, c) = (1, 1) it reads 3 powers and past r2's (1, 2) 5, not 2,000
+    (r2's build read them all in about 0.35 s on 2 CPUs)."""
+    reads = {"rose_r1": [1, 2, POWER_CAP], "rose_r2": [1, 2, 3, POWER_CAP - 1, POWER_CAP]}
+    for name in ("rose_r1", "rose_r2"):
+        fresh = load_dataset(str(resources.files("fibercert") / "data" / f"{name}.json"))
+        start = time.monotonic()
+        dual = estimate_dual_cone(fresh, POWER_CAP)
+        elapsed = time.monotonic() - start
+        assert elapsed < 0.1, (f"{name} semiring cone at p_max {POWER_CAP} took "
+                               f"{elapsed:.3f}s (limit 0.1s)")
+        assert cones._powers_read(fresh.semiring, POWER_CAP) == reads[name]
+        assert dual == every_power_estimate(fresh, POWER_CAP), name
 
 
 def test_dual_cone_is_stable_in_p_max(r1, r2):

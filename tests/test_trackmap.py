@@ -8,6 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fibercert import trackmap
+from fibercert.cones import estimate_dual_cone
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
 from fibercert.geometry import contains_point, convex_hull, minkowski_sum
@@ -24,7 +25,7 @@ from fibercert.trackmap import (
     support_of_power,
 )
 
-from conftest import negate, tuple_state_walk
+from conftest import every_power_estimate, negate, tuple_state_walk
 
 
 def single_edge_rose() -> LiftedGraphMap:
@@ -365,6 +366,59 @@ def test_column_walk_matches_full_matrix_walk(case):
     if len(want) <= 40:
         with pytest.raises(ValidationError):
             _walked(base, rank, len(want))
+
+
+def _read_to(memo, p):
+    """memo after reading powers 0..p, or up to its first empty power."""
+    try:
+        memo(p)
+    except ValidationError:
+        pass
+    return memo
+
+
+def _estimate_or_error(track, p_max):
+    try:
+        return estimate_dual_cone(track, p_max)
+    except ValidationError:
+        return "empty power"
+
+
+@settings(max_examples=40, deadline=None)
+@given(support_matrices(), st.one_of(st.none(), st.integers(1, 64)))
+def test_closed_form_route_matches_the_column_walk(case, k0):
+    """Past its period (T, c, Q) the semiring memo keeps no power and
+    answers each one in closed form.  It equals the column walk, a memo
+    that searches for no period, at every power up to 200, and at its first
+    empty power, if any, both raise; a far power is H_p = H_{p-c} ⊕ Q.  A
+    memo with no period walks its columns at every power itself.  On
+    stand-in maps of either memo, whatever k0, the dual cone from the powers
+    the estimate reads equals the every-power reference at every p_max up
+    to 60 (at a few, around the period window, when there is no period and
+    the estimate reads every power too)."""
+    rank, base = case
+    memo = _read_to(PowerMemo(_semiring_powers(base, rank)), 200)
+    event("period" if memo.period else "no period")
+    walk = memo
+    if memo.period:
+        T, c, Q = memo.period
+        assert len(memo.kept) == T + c + 1
+        far = 10 ** 9 + T
+        assert memo(far) == tuple(minkowski_sum(memo(far - c), Q))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trackmap, "PERIOD_WINDOW", -1)
+            walk = _read_to(PowerMemo(_semiring_powers(base, rank)), 200)
+        assert walk.period is None and len(walk.kept) == 201
+        assert [memo(p) for p in range(201)] == walk.kept
+    elif len(memo.kept) <= 200:
+        with pytest.raises(ValidationError):
+            memo(len(memo.kept))
+    fast = SimpleNamespace(rank=rank, k0=k0, semiring=memo)
+    slow = SimpleNamespace(rank=rank, k0=k0, semiring=walk)
+    for p_max in range(1, 61) if memo.period else (1, 2, 16, 17, 60):
+        want = ("empty power" if p_max >= len(walk.kept)
+                else every_power_estimate(slow, p_max))
+        assert _estimate_or_error(fast, p_max) == want, p_max
 
 
 def test_mirrored_word_is_rehulled():

@@ -19,7 +19,10 @@ per metric, each side's median and quartiles (statistics.quantiles, n=4),
 the pairs the change side won, the median ratio and the parent's
 interquartile range.  Each run also keeps the ``calibration_s`` of its run
 record, the time of a fixed loop, which moves with host load and not with
-the change.  Nothing under ``bench/`` is changed.
+the change.  With ``--claim``, the claimed workload then runs once more per
+side with ``--trace 1`` on the first seed, and its per-layer metrics are
+kept under ``traced``, to show which layers moved.  Nothing under
+``bench/`` is changed.
 """
 
 from __future__ import annotations
@@ -70,11 +73,12 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in checkout: its correctness and end-to-end metrics."""
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One benchmark run in checkout: its correctness and its end-to-end
+    metrics, or per-layer ones when traced."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     row = {key: result[key] for key in KEPT}
@@ -156,6 +160,11 @@ def main(argv=None) -> int:
                     f"{side} {pair[side].get('ops_per_s')}" for side in SIDES), file=sys.stderr)
                 pairs.append(pair)
             out["workloads"][workload] = {"summary": summarize(pairs, metrics), "pairs": pairs}
+        if out["claim"]:
+            workload = out["claim"]["workload"]
+            out["traced"] = {"workload": workload, "seed": seeds[0],
+                             **{side: run_once(checkouts[side], workload, seeds[0], trace=1)
+                                for side in SIDES}}
     path = ROOT / f"BENCH_{args.pr}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
