@@ -6,8 +6,9 @@ systole is the exact shortest vector of the projected lattice by
 Lagrange-Gauss reduction; Obstacles indexes the obstacle hulls by their
 boxes; deep_point is an exact argmax over the lattice points of a box among
 them, found by branch and bound over exact boxes, with exact rational
-distances, over half the box when the obstacles are point-symmetric.  No
-floating point is used.
+distances, over half the box when the obstacles are point-symmetric and
+over one period strip of it when they repeat along the kernel.  No floating
+point is used.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ class PerpLattice:
     def shortest_vector(self) -> "ShortestVector":
         """systole of the lattice, computed once per lattice object."""
         return systole(self)
+
+    @property
+    def period(self) -> Optional[Vec]:
+        """The projection v of the primitive kernel vector (v, 0), whose
+        last coordinate is 0: (-b, a)/gcd(a, b) for alpha = (a, b, n).  A
+        word moved by it keeps its power.  None in rank 1, where the kernel
+        holds no such vector, and for a = b = 0."""
+        x = self.alpha.vector[:-1]
+        g = gcd(*x)
+        return (-x[1] // g, x[0] // g) if len(x) == 2 and g else None
 
 
 def perp_basis(alpha: FiberedClass) -> PerpLattice:
@@ -204,10 +215,15 @@ Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
 class Obstacles:
     """An index of placed obstacles, each exact box computed once with
     coordinates doubled, for deep_point's cell bounds and for every question
-    asked at one point."""
+    asked at one point.  ``period`` is a nonzero rank-2 kernel shift v (see
+    PerpLattice.period) and ``pool`` every obstacle placed from the words,
+    of which ``placed`` is the part kept (``placed`` itself by default);
+    Obstacles.strip checks them for deep_point."""
 
-    def __init__(self, placed: Sequence[Obstacle]):
+    def __init__(self, placed: Sequence[Obstacle], period: Optional[Vec] = None,
+                 pool: Optional[Sequence[Obstacle]] = None):
         self.placed = list(placed)
+        self.period, self.pool = period, self.placed if pool is None else pool
         self.shifts = [_pad(x) for _, x in self.placed]
         self.doubled = [tuple(2 * (e + t) for e, t in zip(base.box, (sx, sx, sy, sy)))
                         for (base, _), (sx, sy) in zip(self.placed, self.shifts)]
@@ -228,6 +244,22 @@ class Obstacles:
         return (shifts[:half] == [(-a, -b) for a, b in reversed(shifts[n // 2:])]
                 and all(b.hull == a.reflected for (a, _), (b, _)
                         in zip(placed[:half], reversed(placed[n // 2:]))))
+
+    @cached_property
+    def strip(self) -> Optional[Vec]:
+        """The period v oriented lexicographically negative, when every
+        obstacle (base, x) has its partner (base, x - v) in the pool, placed
+        from the same base object; None without a period or when a partner
+        is missing.  Checked, never assumed, in one pass over the pool and
+        one over the obstacles."""
+        if self.period is None:
+            return None
+        v = self.period if self.period < (0, 0) else tuple(-c for c in self.period)
+        vx, vy = v
+        pool = {(id(base), x) for base, x in self.pool}
+        if all((id(base), (x0 - vx, x1 - vy)) in pool for base, (x0, x1) in self.placed):
+            return v
+        return None
 
     def cell_bound(self, lo: Vec, hi: Vec, near: Sequence[int]) -> tuple[int, list[int]]:
         """The least far-corner value of the cell [lo, hi] over the vertices
@@ -319,7 +351,10 @@ class _Seen:
         point misses every obstacle.  The moved body's box lies within
         L-inf distance ``reach`` of the point, so a box meeting it has a gap
         of at most 8 reach^2; the obstacles whose box meets it are tested
-        exactly, nearest first."""
+        exactly, nearest first.  The body moved to the point meets base + x
+        iff x - point lies in body ⊕ (-base): in rank 2 one containment test
+        in the sum with the base's cached reflection (BaseHull.reflected),
+        in rank 1 two comparisons of interval ends."""
         a, b, c, d = body.box
         reach = max(-a, b, -c, d)
         px, py = _pad(self.point)
@@ -333,8 +368,14 @@ class _Seen:
             if e > b or a > f or g > d or c > h:
                 continue  # disjoint boxes, so disjoint hulls
             base, x = placed[i]
-            moved = geometry.translate(body.hull, tuple(p - t for p, t in zip(self.point, x)))
-            if not geometry.hulls_disjoint(moved, base.hull):
+            t = tuple(s - p for s, p in zip(x, self.point))
+            if len(t) == 1:
+                meets = base.hull[0][0] + t[0] <= body.hull[-1][0] \
+                    and body.hull[0][0] <= base.hull[-1][0] + t[0]
+            else:
+                meets = geometry.contains_point(
+                    geometry.minkowski_sum(body.hull, base.reflected), t)
+            if meets:
                 return False
         return True
 
@@ -344,6 +385,20 @@ def _beats(dist2, point: Vec, best: Optional[DeepPoint]) -> bool:
     lexicographically smaller."""
     return (best is None or dist2 > best.dist2
             or (dist2 == best.dist2 and point < best.point))
+
+
+def _strip(R: int, right: int, v: Vec) -> list[tuple[Vec, Vec]]:
+    """The cells of [-R, right] x [-R, R] whose points p have p + v outside
+    [-R, R]^2, for v <lex 0: p_0 + v_0 < -R in the first -v_0 columns, and
+    in the columns after them p_1 + v_1 > R or < -R in |v_1| rows."""
+    w, h = -v[0], v[1]
+    cells = []
+    if w:
+        cells.append(((-R, -R), (min(right, w - R - 1), R)))
+    if h and w - R <= right:
+        y0, y1 = (max(-R, R - h + 1), R) if h > 0 else (-R, min(R, -R - h - 1))
+        cells.append(((w - R, y0), (right, y1)))
+    return cells
 
 
 def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
@@ -377,12 +432,29 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
       nearest bounding box first.
     - Half the box: when the obstacles are point-symmetric
       (Obstacles.symmetric, checked on the placed translates, never
-      assumed), f(-y) = f(y), so the set S of argmax points is closed under
+      assumed), f(-y) = f(y), so the set A of argmax points is closed under
       negation.  Its lexicographically smallest point p is then <=lex 0:
-      were p >lex 0, -p would be a point of S below it.  Every point <=lex 0
+      were p >lex 0, -p would be a point of A below it.  Every point <=lex 0
       has x <= 0, so the search covers [-R, 0] x [-R, R] ([-R, 0] in rank
       1) with the same bounds and tie-break, and returns the full box's
       result.
+    - Period strip: when Obstacles.strip gives v (rank 2 only; checked on
+      the placed translates, never assumed), the search starts from the
+      one or two cells S of that box whose points p have p + v outside
+      [-R, R]^2: the first -v_0 columns, and |v_1| rows at the top (v_1 > 0)
+      or the bottom (v_1 < 0) of the columns after them.  Let D be such
+      that every pool obstacle left out of the index lies farther than D
+      from the full box (any D when the pool is the index).  Take p and
+      p + v both in the box.  Then f(p + v) = min over obstacles o of
+      d(p, o - v)^2.  If o - v is an obstacle, its term is >= f(p);
+      otherwise it is in the pool but left out, and its term is > D^2.
+      So when the full box's maximum d* is <= D^2, f does not decrease
+      along +v, and the smallest argmax p* has p* + v outside the box:
+      otherwise p* + v would be an argmax below it, as v <lex 0, and in
+      the half box too, as v_0 <= 0.  So p* lies in S, and the search
+      returns the full box's result.  When d* > D^2, f stays above D^2
+      along p*, p* + v, ..., whose last point in the box lies in S, so
+      the search also reports a distance above D^2 (see certify).
     Bounds use the exact box of every hull and the exact vertices, so they
     hold for Fraction vertices too, and all arithmetic is exact: Python
     ints and Fractions, no floating point.
@@ -393,11 +465,16 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
         raise ValidationError("box radius must be >= 1")
     best: Optional[DeepPoint] = None
     span = R if rank == 2 else 0
-    lo, hi = (-R, -span), (0 if obstacles.symmetric else R, span)
-    bound, near = obstacles.cell_bound(lo, hi, range(len(obstacles)))
+    right = 0 if obstacles.symmetric else R
+    v = obstacles.strip if rank == 2 else None
+    cells = _strip(R, right, v) if v else [((-R, -span), (right, span))]
     # A heap entry is a cell's negated bound, its corners, and the hulls
     # within the bound of it.
-    heap = [(-bound, lo, hi, near)]
+    heap = []
+    for lo, hi in cells:
+        bound, near = obstacles.cell_bound(lo, hi, range(len(obstacles)))
+        heap.append((-bound, lo, hi, near))
+    heapq.heapify(heap)
     while heap:
         neg_bound, lo, hi, near = heapq.heappop(heap)
         if not _beats(-neg_bound, lo, best):

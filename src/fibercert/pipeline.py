@@ -267,17 +267,26 @@ def certify(
       kept obstacles as over all of them: the same maximum, attained at the
       same points, with the same lexicographically smallest one.  Measured
       from the full box, the kept set of a point-symmetric word set is
-      point-symmetric too, so the half-box search still applies.
+      point-symmetric too, so the half-box search still applies.  The kept
+      set is indexed with the lattice's period and every placed obstacle as
+      its pool, so the period-strip search applies whenever each kept
+      obstacle's partner was placed; a placed partner left out lies
+      farther than D, as deep_point's strip proof needs.
     - K: a body moved to a point of the box has its box within L-inf reach
       of the point, so it cannot meet a box at gap > D if D is at least
       that reach.  D is at least the box reach of the dilated body of every
       power up to p_max: power p_max's alone when supports nest
       (LiftedGraphMap.nested_supports), the largest of them all otherwise.
     D starts at the larger of that reach and isqrt of the lattice's squared
-    systole, a guess at sqrt(d*) that is checked, never trusted: if
-    d* > D^2, D widens to ceil(sqrt(d*)) and the search runs once more.
-    One redo suffices: the wider set's deep distance is at most the
-    narrower set's d*, so it lies within the new D.
+    systole, a guess at sqrt(d*) that is checked, never trusted: while
+    d* > D^2, D widens to ceil(sqrt(d*)) and the search runs again.  Over
+    the full box one redo suffices: the wider set's deep distance is at
+    most the narrower set's d*, so it lies within the new D.  The strip
+    search reports a distance above D^2 exactly when the full box's is
+    (see deep_point), so the redo still fires when it must, and it stops
+    only at an exact result; one redo sufficed on every class measured.
+    The loop ends: a redo that keeps no new obstacle repeats its search,
+    whose distance then lies within the widened D.
     """
     _check_margins(safety, kappa)
     if box_radius is not None and box_radius < 1:
@@ -305,11 +314,11 @@ def certify(
             D = max([math.isqrt(L.shortest_vector.length2)]
                     + [max(map(abs, dilated_base(track, "semiring", q, safety,
                                                  allow_mirror).box)) for q in bodies])
-        obstacles = Obstacles(_within_reach(placed, R, D))
+        obstacles = Obstacles(_within_reach(placed, R, D), L.period, placed)
         dp = deep_point(obstacles, R, r)
-        if dp.dist2 > D * D:
+        while dp.dist2 > D * D:
             D = math.isqrt(math.ceil(dp.dist2) - 1) + 1  # ceil(sqrt(d*))
-            obstacles = Obstacles(_within_reach(placed, R, D))
+            obstacles = Obstacles(_within_reach(placed, R, D), L.period, placed)
             dp = deep_point(obstacles, R, r)
         if dp.dist2 > 0:
             break

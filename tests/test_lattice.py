@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fibercert import lattice
 from fibercert.errors import ValidationError
 from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
 from fibercert.geometry import hulls_disjoint
+from fibercert.pipeline import _within_reach, build_obstacles, enumerate_words
 from fibercert.trackmap import support_of_power
 from fibercert.lattice import (
     BaseHull,
@@ -18,6 +20,7 @@ from fibercert.lattice import (
     Obstacles,
     PerpLattice,
     _box,
+    _strip,
     deep_point,
     perp_basis,
     systole,
@@ -519,6 +522,147 @@ def test_symmetric_needs_the_reflected_hull():
     dot = BaseHull.of([(0,)])
     assert Obstacles([(dot, (0,))]).symmetric
     assert not Obstacles([(dot, (1,))]).symmetric
+
+
+def test_period_is_the_primitive_kernel_shift_of_power_zero():
+    """(v, 0) lies in the kernel and v is primitive; rank 1 and a class
+    with a = b = 0 have no period."""
+    for alpha in primitive_classes(2, 12) + [FiberedClass((3, 0, 7)), FiberedClass((0, -2, 5))]:
+        v = alpha.lattice.period
+        a, b, _ = alpha.vector
+        assert a * v[0] + b * v[1] == 0 and gcd(*v) == 1, alpha
+    assert FiberedClass((3, 0, 7)).lattice.period == (0, 1)
+    assert FiberedClass((3, 7)).lattice.period is None
+    assert FiberedClass((0, 0, 1)).lattice.period is None
+
+
+def test_strip_cells_are_the_points_stepping_out_of_the_box():
+    """The strip's cells hold, once each, exactly the points p of the
+    searched box [-R, right] x [-R, R] with p + v outside [-R, R]^2, for
+    every lexicographically negative v: b = 0's (0, -1), each quarter turn
+    and periods wider than the box."""
+    periods = [(0, -1), (-1, 0), (0, -3), (-1, 1), (-1, -1), (-2, 3), (-3, -2),
+               (-4, 1), (-1, -5), (-7, 2), (-2, 9), (-11, -1)]
+    for R in range(1, 5):
+        for right in (0, R):
+            for v in periods:
+                cells = _strip(R, right, v)
+                points = [p for lo, hi in cells
+                          for p in product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1))]
+                want = [p for p in product(range(-R, right + 1), range(-R, R + 1))
+                        if max(abs(p[0] + v[0]), abs(p[1] + v[1])) > R]
+                assert sorted(points) == want, (R, right, v, cells)
+                assert len(cells) <= 2
+
+
+# Small primitive rank-2 classes with |n| >= 3(|a| + |b|), so that a word
+# within radius R_w has power at most R_w / 3; b = 0 gives the period
+# (0, -1) or (-1, 0), depending on the quarter turn.
+_STRIP_CLASSES = [(1, 0, 4), (1, 1, 7), (1, 2, 9), (2, 1, 10), (1, 3, 13), (3, 2, 16)]
+
+
+@st.composite
+def _kernel_arrangement(draw, r2):
+    """The obstacles of the kernel words of a small rank-2 class, turned a
+    random number of quarter turns, and the part of them within L-inf gap
+    D of the box [-R, R]^2, as certify keeps them.  The bases are r2's
+    dilated supports in mirror mode, random small hulls with each negative
+    power's base the reflection of its positive partner's, both
+    point-symmetric, or random small hulls with an unsymmetric power-0
+    base, searched over the full box.  The word radius covers the period
+    step of every kept obstacle, so the strip check passes: a base reaches
+    at most 2 (random) or |y| / 2 + 2 (r2, safety <= 1)."""
+    a, b, n = draw(st.sampled_from(_STRIP_CLASSES))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = -b, a
+    L = FiberedClass((a, b, n)).lattice
+    R, D = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(("r2", "mirrored", "random")))
+    words = enumerate_words(L, 2 * (R + D + max(map(abs, L.period)) + 2))
+    if kind == "r2":
+        pool = build_obstacles(r2, words, draw(st.integers(0, 1)), True)
+    else:
+        coord = st.integers(-1, 1)
+        hulls = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
+        bases = {}
+        for y in sorted({w.y for w in words}, key=abs):
+            if kind == "mirrored" and y < 0:
+                bases[y] = BaseHull.of(bases[-y].reflected)
+                continue
+            pts = draw(hulls)
+            if y == 0:
+                pts = pts + negate(pts) if kind == "mirrored" else pts + [(1, 1)]
+            bases[y] = BaseHull.of(dilate(convex_hull(pts), draw(st.integers(0, 1))))
+        if kind == "random":
+            assume(bases[0].hull != bases[0].reflected)
+        pool = [(bases[w.y], w.x) for w in words]
+    return pool, _within_reach(pool, R, D), L.period, R, D, kind
+
+
+def _translates(placed):
+    return [translate(base.hull, x) for base, x in placed]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_deep_point_period_strip_matches_full_box(data, r2):
+    """On kernel-word arrangements the strip check passes with v oriented
+    lexicographically negative.  Whenever the deep point lies within D,
+    the strip search, the search without a period and brute force agree;
+    beyond D the strip search reports a distance beyond D too."""
+    pool, kept, period, R, D, kind = data.draw(_kernel_arrangement(r2))
+    index = Obstacles(kept, period, pool)
+    assert index.strip in (period, tuple(-c for c in period))
+    assert index.strip < (0, 0)
+    assert index.symmetric == (kind != "random")
+    want = _brute_deep_point(_translates(kept), R, 2)
+    assert deep_point(Obstacles(kept), R, 2) == want
+    got = deep_point(index, R, 2)
+    if want.dist2 <= D * D:
+        assert got == want
+    else:
+        assert got.dist2 > D * D
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_deep_point_period_strip_refuses_a_missing_partner(data, r2):
+    """Dropping from the pool the partner (base, x - v) that one kept
+    obstacle needs fails the check: the search runs without the strip and
+    still finds the brute-force deep point."""
+    pool, kept, period, R, _, _ = data.draw(_kernel_arrangement(r2))
+    v = min(period, tuple(-c for c in period))
+    base, (x0, x1) = data.draw(st.sampled_from(kept))
+    partner = (x0 - v[0], x1 - v[1])
+    pool, kept = ([(b, x) for b, x in placed if not (b is base and x == partner)]
+                  for placed in (pool, kept))
+    index = Obstacles(kept, period, pool)
+    assert index.strip is None
+
+    def forbidden(*args):
+        raise AssertionError("the strip was searched")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lattice, "_strip", forbidden)
+        assert deep_point(index, R, 2) == _brute_deep_point(_translates(kept), R, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_misses_matches_the_translated_body_test(data):
+    """_Seen.misses, which tests x - point against body ⊕ (-base) in rank 2
+    and compares interval ends in rank 1, agrees with hulls_disjoint of
+    the body translated to point - x and the base hull."""
+    rank = data.draw(st.sampled_from((1, 2)))
+    den = data.draw(st.integers(1, 3))
+    coord = st.integers(-4 * den, 4 * den).map(lambda k: Fraction(k, den))
+    hull = st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=5).map(convex_hull)
+    body, base = BaseHull.of(data.draw(hull)), BaseHull.of(data.draw(hull))
+    shift = st.tuples(*[st.integers(-8, 8)] * rank)
+    x, point = data.draw(shift), data.draw(shift)
+    moved = translate(body.hull, tuple(p - t for p, t in zip(point, x)))
+    assert Obstacles([(base, x)]).seen_from(point).misses(body) == \
+        hulls_disjoint(moved, base.hull)
 
 
 def _far_corner(lo, hi, box) -> int:

@@ -428,6 +428,23 @@ def test_build_obstacles_marks_sweep_r2_symmetric(r2, r2_models):
             assert Obstacles(build_obstacles(r2, words, 1, True)).symmetric, turned
 
 
+def test_strip_check_passes_on_the_r2_acceptance_sweep(r2, r2_models, r2_hash, monkeypatch):
+    """Every deep-point search of the r2 acceptance sweep, (1, j, j^2 + 1)
+    for j = 7..20, passes the period-strip check, so none falls back to the
+    full box unseen; with the strip forced off, the sweep's certificates
+    are byte-identical."""
+    dual, cone, P = r2_models
+    searched = _spy(monkeypatch, "deep_point")
+    rows = sweep(r2, dual, cone, P, SWEEP_R2, 16, r2_hash, allow_mirror=True)
+    assert len(searched) == len(SWEEP_R2)
+    assert all(args[0].strip is not None for args, _ in searched)
+    monkeypatch.setattr(Obstacles, "strip", None)
+    again = sweep(r2, dual, cone, P, SWEEP_R2, 16, r2_hash, allow_mirror=True)
+    assert all(args[0].strip is None for args, _ in searched[len(SWEEP_R2):])
+    assert [emit_certificate(row.certificate) for row in rows] == \
+        [emit_certificate(row.certificate) for row in again]
+
+
 def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
     """r1's bundled inverse is the exact mirror, so its index is marked; an
     inverse that is the forward map itself gives negative powers unreflected

@@ -19,7 +19,9 @@ per metric, each side's median and quartiles (statistics.quantiles, n=4),
 the pairs the change side won, the median ratio and the parent's
 interquartile range.  Each run also keeps the ``calibration_s`` of its run
 record, the time of a fixed loop, which moves with host load and not with
-the change.  With ``--claim``, the claimed workload then runs once more per
+the change; next to each metric's median ratio the summary gives the
+workload's median ratio of ``calibration_s``, so a ratio the host moved
+shows as such.  With ``--claim``, the claimed workload then runs once more per
 side with ``--trace 1`` on the first seed, and its per-layer metrics are
 kept under ``traced``, to show which layers moved.  Nothing under
 ``bench/`` is changed.
@@ -90,7 +92,8 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, pairs won by the change."""
+    """Per metric: each side's median and quartiles, pairs won by the change,
+    and the median ratio of calibration_s over the same pairs."""
     summary = {}
     for name, better in metrics.items():
         measured = [p for p in pairs if all(name in p[side] for side in SIDES)]
@@ -108,6 +111,9 @@ def summarize(pairs: list[dict], metrics: dict[str, str]) -> dict:
                                        for p in measured),
             "pairs": len(measured),
             "median_ratio_change_over_parent": round(med["change"] / med["parent"], 4),
+            "calibration_ratio_change_over_parent": round(
+                statistics.median(p["change"]["calibration_s"] for p in measured)
+                / statistics.median(p["parent"]["calibration_s"] for p in measured), 4),
             "parent_iqr": round(q["parent"][2] - q["parent"][0], 4),
         }
     return summary
