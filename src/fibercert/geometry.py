@@ -159,17 +159,6 @@ def dilate(hull: Sequence[Point], s: int) -> list[Point]:
     return minkowski_sum(hull, cube)
 
 
-def _seg_dist2(y: Point, a: Point, b: Point) -> Fraction:
-    """Exact squared distance from point y to segment [a, b]."""
-    d = tuple(bb - aa for aa, bb in zip(a, b))
-    dd = sum(x * x for x in d)
-    if dd == 0:
-        return Fraction(sum((yy - aa) ** 2 for yy, aa in zip(y, a)))
-    t = Fraction(sum((yy - aa) * x for yy, aa, x in zip(y, a, d)), dd)
-    t = max(Fraction(0), min(Fraction(1), t))
-    return sum((Fraction(yy) - (aa + t * x)) ** 2 for yy, aa, x in zip(y, a, d))
-
-
 def contains_point(hull: Sequence[Point], y: Point) -> bool:
     """Exact membership of y in the closed hull."""
     if len(y) == 1:
@@ -194,7 +183,15 @@ def contains_point(hull: Sequence[Point], y: Point) -> bool:
 
 
 def point_hull_dist2(y: Point, hull: Sequence[Point]) -> Fraction:
-    """Exact squared Euclidean distance from y to the closed hull."""
+    """Exact squared Euclidean distance from y to the closed hull.
+
+    In rank 2, outside a hull of two or more vertices, each edge [a, b],
+    d = b - a, gives a candidate num / den: |y - a|^2 / 1 or |y - b|^2 / 1
+    when y projects onto the line at or beyond an endpoint, and
+    cross(d, y - a)^2 / |d|^2 between them (Lagrange's identity).  The
+    candidates are compared by cross-multiplication, dens being positive,
+    and one Fraction is built for the least; Fraction vertices work alike.
+    """
     if len(y) == 1:
         lo, hi = hull[0][0], hull[-1][0]
         if lo <= y[0] <= hi:
@@ -204,12 +201,20 @@ def point_hull_dist2(y: Point, hull: Sequence[Point]) -> Fraction:
         return Fraction(sum((a - b) ** 2 for a, b in zip(y, hull[0])))
     if contains_point(hull, y):
         return Fraction(0)
-    best = None
-    for i in range(len(hull)):
-        d = _seg_dist2(y, hull[i], hull[(i + 1) % len(hull)])
-        if best is None or d < best:
-            best = d
-    return best
+    yx, yy = y
+    best, best_den = None, 1
+    for (ax, ay), (bx, by) in zip(hull, [*hull[1:], hull[0]]):
+        dx, dy, px, py = bx - ax, by - ay, yx - ax, yy - ay
+        t, dd = px * dx + py * dy, dx * dx + dy * dy
+        if t <= 0:
+            num, den = px * px + py * py, 1
+        elif t >= dd:
+            num, den = (yx - bx) ** 2 + (yy - by) ** 2, 1
+        else:
+            num, den = (dx * py - dy * px) ** 2, dd
+        if best is None or num * best_den < best * den:
+            best, best_den = num, den
+    return Fraction(best, best_den)
 
 
 def hulls_disjoint(hull_a: Sequence[Point], hull_b: Sequence[Point]) -> bool:

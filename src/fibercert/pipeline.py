@@ -9,7 +9,10 @@ emits the translation-length upper bound 2/(nK) in a short certificate: the
 class, the declared parameters and the two search results, from which verify
 re-derives everything else out of the dataset alone.  certify searches
 only the obstacles whose box lies within a checked L-inf gap D of the box;
-the others cannot change either result (see certify).
+the others cannot change either result.  It enumerates only the words
+within the radius R_e at which an obstacle can still reach that gap, and
+verify every word within the word radius R_w, with no reach bound (see
+certify).
 """
 
 from __future__ import annotations
@@ -83,9 +86,10 @@ def word_radius(eps: EpsilonBound, box_radius: int, p_max: int, safety: int) -> 
     """The word radius R_w: by the comparison in EpsilonBound, the obstacle of
     a word outside the box of radius R_w, dilated by ``safety``, is out of
     reach of every power up to p_max moved into the deep-point box.  It
-    bounds what verify enumerates and searches; certify enumerates the same
-    words but searches only those within its reach D (see certify), often a
-    small share, since the radius rests on epsilon alone."""
+    bounds what verify enumerates and searches.  certify enumerates the
+    words within R_e <= R_w, where an obstacle can still come within its
+    reach D, and searches those within D (see certify), often a small
+    share, since the radius rests on epsilon alone."""
     reach = box_radius + math.ceil(eps.rho * p_max) + eps.c_inf + 2 * safety
     return math.ceil(Fraction(reach + eps.c_inf + safety + 1) / eps.epsilon)
 
@@ -105,11 +109,8 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
     over the diagonal bounds the number of words; a bound above
     ``word_cap`` raises BudgetError before any word is built.
     """
-    diag = [row[i] for i, row in enumerate(L.zeta_basis)]
-    total = math.prod(max(0, 2 * R_w // d + 1) for d in diag)
-    if total > word_cap:
-        raise BudgetError(f"word enumeration bound {total} exceeds cap {word_cap}")
-    if len(diag) == 1:
+    check_word_budget(L, R_w, word_cap)
+    if len(L.basis) == 1:
         ((m, t),) = L.basis
         return [GammaWord((c,), (c * m,), c * t) for c in range(-(R_w // m), R_w // m + 1)]
     (g, e, t0), (_, d, t1) = L.basis
@@ -119,6 +120,15 @@ def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[G
         words += [GammaWord((c0, c1), (x0, u + c1 * d), v + c1 * t1)
                   for c1 in range(-((R_w + u) // d), (R_w - u) // d + 1)]
     return words
+
+
+def check_word_budget(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> None:
+    """Raise BudgetError if the product of ``2 R_w // d_i + 1`` over the
+    diagonal of ``zeta_basis``, which bounds the number of words within
+    R_w, is above ``word_cap``."""
+    total = math.prod(max(0, 2 * R_w // row[i] + 1) for i, row in enumerate(L.zeta_basis))
+    if total > word_cap:
+        raise BudgetError(f"word enumeration bound {total} exceeds cap {word_cap}")
 
 
 def check_power_cap(powers: Sequence[int], what: str) -> None:
@@ -131,10 +141,11 @@ def check_power_cap(powers: Sequence[int], what: str) -> None:
 
 def kernel_words(L: PerpLattice, eps: EpsilonBound, box_radius: int, p_max: int,
                  safety: int) -> list[GammaWord]:
-    """The kernel words of a box within its word radius, as certify and
-    verify both derive them.  BudgetError if there are too many to
-    enumerate, PowerCapError if a word's power is above POWER_CAP; both
-    are raised before any support is walked."""
+    """The kernel words of a box within its word radius, as verify derives
+    them.  BudgetError if there are too many to enumerate, PowerCapError
+    if a word's power is above POWER_CAP; both are raised before any
+    support is walked.  certify raises the same refusals at the same
+    radius (see _word_power_bound) but enumerates to its reach radius."""
     words = enumerate_words(L, word_radius(eps, box_radius, p_max, safety))
     check_power_cap([w.y for w in words], "kernel word power")
     return words
@@ -159,11 +170,13 @@ def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: i
                     allow_mirror: bool, route: str = "semiring") -> list[Obstacle]:
     """The obstacles, one per word in word order, each a placed translate
     (base, x): the word's shift x and dilated_base of its power y on
-    ``route``'s supports.  verify indexes all of them on the oracle route;
-    certify, on the semiring route, indexes only those within its reach D
-    (see certify).  A base is built once per map, route, power, safety and
-    mirror flag and shared by every word, certificate and class that needs
-    it, so no per-word hull is copied: the obstacle is base.hull + x.
+    ``route``'s supports.  verify places the words within the word radius
+    R_w and indexes all of them on the oracle route; certify, on the
+    semiring route, places the words within its enumeration radius R_e and
+    indexes only those within its reach D (see certify).  A base is built
+    once per map, route, power, safety and mirror flag and shared by every
+    word, certificate and class that needs it, so no per-word hull is
+    copied: the obstacle is base.hull + x.
     """
     return [(dilated_base(track, route, w.y, safety, allow_mirror), w.x) for w in words]
 
@@ -179,6 +192,46 @@ def _within_reach(placed: Sequence[Obstacle], R: int, D: int) -> list[Obstacle]:
         if -far <= b + sx and a + sx <= far and -far <= d + sy and c + sy <= far:
             kept.append((base, x))
     return kept
+
+
+def _box_reach(track: LiftedGraphMap, y: int, safety: int, allow_mirror: bool) -> int:
+    """The largest absolute box coordinate of power y's dilated_base on the
+    semiring route."""
+    return max(map(abs, dilated_base(track, "semiring", y, safety, allow_mirror).box))
+
+
+def _word_power_bound(L: PerpLattice, R_w: int) -> int:
+    """certify's refusals at the word radius R_w, before any support is
+    walked, and a bound Y on |y| over the words within R_w.  BudgetError
+    from the closed-form count at R_w.  For alpha = (x_alpha, n), a word
+    (x, y) has <x_alpha, x> + n y = 0, so |y| <= Y = (sum |x_alpha_i|) R_w
+    // |n|.  If Y is above POWER_CAP, the words within R_w are enumerated:
+    PowerCapError names the largest |y| if it is above the cap too, and
+    otherwise Y becomes that |y|."""
+    check_word_budget(L, R_w)
+    *x, n = L.alpha.vector
+    top = sum(map(abs, x)) * R_w // abs(n)
+    if top > POWER_CAP:
+        top = max(abs(w.y) for w in enumerate_words(L, R_w))
+        check_power_cap([top], "kernel word power")
+    return top
+
+
+def _reach_radius(track: LiftedGraphMap, L: PerpLattice, R: int, D: int, R_w: int,
+                  top: int, safety: int, allow_mirror: bool) -> int:
+    """certify's enumeration radius R_e = min(R_w, R + D + A + |v|_inf), v
+    the lattice period (none in rank 1) and A the larger box reach of the
+    dilated bases of powers top and -top, top bounding every word's |y|.
+    When supports nest on the route serving each sign (the map's for
+    y >= 0; for y < 0 the inverse's or, in mirror mode without one, the
+    map's reflected), every word power's base lies in the base of top or
+    -top, so A bounds its box reach.  Otherwise R_w (see certify)."""
+    inverse = track.inverse
+    backward = inverse.nested_supports if inverse is not None else allow_mirror
+    if not (track.nested_supports and backward):
+        return R_w
+    A = max(_box_reach(track, y, safety, allow_mirror) for y in (top, -top))
+    return min(R_w, R + D + A + max(map(abs, L.period or (0,))))
 
 
 def largest_missing_power(track: LiftedGraphMap, obstacles: Obstacles, point: Vec,
@@ -252,8 +305,8 @@ def certify(
     """Run the full bound pipeline for one class.  ValidationError, before
     any word, if a given box_radius is below 1.  PowerCapError if p_max,
     the cone's p_max or a kernel word's power is above POWER_CAP, and
-    BudgetError if the words are too many to enumerate, both read off
-    every word before any support is walked.  The obstacle bases and the
+    BudgetError if the words are too many to enumerate, both read at the
+    word radius before any support is walked.  The obstacle bases and the
     body of every K tested are dilated_base's, memoized per map on the
     semiring route, so a sweep builds each once.
 
@@ -287,6 +340,32 @@ def certify(
     only at an exact result; one redo sufficed on every class measured.
     The loop ends: a redo that keeps no new obstacle repeats its search,
     whose distance then lies within the widened D.
+
+    The words are enumerated to R_e = min(R_w, R + D + A + |v|_inf), not
+    the word radius R_w that verify enumerates to: v is the lattice
+    period (none in rank 1), and A bounds the box reach of every word
+    power's dilated base, read at the powers +-Y, Y the bound on |y| of
+    _word_power_bound, when the supports serving each sign nest (see
+    _reach_radius); otherwise R_e = R_w.  Each redo that widens D widens
+    R_e with it and enumerates again.  The result is byte-identical to
+    enumerating to R_w:
+    - A word with |x|_inf > R + D + A has its obstacle box inside
+      x + [-A, A]^r, at an L-inf gap greater than D from [-R, R]^r, so
+      _within_reach drops it.
+    - enumerate_words walks the same nested intervals at any radius, so
+      the kept obstacles are the same, in the same lexicographic order,
+      and Obstacles.symmetric is unchanged.
+    - A kept obstacle's partner x - v has |x - v|_inf <= R + D + A + |v|_inf.
+      If the partner is a word within R_w at all, it is in the smaller
+      pool, so Obstacles.strip gives the same verdict; it stays a check
+      against the obstacles actually placed, never an assumption.
+    Refusals read R_w, before any support is walked: BudgetError from the
+    closed-form count, PowerCapError from the bound Y or, past the cap,
+    from every word (see _word_power_bound).  D reads powers 1..p_max and
+    A only powers a route serves, and no power of a map is empty, as no
+    edge image is; so neither raises, and the ValidationError of a
+    negative power without inverse data or mirror mode comes from
+    build_obstacles at R_e = R_w, in the same cases as over every word.
     """
     _check_margins(safety, kappa)
     if box_radius is not None and box_radius < 1:
@@ -305,21 +384,23 @@ def certify(
     for attempt in range(MAX_DOUBLINGS + 1):
         if attempt:
             R *= 2
-        words = kernel_words(L, eps, R, p_max, safety)
-        placed = build_obstacles(track, words, safety, allow_mirror)
+        R_w = word_radius(eps, R, p_max, safety)
+        top = _word_power_bound(L, R_w)
         if not attempt:
             # The box reach of every body the K search may test (power
             # p_max's holds the others' when supports nest), and a guess.
             bodies = (p_max,) if track.nested_supports else range(1, p_max + 1)
             D = max([math.isqrt(L.shortest_vector.length2)]
-                    + [max(map(abs, dilated_base(track, "semiring", q, safety,
-                                                 allow_mirror).box)) for q in bodies])
-        obstacles = Obstacles(_within_reach(placed, R, D), L.period, placed)
-        dp = deep_point(obstacles, R, r)
-        while dp.dist2 > D * D:
-            D = math.isqrt(math.ceil(dp.dist2) - 1) + 1  # ceil(sqrt(d*))
+                    + [_box_reach(track, q, safety, allow_mirror) for q in bodies])
+        while True:
+            words = enumerate_words(L, _reach_radius(track, L, R, D, R_w, top, safety,
+                                                     allow_mirror))
+            placed = build_obstacles(track, words, safety, allow_mirror)
             obstacles = Obstacles(_within_reach(placed, R, D), L.period, placed)
             dp = deep_point(obstacles, R, r)
+            if dp.dist2 <= D * D:
+                break
+            D = math.isqrt(math.ceil(dp.dist2) - 1) + 1  # ceil(sqrt(d*))
         if dp.dist2 > 0:
             break
         diagnostics.append(f"box radius {R} fully covered by obstacles"

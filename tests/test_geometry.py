@@ -244,6 +244,54 @@ frac_set_pairs = st.one_of(
 )
 
 
+def _seg_dist2(y, a, b) -> Fraction:
+    """Exact squared distance from point y to segment [a, b], on Fractions:
+    point_hull_dist2's per-edge formula before it compared candidates on
+    integers, kept as the reference it is checked against."""
+    d = tuple(bb - aa for aa, bb in zip(a, b))
+    dd = sum(x * x for x in d)
+    if dd == 0:
+        return Fraction(sum((yy - aa) ** 2 for yy, aa in zip(y, a)))
+    t = Fraction(sum((yy - aa) * x for yy, aa, x in zip(y, a, d)), dd)
+    t = max(Fraction(0), min(Fraction(1), t))
+    return sum((Fraction(yy) - (aa + t * x)) ** 2 for yy, aa, x in zip(y, a, d))
+
+
+def _reference_dist2(y, hull) -> Fraction:
+    """The squared distance as the least per-segment Fraction, 0 inside."""
+    if len(y) == 1:
+        return min(_seg_dist2(y, hull[0], hull[-1]), _seg_dist2(y, hull[-1], hull[0]))
+    if contains_point(hull, y):
+        return Fraction(0)
+    return min(_seg_dist2(y, a, b) for a, b in zip(hull, [*hull[1:], hull[0]]))
+
+
+frac_points1 = st.tuples(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.tuples(st.lists(points2, min_size=1, max_size=8), points2),
+    st.tuples(st.lists(frac_points2, min_size=1, max_size=6), points2),
+    st.tuples(st.builds(lambda a, d, s: _on_line(a, d, s), frac_points2, points2, steps),
+              points2),
+    st.tuples(st.lists(frac_points1, min_size=1, max_size=4), st.tuples(st.integers(-9, 9))),
+))
+@example(([(0, 0)], (3, 4)))  # a single point
+@example(([(0, 0), (4, 0)], (2, 3)))  # a segment, y projecting between its ends
+@example(([(0, 0), (4, 0)], (6, 1)))  # a segment, y projecting past an end
+@example(([(0, 0), (Fraction(1, 3), 1)], (2, 0)))
+def test_point_hull_dist2_matches_fraction_reference(case):
+    """The integer cross-multiplication gives the same Fraction as the
+    per-segment Fraction formula: rank 1, single points, segments and
+    hulls, with int and Fraction vertices."""
+    pts, y = case
+    hull = convex_hull(pts)
+    got = point_hull_dist2(y, hull)
+    assert type(got) is Fraction
+    assert got == _reference_dist2(y, hull)
+
+
 def _bboxes_disjoint(ha, hb) -> bool:
     return any(
         max(p[k] for p in ha) < min(q[k] for q in hb)

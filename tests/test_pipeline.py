@@ -500,13 +500,41 @@ def test_k_scan_without_nested_supports():
 
 # -- reach filter -------------------------------------------------------------
 
+def _certify_outcome(args, kwargs, cap, reference):
+    """certify's certificate bytes, or the type and message of its refusal,
+    with POWER_CAP at ``cap``; and per deep-point search, the kept
+    obstacles in order, the strip verdict and the deep point.  With
+    ``reference``, every word within the word radius R_w is enumerated and
+    placed, and the reach filter alone chooses what the searches read."""
+    searches, search = [], pipeline.deep_point
+
+    def recorded(obstacles, R, r):
+        dp = search(obstacles, R, r)
+        searches.append(([(base.hull, x) for base, x in obstacles.placed],
+                         obstacles.strip, dp))
+        return dp
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "deep_point", recorded)
+        m.setattr(pipeline, "POWER_CAP", cap)
+        if reference:
+            m.setattr(pipeline, "_reach_radius", lambda track, L, R, D, R_w, *rest: R_w)
+        try:
+            out = emit_certificate(certify(*args, **kwargs))
+        except (BudgetError, PowerCapError, ValidationError) as exc:
+            out = (type(exc).__name__, str(exc))
+    return out, searches
+
+
 def _certify_checked(monkeypatch, track, models, ds_hash, alpha, p_max, **kwargs):
-    """certify alpha, and again with the reach filter off, every word's
-    obstacle placed; the two certificates must be byte-identical."""
+    """certify alpha, and again with the reach filter off: every word within
+    the word radius R_w enumerated and its obstacle placed and searched.
+    The two certificates must be byte-identical."""
     dual, cone, P = models
     args = (track, dual, cone, P, FiberedClass(alpha), p_max, ds_hash)
     got = certify(*args, **kwargs)
     with monkeypatch.context() as m:
+        m.setattr(pipeline, "_reach_radius", lambda track, L, R, D, R_w, *rest: R_w)
         m.setattr(pipeline, "_within_reach", lambda placed, R, D: list(placed))
         want = certify(*args, **kwargs)
     assert emit_certificate(got) == emit_certificate(want), alpha
@@ -528,13 +556,19 @@ def _spy(monkeypatch, name):
 def test_reach_filter_keeps_sweep_r2_certificates(r2, r2_models, r2_hash, monkeypatch):
     """Every sweep-r2 seed-0 class in all four quarter turns, the classes
     every seed draws from, certifies byte for byte as with every obstacle
-    placed, and places about a fifth of its words' obstacles."""
+    placed.  Counted against the words within the word radius R_w of each
+    search, it keeps about a fifth of them (6,642 of 32,888) and enumerates
+    about a third (10,504)."""
+    radii = _spy(monkeypatch, "_reach_radius")
     kept = _spy(monkeypatch, "_within_reach")
     for alpha in SWEEP_R2:
         for turned in _quarter_turns(alpha):
             _certify_checked(monkeypatch, r2, r2_models, r2_hash, turned, 16,
                              allow_mirror=True)
-    assert sum(len(k) for _, k in kept) < 0.25 * sum(len(args[0]) for args, _ in kept)
+    assert len(radii) == len(kept)
+    full = sum(len(enumerate_words(args[1], args[4])) for args, _ in radii)
+    assert sum(len(k) for _, k in kept) < 0.25 * full
+    assert sum(len(args[0]) for args, _ in kept) < 0.35 * full
 
 
 def test_reach_filter_keeps_verify_r1_certificates(r1, r1_models, r1_hash, monkeypatch):
@@ -637,6 +671,57 @@ def test_reach_filter_keeps_symmetric_translates_symmetric(data, r1, r2):
     assert not kept or Obstacles(kept).symmetric
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reach_radius_matches_placing_every_word(data, r1, r1_models, r1_hash, r2,
+                                                 r2_models, r2_hash):
+    """On small classes, certify enumerating to its reach radius R_e keeps
+    the obstacles (in order), strip verdicts, deep points and certificate,
+    K included, that placing every word within R_w gives, and refuses in
+    the same cases with the same message.  Maps: r1 with inverse data and
+    without (mirror mode or not), r2 in mirror mode or not, every quarter
+    turn and b = 0 among its classes, and single_edge_rose, whose supports
+    do not nest.  POWER_CAP is sometimes lowered under the word powers, and
+    a box radius of 10^7 is too large to enumerate."""
+    kind = data.draw(st.sampled_from(("r1", "r1-mirror", "r2", "shift")), "kind")
+    if kind == "r2":
+        track, models, ds_hash, p_max = r2, r2_models, r2_hash, data.draw(st.integers(1, 12))
+        a, b = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b = -b, a
+        alpha = (a, b, data.draw(st.integers(3, 80)))
+    else:
+        track = {"r1": r1, "r1-mirror": replace(r1, inverse=None),
+                 "shift": single_edge_rose()}[kind]
+        models, ds_hash, p_max = r1_models, r1_hash, data.draw(st.integers(1, 24))
+        alpha = (data.draw(st.integers(-4, 4)), data.draw(st.integers(3, 30)))
+    dual, cone, P = models
+    assume(gcd(*alpha) == 1 and P.membership(alpha).status == "interior")
+    kwargs = {"safety": data.draw(st.integers(0, 1)),
+              "allow_mirror": data.draw(st.booleans()),
+              "box_radius": data.draw(st.sampled_from((None, None, None, 10 ** 7))
+                                      | st.integers(1, 12))}
+    cap = data.draw(st.one_of(st.just(POWER_CAP), st.integers(16, 40)))
+    args = (track, dual, cone, P, FiberedClass(alpha), p_max, ds_hash)
+    got = _certify_outcome(args, kwargs, cap, reference=False)
+    assert got == _certify_outcome(args, kwargs, cap, reference=True), (kind, alpha)
+
+
+def test_reach_radius_reads_the_word_powers_past_p_max(r1, r1_models, r1_hash):
+    """r1 (1, 3) at p_max 1 and safety 0 searches the box of radius 12 with
+    gap D = 3, and power 1's body reaches only 1; but the words at -21 and
+    21, of power 7 and -7, have the hulls [0, 7] and [-7, 0], whose boxes
+    lie within D of the box.  certify's enumeration radius reads the word
+    powers' bases, not p_max's, so it keeps them, as placing every word
+    within the word radius does."""
+    dual, cone, P = r1_models
+    args = (r1, dual, cone, P, FiberedClass((1, 3)), 1, r1_hash)
+    got = _certify_outcome(args, {"safety": 0}, POWER_CAP, reference=False)
+    assert got == _certify_outcome(args, {"safety": 0}, POWER_CAP, reference=True)
+    ((kept, _, _),) = got[1]
+    assert (((0,), (7,)), (-21,)) in kept and (((-7,), (0,)), (21,)) in kept
+
+
 def test_certify_caps_word_powers_the_filter_drops(r1, r1_hash, monkeypatch):
     """certify reads every word's power before it places or filters any:
     r1 (1, 9) at cone p_max and p_max 4 places no word above power 5, yet
@@ -686,6 +771,30 @@ def test_verify_never_reads_semiring_supports(r1_cert, r1_hash, r2_cert, r2_hash
     assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
     assert verify_certificate(r2_cert, r2, r2_hash).status == "pass"
     assert verify_certificate(far_words_cert, r1, r1_hash).status == "pass"
+
+
+def test_verify_never_computes_the_reach_radius(r1, r1_cert, r1_hash, r2, r2_cert,
+                                               r2_hash, far_words_cert, monkeypatch):
+    """verify enumerates every word within the word radius R_w, with no
+    reach bound, so a fault in certify's enumeration radius cannot hide a
+    word from it: with certify's _reach_radius raising, verify passes an r1
+    certificate with inverse data, an r2 one in mirror mode and an r1 one
+    with words past p_max, and enumerates once per certificate, at exactly
+    its word radius."""
+
+    def forbidden(*args):
+        raise AssertionError("verify computed certify's reach radius")
+
+    monkeypatch.setattr(pipeline, "_reach_radius", forbidden)
+    radii = _spy(monkeypatch, "enumerate_words")
+    for cert, track, ds_hash in ((r1_cert, r1, r1_hash), (r2_cert, r2, r2_hash),
+                                 (far_words_cert, r1, r1_hash)):
+        radii.clear()
+        assert verify_certificate(cert, track, ds_hash).status == "pass"
+        dual, _, P = cones.subcone_models(track, cert.cone_p_max, cert.slope_cap)
+        R_w = word_radius(epsilon_of_subcone(P, dual), cert.box_radius, cert.p_max,
+                          cert.safety)
+        assert [args[1] for args, _ in radii] == [R_w], cert.alpha
 
 
 def _fresh_map(name):
