@@ -12,7 +12,7 @@ only the obstacles whose box lies within a checked L-inf gap D of the box;
 the others cannot change either result.  It enumerates only the words
 within the radius R_e at which an obstacle can still reach that gap, and
 verify every word within the word radius R_w, with no reach bound (see
-certify).
+certify).  Both refuse a word list before a word is built (word_power_bound).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .trackmap import LiftedGraphMap, omega_of_word
 TOOL_VERSION = "0.1.0"
 MAX_DOUBLINGS = 3  # times certify doubles a box radius that obstacles cover
 POWER_CAP = 2_000  # the highest map power certify walks and verify checks
+WORD_CAP = 500_000  # the largest closed-form word count enumerate_words accepts
 
 def _check_margins(safety: int, kappa: int) -> None:
     """Reject a negative obstacle dilation or a box multiple below 1."""
@@ -86,49 +87,74 @@ def word_radius(eps: EpsilonBound, box_radius: int, p_max: int, safety: int) -> 
     """The word radius R_w: by the comparison in EpsilonBound, the obstacle of
     a word outside the box of radius R_w, dilated by ``safety``, is out of
     reach of every power up to p_max moved into the deep-point box.  It
-    bounds what verify enumerates and searches.  certify enumerates the
-    words within R_e <= R_w, where an obstacle can still come within its
-    reach D, and searches those within D (see certify), often a small
-    share, since the radius rests on epsilon alone."""
+    bounds what verify enumerates and searches; both sides refuse at it.
+    certify enumerates the words within R_e <= R_w, where an obstacle can
+    still reach D, and searches those within D (see certify), often a
+    small share, since the radius rests on epsilon alone."""
     reach = box_radius + math.ceil(eps.rho * p_max) + eps.c_inf + 2 * safety
     return math.ceil(Fraction(reach + eps.c_inf + safety + 1) / eps.epsilon)
 
 
-def enumerate_words(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> list[GammaWord]:
-    """All kernel words whose projection lands in the centered box of radius R_w.
+def _c1_range(L: PerpLattice, R: int, c0: int) -> range:
+    """Rank 2: the c1 with |c0 e + c1 d| <= R; empty for some c0 if d > 2R."""
+    (_, e, _), (_, d, _) = L.basis
+    return range(-((R + c0 * e) // d), (R - c0 * e) // d + 1)
+
+
+def word_power_bound(L: PerpLattice, R: int) -> int:
+    """Refuse the words within radius R before any is built, or bound their
+    |y|.  BudgetError if the product of ``2 R // d_i + 1`` over the diagonal
+    of ``zeta_basis``, which bounds their number, is above WORD_CAP.  A word
+    (x, y) has <x_alpha, x> + n y = 0, so |y| <= Y = (sum |x_alpha_i|) R // |n|.
+    Past POWER_CAP, Y gives way to the largest |y|: (R // m) |t| in rank 1;
+    in rank 2, y = c0 t0 + c1 t1 is largest at an end of c1's range, over
+    c0 >= 0 as the words are closed under negation.  PowerCapError names it
+    if it is above the cap too.  Both caps are read at call time."""
+    total = math.prod(max(0, 2 * R // row[i] + 1) for i, row in enumerate(L.zeta_basis))
+    if total > WORD_CAP:
+        raise BudgetError(f"word enumeration bound {total} exceeds cap {WORD_CAP}")
+    *x, n = L.alpha.vector
+    top = sum(map(abs, x)) * R // abs(n)
+    if top > POWER_CAP:
+        if len(L.basis) == 1:
+            ((m, t),) = L.basis
+            top = R // m * abs(t)
+        else:
+            (g, _, t0), (_, _, t1) = L.basis
+            top = 0
+            for c0 in range(R // g + 1):
+                c1s = _c1_range(L, R, c0)
+                if c1s:
+                    top = max(top, abs(c0 * t0 + c1s[0] * t1), abs(c0 * t0 + c1s[-1] * t1))
+        check_power_cap([top], "kernel word power")
+    return top
+
+
+def enumerate_words(L: PerpLattice, R: int) -> list[GammaWord]:
+    """All kernel words whose projection lands in the centered box of radius
+    R, unless word_power_bound(L, R) refuses them first.
 
     perp_basis writes the basis in closed form: rows (m, t) in rank 1 and
     (g, e, t0), (0, d, t1) in rank 2, so ``zeta_basis`` is upper triangular
     with a positive diagonal.  Coordinate i of a word's projection depends
     only on coefficients 0..i, and given those, coefficient i ranges over
-    one exact interval: c0 over |c0 g| <= R_w, then c1 over
-    |c0 e + c1 d| <= R_w.  Walking the nested intervals in ascending order
-    yields exactly the qualifying words, in lexicographic coefficient order.
-    Negating c0 negates c1's interval, so word N-1-i is word i negated, the
-    order Obstacles.symmetric reads.  The product of ``2 R_w // d_i + 1``
-    over the diagonal bounds the number of words; a bound above
-    ``word_cap`` raises BudgetError before any word is built.
+    one exact interval: c0 over |c0 g| <= R, then c1 over
+    |c0 e + c1 d| <= R (_c1_range).  Walking the nested intervals in
+    ascending order yields exactly the qualifying words, in lexicographic
+    coefficient order.  Negating c0 negates c1's interval, so word N-1-i is
+    word i negated, the order Obstacles.symmetric reads.
     """
-    check_word_budget(L, R_w, word_cap)
+    word_power_bound(L, R)
     if len(L.basis) == 1:
         ((m, t),) = L.basis
-        return [GammaWord((c,), (c * m,), c * t) for c in range(-(R_w // m), R_w // m + 1)]
+        return [GammaWord((c,), (c * m,), c * t) for c in range(-(R // m), R // m + 1)]
     (g, e, t0), (_, d, t1) = L.basis
     words = []
-    for c0 in range(-(R_w // g), R_w // g + 1):
+    for c0 in range(-(R // g), R // g + 1):
         x0, u, v = c0 * g, c0 * e, c0 * t0
         words += [GammaWord((c0, c1), (x0, u + c1 * d), v + c1 * t1)
-                  for c1 in range(-((R_w + u) // d), (R_w - u) // d + 1)]
+                  for c1 in _c1_range(L, R, c0)]
     return words
-
-
-def check_word_budget(L: PerpLattice, R_w: int, word_cap: int = 500_000) -> None:
-    """Raise BudgetError if the product of ``2 R_w // d_i + 1`` over the
-    diagonal of ``zeta_basis``, which bounds the number of words within
-    R_w, is above ``word_cap``."""
-    total = math.prod(max(0, 2 * R_w // row[i] + 1) for i, row in enumerate(L.zeta_basis))
-    if total > word_cap:
-        raise BudgetError(f"word enumeration bound {total} exceeds cap {word_cap}")
 
 
 def check_power_cap(powers: Sequence[int], what: str) -> None:
@@ -137,18 +163,6 @@ def check_power_cap(powers: Sequence[int], what: str) -> None:
     top = max(map(abs, powers))
     if top > POWER_CAP:
         raise PowerCapError(f"{what} {top} exceeds the power cap {POWER_CAP}")
-
-
-def kernel_words(L: PerpLattice, eps: EpsilonBound, box_radius: int, p_max: int,
-                 safety: int) -> list[GammaWord]:
-    """The kernel words of a box within its word radius, as verify derives
-    them.  BudgetError if there are too many to enumerate, PowerCapError
-    if a word's power is above POWER_CAP; both are raised before any
-    support is walked.  certify raises the same refusals at the same
-    radius (see _word_power_bound) but enumerates to its reach radius."""
-    words = enumerate_words(L, word_radius(eps, box_radius, p_max, safety))
-    check_power_cap([w.y for w in words], "kernel word power")
-    return words
 
 
 def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
@@ -198,23 +212,6 @@ def _box_reach(track: LiftedGraphMap, y: int, safety: int, allow_mirror: bool) -
     """The largest absolute box coordinate of power y's dilated_base on the
     semiring route."""
     return max(map(abs, dilated_base(track, "semiring", y, safety, allow_mirror).box))
-
-
-def _word_power_bound(L: PerpLattice, R_w: int) -> int:
-    """certify's refusals at the word radius R_w, before any support is
-    walked, and a bound Y on |y| over the words within R_w.  BudgetError
-    from the closed-form count at R_w.  For alpha = (x_alpha, n), a word
-    (x, y) has <x_alpha, x> + n y = 0, so |y| <= Y = (sum |x_alpha_i|) R_w
-    // |n|.  If Y is above POWER_CAP, the words within R_w are enumerated:
-    PowerCapError names the largest |y| if it is above the cap too, and
-    otherwise Y becomes that |y|."""
-    check_word_budget(L, R_w)
-    *x, n = L.alpha.vector
-    top = sum(map(abs, x)) * R_w // abs(n)
-    if top > POWER_CAP:
-        top = max(abs(w.y) for w in enumerate_words(L, R_w))
-        check_power_cap([top], "kernel word power")
-    return top
 
 
 def _reach_radius(track: LiftedGraphMap, L: PerpLattice, R: int, D: int, R_w: int,
@@ -344,10 +341,10 @@ def certify(
     The words are enumerated to R_e = min(R_w, R + D + A + |v|_inf), not
     the word radius R_w that verify enumerates to: v is the lattice
     period (none in rank 1), and A bounds the box reach of every word
-    power's dilated base, read at the powers +-Y, Y the bound on |y| of
-    _word_power_bound, when the supports serving each sign nest (see
-    _reach_radius); otherwise R_e = R_w.  Each redo that widens D widens
-    R_e with it and enumerates again.  The result is byte-identical to
+    power's dilated base, read at the powers +-Y, Y the bound on |y| that
+    word_power_bound returns at R_w, when the supports serving each sign
+    nest (see _reach_radius); otherwise R_e = R_w.  Each redo that widens D
+    widens R_e with it and enumerates again.  The result is byte-identical to
     enumerating to R_w:
     - A word with |x|_inf > R + D + A has its obstacle box inside
       x + [-A, A]^r, at an L-inf gap greater than D from [-R, R]^r, so
@@ -359,13 +356,13 @@ def certify(
       If the partner is a word within R_w at all, it is in the smaller
       pool, so Obstacles.strip gives the same verdict; it stays a check
       against the obstacles actually placed, never an assumption.
-    Refusals read R_w, before any support is walked: BudgetError from the
-    closed-form count, PowerCapError from the bound Y or, past the cap,
-    from every word (see _word_power_bound).  D reads powers 1..p_max and
-    A only powers a route serves, and no power of a map is empty, as no
-    edge image is; so neither raises, and the ValidationError of a
-    negative power without inverse data or mirror mode comes from
-    build_obstacles at R_e = R_w, in the same cases as over every word.
+    Refusals read R_w before any support is walked or word built (see
+    word_power_bound); at R_e <= R_w, where enumerate_words reads them
+    again, they cannot fire.  D reads powers 1..p_max and A only powers a
+    route serves, and no power of a map is empty, as no edge image is; so
+    neither raises, and the ValidationError of a negative power without
+    inverse data or mirror mode comes from build_obstacles at R_e = R_w,
+    in the same cases as over every word.
     """
     _check_margins(safety, kappa)
     if box_radius is not None and box_radius < 1:
@@ -385,7 +382,7 @@ def certify(
         if attempt:
             R *= 2
         R_w = word_radius(eps, R, p_max, safety)
-        top = _word_power_bound(L, R_w)
+        top = word_power_bound(L, R_w)
         if not attempt:
             # The box reach of every body the K search may test (power
             # p_max's holds the others' when supports nest), and a guess.
@@ -486,9 +483,9 @@ def verify_certificate(
     word-mode (a negative power with neither inverse data nor declared
     mirror), deep-point-in-obstacle, deep-dist2, power-collision or
     bound-value; unverifiable power-cap (a declared power, or a word's
-    power, above POWER_CAP, caught before the oracle walks it) or
-    word-cap (too many words to enumerate).  A negative safety or a
-    cone_p_max below 1 raises ValidationError.
+    power, above POWER_CAP, caught before any word is built or walked) or
+    word-cap (more than WORD_CAP words to enumerate).  A negative safety or
+    a cone_p_max below 1 raises ValidationError.
     """
     if cert.dataset_hash != dataset_hash:
         return VerifyResult("fail", "dataset-hash")
@@ -520,8 +517,8 @@ def verify_certificate(
     if max(abs(c) for c in cert.deep_point) > cert.box_radius:
         return VerifyResult("fail", "deep-point-outside-box")
     try:
-        words = kernel_words(alpha.lattice, eps, cert.box_radius, cert.p_max,
-                             cert.safety)
+        words = enumerate_words(alpha.lattice, word_radius(eps, cert.box_radius,
+                                                           cert.p_max, cert.safety))
     except PowerCapError:
         return VerifyResult("unverifiable", "power-cap")
     except BudgetError:

@@ -8,7 +8,7 @@ from itertools import product
 from math import ceil, gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibercert import cones, geometry, lattice, pipeline, trackmap
@@ -23,10 +23,10 @@ from fibercert.pipeline import (
     certify,
     decompose,
     enumerate_words,
-    kernel_words,
     normalized_bound,
     sweep,
     verify_certificate,
+    word_power_bound,
     word_radius,
 )
 from fibercert.trackmap import LiftedGraphMap, omega_of_word, support_of_power
@@ -127,8 +127,10 @@ def test_enumerate_words_is_complete():
             vec = _word_vector(L2, (c0, c1))
             if all(abs(v) <= 5 for v in vec[:-1]):
                 assert (c0, c1) in got
-    with pytest.raises(BudgetError):
-        enumerate_words(L2, 5, word_cap=3)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "WORD_CAP", 3)
+        with pytest.raises(BudgetError, match="word enumeration bound 44 exceeds cap 3"):
+            enumerate_words(L2, 5)
 
 
 def _word_vector(L, coeffs) -> tuple[int, ...]:
@@ -169,11 +171,13 @@ def test_enumerate_words_matches_brute_force(p, n, R_w, word_cap):
     bound = 1
     for i in range(r):
         bound *= 2 * R_w // zeta[i][i] + 1
-    if bound > word_cap:
-        with pytest.raises(BudgetError):
-            enumerate_words(L, R_w, word_cap=word_cap)
-        return
-    words = enumerate_words(L, R_w, word_cap=word_cap)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "WORD_CAP", word_cap)
+        if bound > word_cap:
+            with pytest.raises(BudgetError):
+                enumerate_words(L, R_w)
+            return
+        words = enumerate_words(L, R_w)
     B = _coeff_box(zeta, R_w)
     expected = [
         cs for cs in product(range(-B, B + 1), repeat=r)
@@ -184,6 +188,44 @@ def test_enumerate_words_matches_brute_force(p, n, R_w, word_cap):
     for w in words:
         vec = _word_vector(L, w.coeffs)
         assert (w.x, w.y) == (vec[:-1], vec[-1])
+
+
+# alpha = (1, 7, 50) has d = 50 and e = 7, so at R = 10 no c1 serves c0 = 2;
+# spot 0 puts the cap below Y = 1, where the closed form runs.
+@example(p=[1, 7], n=50, R=10, spot=0)
+@example(p=[3], n=-7, R=0, spot=0)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=2),
+    st.integers(-60, 60).filter(bool),
+    st.integers(0, 40),
+    st.integers(0, 5),
+)
+def test_word_power_bound_refuses_exactly_above_the_cap(p, n, R, spot):
+    """word_power_bound(L, R) raises PowerCapError exactly when the largest
+    |y| over enumerate_words(L, R) is above POWER_CAP, naming that |y|.
+    Otherwise it returns Y = (sum |x_alpha_i|) R // |n| when Y is within the
+    cap, and that |y| when only Y is above it; Y bounds every |y|.  Ranks 1
+    and 2, R = 0, and rank-2 classes with d > 2R, where some c0 have no c1;
+    ``spot`` puts the cap below, at and between the largest |y| and Y, and
+    at and above Y."""
+    g = gcd(*p, n)
+    p, n = [v // g for v in p], n // g
+    L = perp_basis(FiberedClass((*p, n)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "POWER_CAP", 10 ** 9)
+        top = max(abs(w.y) for w in enumerate_words(L, R))
+    Y = sum(map(abs, p)) * R // abs(n)
+    assert Y >= top
+    cap = max(0, [top - 1, top, (top + Y) // 2, Y - 1, Y, Y + 1][spot])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "POWER_CAP", cap)
+        if top > cap:
+            with pytest.raises(PowerCapError,
+                               match=f"^kernel word power {top} exceeds the power cap {cap}$"):
+                word_power_bound(L, R)
+        else:
+            assert word_power_bound(L, R) == (Y if Y <= cap else top)
 
 
 # -- certification ----------------------------------------------------------
@@ -405,8 +447,8 @@ def _first_box_words(track, models, alpha, p_max, safety=1, kappa=4):
     """The kernel words of the first box certify searches for alpha."""
     dual, _, P = models
     R = _ceil_root_multiple(kappa, alpha[-1], track.rank)
-    return kernel_words(FiberedClass(alpha).lattice, epsilon_of_subcone(P, dual), R,
-                        p_max, safety)
+    return enumerate_words(FiberedClass(alpha).lattice,
+                           word_radius(epsilon_of_subcone(P, dual), R, p_max, safety))
 
 
 def test_kernel_words_are_closed_under_negation(r1, r1_models, r2, r2_models):
@@ -476,8 +518,8 @@ def test_k_bisection_matches_the_scan(r1, r1_models, r1_hash, r2, r2_models, r2_
     for track, (dual, cone, P), ds_hash, alpha, p_max, mirror in cases:
         cert = certify(track, dual, cone, P, FiberedClass(alpha), p_max, ds_hash,
                        allow_mirror=mirror)
-        words = kernel_words(FiberedClass(alpha).lattice, epsilon_of_subcone(P, dual),
-                             cert.box_radius, p_max, cert.safety)
+        words = enumerate_words(FiberedClass(alpha).lattice, word_radius(
+            epsilon_of_subcone(P, dual), cert.box_radius, p_max, cert.safety))
         seen = Obstacles(build_obstacles(track, words, cert.safety, mirror)).seen_from(
             cert.deep_point)
         scan = next((K for K in range(p_max, 0, -1) if seen.misses(
@@ -681,8 +723,9 @@ def test_reach_radius_matches_placing_every_word(data, r1, r1_models, r1_hash, r
     the same cases with the same message.  Maps: r1 with inverse data and
     without (mirror mode or not), r2 in mirror mode or not, every quarter
     turn and b = 0 among its classes, and single_edge_rose, whose supports
-    do not nest.  POWER_CAP is sometimes lowered under the word powers, and
-    a box radius of 10^7 is too large to enumerate."""
+    do not nest.  POWER_CAP is sometimes lowered under the word powers.  A
+    box radius of 10^6 or 10^7 is refused before any word is built: for a
+    word power above the cap, or for too many words to enumerate."""
     kind = data.draw(st.sampled_from(("r1", "r1-mirror", "r2", "shift")), "kind")
     if kind == "r2":
         track, models, ds_hash, p_max = r2, r2_models, r2_hash, data.draw(st.integers(1, 12))
@@ -699,7 +742,7 @@ def test_reach_radius_matches_placing_every_word(data, r1, r1_models, r1_hash, r
     assume(gcd(*alpha) == 1 and P.membership(alpha).status == "interior")
     kwargs = {"safety": data.draw(st.integers(0, 1)),
               "allow_mirror": data.draw(st.booleans()),
-              "box_radius": data.draw(st.sampled_from((None, None, None, 10 ** 7))
+              "box_radius": data.draw(st.sampled_from((None, None, None, 10 ** 6, 10 ** 7))
                                       | st.integers(1, 12))}
     cap = data.draw(st.one_of(st.just(POWER_CAP), st.integers(16, 40)))
     args = (track, dual, cone, P, FiberedClass(alpha), p_max, ds_hash)
@@ -1030,6 +1073,23 @@ def test_certify_caps_word_powers_before_walking(r1_hash):
                 box_radius=20_000)
     for m in (fresh, fresh.inverse):
         assert len(m.semiring.kept) <= POWER_CAP + 1
+
+
+def test_power_cap_refusals_build_no_word(r1, r1_models, r1_hash, r1_cert, monkeypatch):
+    """Both sides refuse a word power above the cap before any word is
+    built: with GammaWord raising, certify of r1 (1, 9) at box radius 10^6
+    names the largest power, and verify of its honest certificate with the
+    box radius forged to 10^6 is unverifiable (power-cap)."""
+    def no_word(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(pipeline, "GammaWord", no_word)
+    dual, cone, P = r1_models
+    with pytest.raises(PowerCapError,
+                       match="kernel word power 222226 exceeds the power cap 2000"):
+        certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash, box_radius=10 ** 6)
+    res = verify_certificate(replace(r1_cert, box_radius=10 ** 6), r1, r1_hash)
+    assert (res.status, res.reason) == ("unverifiable", "power-cap")
 
 
 def test_certify_caps_declared_powers(r1, r1_models, r1_hash, monkeypatch):
