@@ -176,8 +176,8 @@ def cmd_verify(args) -> int:
     track, ds_hash = _load(args.dataset)
     cert = dataio.load_certificate(args.certificate)
     result = verify_certificate(cert, track, ds_hash)
-    print(f"verification: {result.status}"
-          + (f" ({result.reason})" if result.reason else ""))
+    detail = ": ".join(filter(None, (result.reason, result.witness)))
+    print(f"verification: {result.status}" + (f" ({detail})" if detail else ""))
     if result.status == "pass":
         return EXIT_OK
     if result.status == "unverifiable":

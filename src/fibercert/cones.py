@@ -147,7 +147,8 @@ def estimate_dual_cone(track: LiftedGraphMap, p_max: int,
     - scaling the ratio points by the lcm of the powers read, not of
       1..p_max, changes neither the hull's vertex order nor its primitive
       edge normals.
-    A route with no period, like the path oracle, reads every power.
+    A route with no period, like the path oracle before a declared period
+    is checked on it (see trackmap.oracle_period_fault), reads every power.
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
@@ -231,7 +232,21 @@ class FiberedConeModel:
             rows += [(e, self.slope_cap, 1 + self.slope_cap) for e in _signed_axes(self.rank)]
         return tuple(rows)
 
+    @cached_property
+    def _integer_slice(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """(d u, d c, d scale) per halfspace (u, c, scale) of _slice, d the
+        lcm of the denominators of c and scale: the slack of a class (x, n)
+        is then (a n - <u', x>)/(b n) on a row (u', a, b), in integers."""
+        rows = []
+        for u, c, scale in self._slice:
+            d = lcm(c.denominator, scale.denominator)
+            rows.append((tuple(d * a for a in u), int(c * d), int(scale * d)))
+        return tuple(rows)
+
     def membership(self, alpha: Sequence[int]) -> Membership:
+        """The least slack of the class over the slice's halfspaces (see
+        _slice) as its margin; slacks are compared by cross-multiplication,
+        their denominators b n being positive, and one Fraction is built."""
         alpha = tuple(int(v) for v in alpha)
         if len(alpha) != self.rank + 1:
             raise ValidationError(
@@ -240,11 +255,15 @@ class FiberedConeModel:
         *x, n = alpha
         if n <= 0:
             return Membership("exterior", Fraction(-1))
-        margin = min((c * n - geometry.dot(u, x)) / (scale * n)
-                     for u, c, scale in self._slice)
-        if abs(margin) < BOUNDARY_TOLERANCE:
+        top = bottom = None
+        for u, a, b in self._integer_slice:
+            num, den = a * n - geometry.dot(u, x), b * n
+            if top is None or num * bottom < top * den:
+                top, bottom = num, den
+        margin, tol = Fraction(top, bottom), BOUNDARY_TOLERANCE
+        if abs(top) * tol.denominator < tol.numerator * bottom:
             return Membership("near-boundary", margin)
-        return Membership("interior" if margin > 0 else "exterior", margin)
+        return Membership("interior" if top > 0 else "exterior", margin)
 
     def subcone_slope(self, cap: Fraction) -> "FiberedConeModel":
         """Intersect with the axis-centered slope box |alpha_i| <= cap * n."""

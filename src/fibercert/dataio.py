@@ -23,7 +23,7 @@ from .pipeline import BoundCertificate, SweepRow
 from .trackmap import Edge, LiftedGraphMap
 
 FORMAT_VERSION = 1  # datasets; it is part of the content that dataset_hash covers
-CERT_FORMAT_VERSION = 3
+CERT_FORMAT_VERSION = 4
 
 SWEEP_HEADER = "alpha,n,covol2,systole2,deep_dist2,K,bound_num,bound_den,normalized"
 

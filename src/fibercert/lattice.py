@@ -185,8 +185,9 @@ def _pad(v: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class BaseHull:
-    """A hull shared by every obstacle placed from it, with its exact box
-    and its vertices as rank-2 points (in rank 1 their y coordinate is 0).
+    """A hull shared by every obstacle placed from it, with its exact box,
+    that box doubled, and its vertices as rank-2 points (in rank 1 their y
+    coordinate is 0).
 
     An obstacle is a pair (base, x): the hull base.hull + x for an integer
     shift x.  Its box and vertices are the base's plus x."""
@@ -194,12 +195,14 @@ class BaseHull:
     hull: tuple
     box: Box
     vertices: tuple[tuple, ...]
+    doubled: Box
 
     @classmethod
     def of(cls, hull: Sequence[tuple]) -> "BaseHull":
         hull = tuple(tuple(v) for v in hull)
         padded = tuple(_pad(v) for v in hull)
-        return cls(hull, _box(padded), padded)
+        box = _box(padded)
+        return cls(hull, box, padded, tuple(2 * e for e in box))
 
     @cached_property
     def reflected(self) -> tuple:
@@ -214,19 +217,21 @@ Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
 
 class Obstacles:
     """An index of placed obstacles, each exact box computed once with
-    coordinates doubled, for deep_point's cell bounds and for every question
-    asked at one point.  ``period`` is a nonzero rank-2 kernel shift v (see
-    PerpLattice.period) and ``pool`` every obstacle placed from the words,
-    of which ``placed`` is the part kept (``placed`` itself by default);
-    Obstacles.strip checks them for deep_point."""
+    coordinates doubled (its base's doubled box plus twice its shift), for
+    deep_point's cell bounds and for every question asked at one point.
+    ``period`` is a nonzero rank-2 kernel shift v (see PerpLattice.period)
+    and ``pool`` every obstacle placed from the words, of which ``placed``
+    is the part kept (``placed`` itself by default); Obstacles.strip checks
+    them for deep_point."""
 
     def __init__(self, placed: Sequence[Obstacle], period: Optional[Vec] = None,
                  pool: Optional[Sequence[Obstacle]] = None):
         self.placed = list(placed)
         self.period, self.pool = period, self.placed if pool is None else pool
-        self.shifts = [_pad(x) for _, x in self.placed]
-        self.doubled = [tuple(2 * (e + t) for e, t in zip(base.box, (sx, sx, sy, sy)))
-                        for (base, _), (sx, sy) in zip(self.placed, self.shifts)]
+        self.shifts = [x if len(x) == 2 else (x[0], 0) for _, x in self.placed]
+        self.doubled = [(a + 2 * sx, b + 2 * sx, c + 2 * sy, d + 2 * sy)
+                        for (base, _), (sx, sy) in zip(self.placed, self.shifts)
+                        for a, b, c, d in (base.doubled,)]
 
     def __len__(self) -> int:
         return len(self.placed)

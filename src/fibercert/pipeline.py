@@ -13,6 +13,10 @@ the others cannot change either result.  It enumerates only the words
 within the radius R_e at which an obstacle can still reach that gap, and
 verify every word within the word radius R_w, with no reach bound (see
 certify).  Both refuse a word list before a word is built (word_power_bound).
+A certificate also declares the periods certify's semiring walk found;
+verify checks each on the path oracle's own per-edge hulls, never
+searching, and its oracle then answers every later power in closed form,
+so its dual cone reads as few powers as certify's (_period_fault).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .lattice import (
     Vec,
     deep_point,
 )
-from .trackmap import LiftedGraphMap, omega_of_word
+from .trackmap import PERIOD_WINDOW, LiftedGraphMap, omega_of_word, oracle_period_fault
 
 TOOL_VERSION = "0.1.0"
 MAX_DOUBLINGS = 3  # times certify doubles a box radius that obstacles cover
@@ -256,8 +260,11 @@ def largest_missing_power(track: LiftedGraphMap, obstacles: Obstacles, point: Ve
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A bound claim: the class, the declared parameters, and the results of
-    certify's two searches (the deep point and K).  verify_certificate
+    """A bound claim: the class, the declared parameters, the results of
+    certify's two searches (the deep point and K), and the periods (T, c, Q)
+    its semiring walk found, of the map and, when inverse data serves the
+    negative powers, of the inverse (see _declared_period).
+    verify_certificate checks the periods on the path oracle and
     re-derives everything else from the dataset.  It never reads
     tool_version, diagnostics or assumptions: they are notes for a reader,
     parsed for their type only, and no verdict depends on them."""
@@ -278,12 +285,29 @@ class BoundCertificate:
     mode: str  # always certified: every obstacle is an exact support
     status: str  # ok | inconclusive
     dataset_hash: str
+    period: tuple[int, ...]  # (T, c) and Q's vertices, flattened: the map's period, or ()
+    inverse_period: tuple[int, ...]  # the same for the inverse map's data, or ()
     tool_version: str = TOOL_VERSION
     diagnostics: tuple[str, ...] = ()
     assumptions: tuple[str, ...] = (
         "curves-as-domains: gamma and gamma' are essential simple closed "
         "curves each contained in a single fundamental-domain copy",
     )
+
+
+def _declared_period(track: Optional[LiftedGraphMap]) -> tuple[int, ...]:
+    """The period (T, c, Q) of a map's semiring walk as (T, c) followed by
+    Q's vertices, walking to PERIOD_WINDOW first if it is not known yet; ()
+    for no map or a map with no period in the window."""
+    if track is None:
+        return ()
+    memo = track.semiring
+    if memo.period is None:
+        memo(PERIOD_WINDOW)
+    if memo.period is None:
+        return ()
+    T, c, Q = memo.period
+    return (T, c, *(a for v in Q for a in v))
 
 
 def certify(
@@ -429,6 +453,8 @@ def certify(
         mode="certified",
         status=status,
         dataset_hash=dataset_hash,
+        period=_declared_period(track),
+        inverse_period=_declared_period(track.inverse),
         diagnostics=tuple(diagnostics),
     )
 
@@ -436,7 +462,40 @@ def certify(
 @dataclass(frozen=True)
 class VerifyResult:
     status: str  # pass | fail | unverifiable
-    reason: str = ""
+    reason: str = ""  # the failing predicate
+    witness: str = ""  # for period: the map and what fails on it
+
+
+def _period_fault(cert: BoundCertificate, track: LiftedGraphMap) -> str:
+    """What fails first in the certificate's declared periods, naming the
+    map ("map" or "inverse"), or '' if each holds on the path oracle (see
+    trackmap.oracle_period_fault, which hands it to the map's oracle memo).
+    A declaration must be (T, c) and Q's vertices, T >= 0, c >= 1,
+    T + c <= POWER_CAP, Q nonempty in convex_hull's form, and the inverse's
+    needs inverse data.  One that holds is memoized per map in
+    ``track.derived`` under ("oracle", "period", declaration); a failure is
+    never stored."""
+    r = track.rank
+    for which, declared, m in (("map", cert.period, track),
+                               ("inverse", cert.inverse_period, track.inverse)):
+        if not declared:
+            continue
+        if m is None:
+            return f"{which}: a period declared without inverse data"
+        key = ("oracle", "period", declared)
+        if key in m.derived:
+            continue
+        if len(declared) < 2 + r or (len(declared) - 2) % r:
+            return f"{which}: {len(declared)} entries, not T, c and vertices of rank {r}"
+        T, c, *flat = declared
+        Q = [tuple(flat[i:i + r]) for i in range(0, len(flat), r)]
+        if T < 0 or c < 1 or T + c > POWER_CAP or Q != geometry.convex_hull(Q):
+            return f"{which}: T = {T}, c = {c}, Q = {Q} is not a period's form"
+        edge = oracle_period_fault(m, (T, c, tuple(Q)))
+        if edge:
+            return f"{which}: edge {edge!r} at power {T + c} is not its hull at {T} plus Q"
+        m.derived[key] = True
+    return ""
 
 
 def _verify_models(track: LiftedGraphMap, cone_p_max: int,
@@ -464,25 +523,32 @@ def verify_certificate(
     epsilon, word radius, words, and obstacles by build_obstacles with the
     declared ``mirror``: per-power hulls placed by word shift) on
     path-oracle supports, never the semiring route certify used.  Each
-    map's oracle memo walks it once per process, up to the highest power any
-    certificate needs; the memo depends on the map alone.  What verify
-    derives is memoized per map on the oracle route, in ``track.derived``:
-    (dual, P, epsilon) under ("oracle", "subcone", cone_p_max, slope_cap),
-    and the dilated base of every word power and of K under ("oracle",
-    "base", y, safety, mirror).  Each key holds every value its entry
-    depends on, and a SubconeError or ValidationError is raised again on
-    every call, never stored, so one certificate cannot sway another's
-    verdict.  The searches are not rerun, their results are checked: the
+    map's oracle memo walks it once per process: up to T + c when the
+    certificate declares a period (T, c, Q), which is checked on the
+    oracle's own per-edge hulls, never searched (_period_fault), and which
+    the memo then takes, answering every later power in closed form; up to
+    the highest power any certificate needs otherwise.  A checked period is
+    a property of the map, so taking it changes how the memo computes a
+    power, never what it returns: the memo depends on the map alone.  What
+    verify derives is memoized per map on the oracle route, in
+    ``track.derived``: (dual, P, epsilon) under ("oracle", "subcone",
+    cone_p_max, slope_cap), the dilated base of every word power and of K
+    under ("oracle", "base", y, safety, mirror), and each declared period
+    that holds under ("oracle", "period", declaration).  Each key holds
+    every value its entry depends on, and a failing period, a SubconeError
+    or a ValidationError is found again on every call, never stored, so
+    one certificate cannot sway another's verdict.  The searches are not rerun, their results are checked: the
     deep point lies in the box, outside every obstacle (scored nearest box
     first), at exactly the claimed squared distance, and the K-th power
     moved there misses every obstacle within its box reach.  Returns the
     first failing predicate:
     fail dataset-hash, rank-mismatch, certificate-inconclusive, mode-mismatch
     (a mode other than certified), alpha-primitive, n-mismatch,
-    k-exceeds-pmax, subcone, alpha-not-interior, deep-point-outside-box,
-    word-mode (a negative power with neither inverse data nor declared
-    mirror), deep-point-in-obstacle, deep-dist2, power-collision or
-    bound-value; unverifiable power-cap (a declared power, or a word's
+    k-exceeds-pmax, period (a declared period that does not hold, with a
+    witness naming the map and, if one differs, the first edge), subcone,
+    alpha-not-interior, deep-point-outside-box, word-mode (a negative
+    power with neither inverse data nor declared mirror),
+    deep-point-in-obstacle, deep-dist2, power-collision or bound-value; unverifiable power-cap (a declared power, or a word's
     power, above POWER_CAP, caught before any word is built or walked) or
     word-cap (more than WORD_CAP words to enumerate).  A negative safety or
     a cone_p_max below 1 raises ValidationError.
@@ -507,6 +573,9 @@ def verify_certificate(
         return VerifyResult("fail", "n-mismatch")
     if not (1 <= cert.K <= cert.p_max):
         return VerifyResult("fail", "k-exceeds-pmax")
+    fault = _period_fault(cert, track)
+    if fault:
+        return VerifyResult("fail", "period", fault)
 
     try:
         _, P, eps = _verify_models(track, cert.cone_p_max, cert.slope_cap)

@@ -7,9 +7,11 @@ edge-path as (edge, shift, orientation) steps.  The occupied fundamental
 domain of a step is its shift.  A power's support is read only as its
 hull, by two exact routes, each holding one hull per column of the powers
 of the transition matrix M: the semiring route reads supp M from the
-Laurent matrix and, once its columns repeat up to a checked period,
+Laurent matrix and, once its columns repeat up to a period it finds,
 answers any later power in closed form, one Minkowski sum (certify); the
-path oracle reads supp M from edge_images and walks every power (verify).
+path oracle reads supp M from edge_images and walks every power, or, once
+a declared period is checked on its own per-edge frontiers
+(oracle_period_fault), answers past it in the same closed form (verify).
 The occupied shifts themselves are never walked.  A kernel word's support
 is the hull of its power's support, which the obstacle index places at the
 word's integer shift.  Track-level and surface-level domains may differ by
@@ -177,8 +179,15 @@ class LiftedGraphMap:
     @cached_property
     def oracle(self) -> "PowerMemo":
         """Verify's route: the hull of every power by the path oracle, one
-        hull per edge over edge_images alone (see _edge_walk)."""
-        return PowerMemo(_edge_walk(self))
+        hull per edge over edge_images alone (see _edge_walk), and past a
+        period checked on those hulls (oracle_period_fault) in closed form."""
+        return PowerMemo(_edge_walk(self, self.edge_frontiers))
+
+    @cached_property
+    def edge_frontiers(self) -> list[list[list[Shift]]]:
+        """The path oracle's per-edge hulls C_q(f), in edge order, at every
+        power q its walk has reached ([] for an edge no lift visits)."""
+        return []
 
     @cached_property
     def derived(self) -> dict:
@@ -212,11 +221,12 @@ class PowerMemo:
 
     ``powers`` may end by returning a period (T, c, Q), once it has yielded
     power q = T + c, where H_p = H_{p-c} ⊕ Q for every p >= q (see
-    _semiring_powers).  The memo keeps H_0..H_q and ``period``, and answers
-    each later power in closed form, keeping none: with (k, r) =
-    divmod(p - T, c), k >= 1 and T + r < q, H_p = H_{T+r} ⊕ kQ, as kQ, Q's
-    vertices times k, is Q summed k times and still in convex_hull's form.
-    ``period`` is None until then, and on a route that has none.
+    _semiring_powers); or a caller that has checked one sets ``period``
+    once the memo holds power q (see oracle_period_fault), and no further
+    power is drawn.  The memo keeps H_0..H_q and ``period``, and answers
+    each later power it has not drawn in closed form, keeping none: with
+    (T + r, kQ) = _past_period(period, p), H_p = H_{T+r} ⊕ kQ.  ``period``
+    is None until then, and on a route that has none.
     """
 
     def __init__(self, powers: Iterator):
@@ -238,10 +248,17 @@ class PowerMemo:
             return self.kept[p]
         if self.period is None:
             raise self.end.with_traceback(None)
-        T, c, Q = self.period
-        k, r = divmod(p - T, c)
-        kQ = [tuple(k * a for a in v) for v in Q]
-        return tuple(geometry.minkowski_sum(self.kept[T + r], kQ))
+        base, kQ = _past_period(self.period, p)
+        return tuple(geometry.minkowski_sum(self.kept[base], kQ))
+
+
+def _past_period(period: Period, p: int) -> tuple[int, list[Shift]]:
+    """(T + r, kQ) for a power p >= T + c past a period (T, c, Q), with
+    (k, r) = divmod(p - T, c): k >= 1 and T + r < T + c, and kQ, Q's
+    vertices times k, is Q summed k times and still in convex_hull's form."""
+    T, c, Q = period
+    k, r = divmod(p - T, c)
+    return T + r, [tuple(k * a for a in v) for v in Q]
 
 
 def _semiring_powers(base: Sequence[Sequence[Iterable[Shift]]],
@@ -302,30 +319,75 @@ def support_of_power(track: LiftedGraphMap, p: int) -> tuple[Shift, ...]:
     return track.semiring(p)
 
 
-def _edge_walk(track: LiftedGraphMap) -> Iterator[tuple[Shift, ...]]:
-    """Hulls of the supports of the powers 0, 1, ... by edge-path substitution.
+def _edge_walk(track: LiftedGraphMap, walked: list) -> Iterator[tuple[Shift, ...]]:
+    """Hulls of the supports of the powers 0, 1, ... by edge-path
+    substitution; each power's per-edge hulls are appended to ``walked``
+    before its hull is yielded.
 
-    Per edge f the walk holds the hull of S(f), S(f) being the shifts at
-    which the lifts of all edges based in domain 0 visit f.  One
-    substitution makes S(f) the union of d + S(e) over the steps (f, d) in
-    the image of each edge e, as a visit's image depends on neither its
-    place in the path nor its orientation.  Keeping the hull is exact,
-    since hull(∪ (d + A)) = hull(∪ (d + hull A)).
+    Per edge f the walk holds C_q(f), the hull of S(f), S(f) being the
+    shifts at which the lifts of all edges based in domain 0 visit f ([]
+    if none does), from C_0(f) = {0}.  One substitution makes S(f) the
+    union of d + S(e) over the steps (f, d) in the image of each edge e,
+    as a visit's image depends on neither its place in the path nor its
+    orientation.  Keeping the hull is exact, since hull(∪ (d + A)) =
+    hull(∪ (d + hull A)), and power q's hull is the hull of the C_q(f).
+
+    As for _semiring_powers, one substitution commutes with ⊕ Q for a
+    convex Q: if C_q(f) = C_{q-c}(f) ⊕ Q for every edge f, a hull empty at
+    either power empty at both, the same edges e feed C_{q+1}(f) and
+    C_{q+1-c}(f), and C_{q+1}(f) = hull ∪ (d + C_q(e)) = hull ∪ (d +
+    C_{q-c}(e) ⊕ Q) = C_{q+1-c}(f) ⊕ Q, as hull(∪ (A_i ⊕ Q)) =
+    hull(∪ A_i) ⊕ Q.  So a period (T, c, Q) checked at power T + c
+    (oracle_period_fault) holds at every later power, and so does
+    H_p = H_{p-c} ⊕ Q.
     """
-    groups: dict[str, dict[str, set[Shift]]] = {e.name: {} for e in track.edges}
-    for edge, path in track.edge_images.items():
-        for name, shift, _ in path:
-            groups[edge].setdefault(name, set()).add(tuple(shift))
-    frontier = {e.name: [(0,) * track.rank] for e in track.edges}
+    index = {e.name: i for i, e in enumerate(track.edges)}
+    steps = []  # per edge e: (index of f, shifts d) over the edges f its image visits
+    for e in track.edges:
+        groups: dict[int, set[Shift]] = {}
+        for name, shift, _ in track.edge_images[e.name]:
+            groups.setdefault(index[name], set()).add(tuple(shift))
+        steps.append(list(groups.items()))
+    frontier = [[(0,) * track.rank] for _ in track.edges]
     while True:
-        yield tuple(geometry.convex_hull(set().union(*frontier.values())))
-        nxt: dict[str, set[Shift]] = {}
-        for edge, shifts in frontier.items():
-            for name, ds in groups[edge].items():
-                into = nxt.setdefault(name, set())
+        walked.append(frontier)
+        yield tuple(geometry.convex_hull([v for h in frontier for v in h]))
+        nxt: list[set[Shift]] = [set() for _ in frontier]
+        for h, targets in zip(frontier, steps):
+            for j, ds in targets:
                 for d in ds:  # a zero shift, the common case, adds the shifts as they are
-                    into.update([tuple(map(add, v, d)) for v in shifts] if any(d) else shifts)
-        frontier = {name: geometry.convex_hull(shifts) for name, shifts in nxt.items()}
+                    nxt[j].update([tuple(map(add, v, d)) for v in h] if any(d) else h)
+        frontier = [geometry.convex_hull(shifts) if shifts else [] for shifts in nxt]
+
+
+def _frontier(track: LiftedGraphMap, p: int) -> list[list[Shift]]:
+    """The path oracle's per-edge hulls at power p: as walked, or past the
+    oracle memo's period in closed form, C_p(f) = C_{T+r}(f) ⊕ kQ (see
+    _edge_walk and _past_period)."""
+    track.oracle(p)  # walks to p, unless the memo holds a period
+    walked = track.edge_frontiers
+    if p < len(walked):
+        return walked[p]
+    base, kQ = _past_period(track.oracle.period, p)
+    return [geometry.minkowski_sum(h, kQ) if h else [] for h in walked[base]]
+
+
+def oracle_period_fault(track: LiftedGraphMap, period: Period) -> str:
+    """Check a declared period (T, c, Q) on the path oracle's own per-edge
+    hulls, never searching: C_{T+c}(f) = C_T(f) ⊕ Q for every edge f, a
+    hull empty at either power empty at both.  T >= 0, c >= 1 and Q
+    nonempty in convex_hull's form are the caller's to check.  The name of
+    the first edge where it fails; else '', and the map's oracle memo
+    takes the period unless it holds one already.  A checked period is a
+    property of the map (see _edge_walk), so taking it changes how the
+    memo computes a power, never what it returns."""
+    T, c, Q = period
+    for e, a, b in zip(track.edges, _frontier(track, T), _frontier(track, T + c)):
+        if (geometry.minkowski_sum(a, Q) if a else []) != b:
+            return e.name
+    if track.oracle.period is None:
+        track.oracle.period = period
+    return ""
 
 
 def oracle_iterate(track: LiftedGraphMap, p: int) -> list[tuple[Shift, ...]]:

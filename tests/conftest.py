@@ -4,7 +4,7 @@ from importlib import resources
 from math import lcm
 from operator import add
 
-from fibercert import geometry
+from fibercert import geometry, trackmap
 from fibercert.cones import (
     DualConeModel,
     FacetDirection,
@@ -31,6 +31,18 @@ def tuple_state_walk(track, p):
                     for name, s2, _ in track.edge_images[edge]}
         supports.append(frozenset(s for _, s in frontier))
     return supports
+
+
+def checked_oracle(track):
+    """The map, its oracle memo given the semiring route's period through
+    the check verify runs (trackmap.oracle_period_fault); a map with no
+    period in the window is returned as it is."""
+    track.semiring(trackmap.PERIOD_WINDOW)
+    period = track.semiring.period
+    if period is not None:
+        assert trackmap.oracle_period_fault(track, period) == ""
+        assert track.oracle.period == period
+    return track
 
 
 def negate(points):
@@ -74,7 +86,8 @@ def every_power_estimate(track, p_max, route="semiring"):
                          low_confidence=k0 is None or p_max < k0)
 
 
-def _load(name: str):
+def load_map(name: str):
+    """The bundled map rose_<name>, loaded anew: none of its memos built."""
     return load_dataset(str(DATA / f"rose_{name}.json"))
 
 
@@ -89,12 +102,12 @@ def _models(track, name: str):
 
 @pytest.fixture(scope="session")
 def r1():
-    return _load("r1")
+    return load_map("r1")
 
 
 @pytest.fixture(scope="session")
 def r2():
-    return _load("r2")
+    return load_map("r2")
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +136,6 @@ def fresh_map():
     (track, dual, cone, P) built as r1_models builds them, so nothing read
     from it was memoized by the session maps."""
     def make(name: str):
-        track = _load(name)
+        track = load_map(name)
         return (track, *_models(track, name))
     return make

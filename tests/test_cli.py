@@ -41,6 +41,12 @@ def _write(tmp_path, text):
     return str(path)
 
 
+def _as_format_3(d):
+    """Edit a certificate into format 3's shape, which declared no period."""
+    del d["period"], d["inverse_period"]
+    d["format_version"] = 3
+
+
 def _edited_cert(edit):
     """Argv verifying an honest r1 certificate after ``edit`` changes its JSON."""
 
@@ -231,6 +237,8 @@ MALFORMED_INPUTS = {
     ),
     "v2-certificate": (_edited_cert(lambda d: d.update(format_version=2)),
                        "unsupported certificate format_version 2"),
+    "v3-certificate": (_edited_cert(_as_format_3),
+                       "unsupported certificate format_version 3"),
     "certificate-slope-cap-underscore": (
         _edited_cert(lambda d: d.update(slope_cap="1_0/3")),
         "slope_cap: malformed number '1_0/3'",

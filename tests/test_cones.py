@@ -1,7 +1,7 @@
 import math
 import time
 from fractions import Fraction
-from importlib import resources
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +17,12 @@ from fibercert.cones import (
     subcone_models,
 )
 from fibercert import cones, geometry
-from fibercert.dataio import load_dataset
 from fibercert.errors import SubconeError, ValidationError
 from fibercert.geometry import contains_point, convex_hull
 from fibercert.pipeline import POWER_CAP
 from fibercert.trackmap import support_of_power
 
-from conftest import every_power_estimate, tuple_state_walk
+from conftest import checked_oracle, every_power_estimate, load_map, tuple_state_walk
 from test_trackmap import doubling_rose, single_edge_rose
 
 
@@ -163,13 +162,14 @@ def test_integer_ratio_hull_matches_fractions_on_r2(r2):
 
 
 @pytest.mark.parametrize("p_max", [1, 2, 7, 30])
-def test_dual_cone_scales_every_ratio_point_by_one_factor(r1, r2, monkeypatch, p_max):
+def test_dual_cone_scales_every_ratio_point_by_one_factor(monkeypatch, p_max):
     """estimate_dual_cone hands _candidate_directions the ratio points x/p of
     the hull vertices of the powers it reads as integers, all times one
-    positive factor, and in rank 1, which reads only the axes, none.  The
-    oracle route reads every power.  r2's semiring route has the period
-    (T, c) = (1, 2), so it reads 1..3 and the last power of each residue
-    mod 2."""
+    positive factor, and in rank 1, which reads only the axes, none.  r2's
+    semiring route has the period (T, c) = (1, 2), so it reads 1..3 and the
+    last power of each residue mod 2; so does the oracle route once the
+    period is checked on it, and without that it reads every power.  Maps
+    loaded anew, so no period is installed on the oracle beforehand."""
     seen = []
 
     def spy(rank, ratio_points):
@@ -177,14 +177,18 @@ def test_dual_cone_scales_every_ratio_point_by_one_factor(r1, r2, monkeypatch, p
         return _candidate_directions(rank, ratio_points)
 
     monkeypatch.setattr(cones, "_candidate_directions", spy)
-    read = {"oracle": list(range(1, p_max + 1)),
-            "semiring": {1: [1], 2: [1, 2], 7: [1, 2, 3, 6, 7], 30: [1, 2, 3, 29, 30]}[p_max]}
-    for route in ("oracle", "semiring"):
+    every = list(range(1, p_max + 1))
+    few = {1: [1], 2: [1, 2], 7: [1, 2, 3, 6, 7], 30: [1, 2, 3, 29, 30]}[p_max]
+    for route, checked, read in (("oracle", False, every), ("oracle", True, few),
+                                 ("semiring", False, few)):
         seen.clear()
-        estimate_dual_cone(r1, p_max, route)
-        estimate_dual_cone(r2, p_max, route)
+        r1, r2 = load_map("r1"), load_map("r2")
+        for track in (r1, r2):
+            if checked:
+                checked_oracle(track)
+            estimate_dual_cone(track, p_max, route)
         assert seen[0] == []
-        want = _fractions([(x, p) for p in read[route] for x in support_of_power(r2, p)])
+        want = _fractions([(x, p) for p in read for x in support_of_power(r2, p)])
         pairs = [(c, f) for pt, frac in zip(seen[1], want) for c, f in zip(pt, frac)]
         assert len(seen[1]) == len(want) and all(isinstance(c, int) for c, _ in pairs)
         scale = next(c / f for c, f in pairs if f)
@@ -197,9 +201,9 @@ def test_paper_scale_semiring_cone_reads_few_powers():
     build alone, semiring walk included, takes under 0.1 s: past r1's period
     (T, c) = (1, 1) it reads 3 powers and past r2's (1, 2) 5, not 2,000
     (r2's build read them all in about 0.35 s on 2 CPUs)."""
-    reads = {"rose_r1": [1, 2, POWER_CAP], "rose_r2": [1, 2, 3, POWER_CAP - 1, POWER_CAP]}
-    for name in ("rose_r1", "rose_r2"):
-        fresh = load_dataset(str(resources.files("fibercert") / "data" / f"{name}.json"))
+    reads = {"r1": [1, 2, POWER_CAP], "r2": [1, 2, 3, POWER_CAP - 1, POWER_CAP]}
+    for name in ("r1", "r2"):
+        fresh = load_map(name)
         start = time.monotonic()
         dual = estimate_dual_cone(fresh, POWER_CAP)
         elapsed = time.monotonic() - start
@@ -399,3 +403,83 @@ def test_membership_does_not_depend_on_the_truncation(r2, cone_p_max):
     assert P.membership((1, 20, 401)).status == "interior"
     assert P.membership((0, 0, 1)) == Membership("interior", Fraction(1, 3))
     assert max(g[-1] for g in cone.generators) >= cone_p_max - 1
+
+
+def _fraction_membership(model, alpha):
+    """Membership by the Fraction formula, slack by slack: the reference the
+    integer comparison is checked against."""
+    *x, n = alpha
+    if n <= 0:
+        return Membership("exterior", Fraction(-1))
+    margin = min((c * n - geometry.dot(u, x)) / (scale * n) for u, c, scale in model._slice)
+    if abs(margin) < cones.BOUNDARY_TOLERANCE:
+        return Membership("near-boundary", margin)
+    return Membership("interior" if margin > 0 else "exterior", margin)
+
+
+def _on_slack(u, target, c, scale, k):
+    """A class (x, n) whose slack (c n - <u, x>)/(scale n) on the halfspace
+    (u, c, scale) is exactly ``target``: n a multiple k of what makes
+    n (c - target scale) an integer m divisible by gcd(u), and x the
+    solution of <u, x> = m nearest the axis."""
+    rhs = c - target * scale
+    n = rhs.denominator * math.gcd(*u) * k
+    m = int(rhs * n)
+    if len(u) == 1:
+        return (m // u[0], n)
+    a, b = u
+    g = math.gcd(a, b)
+    s = next(s for s in range(abs(b) // g + 1) if (m - a * s) % b == 0) if b else m // a
+    x0, x1 = (s, (m - a * s) // b) if b else (m // a, 0)
+    # Along the kernel (-b, a)/g, to the solution nearest the axis point.
+    kx, ky = -b // g, a // g
+    j = round(Fraction(-(x0 * kx + x1 * ky), kx * kx + ky * ky))
+    return (x0 + j * kx, x1 + j * ky, n)
+
+
+_TOL = cones.BOUNDARY_TOLERANCE
+_TARGETS = [_TOL, -_TOL, Fraction(1, 99), Fraction(1, 101), -Fraction(1, 99),
+            -Fraction(1, 101), Fraction(0)]
+
+
+def _membership_models(r1_models, r2_models):
+    """Both bundled cones and their subcones of slope cap 1/2 and 1/3."""
+    return [m for _, cone, _ in (r1_models, r2_models)
+            for m in (cone, cone.subcone_slope(Fraction(1, 2)),
+                      cone.subcone_slope(Fraction(1, 3)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_membership_matches_the_fraction_formula(data, r1_models, r2_models):
+    """membership compares slacks in integers and builds one Fraction; it
+    gives the Fraction formula's Membership, on classes drawn at random
+    (n <= 0 too) and on classes whose slack on one halfspace is exactly at,
+    just inside or just outside BOUNDARY_TOLERANCE on either side."""
+    model = data.draw(st.sampled_from(_membership_models(r1_models, r2_models)))
+    rows = [row for row in model._slice if any(row[0])]
+    if data.draw(st.booleans()):
+        u, c, scale = data.draw(st.sampled_from(rows))
+        alpha = _on_slack(u, data.draw(st.sampled_from(_TARGETS)), c, scale,
+                          data.draw(st.integers(1, 5)))
+    else:
+        alpha = data.draw(st.tuples(*[st.integers(-400, 400)] * model.rank,
+                                    st.integers(-5, 500)))
+    assert model.membership(alpha) == _fraction_membership(model, alpha)
+
+
+def test_integer_membership_at_the_tolerance(r1_models, r2_models):
+    """Classes whose slack on a halfspace is exactly +-BOUNDARY_TOLERANCE:
+    on each model, some of them have it as their margin, and membership
+    gives the Fraction formula's verdict on every one."""
+    for model in _membership_models(r1_models, r2_models):
+        at = 0
+        for u, c, scale in model._slice:
+            if not any(u):
+                continue
+            for target, k in product((_TOL, -_TOL), (1, 2, 3)):
+                alpha = _on_slack(u, target, c, scale, k)
+                want = _fraction_membership(model, alpha)
+                assert model.membership(alpha) == want, alpha
+                at += abs(want.margin) == _TOL
+        assert at, model

@@ -239,10 +239,12 @@ def test_certificate_is_canonical_json(cert):
     assert sorted(d) == [
         "K", "alpha", "assumptions", "bound", "box_radius", "cone_p_max",
         "dataset_hash", "deep_dist2", "deep_point", "diagnostics",
-        "format_version", "kind", "mirror", "mode", "n", "p_max",
-        "rank", "safety", "slope_cap", "status", "tool_version",
+        "format_version", "inverse_period", "kind", "mirror", "mode", "n", "p_max",
+        "period", "rank", "safety", "slope_cap", "status", "tool_version",
     ]
-    assert d["format_version"] == 3
+    assert d["format_version"] == 4
+    # r1's period (T, c, Q) = (1, 1, [0, 1]) and its inverse's (1, 1, [-1, 0]).
+    assert (d["period"], d["inverse_period"]) == ([1, 1, 0, 1], [1, 1, -1, 0])
     assert d["slope_cap"] == "1/2"
     assert d["bound"] == f"{cert.bound.numerator}/{cert.bound.denominator}"
     assert text == canonical_json(d) + "\n"
@@ -265,7 +267,11 @@ def test_certificate_kind_checked(cert):
     d["format_version"] = 2
     with pytest.raises(ValidationError, match="unsupported certificate format_version 2"):
         parse_certificate(json.dumps(d))
+    # Format 3 declared no period.
     d["format_version"] = 3
+    with pytest.raises(ValidationError, match="unsupported certificate format_version 3"):
+        parse_certificate(json.dumps(d))
+    d["format_version"] = 4
     d["mirror"] = 0
     with pytest.raises(ValidationError, match="mirror"):
         parse_certificate(json.dumps(d))
@@ -273,7 +279,7 @@ def test_certificate_kind_checked(cert):
 
 def test_certificate_integers_must_be_json_integers(cert):
     d = json.loads(emit_certificate(cert))
-    paths = [("alpha", 0), ("deep_point", 0)] + [(key,) for key in (
+    paths = [("alpha", 0), ("deep_point", 0), ("period", 0), ("inverse_period", 3)] + [(key,) for key in (
         "n", "rank", "p_max", "cone_p_max", "safety", "box_radius", "K")]
     for path in paths:
         for value in NOT_INTEGERS:

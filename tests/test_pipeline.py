@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from itertools import product
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -487,6 +487,24 @@ def test_strip_check_passes_on_the_r2_acceptance_sweep(r2, r2_models, r2_hash, m
         [emit_certificate(row.certificate) for row in again]
 
 
+def test_obstacle_boxes_match_the_zip_form(r1, r1_cert, r1_hash, r2, r2_models, r2_hash,
+                                           monkeypatch):
+    """Every index the sweep-r2 seed-0 certificates and an r1 verify build
+    holds each obstacle's shift as a rank-2 point and its box doubled as the
+    per-coordinate form over the base's box and the shift gives them:
+    2 (e + t)."""
+    built = _spy(monkeypatch, "Obstacles")
+    dual, cone, P = r2_models
+    sweep(r2, dual, cone, P, SWEEP_R2, 16, r2_hash, allow_mirror=True)
+    assert verify_certificate(r1_cert, r1, r1_hash).status == "pass"
+    assert len(built) > len(SWEEP_R2)
+    for _, index in built:
+        shifts = [(*x, 0)[:2] for _, x in index.placed]
+        assert index.shifts == shifts
+        assert index.doubled == [tuple(2 * (e + t) for e, t in zip(base.box, (sx, sx, sy, sy)))
+                                 for (base, _), (sx, sy) in zip(index.placed, shifts)]
+
+
 def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
     """r1's bundled inverse is the exact mirror, so its index is marked; an
     inverse that is the forward map itself gives negative powers unreflected
@@ -913,48 +931,72 @@ def test_each_route_builds_only_its_own_memo(r1_cert, r1_hash, r2_cert, r2_hash,
 
 def test_verify_walks_each_map_once(r1_cert, r1_cert_29, r1_hash, monkeypatch):
     """Certificates of one map share its oracle memo: verifying two of them
-    (one twice) starts each map's hull walk once and draws each power once,
-    up to the highest power either certificate needs on its own."""
+    (one twice) starts each map's hull walk once.  Both declare r1's period
+    (T, c) = (1, 1) and its inverse's, checked at power T + c, so each
+    map's walk draws powers 0..2, alone or shared, and the closed form
+    answers the rest.  Without the declarations each certificate draws
+    every power up to the highest one it needs, and the shared map the
+    larger of the two."""
     starts, drawn = Counter(), Counter()
     edge_walk = trackmap._edge_walk
 
-    def counted_walk(track):
+    def counted_walk(track, *args):
         starts[id(track)] += 1
-        for hull in edge_walk(track):
+        walk = edge_walk(track, *args)
+        while True:
+            try:
+                hull = next(walk)
+            except StopIteration as stop:
+                return stop.value
             drawn[id(track)] += 1
             yield hull
 
     monkeypatch.setattr(trackmap, "_edge_walk", counted_walk)
-    maps, alone = [], []  # maps stay referenced, so no two share an id
-    for cert in (r1_cert, r1_cert_29):
-        maps.append(_fresh_map("rose_r1.json"))
-        assert verify_certificate(cert, maps[-1], r1_hash).status == "pass"
-        alone.append((drawn[id(maps[-1])], drawn[id(maps[-1].inverse)]))
-    shared = _fresh_map("rose_r1.json")
-    for cert in (r1_cert, r1_cert_29, r1_cert):
-        assert verify_certificate(cert, shared, r1_hash).status == "pass"
-    assert (starts[id(shared)], starts[id(shared.inverse)]) == (1, 1)
-    assert (drawn[id(shared)], drawn[id(shared.inverse)]) == tuple(map(max, *alone))
-    assert alone[0] != alone[1]
+    assert {cert.period[:2] + cert.inverse_period[:2]
+            for cert in (r1_cert, r1_cert_29)} == {(1, 1, 1, 1)}
+    undeclared = [replace(cert, period=(), inverse_period=()) for cert in (r1_cert, r1_cert_29)]
+    maps = []  # maps stay referenced, so no two share an id
+    # Undeclared, each map walks to cone_p_max 16 and the inverse to the
+    # highest negative word power.
+    for certs, want in (((r1_cert, r1_cert_29), [(3, 3), (3, 3)]),
+                        (undeclared, [(17, 13), (17, 11)])):
+        alone = []
+        for cert in certs:
+            maps.append(_fresh_map("rose_r1.json"))
+            assert verify_certificate(cert, maps[-1], r1_hash).status == "pass"
+            alone.append((drawn[id(maps[-1])], drawn[id(maps[-1].inverse)]))
+        shared = _fresh_map("rose_r1.json")
+        maps.append(shared)
+        for cert in (*certs, certs[0]):
+            assert verify_certificate(cert, shared, r1_hash).status == "pass"
+        assert (starts[id(shared)], starts[id(shared.inverse)]) == (1, 1)
+        assert (drawn[id(shared)], drawn[id(shared.inverse)]) == tuple(map(max, *alone))
+        assert alone == want
 
 
 def test_memo_cannot_sway_a_verdict(r1_cert, r1_hash, r2_cert, r2_hash):
     """A verdict does not depend on what the map's memo already holds: the
     honest r1 and r2 certificates and mutants of every declared value a memo
     key holds (cone_p_max, slope_cap, one of them failing subcone, safety
-    and mirror), of K and of the deep point, verified on one map in forward
-    and in reverse order, get the verdicts each gets on a fresh map.  A
-    failing subcone key stores nothing."""
+    and mirror), of K, of the deep point and of the declared periods (a
+    wrong c and a wrong inverse's failing period, none at all, and a later
+    T, which holds too), verified on one map in forward and in reverse
+    order, get the verdicts each gets on a fresh map.  A failing subcone
+    key stores nothing."""
     for cert, name, ds_hash in ((r1_cert, "rose_r1.json", r1_hash),
                                 (r2_cert, "rose_r2.json", r2_hash)):
+        T, c, *Q = cert.period
         edits = [{}, {"cone_p_max": cert.cone_p_max // 2}, {"slope_cap": Fraction(1, 3)},
                  {"slope_cap": Fraction(2)}, {"safety": 0}, {"safety": 2},
                  {"mirror": not cert.mirror}, {"K": cert.K + 1},
-                 {"deep_point": tuple(c + 1 for c in cert.deep_point)}]
+                 {"deep_point": tuple(c + 1 for c in cert.deep_point)},
+                 {"period": (T, c + 1, *Q)}, {"inverse_period": cert.period},
+                 {"period": (), "inverse_period": ()}, {"period": (T + 1, c, *Q)}]
         certs = [replace(cert, **edit) for edit in edits]
         alone = [verify_certificate(c, _fresh_map(name), ds_hash) for c in certs]
-        assert alone[0].status == "pass"
-        assert {"subcone", "deep-dist2", "power-collision"} <= {v.reason for v in alone}
+        assert alone[0].status == alone[-1].status == alone[-2].status == "pass"
+        assert {"subcone", "deep-dist2", "power-collision", "period"} <= \
+            {v.reason for v in alone}
         for order in (certs, certs[::-1]):
             shared = _fresh_map(name)
             verdicts = [verify_certificate(c, shared, ds_hash) for c in order]
@@ -1180,6 +1222,131 @@ def test_verify_rejects_undeclared_mirror(r2, r2_cert, r2_hash):
     """r2 has no inverse data, so its negative powers need declared mirror mode."""
     res = verify_certificate(replace(r2_cert, mirror=False), r2, r2_hash)
     assert (res.status, res.reason) == ("fail", "word-mode")
+
+
+def _first_failing_edge(track, T, c, Q):
+    """The first edge, in edge order, whose visits at power T + c do not
+    have the hull of its visits at power T summed with Q (no visits at
+    either power must mean none at both), by a walk over (edge, shift)
+    states: the reference for the oracle's per-edge hulls.  None if every
+    edge has it."""
+    zero = (0,) * track.rank
+    states, seen = {(e.name, zero) for e in track.edges}, []
+    for _ in range(T + c + 1):
+        seen.append(states)
+        states = {(name, tuple(a + b for a, b in zip(s, d)))
+                  for edge, s in states for name, d, _ in track.edge_images[edge]}
+
+    def hull(p, edge):
+        pts = [s for name, s in seen[p] if name == edge]
+        return geometry.convex_hull(pts) if pts else []
+
+    for e in track.edges:
+        a, b = hull(T, e.name), hull(T + c, e.name)
+        if (geometry.minkowski_sum(a, Q) if a else []) != b:
+            return e.name
+    return None
+
+
+# Forged declarations of a period (T, c, *Q): each gets fail period.
+FORGED_PERIODS = {
+    "wrong c": lambda d: (d[0], d[1] + 1, *d[2:]),
+    "Q off by one vertex": lambda d: (*d[:-1], d[-1] + 1),
+    "T one too small": lambda d: (d[0] - 1, *d[1:]),
+    "no Q": lambda d: d[:2],
+    "one entry too many": lambda d: (*d, 0),
+}
+
+
+@pytest.mark.parametrize("forge", FORGED_PERIODS.values(), ids=FORGED_PERIODS.keys())
+def test_verify_rejects_forged_periods(r1_cert, r1_hash, r2_cert, r2_hash, forge):
+    """A declared period that does not hold on the path oracle fails period,
+    for the map and for the inverse's data, on a fresh map; the witness
+    names the map and, where the declaration has a period's form, the first
+    edge whose hulls differ."""
+    cases = [(replace(r1_cert, period=forge(r1_cert.period)), "rose_r1.json", r1_hash, "map"),
+             (replace(r1_cert, inverse_period=forge(r1_cert.inverse_period)),
+              "rose_r1.json", r1_hash, "inverse"),
+             (replace(r2_cert, period=forge(r2_cert.period)), "rose_r2.json", r2_hash, "map")]
+    for cert, name, ds_hash, which in cases:
+        track = _fresh_map(name)
+        res = verify_certificate(cert, track, ds_hash)
+        assert (res.status, res.reason) == ("fail", "period"), (which, res)
+        assert res.witness.startswith(f"{which}: "), res.witness
+        m, declared = ((track, cert.period) if which == "map"
+                       else (track.inverse, cert.inverse_period))
+        r = track.rank
+        Q = [tuple(declared[i:i + r]) for i in range(2, len(declared), r)]
+        if Q and (len(declared) - 2) % r == 0 and Q == geometry.convex_hull(Q):
+            edge = _first_failing_edge(m, declared[0], declared[1], Q)
+            assert edge is not None and f"edge {edge!r}" in res.witness, res.witness
+        assert "oracle" not in vars(m) or m.oracle.period is None
+
+
+def test_verify_rejects_an_inverse_period_in_mirror_mode(r2_cert, r2_hash):
+    """r2 has no inverse data, so mirror mode reads the map's own supports:
+    a period declared for the inverse fails period, naming the inverse."""
+    assert r2_cert.mirror and r2_cert.inverse_period == ()
+    res = verify_certificate(replace(r2_cert, inverse_period=r2_cert.period),
+                             _fresh_map("rose_r2.json"), r2_hash)
+    assert (res.status, res.reason) == ("fail", "period")
+    assert res.witness.startswith("inverse: ")
+
+
+def test_verify_checks_the_declared_periods(r1_cert, r1_hash, r2_cert, r2_hash):
+    """Honest certificates declare the periods certify's semiring walk found
+    (the inverse's only with inverse data); verify checks each on the path
+    oracle and the map's oracle memo takes it, having walked to T + c.
+    Re-emitted with empty declarations, they still pass, through the
+    every-power walk, with no period taken."""
+    square = (0, 0, 1, 0, 1, 1, 0, 1)
+    assert (r1_cert.period, r1_cert.inverse_period) == ((1, 1, 0, 1), (1, 1, -1, 0))
+    assert (r2_cert.period, r2_cert.inverse_period) == ((1, 2, *square), ())
+    for cert, name, ds_hash in ((r1_cert, "rose_r1.json", r1_hash),
+                                (r2_cert, "rose_r2.json", r2_hash)):
+        track = _fresh_map(name)
+        assert verify_certificate(cert, track, ds_hash).status == "pass"
+        for m, declared in ((track, cert.period), (track.inverse, cert.inverse_period)):
+            if m is not None:
+                T, c = declared[:2]
+                assert m.oracle.period[:2] == (T, c) and len(m.oracle.kept) == T + c + 1
+        bare = parse_certificate(emit_certificate(replace(cert, period=(), inverse_period=())))
+        track = _fresh_map(name)
+        assert verify_certificate(bare, track, ds_hash).status == "pass"
+        assert track.oracle.period is None and len(track.oracle.kept) > cert.cone_p_max
+
+
+def test_verify_at_paper_scale_reads_few_powers(r2_hash, monkeypatch):
+    """verify of r2 (1, 990, 980101) in mirror mode at p_max 1980, on a map
+    loaded anew: its oracle memo holds at most T + c + 1 walked hulls, and
+    _candidate_directions receives the ratio points of at most 5 powers,
+    scaled by their lcm, not lcm(1..1980) (about 860 digits)."""
+    r2 = _fresh_map("rose_r2.json")
+    dual, cone, P = cones.subcone_models(r2, 1980, Fraction(1, 2))
+    cert = certify(r2, dual, cone, P, FiberedClass((1, 990, 980101)), 1980, r2_hash,
+                   allow_mirror=True)
+    read, given = [], []
+    powers_read, candidates = cones._powers_read, cones._candidate_directions
+
+    def read_powers(hull_of, p_max):
+        read.append(powers_read(hull_of, p_max))
+        return read[-1]
+
+    def spy(rank, ratio_points):
+        given.append(ratio_points)
+        return candidates(rank, ratio_points)
+
+    monkeypatch.setattr(cones, "_powers_read", read_powers)
+    monkeypatch.setattr(cones, "_candidate_directions", spy)
+    track = _fresh_map("rose_r2.json")
+    assert verify_certificate(cert, track, r2_hash).status == "pass"
+    T, c = cert.period[:2]
+    assert len(track.oracle.kept) <= T + c + 1
+    (powers,), (points,) = read, given
+    scale = lcm(*powers)
+    assert len(powers) <= 5 and points == [(x * (scale // p), y * (scale // p))
+                                           for p in powers for x, y in track.oracle(p)]
+    assert max(abs(v) for pt in points for v in pt) < 10 ** 20
 
 
 def test_verify_rejects_relabelled_mode(r1, r1_cert, r1_hash):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fibercert import trackmap
+from fibercert import cones, trackmap
 from fibercert.cones import estimate_dual_cone
 from fibercert.dataio import dataset_hash
 from fibercert.errors import CapabilityError, ValidationError
@@ -25,7 +25,7 @@ from fibercert.trackmap import (
     support_of_power,
 )
 
-from conftest import every_power_estimate, negate, tuple_state_walk
+from conftest import checked_oracle, every_power_estimate, load_map, negate, tuple_state_walk
 
 
 def single_edge_rose() -> LiftedGraphMap:
@@ -162,14 +162,52 @@ def test_r1_transition_matrix(r1):
     )
 
 
+def _every_power_walk(track, p):
+    """The path oracle's hulls of powers 0..p from a walk of its own, never
+    a memo that may hold a checked period."""
+    return list(islice(trackmap._edge_walk(track, []), p + 1))
+
+
 def test_support_of_power_matches_oracle(r1, r2):
-    """The two hull routes agree at every power up to 200."""
+    """The two hull routes agree at every power up to 200: the semiring
+    route, past its period in closed form, and the oracle's every-power
+    walk, which the oracle CLI reader gives too."""
     for track in (r1, r1.inverse, r2, single_edge_rose(), doubling_rose(), tilted_loop(),
                   unshifted_theta()):
-        walk = oracle_iterate(track, 200)
-        assert len(walk) == 201
+        walk = _every_power_walk(track, 200)
+        assert oracle_iterate(track, 200) == walk
         for p in range(0, 201):
             assert walk[p] == support_of_power(track, p), p
+
+
+def _checkable_maps():
+    """r1 and r2 loaded anew, r1's inverse and the small maps, each with a
+    period in the semiring walk's window."""
+    r1, r2 = load_map("r1"), load_map("r2")
+    return [r1, r1.inverse, r2, single_edge_rose(), doubling_rose(), tilted_loop(),
+            unshifted_theta()]
+
+
+def test_checked_oracle_period_matches_the_walk():
+    """With the semiring route's period taken through verify's check, each
+    map's oracle memo walks only to T + c, and its closed form equals the
+    every-power walk at every power up to 200."""
+    for track in _checkable_maps():
+        walk = _every_power_walk(track, 200)
+        T, c, _ = checked_oracle(track).oracle.period
+        assert [track.oracle(p) for p in range(201)] == walk, track.edges
+        assert len(track.oracle.kept) == T + c + 1
+
+
+@pytest.mark.parametrize("p_max", [1, 2, 3, 5, 16, 17, 60, 200, 1980])
+def test_checked_oracle_period_keeps_the_dual_cone(p_max):
+    """The oracle route's dual cone is the same with a checked period, which
+    reads at most 5 powers, as from the every-power walk."""
+    for checked, plain in zip(_checkable_maps(), _checkable_maps()):
+        want = estimate_dual_cone(plain, p_max, "oracle")
+        assert estimate_dual_cone(checked_oracle(checked), p_max, "oracle") == want
+        assert plain.oracle.period is None
+        assert len(cones._powers_read(checked.oracle, p_max)) <= 5
 
 
 def _assert_oracle_matches_walk(track, p_top):
@@ -317,7 +355,7 @@ def test_walk_without_period_matches_oracle(r2):
     transposed = [list(col) for col in zip(*r2.entry_supports)]
     hulls, searches = _walked(transposed, 2, 200)
     assert searches == [None] * (PERIOD_WINDOW + 1)
-    assert hulls == [r2.oracle(q) for q in range(201)]
+    assert hulls == _every_power_walk(r2, 200)
 
 
 def test_semiring_column_without_entries_stays_empty():

@@ -17,6 +17,6 @@ def test_verify_mutants_lists_every_predicate():
     assert reasons == [
         "dataset-hash", "rank-mismatch", "certificate-inconclusive", "mode-mismatch",
         "power-cap", "alpha-primitive", "n-mismatch", "k-exceeds-pmax",
-        "alpha-not-interior", "deep-point-outside-box", "word-mode",
+        "period", "alpha-not-interior", "deep-point-outside-box", "word-mode",
         "deep-point-in-obstacle", "deep-dist2", "power-collision", "bound-value",
     ]
