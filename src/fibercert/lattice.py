@@ -211,6 +211,12 @@ class BaseHull:
         reflected points; computed once per base."""
         return tuple(geometry.reflect(self.hull))
 
+    @cached_property
+    def sums(self) -> dict:
+        """_Seen.misses' memo of body ⊕ (-base) per body hull, so a sum is
+        built once per (body, base) pair for as long as the base lives."""
+        return {}
+
 
 Obstacle = tuple[BaseHull, Vec]  # the hull base.hull + x, placed as (base, x)
 
@@ -220,14 +226,15 @@ class Obstacles:
     coordinates doubled (its base's doubled box plus twice its shift), for
     deep_point's cell bounds and for every question asked at one point.
     ``period`` is a nonzero rank-2 kernel shift v (see PerpLattice.period)
-    and ``pool`` every obstacle placed from the words, of which ``placed``
-    is the part kept (``placed`` itself by default); Obstacles.strip checks
-    them for deep_point."""
+    and ``radius``, given with it, the L-inf radius R_e within which every
+    kernel word was enumerated and placed from its power's base, of which
+    ``placed`` is the part kept; Obstacles.strip reads both for
+    deep_point."""
 
     def __init__(self, placed: Sequence[Obstacle], period: Optional[Vec] = None,
-                 pool: Optional[Sequence[Obstacle]] = None):
+                 radius: Optional[int] = None):
         self.placed = list(placed)
-        self.period, self.pool = period, self.placed if pool is None else pool
+        self.period, self.radius = period, radius
         self.shifts = [x if len(x) == 2 else (x[0], 0) for _, x in self.placed]
         self.doubled = [(a + 2 * sx, b + 2 * sx, c + 2 * sy, d + 2 * sy)
                         for (base, _), (sx, sy) in zip(self.placed, self.shifts)
@@ -253,16 +260,17 @@ class Obstacles:
     @cached_property
     def strip(self) -> Optional[Vec]:
         """The period v oriented lexicographically negative, when every
-        obstacle (base, x) has its partner (base, x - v) in the pool, placed
-        from the same base object; None without a period or when a partner
-        is missing.  Checked, never assumed, in one pass over the pool and
-        one over the obstacles."""
+        obstacle (base, x) has its partner (base, x - v) placed; None
+        without a period or when a partner is missing.  The partner of
+        kernel word (x, y) is the kernel word (x - v, y), as (v, 0) lies in
+        the kernel, so it was placed, from the same base, exactly when
+        |x - v|_inf <= radius: one pass over the shifts checks that, never
+        assumes it."""
         if self.period is None:
             return None
         v = self.period if self.period < (0, 0) else tuple(-c for c in self.period)
-        vx, vy = v
-        pool = {(id(base), x) for base, x in self.pool}
-        if all((id(base), (x0 - vx, x1 - vy)) in pool for base, (x0, x1) in self.placed):
+        vx, vy, far = *v, self.radius
+        if all(-far <= x0 - vx <= far and -far <= x1 - vy <= far for x0, x1 in self.shifts):
             return v
         return None
 
@@ -331,11 +339,14 @@ class _Seen:
     def __init__(self, index: Obstacles, point: Sequence[int], among: Sequence[int]):
         self.index, self.point = index, tuple(point)
         px, py = (2 * p for p in _pad(point))
-        ranked = []
+        doubled, ranked = index.doubled, []
         for i in among:
-            a, b, c, d = index.doubled[i]
-            ranked.append((max(a - px, px - b, 0) ** 2 + max(c - py, py - d, 0) ** 2, i))
-        self.ranked = sorted(ranked)
+            a, b, c, d = doubled[i]
+            gx = a - px if px < a else (px - b if px > b else 0)
+            gy = c - py if py < c else (py - d if py > d else 0)
+            ranked.append((gx * gx + gy * gy, i))
+        ranked.sort()
+        self.ranked = ranked
 
     def dist2(self) -> Fraction:
         """Exact min over the obstacles of the squared distance from the
@@ -358,8 +369,9 @@ class _Seen:
         of at most 8 reach^2; the obstacles whose box meets it are tested
         exactly, nearest first.  The body moved to the point meets base + x
         iff x - point lies in body ⊕ (-base): in rank 2 one containment test
-        in the sum with the base's cached reflection (BaseHull.reflected),
-        in rank 1 two comparisons of interval ends."""
+        in that sum, built once per (body, base) pair (BaseHull.sums) from
+        the base's cached reflection (BaseHull.reflected), in rank 1 two
+        comparisons of interval ends."""
         a, b, c, d = body.box
         reach = max(-a, b, -c, d)
         px, py = _pad(self.point)
@@ -378,8 +390,11 @@ class _Seen:
                 meets = base.hull[0][0] + t[0] <= body.hull[-1][0] \
                     and body.hull[0][0] <= base.hull[-1][0] + t[0]
             else:
-                meets = geometry.contains_point(
-                    geometry.minkowski_sum(body.hull, base.reflected), t)
+                summed = base.sums.get(body.hull)
+                if summed is None:
+                    summed = base.sums[body.hull] = geometry.minkowski_sum(body.hull,
+                                                                           base.reflected)
+                meets = geometry.contains_point(summed, t)
             if meets:
                 return False
         return True
@@ -444,15 +459,17 @@ def deep_point(obstacles: Obstacles, R: int, rank: int) -> DeepPoint:
       1) with the same bounds and tie-break, and returns the full box's
       result.
     - Period strip: when Obstacles.strip gives v (rank 2 only; checked on
-      the placed translates, never assumed), the search starts from the
-      one or two cells S of that box whose points p have p + v outside
-      [-R, R]^2: the first -v_0 columns, and |v_1| rows at the top (v_1 > 0)
-      or the bottom (v_1 < 0) of the columns after them.  Let D be such
-      that every pool obstacle left out of the index lies farther than D
-      from the full box (any D when the pool is the index).  Take p and
-      p + v both in the box.  Then f(p + v) = min over obstacles o of
-      d(p, o - v)^2.  If o - v is an obstacle, its term is >= f(p);
-      otherwise it is in the pool but left out, and its term is > D^2.
+      the placed translates' shifts, never assumed), the search starts
+      from the one or two cells S of that box whose points p have p + v
+      outside [-R, R]^2: the first -v_0 columns, and |v_1| rows at the top
+      (v_1 > 0) or the bottom (v_1 < 0) of the columns after them.  Let D
+      be such that every obstacle placed from a kernel word within the
+      index's radius R_e but left out of the index lies farther than D
+      from the full box.  Take p and p + v both in the box.  Then
+      f(p + v) = min over obstacles o of d(p, o - v)^2.  The obstacle o of
+      word (x, y) moved by -v is that of word (x - v, y), within R_e by
+      the check, so placed from the same base: if it is in the index, its
+      term is >= f(p); otherwise it was left out, and its term is > D^2.
       So when the full box's maximum d* is <= D^2, f does not decrease
       along +v, and the smallest argmax p* has p* + v outside the box:
       otherwise p* + v would be an argmax below it, as v <lex 0, and in

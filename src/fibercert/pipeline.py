@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import geometry
 from .cones import (
@@ -67,12 +67,7 @@ def _ceil_root_multiple(kappa: int, n: int, r: int) -> int:
     return math.isqrt(max(kappa * kappa * n - 1, 0)) + 1
 
 
-class GammaWord(NamedTuple):
-    """A kernel word: coefficients over the perp basis and its (x, y) split."""
-
-    coeffs: tuple[int, ...]
-    x: tuple[int, ...]
-    y: int
+Word = tuple[Vec, int]  # a kernel word (x, y): its shift x and its power y
 
 
 def decompose(alpha: FiberedClass, cone: FiberedConeModel) -> tuple[int, PerpLattice]:
@@ -134,9 +129,9 @@ def word_power_bound(L: PerpLattice, R: int) -> int:
     return top
 
 
-def enumerate_words(L: PerpLattice, R: int) -> list[GammaWord]:
-    """All kernel words whose projection lands in the centered box of radius
-    R, unless word_power_bound(L, R) refuses them first.
+def enumerate_words(L: PerpLattice, R: int) -> list[Word]:
+    """All kernel words (x, y) whose projection x lands in the centered box
+    of radius R, unless word_power_bound(L, R) refuses them first.
 
     perp_basis writes the basis in closed form: rows (m, t) in rank 1 and
     (g, e, t0), (0, d, t1) in rank 2, so ``zeta_basis`` is upper triangular
@@ -151,14 +146,10 @@ def enumerate_words(L: PerpLattice, R: int) -> list[GammaWord]:
     word_power_bound(L, R)
     if len(L.basis) == 1:
         ((m, t),) = L.basis
-        return [GammaWord((c,), (c * m,), c * t) for c in range(-(R // m), R // m + 1)]
+        return [((c * m,), c * t) for c in range(-(R // m), R // m + 1)]
     (g, e, t0), (_, d, t1) = L.basis
-    words = []
-    for c0 in range(-(R // g), R // g + 1):
-        x0, u, v = c0 * g, c0 * e, c0 * t0
-        words += [GammaWord((c0, c1), (x0, u + c1 * d), v + c1 * t1)
-                  for c1 in _c1_range(L, R, c0)]
-    return words
+    return [((c0 * g, c0 * e + c1 * d), c0 * t0 + c1 * t1)
+            for c0 in range(-(R // g), R // g + 1) for c1 in _c1_range(L, R, c0)]
 
 
 def check_power_cap(powers: Sequence[int], what: str) -> None:
@@ -184,32 +175,36 @@ def dilated_base(track: LiftedGraphMap, route: str, y: int, safety: int,
     return base
 
 
-def build_obstacles(track: LiftedGraphMap, words: Sequence[GammaWord], safety: int,
-                    allow_mirror: bool, route: str = "semiring") -> list[Obstacle]:
-    """The obstacles, one per word in word order, each a placed translate
-    (base, x): the word's shift x and dilated_base of its power y on
-    ``route``'s supports.  verify places the words within the word radius
-    R_w and indexes all of them on the oracle route; certify, on the
-    semiring route, places the words within its enumeration radius R_e and
-    indexes only those within its reach D (see certify).  A base is built
-    once per map, route, power, safety and mirror flag and shared by every
-    word, certificate and class that needs it, so no per-word hull is
-    copied: the obstacle is base.hull + x.
+def build_obstacles(track: LiftedGraphMap, words: Sequence[Word], safety: int,
+                    allow_mirror: bool, route: str = "semiring",
+                    reach: Optional[tuple[int, int]] = None) -> list[Obstacle]:
+    """The obstacles in word order, each a placed translate (base, x): the
+    word's shift x and dilated_base of its power y on ``route``'s supports,
+    looked up once per power in a call.  verify places every word within
+    the word radius R_w on the oracle route.  certify, on the semiring
+    route, gives its reach (R, D), and the same pass keeps only the
+    translates whose exact box lies within L-inf gap D of the full box
+    [-R, R]^r (see certify).  Every word's base is looked up, kept or not,
+    so a negative power with neither inverse data nor mirror mode raises
+    ValidationError with or without a reach.  A base is built once per
+    map, route, power, safety and mirror flag and shared by every word,
+    certificate and class that needs it, so no per-word hull is copied:
+    the obstacle is base.hull + x.
     """
-    return [(dilated_base(track, route, w.y, safety, allow_mirror), w.x) for w in words]
-
-
-def _within_reach(placed: Sequence[Obstacle], R: int, D: int) -> list[Obstacle]:
-    """The placed translates, in their order, whose exact box lies within
-    L-inf gap D of the full box [-R, R]^r."""
-    far = R + D
-    kept = []
-    for base, x in placed:
-        a, b, c, d = base.box
-        sx, sy = (*x, 0)[:2]
-        if -far <= b + sx and a + sx <= far and -far <= d + sy and c + sy <= far:
-            kept.append((base, x))
-    return kept
+    far = None if reach is None else reach[0] + reach[1]
+    bases: dict[int, BaseHull] = {}
+    placed = []
+    for x, y in words:
+        base = bases.get(y)
+        if base is None:
+            base = bases[y] = dilated_base(track, route, y, safety, allow_mirror)
+        if far is not None:
+            a, b, c, d = base.box
+            sx, sy = x if len(x) == 2 else (x[0], 0)
+            if not (-far <= b + sx and a + sx <= far and -far <= d + sy and c + sy <= far):
+                continue
+        placed.append((base, x))
+    return placed
 
 
 def _box_reach(track: LiftedGraphMap, y: int, safety: int, allow_mirror: bool) -> int:
@@ -329,7 +324,9 @@ def certify(
     BudgetError if the words are too many to enumerate, both read at the
     word radius before any support is walked.  The obstacle bases and the
     body of every K tested are dilated_base's, memoized per map on the
-    semiring route, so a sweep builds each once.
+    semiring route, so a sweep builds each once; so are epsilon, per value
+    of (dual, P) (_subcone_epsilon), and each K test's sum of a body and a
+    reflected base, per pair (BaseHull.sums).
 
     Only the obstacles whose exact box lies within L-inf gap D of the full
     box [-R, R]^r enter the two searches; dropping the others changes
@@ -342,10 +339,10 @@ def certify(
       same points, with the same lexicographically smallest one.  Measured
       from the full box, the kept set of a point-symmetric word set is
       point-symmetric too, so the half-box search still applies.  The kept
-      set is indexed with the lattice's period and every placed obstacle as
-      its pool, so the period-strip search applies whenever each kept
-      obstacle's partner was placed; a placed partner left out lies
-      farther than D, as deep_point's strip proof needs.
+      set is indexed with the lattice's period and the enumeration radius
+      R_e, so the period-strip search applies whenever each kept
+      obstacle's partner was placed (Obstacles.strip); a placed partner
+      left out lies farther than D, as deep_point's strip proof needs.
     - K: a body moved to a point of the box has its box within L-inf reach
       of the point, so it cannot meet a box at gap > D if D is at least
       that reach.  D is at least the box reach of the dilated body of every
@@ -372,14 +369,18 @@ def certify(
     enumerating to R_w:
     - A word with |x|_inf > R + D + A has its obstacle box inside
       x + [-A, A]^r, at an L-inf gap greater than D from [-R, R]^r, so
-      _within_reach drops it.
+      build_obstacles' reach test drops it.
     - enumerate_words walks the same nested intervals at any radius, so
       the kept obstacles are the same, in the same lexicographic order,
       and Obstacles.symmetric is unchanged.
-    - A kept obstacle's partner x - v has |x - v|_inf <= R + D + A + |v|_inf.
-      If the partner is a word within R_w at all, it is in the smaller
-      pool, so Obstacles.strip gives the same verdict; it stays a check
-      against the obstacles actually placed, never an assumption.
+    - A kept obstacle (base, x) of word (x, y) has the partner word
+      (x - v, y), as (v, 0) lies in the kernel, with
+      |x - v|_inf <= R + D + A + |v|_inf.  Enumerating to any radius, the
+      partner is placed exactly when |x - v|_inf is within it, from the
+      same memoized base of power y.  So if the partner is a word within
+      R_w at all, it is within R_e too, and Obstacles.strip, which checks
+      |x - v|_inf <= R_e for every kept obstacle, gives the verdict it
+      gives enumerating to R_w.
     Refusals read R_w before any support is walked or word built (see
     word_power_bound); at R_e <= R_w, where enumerate_words reads them
     again, they cannot fire.  D reads powers 1..p_max and A only powers a
@@ -397,7 +398,7 @@ def certify(
             f"class {alpha.vector} is not interior to the chosen subcone"
         )
     n, L = decompose(alpha, cone)
-    eps = epsilon_of_subcone(P, dual)
+    eps = _subcone_epsilon(track, P, dual)
     r = track.rank
     R = box_radius if box_radius is not None else _ceil_root_multiple(kappa, n, r)
 
@@ -414,10 +415,10 @@ def certify(
             D = max([math.isqrt(L.shortest_vector.length2)]
                     + [_box_reach(track, q, safety, allow_mirror) for q in bodies])
         while True:
-            words = enumerate_words(L, _reach_radius(track, L, R, D, R_w, top, safety,
-                                                     allow_mirror))
-            placed = build_obstacles(track, words, safety, allow_mirror)
-            obstacles = Obstacles(_within_reach(placed, R, D), L.period, placed)
+            R_e = _reach_radius(track, L, R, D, R_w, top, safety, allow_mirror)
+            kept = build_obstacles(track, enumerate_words(L, R_e), safety, allow_mirror,
+                                   reach=(R, D))
+            obstacles = Obstacles(kept, L.period, R_e)
             dp = deep_point(obstacles, R, r)
             if dp.dist2 <= D * D:
                 break
@@ -496,6 +497,19 @@ def _period_fault(cert: BoundCertificate, track: LiftedGraphMap) -> str:
             return f"{which}: edge {edge!r} at power {T + c} is not its hull at {T} plus Q"
         m.derived[key] = True
     return ""
+
+
+def _subcone_epsilon(track: LiftedGraphMap, P: FiberedConeModel,
+                     dual: DualConeModel) -> EpsilonBound:
+    """epsilon_of_subcone(P, dual), memoized per map in ``track.derived``
+    under ("semiring", "epsilon", dual, P), keyed by the two models' values,
+    so a sweep that certifies one class per call derives it once.  A
+    SubconeError is raised again on every call, never stored."""
+    key = ("semiring", "epsilon", dual, P)
+    eps = track.derived.get(key)
+    if eps is None:
+        eps = track.derived[key] = epsilon_of_subcone(P, dual)
+    return eps
 
 
 def _verify_models(track: LiftedGraphMap, cone_p_max: int,
@@ -592,7 +606,7 @@ def verify_certificate(
         return VerifyResult("unverifiable", "power-cap")
     except BudgetError:
         return VerifyResult("unverifiable", "word-cap")
-    if min(w.y for w in words) < 0 and track.inverse is None and not cert.mirror:
+    if min(y for _, y in words) < 0 and track.inverse is None and not cert.mirror:
         return VerifyResult("fail", "word-mode")
     obstacles = Obstacles(build_obstacles(track, words, cert.safety, cert.mirror, "oracle"))
     seen = obstacles.seen_from(cert.deep_point)
@@ -609,17 +623,20 @@ def verify_certificate(
 
 
 def normalized_bound(bound: Fraction, n: int, r: int) -> str:
-    """bound * n^(1 + 1/r), rendered to 12 significant digits."""
+    """bound * n^(1 + 1/r), rendered to 12 significant digits at 30-digit
+    precision.  In rank 2 n^(1/2) is Decimal.sqrt, correctly rounded; where
+    it is exact, it is padded to the 30 digits the fractional power n^0.5
+    gave, so the trailing zeros print as they did."""
     if bound == 0:
         return "0"
     with localcontext() as ctx:
         ctx.prec = 30
-        val = (
-            Decimal(bound.numerator)
-            / Decimal(bound.denominator)
-            * Decimal(n)
-            * Decimal(n) ** (Decimal(1) / Decimal(r))
-        )
+        if r == 1:
+            root = +Decimal(n)
+        else:
+            root = Decimal(n).sqrt()
+            root = root.quantize(Decimal(1).scaleb(root.adjusted() + 1 - ctx.prec))
+        val = Decimal(bound.numerator) / Decimal(bound.denominator) * Decimal(n) * root
         return format(val, ".12g")
 
 

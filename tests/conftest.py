@@ -4,7 +4,7 @@ from importlib import resources
 from math import lcm
 from operator import add
 
-from fibercert import geometry, trackmap
+from fibercert import geometry, pipeline, trackmap
 from fibercert.cones import (
     DualConeModel,
     FacetDirection,
@@ -84,6 +84,44 @@ def every_power_estimate(track, p_max, route="semiring"):
         facets.append(FacetDirection(u, slope, c_window))
     return DualConeModel(track.rank, p_max, k0, tuple(facets),
                          low_confidence=k0 is None or p_max < k0)
+
+
+def place_every_word(track, words, safety, allow_mirror, route="semiring"):
+    """Each word's obstacle (dilated_base of its power, its shift), in word
+    order, one memo lookup per word: build_obstacles as it was before it
+    looked up each power once and took certify's reach, kept as the
+    reference the one-pass placement is checked against."""
+    return [(pipeline.dilated_base(track, route, y, safety, allow_mirror), x)
+            for x, y in words]
+
+
+def within_reach(placed, R, D):
+    """The placed translates, in their order, whose exact box lies within
+    L-inf gap D of the full box [-R, R]^r: the reach filter certify ran
+    over every placed word before build_obstacles took its reach, kept as
+    the reference."""
+    far = R + D
+    kept = []
+    for base, x in placed:
+        a, b, c, d = base.box
+        sx, sy = (*x, 0)[:2]
+        if -far <= b + sx and a + sx <= far and -far <= d + sy and c + sy <= far:
+            kept.append((base, x))
+    return kept
+
+
+def pool_strip(kept, period, pool):
+    """Obstacles.strip as it was before it read the enumeration radius: the
+    period v oriented lexicographically negative when every kept obstacle
+    (base, x) has (base, x - v) in the pool, placed from the same base
+    object; None without a period or when a partner is missing."""
+    if period is None:
+        return None
+    v = period if period < (0, 0) else tuple(-c for c in period)
+    placed = {(id(base), x) for base, x in pool}
+    if all((id(base), (x0 - v[0], x1 - v[1])) in placed for base, (x0, x1) in kept):
+        return v
+    return None
 
 
 def load_map(name: str):

@@ -11,7 +11,7 @@ from fibercert import lattice
 from fibercert.errors import ValidationError
 from fibercert.geometry import convex_hull, dilate, point_hull_dist2, translate
 from fibercert.geometry import hulls_disjoint
-from fibercert.pipeline import _within_reach, build_obstacles, enumerate_words
+from fibercert.pipeline import build_obstacles, enumerate_words
 from fibercert.trackmap import support_of_power
 from fibercert.lattice import (
     BaseHull,
@@ -26,7 +26,7 @@ from fibercert.lattice import (
     systole,
 )
 
-from conftest import negate
+from conftest import negate, pool_strip, within_reach
 
 
 def _ambient_covol2(L: PerpLattice) -> int:
@@ -569,23 +569,25 @@ def _kernel_arrangement(draw, r2):
     dilated supports in mirror mode, random small hulls with each negative
     power's base the reflection of its positive partner's, both
     point-symmetric, or random small hulls with an unsymmetric power-0
-    base, searched over the full box.  The word radius covers the period
-    step of every kept obstacle, so the strip check passes: a base reaches
-    at most 2 (random) or |y| / 2 + 2 (r2, safety <= 1)."""
+    base, searched over the full box.  Also every placed obstacle and the
+    radius R_e they were enumerated within, which covers the period step
+    of every kept obstacle, so the strip check passes: a base reaches at
+    most 2 (random) or |y| / 2 + 2 (r2, safety <= 1)."""
     a, b, n = draw(st.sampled_from(_STRIP_CLASSES))
     for _ in range(draw(st.integers(0, 3))):
         a, b = -b, a
     L = FiberedClass((a, b, n)).lattice
     R, D = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     kind = draw(st.sampled_from(("r2", "mirrored", "random")))
-    words = enumerate_words(L, 2 * (R + D + max(map(abs, L.period)) + 2))
+    R_e = 2 * (R + D + max(map(abs, L.period)) + 2)
+    words = enumerate_words(L, R_e)
     if kind == "r2":
         pool = build_obstacles(r2, words, draw(st.integers(0, 1)), True)
     else:
         coord = st.integers(-1, 1)
         hulls = st.lists(st.tuples(coord, coord), min_size=1, max_size=3)
         bases = {}
-        for y in sorted({w.y for w in words}, key=abs):
+        for y in sorted({y for _, y in words}, key=abs):
             if kind == "mirrored" and y < 0:
                 bases[y] = BaseHull.of(bases[-y].reflected)
                 continue
@@ -595,8 +597,8 @@ def _kernel_arrangement(draw, r2):
             bases[y] = BaseHull.of(dilate(convex_hull(pts), draw(st.integers(0, 1))))
         if kind == "random":
             assume(bases[0].hull != bases[0].reflected)
-        pool = [(bases[w.y], w.x) for w in words]
-    return pool, _within_reach(pool, R, D), L.period, R, D, kind
+        pool = [(bases[y], x) for x, y in words]
+    return pool, within_reach(pool, R, D), L.period, R_e, R, D, kind
 
 
 def _translates(placed):
@@ -607,12 +609,14 @@ def _translates(placed):
 @given(data=st.data())
 def test_deep_point_period_strip_matches_full_box(data, r2):
     """On kernel-word arrangements the strip check passes with v oriented
-    lexicographically negative.  Whenever the deep point lies within D,
-    the strip search, the search without a period and brute force agree;
-    beyond D the strip search reports a distance beyond D too."""
-    pool, kept, period, R, D, kind = data.draw(_kernel_arrangement(r2))
-    index = Obstacles(kept, period, pool)
+    lexicographically negative, as the check against every placed
+    obstacle does.  Whenever the deep point lies within D, the strip
+    search, the search without a period and brute force agree; beyond D
+    the strip search reports a distance beyond D too."""
+    pool, kept, period, R_e, R, D, kind = data.draw(_kernel_arrangement(r2))
+    index = Obstacles(kept, period, R_e)
     assert index.strip in (period, tuple(-c for c in period))
+    assert index.strip == pool_strip(kept, period, pool)
     assert index.strip < (0, 0)
     assert index.symmetric == (kind != "random")
     want = _brute_deep_point(_translates(kept), R, 2)
@@ -627,17 +631,19 @@ def test_deep_point_period_strip_matches_full_box(data, r2):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_deep_point_period_strip_refuses_a_missing_partner(data, r2):
-    """Dropping from the pool the partner (base, x - v) that one kept
-    obstacle needs fails the check: the search runs without the strip and
-    still finds the brute-force deep point."""
-    pool, kept, period, R, _, _ = data.draw(_kernel_arrangement(r2))
+    """Enumerating to a radius just below the partner (base, x - v) that
+    one kept obstacle needs, so that the partner is not placed, fails the
+    check, as the check against every placed obstacle does: the search
+    runs without the strip and still finds the brute-force deep point."""
+    pool, kept, period, _, R, _, _ = data.draw(_kernel_arrangement(r2))
     v = min(period, tuple(-c for c in period))
     base, (x0, x1) = data.draw(st.sampled_from(kept))
     partner = (x0 - v[0], x1 - v[1])
     pool, kept = ([(b, x) for b, x in placed if not (b is base and x == partner)]
                   for placed in (pool, kept))
-    index = Obstacles(kept, period, pool)
+    index = Obstacles(kept, period, max(map(abs, partner)) - 1)
     assert index.strip is None
+    assert pool_strip(kept, period, pool) is None
 
     def forbidden(*args):
         raise AssertionError("the strip was searched")

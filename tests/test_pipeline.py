@@ -1,11 +1,16 @@
+import inspect
 import json
+import random
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from itertools import product
 from math import ceil, gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,6 +36,7 @@ from fibercert.pipeline import (
 )
 from fibercert.trackmap import LiftedGraphMap, omega_of_word, support_of_power
 
+from conftest import place_every_word, pool_strip, within_reach
 from test_lattice import _brute_deep_point, _placed_translates, _symmetric_translates
 from test_trackmap import doubling_rose, single_edge_rose
 
@@ -94,6 +100,36 @@ def test_normalized_bound():
     assert normalized_bound(Fraction(1, 2), 4, 2) == "4.00000000000"  # 1/2 * 4^(3/2)
 
 
+def _power_normalized(bound: Fraction, n: int, r: int) -> str:
+    """normalized_bound through the fractional power n^(1/r) at 30 digits,
+    as it was before rank 2 took Decimal.sqrt: the reference it is checked
+    against."""
+    if bound == 0:
+        return "0"
+    with localcontext() as ctx:
+        ctx.prec = 30
+        val = (Decimal(bound.numerator) / Decimal(bound.denominator) * Decimal(n)
+               * Decimal(n) ** (Decimal(1) / Decimal(r)))
+        return format(val, ".12g")
+
+
+def test_normalized_bound_matches_the_fractional_power():
+    """Byte for byte the fractional power's rendering, in both ranks: for
+    every n up to 60,000, with K cycling through 1..33, and for 5,000
+    random n up to 10^13 and K up to POWER_CAP.  Perfect squares, where
+    the bare square root is exact and would print fewer digits (4.0, not
+    4.00000000000, for n = 4), are among them."""
+    cases = [(n, n % 33 + 1) for n in range(1, 60_001)]
+    rng = random.Random(0)
+    cases += [(rng.randrange(1, 10 ** 13), rng.randrange(1, POWER_CAP + 1))
+              for _ in range(5_000)]
+    cases += [(q * q, q % 7 + 1) for q in (2, 4, 5, 10 ** 6, 3_162_277)]
+    for n, K in cases:
+        bound = Fraction(2, n * K)
+        for r in (1, 2):
+            assert normalized_bound(bound, n, r) == _power_normalized(bound, n, r), (n, K, r)
+
+
 # -- decomposition -----------------------------------------------------------
 
 def test_decompose(r1_models):
@@ -113,20 +149,17 @@ def test_decompose(r1_models):
 def test_enumerate_words_is_complete():
     L = perp_basis(FiberedClass((1, 2)))  # kernel basis (2, -1)
     words = enumerate_words(L, 6)
-    # All multiples c * (2, -1) with |2c| <= 6.
-    assert sorted(w.coeffs for w in words) == [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,)]
-    for w in words:
-        assert w.x == (2 * w.coeffs[0],)
-        assert w.y == -w.coeffs[0]
+    # All multiples c * (2, -1) with |2c| <= 6, in ascending c.
+    assert words == [((2 * c,), -c) for c in range(-3, 4)]
     L2 = perp_basis(FiberedClass((1, 1, 3)))
     words2 = enumerate_words(L2, 5)
-    got = {w.coeffs for w in words2}
+    got = set(words2)
     # Independent completeness scan over a generous coefficient box.
     for c0 in range(-30, 31):
         for c1 in range(-30, 31):
-            vec = _word_vector(L2, (c0, c1))
-            if all(abs(v) <= 5 for v in vec[:-1]):
-                assert (c0, c1) in got
+            *x, y = _word_vector(L2, (c0, c1))
+            if all(abs(v) <= 5 for v in x):
+                assert (tuple(x), y) in got
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "WORD_CAP", 3)
         with pytest.raises(BudgetError, match="word enumeration bound 44 exceeds cap 3"):
@@ -183,11 +216,10 @@ def test_enumerate_words_matches_brute_force(p, n, R_w, word_cap):
         cs for cs in product(range(-B, B + 1), repeat=r)
         if all(abs(v) <= R_w for v in _word_vector(L, cs)[:-1])
     ]
-    assert [w.coeffs for w in words] == expected
+    # A word's shift x fixes its coefficients (zeta_basis is nonsingular),
+    # so the words are the expected coefficient vectors' words, in order.
+    assert words == [(vec[:-1], vec[-1]) for vec in (_word_vector(L, cs) for cs in expected)]
     assert len(words) <= bound
-    for w in words:
-        vec = _word_vector(L, w.coeffs)
-        assert (w.x, w.y) == (vec[:-1], vec[-1])
 
 
 # alpha = (1, 7, 50) has d = 50 and e = 7, so at R = 10 no c1 serves c0 = 2;
@@ -214,7 +246,7 @@ def test_word_power_bound_refuses_exactly_above_the_cap(p, n, R, spot):
     L = perp_basis(FiberedClass((*p, n)))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "POWER_CAP", 10 ** 9)
-        top = max(abs(w.y) for w in enumerate_words(L, R))
+        top = max(abs(y) for _, y in enumerate_words(L, R))
     Y = sum(map(abs, p)) * R // abs(n)
     assert Y >= top
     cap = max(0, [top - 1, top, (top + Y) // 2, Y - 1, Y, Y + 1][spot])
@@ -253,7 +285,7 @@ def test_certify_r2_mirror(r2, r2_cert):
     assert cert.mirror is True
     # r2 has no inverse data: negative powers need mirror mode allowed.
     words = enumerate_words(perp_basis(FiberedClass(cert.alpha)), 60)
-    assert any(w.y < 0 for w in words)
+    assert any(y < 0 for _, y in words)
     with pytest.raises(ValidationError, match="mirror"):
         build_obstacles(r2, words, cert.safety, False)
 
@@ -335,7 +367,7 @@ def test_mirror_matches_inverse_data_when_gap_is_zero(r1, r1_models, r1_hash):
         euler_functional=r1.euler_functional,
     )
     words = enumerate_words(perp_basis(FiberedClass((1, 9))), 60)
-    assert any(w.y < 0 for w in words)
+    assert any(y < 0 for _, y in words)
     assert build_obstacles(r1, words, 1, False) == build_obstacles(stripped, words, 1, True)
     a = certify(r1, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash)
     b = certify(stripped, dual, cone, P, FiberedClass((1, 9)), 10, r1_hash,
@@ -351,9 +383,9 @@ def _reference_scan(track, dual, P, cert):
     eps = epsilon_of_subcone(P, dual)
     words = enumerate_words(perp_basis(FiberedClass(cert.alpha)),
                             word_radius(eps, cert.box_radius, cert.p_max, cert.safety))
-    hulls = [geometry.dilate(geometry.translate(omega_of_word(track, w.y, cert.mirror), w.x),
+    hulls = [geometry.dilate(geometry.translate(omega_of_word(track, y, cert.mirror), x),
                              cert.safety)
-             for w in words]
+             for x, y in words]
     dist2 = min(geometry.point_hull_dist2(cert.deep_point, h) for h in hulls)
     for K in range(cert.p_max, 0, -1):
         moved = geometry.dilate(geometry.translate(
@@ -416,7 +448,7 @@ def test_certify_copies_hulls_per_power_not_per_word(r2, r2_models, r2_hash, mon
     def recorded(*args):
         found = enumerate_words_(*args)
         words.extend(found)
-        powers.append(len({w.y for w in found}))
+        powers.append(len({y for _, y in found}))
         return found
 
     monkeypatch.setattr(pipeline, "enumerate_words", recorded)
@@ -457,8 +489,7 @@ def test_kernel_words_are_closed_under_negation(r1, r1_models, r2, r2_models):
     cases += [(r2, r2_models, alpha, 16) for alpha in SWEEP_R2]
     for track, models, alpha, p_max in cases:
         words = _first_box_words(track, models, alpha, p_max)
-        assert [(w.x, w.y) for w in reversed(words)] == \
-            [(tuple(-c for c in w.x), -w.y) for w in words], alpha
+        assert words[::-1] == [(tuple(-c for c in x), -y) for x, y in words], alpha
 
 
 def test_build_obstacles_marks_sweep_r2_symmetric(r2, r2_models):
@@ -512,7 +543,7 @@ def test_build_obstacles_leaves_a_non_mirror_inverse_unmarked(r1, r1_models):
     point."""
     forward = replace(r1, inverse=None)
     words = _first_box_words(r1, r1_models, (1, 9), 12)
-    assert any(w.y < 0 for w in words)
+    assert any(y < 0 for _, y in words)
     assert Obstacles(build_obstacles(r1, words, 1, False)).symmetric
     index = Obstacles(build_obstacles(replace(r1, inverse=forward), words, 1, False))
     assert not index.symmetric
@@ -595,18 +626,22 @@ def _certify_checked(monkeypatch, track, models, ds_hash, alpha, p_max, **kwargs
     got = certify(*args, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(pipeline, "_reach_radius", lambda track, L, R, D, R_w, *rest: R_w)
-        m.setattr(pipeline, "_within_reach", lambda placed, R, D: list(placed))
+        m.setattr(pipeline, "build_obstacles", lambda *args, reach: build_obstacles(*args))
         want = certify(*args, **kwargs)
     assert emit_certificate(got) == emit_certificate(want), alpha
     return got
 
 
 def _spy(monkeypatch, name):
-    """Record every call of pipeline.<name>: its arguments and result."""
+    """Record every call of pipeline.<name>: its arguments, in the order of
+    its parameters and defaults filled in, and its result."""
     calls, fn = [], getattr(pipeline, name)
+    signature = inspect.signature(fn)
 
-    def spied(*args):
-        calls.append((args, fn(*args)))
+    def spied(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((tuple(bound.arguments.values()), fn(*args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(pipeline, name, spied)
@@ -618,17 +653,19 @@ def test_reach_filter_keeps_sweep_r2_certificates(r2, r2_models, r2_hash, monkey
     every seed draws from, certifies byte for byte as with every obstacle
     placed.  Counted against the words within the word radius R_w of each
     search, it keeps about a fifth of them (6,642 of 32,888) and enumerates
-    about a third (10,504)."""
+    about a third (10,504), each search placing them in one pass with its
+    reach (R, D)."""
     radii = _spy(monkeypatch, "_reach_radius")
-    kept = _spy(monkeypatch, "_within_reach")
+    placed = _spy(monkeypatch, "build_obstacles")
     for alpha in SWEEP_R2:
         for turned in _quarter_turns(alpha):
             _certify_checked(monkeypatch, r2, r2_models, r2_hash, turned, 16,
                              allow_mirror=True)
-    assert len(radii) == len(kept)
+    assert len(radii) == len(placed)
+    assert all(args[5] is not None for args, _ in placed)
     full = sum(len(enumerate_words(args[1], args[4])) for args, _ in radii)
-    assert sum(len(k) for _, k in kept) < 0.25 * full
-    assert sum(len(args[0]) for args, _ in kept) < 0.35 * full
+    assert sum(len(kept) for _, kept in placed) < 0.25 * full
+    assert sum(len(args[1]) for args, _ in placed) < 0.35 * full
 
 
 def test_reach_filter_keeps_verify_r1_certificates(r1, r1_models, r1_hash, monkeypatch):
@@ -670,12 +707,12 @@ def test_reach_filter_covers_a_lower_power_that_reaches_farther(r1_models, r1_ha
     swap = _swap_map(40)
     assert not swap.nested_supports
     assert [support_of_power(swap, q) for q in (1, 2)] == [((-40,), (40,)), ((0,),)]
-    gaps = _spy(monkeypatch, "_within_reach")
+    gaps = _spy(monkeypatch, "build_obstacles")
     _certify_checked(monkeypatch, swap, r1_models, r1_hash, (1, 9), 2, allow_mirror=True)
     reach = [max(map(abs, pipeline.dilated_base(swap, "semiring", q, 1, True).box))
              for q in (1, 2)]
     assert reach == [41, 1]
-    assert gaps and min(args[2] for args, _ in gaps) >= 41
+    assert gaps and min(args[5][1] for args, _ in gaps) >= 41
 
 
 def test_reach_filter_with_an_unsymmetric_inverse(r1, r1_models, r1_hash, monkeypatch):
@@ -705,6 +742,19 @@ def test_reach_filter_widens_and_searches_again(r2, r2_models, r2_hash, monkeypa
     assert again_dp.dist2 == cert.deep_dist2 == 529 <= 28 ** 2
 
 
+def _kept_within_reach(placed, R, D):
+    """What build_obstacles keeps of placed translates on any bases, given
+    the reach (R, D): each distinct base stands for a power of a stub map
+    whose memo holds it, where dilated_base looks it up."""
+    powers = {}
+    for base, _ in placed:
+        powers.setdefault(id(base), (len(powers), base))
+    stub = SimpleNamespace(derived={("semiring", "base", y, 0, False): base
+                                    for y, base in powers.values()})
+    words = [(x, powers[id(base)][0]) for base, x in placed]
+    return build_obstacles(stub, words, 0, False, reach=(R, D))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_reach_filter_keeps_the_deep_point_of_placed_translates(data, r1, r2):
@@ -713,7 +763,7 @@ def test_reach_filter_keeps_the_deep_point_of_placed_translates(data, r1, r2):
     dropped one is farther than D from every point of the box."""
     placed, translates, R, rank = data.draw(_placed_translates({1: r1, 2: r2}))
     D = data.draw(st.integers(0, 8))
-    kept = pipeline._within_reach(placed, R, D)
+    kept = _kept_within_reach(placed, R, D)
     assume(kept)
     dp = lattice.deep_point(Obstacles(kept), R, rank)
     if dp.dist2 <= D * D:
@@ -727,8 +777,55 @@ def test_reach_filter_keeps_symmetric_translates_symmetric(data, r1, r2):
     a point-symmetric set are point-symmetric too."""
     placed, _, R, rank = data.draw(_symmetric_translates({1: r1, 2: r2}))
     D = data.draw(st.integers(0, 8))
-    kept = pipeline._within_reach(placed, R, D)
+    kept = _kept_within_reach(placed, R, D)
     assert not kept or Obstacles(kept).symmetric
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_placement_matches_the_reference(data, r1, r2):
+    """build_obstacles given a reach (R, D) keeps the obstacles, in order
+    and from the same base objects, that placing every word and filtering
+    them kept (conftest's place_every_word and within_reach); without a
+    reach it places every word as the reference does.  Indexed with the
+    enumeration radius R_e, the kept obstacles get the strip verdict of
+    the check against every placed obstacle (pool_strip), both ways as R_e
+    falls below or covers the kept obstacles' partners.  Ranks 1 and 2 on
+    both routes: r1 with inverse data and without, r2, and
+    single_edge_rose, whose supports do not nest, so certify enumerates to
+    R_e = R_w on it; mirror mode on or off, so that a negative power with
+    neither inverse data nor mirror mode raises the reference's
+    ValidationError, with or without a reach."""
+    kind = data.draw(st.sampled_from(("r1", "r1-bare", "r2", "r2", "shift")), "kind")
+    if kind == "r2":
+        track = r2
+        alpha = (data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4)),
+                 data.draw(st.integers(3, 40)))
+    else:
+        track = {"r1": r1, "r1-bare": replace(r1, inverse=None),
+                 "shift": single_edge_rose()}[kind]
+        alpha = (data.draw(st.integers(-4, 4)), data.draw(st.integers(3, 30)))
+    assume(gcd(*alpha) == 1)
+    L = FiberedClass(alpha).lattice
+    R, D = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 5))
+    R_e = max(0, R + D + data.draw(st.integers(-3, 14)))
+    words = enumerate_words(L, R_e)
+    assume(max(abs(y) for _, y in words) <= 40)
+    args = (track, words, data.draw(st.integers(0, 1)), data.draw(st.booleans()),
+            data.draw(st.sampled_from(("semiring", "oracle"))))
+    try:
+        every = place_every_word(*args)
+    except ValidationError as exc:
+        for reach in (None, (R, D)):
+            with pytest.raises(ValidationError) as raised:
+                build_obstacles(*args, reach=reach)
+            assert str(raised.value) == str(exc)
+        return
+    for got, want in ((build_obstacles(*args), every),
+                      (build_obstacles(*args, reach=(R, D)), within_reach(every, R, D))):
+        assert [(id(base), x) for base, x in got] == [(id(base), x) for base, x in want]
+    kept = within_reach(every, R, D)
+    assert Obstacles(kept, L.period, R_e).strip == pool_strip(kept, L.period, every)
 
 
 @settings(max_examples=60, deadline=None)
@@ -792,9 +889,9 @@ def test_certify_caps_word_powers_the_filter_drops(r1, r1_hash, monkeypatch):
     dual = estimate_dual_cone(r1, 4)
     cone = fibered_cone_from_dual(dual)
     P = cone.subcone_slope(Fraction(1, 2))
-    kept = _spy(monkeypatch, "_within_reach")
+    placed = _spy(monkeypatch, "build_obstacles")
     certify(r1, dual, cone, P, FiberedClass((1, 9)), 4, r1_hash)
-    assert max(abs(x[0]) for _, placed in kept for _, x in placed) < 90
+    assert max(abs(x[0]) for _, kept in placed for _, x in kept) < 90
 
     def forbidden(*args):
         raise AssertionError("certify walked a support")
@@ -1117,21 +1214,26 @@ def test_certify_caps_word_powers_before_walking(r1_hash):
         assert len(m.semiring.kept) <= POWER_CAP + 1
 
 
-def test_power_cap_refusals_build_no_word(r1, r1_models, r1_hash, r1_cert, monkeypatch):
+def test_power_cap_refusals_build_no_word(r1, r1_models, r1_hash, r1_cert):
     """Both sides refuse a word power above the cap before any word is
-    built: with GammaWord raising, certify of r1 (1, 9) at box radius 10^6
-    names the largest power, and verify of its honest certificate with the
-    box radius forged to 10^6 is unverifiable (power-cap)."""
-    def no_word(*args):
-        raise AssertionError("a word was built")
-
-    monkeypatch.setattr(pipeline, "GammaWord", no_word)
+    built: certify of r1 (1, 9) at box radius 10^6 names the largest power,
+    and verify of its honest certificate with the box radius forged to 10^6
+    is unverifiable (power-cap).  Their words, about 444,000 ((x,), y)
+    pairs, take about 78 MB when built before the refusal; neither refusal
+    allocates 1 MB at its peak."""
     dual, cone, P = r1_models
-    with pytest.raises(PowerCapError,
-                       match="kernel word power 222226 exceeds the power cap 2000"):
-        certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash, box_radius=10 ** 6)
-    res = verify_certificate(replace(r1_cert, box_radius=10 ** 6), r1, r1_hash)
+    verify_certificate(r1_cert, r1, r1_hash)  # the map's oracle memos, built beforehand
+    tracemalloc.start()
+    try:
+        with pytest.raises(PowerCapError,
+                           match="kernel word power 222226 exceeds the power cap 2000"):
+            certify(r1, dual, cone, P, FiberedClass((1, 9)), 12, r1_hash, box_radius=10 ** 6)
+        res = verify_certificate(replace(r1_cert, box_radius=10 ** 6), r1, r1_hash)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (res.status, res.reason) == ("unverifiable", "power-cap")
+    assert peak < 2 ** 20, peak
 
 
 def test_certify_caps_declared_powers(r1, r1_models, r1_hash, monkeypatch):
